@@ -12,13 +12,13 @@ import numpy as np
 from gradate import (
     AttributedGraph,
     LabeledGraphDataset,
-    cross_linear_fgw,
+    build_cost,
     gdd_from_cost,
     gradate,
     lava_select,
     random_select,
 )
-from gradate.pipeline import SelectionConfig, _prepare_features
+from gradate.pipeline import SelectionConfig
 
 rng = np.random.default_rng(3)
 
@@ -40,7 +40,10 @@ train = LabeledGraphDataset(family(n_dense, 0.7) + family(n_sparse, 0.15),
 val = LabeledGraphDataset(family(10, 0.7), [0] * 10, label_set=[0, 1])
 
 cfg = SelectionConfig(tau=0.2, alpha=0.5, T=10, eta=1e-4, c=0.0, seed=0)
-result = gradate(train, val, cfg)
+# The label-informed cost is built once (barycenter, embeddings, cross
+# block) and shared by the selectors and the evaluation below.
+dtilde = build_cost(train, val, cfg)
+result = gradate(train, val, cfg, dtilde=dtilde)
 
 print(f"selected {len(result.indices)} of {len(train)} training graphs")
 dense_picked = sum(1 for i in result.indices if i < n_dense)
@@ -52,17 +55,13 @@ for t, value, support in result.trace.rows():
 print(f"final gdd: {result.trace.final_gdd:.4f}")
 
 # --- baselines, evaluated in the same embedding space ------------------------
-featured_train, featured_val = _prepare_features(train, val)
-D = cross_linear_fgw(featured_train, featured_val, cfg=cfg.fgw_config())
-
-
 def subset_gdd(indices):
     w = np.zeros(len(train))
     w[list(indices)] = 1.0 / len(indices)
-    return gdd_from_cost(D, w)[0]
+    return gdd_from_cost(dtilde.base, w)[0]
 
 
-lava = lava_select(train, val, cfg)
+lava = lava_select(train, val, cfg, dtilde=dtilde)
 randoms = [subset_gdd(random_select(train, cfg.tau, seed=s).indices)
            for s in range(10)]
 print("\nmethod comparison (lower gdd is better):")

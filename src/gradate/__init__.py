@@ -34,7 +34,14 @@ from .gdd import (
     label_informed_cost,
 )
 from .great import GreatTrace, gdd_gradient, great_select, sparsity_schedule
-from .pipeline import SelectionConfig, SelectionResult, gradate, lava_select, random_select
+from .pipeline import (
+    SelectionConfig,
+    SelectionResult,
+    build_cost,
+    gradate,
+    lava_select,
+    random_select,
+)
 from . import io
 
 __all__ = [
@@ -70,6 +77,7 @@ __all__ = [
     "great_select",
     "SelectionConfig",
     "SelectionResult",
+    "build_cost",
     "gradate",
     "lava_select",
     "random_select",

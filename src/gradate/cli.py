@@ -23,10 +23,8 @@ import numpy as np
 
 from . import io
 from .errors import ConfigInvalid, GradateError, NonConvergence, NumericalFailure, SchemaError
-from .fgw import default_reference_size
-from .gdd import LabelInformedCost, cross_linear_fgw, gdd_from_cost, label_informed_cost
-from .graphs import concat_datasets, degree_one_hot_features
-from .pipeline import SelectionConfig, gradate, lava_select, random_select
+from .gdd import gdd_from_cost
+from .pipeline import SelectionConfig, build_cost, gradate, lava_select, random_select
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -172,45 +170,13 @@ def _load_splits(args):
         raise SchemaError(
             f"split covers {covered} graphs but the dataset has {len(raw)}"
         )
-    featured = degree_one_hot_features(raw)
-    return raw, featured.subset(split.train_idx), featured.subset(split.val_idx)
+    return raw, raw.subset(split.train_idx), raw.subset(split.val_idx)
 
 
 def _dataset_stamp(dataset_path) -> str:
     """Deterministic provenance timestamp: the dataset's mtime in UTC."""
     mtime = Path(dataset_path).stat().st_mtime
     return _dt.datetime.fromtimestamp(int(mtime), tz=_dt.timezone.utc).isoformat()
-
-
-def _cached_cost(train, val, cfg: SelectionConfig, cache_dir: Path) -> LabelInformedCost:
-    """Cross cost with content-addressed caching of both D and D-tilde."""
-    joint = concat_datasets(train, val)
-    nbar = cfg.nbar if cfg.nbar is not None else default_reference_size(joint.graphs)
-    key_d = {
-        "dataset_hash": io.dataset_hash(joint),
-        "alpha": cfg.alpha,
-        "r": cfg.order,
-        "nbar": nbar,
-        "seed": cfg.seed,
-        "rows": len(train),
-        "cols": len(val),
-    }
-    path_d = cache_dir / io.cache_file_name("D", key_d)
-    if path_d.exists():
-        D = io.load_matrix_cache(path_d, key_d)
-    else:
-        D = cross_linear_fgw(train, val, cfg=cfg.fgw_config(), nbar=nbar, jobs=cfg.jobs)
-        io.save_matrix_cache(path_d, D, key_d)
-
-    c_eff = cfg.effective_c()
-    key_dt = {**key_d, "c": c_eff}
-    path_dt = cache_dir / io.cache_file_name("Dtilde", key_dt)
-    if path_dt.exists():
-        values = io.load_matrix_cache(path_dt, key_dt)
-        return LabelInformedCost(values=values, base=D, label_offsets=values - D, c=c_eff)
-    dtilde = label_informed_cost(train, val, D, c_eff, cfg.ot_solver())
-    io.save_matrix_cache(path_dt, dtilde.values, key_dt)
-    return dtilde
 
 
 def _load_weights(path, n: int, expected_hash: str, force: bool) -> np.ndarray:
@@ -249,7 +215,7 @@ def cmd_gdd(args) -> int:
     _log_config(resolved)
     raw, train, val = _load_splits(args)
     cfg = _selection_config(resolved, tau=1.0)
-    dtilde = _cached_cost(train, val, cfg, _cache_dir(args))
+    dtilde = build_cost(train, val, cfg, _cache_dir(args))
     w = None
     if args.weights:
         w = _load_weights(args.weights, len(train), io.dataset_hash(raw), args.force)
@@ -272,7 +238,7 @@ def cmd_select(args) -> int:
         result = random_select(train, resolved["tau"], resolved["seed"])
     else:
         cfg = _selection_config(resolved)
-        dtilde = _cached_cost(train, val, cfg, _cache_dir(args))
+        dtilde = build_cost(train, val, cfg, _cache_dir(args))
         if method == "gradate":
             result = gradate(train, val, cfg, dtilde=dtilde)
         else:

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
+from . import io
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
-from .fgw import FGWConfig
-from .gdd import cross_linear_fgw, label_informed_cost
+from .fgw import FGWConfig, default_reference_size
+from .gdd import LabelInformedCost, cross_linear_fgw, label_informed_cost
 from .graphs import LabeledGraphDataset, concat_datasets, degree_one_hot_features
 from .great import GreatTrace, floor_budget, great_select
 from .io import dataset_hash
@@ -103,25 +105,50 @@ class SelectionResult:
     provenance: dict = field(default_factory=dict, compare=False)
 
 
-def _prepare_features(train: LabeledGraphDataset, val: LabeledGraphDataset):
-    """Synthesize degree features jointly when both sides are featureless."""
-    if train.feature_dim == 0 and val.feature_dim == 0:
-        merged = degree_one_hot_features(concat_datasets(train, val))
-        return merged.subset(range(len(train))), merged.subset(range(len(train), len(merged)))
+def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
+               cfg: SelectionConfig, cache_dir=None) -> LabelInformedCost:
+    """The label-informed cross cost D-tilde that every selection step reuses.
+
+    When train and val are both featureless, degree one-hot features are
+    synthesized over the two of them together. With `cache_dir`, each matrix
+    is read from or written to a content-addressed file keyed on exactly the
+    inputs of the call that computes it: D on the featurized joint dataset,
+    the train/val shape, the resolved reference size and the FGW config;
+    D-tilde on that key plus the effective c, the OT solver and epsilon.
+    """
+    if len(train) == 0 or len(val) == 0:
+        raise EmptyDataset("train and val must both be nonempty")
     if train.feature_dim != val.feature_dim:
         raise DimensionMismatch(
             f"train has feature dimension {train.feature_dim}, val {val.feature_dim}"
         )
-    return train, val
+    joint = degree_one_hot_features(concat_datasets(train, val))
+    n = len(train)
+    train, val = joint.subset(range(n)), joint.subset(range(n, len(joint)))
+    fgw_cfg, c = cfg.fgw_config(), cfg.effective_c()
+    if cache_dir is None:
+        D = cross_linear_fgw(train, val, cfg=fgw_cfg, nbar=cfg.nbar, jobs=cfg.jobs)
+        return label_informed_cost(train, val, D, c, cfg.ot_solver())
+
+    cache_dir = Path(cache_dir)
+    nbar = cfg.nbar if cfg.nbar is not None else default_reference_size(joint.graphs)
+    key = {"dataset_hash": dataset_hash(joint), "shape": [n, len(val)],
+           "nbar": nbar, **asdict(fgw_cfg)}
+    D = _cached(cache_dir, "D", key, lambda: cross_linear_fgw(
+        train, val, cfg=fgw_cfg, nbar=nbar, jobs=cfg.jobs))
+    key = {**key, "c": c, "solver": cfg.solver, "epsilon": cfg.epsilon}
+    values = _cached(cache_dir, "Dtilde", key, lambda: label_informed_cost(
+        train, val, D, c, cfg.ot_solver()).values)
+    return LabelInformedCost(values=values, base=D, label_offsets=values - D, c=float(c))
 
 
-def _build_cost(train, val, cfg: SelectionConfig):
-    featured_train, featured_val = _prepare_features(train, val)
-    fgw_cfg = cfg.fgw_config()
-    D = cross_linear_fgw(featured_train, featured_val, cfg=fgw_cfg,
-                         nbar=cfg.nbar, jobs=cfg.jobs)
-    return label_informed_cost(featured_train, featured_val, D,
-                               cfg.effective_c(), cfg.ot_solver())
+def _cached(cache_dir: Path, kind: str, key: dict, compute) -> np.ndarray:
+    path = cache_dir / io.cache_file_name(kind, key)
+    if path.exists():
+        return io.load_matrix_cache(path, key)
+    matrix = compute()
+    io.save_matrix_cache(path, matrix, key)
+    return matrix
 
 
 def _provenance(train, val, cfg_dict: dict) -> dict:
@@ -145,15 +172,15 @@ def gradate(train: LabeledGraphDataset, val: LabeledGraphDataset,
 
     Builds the joint barycenter and the label-informed cost once, then runs
     the iterative reweighting loop and returns the nonzero support of the
-    final weights, with the optimization trace attached. A precomputed
-    label-informed cost (for instance from the CLI cache) can be passed as
-    `dtilde` to skip the embedding stage.
+    final weights, with the optimization trace attached. A cost from
+    `build_cost` (for instance a cached one) can be passed as `dtilde` to
+    skip the embedding stage.
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyDataset("train and val must both be nonempty")
     _check_budget(len(train), cfg.tau)
     if dtilde is None:
-        dtilde = _build_cost(train, val, cfg)
+        dtilde = build_cost(train, val, cfg)
     selected, trace = great_select(dtilde, cfg.tau, cfg.T, cfg.eta, cfg.ot_solver())
     return SelectionResult(
         indices=tuple(int(i) for i in selected),
@@ -177,7 +204,7 @@ def lava_select(train: LabeledGraphDataset, val: LabeledGraphDataset,
     n = len(train)
     budget = _check_budget(n, cfg.tau)
     if dtilde is None:
-        dtilde = _build_cost(train, val, cfg)
+        dtilde = build_cost(train, val, cfg)
     solver = cfg.ot_solver()
     sol = solver(dtilde.values, np.full(n, 1.0 / n), np.full(len(val), 1.0 / len(val)))
     ranking = np.argsort(calibrate_duals(sol).dual_source, kind="stable")

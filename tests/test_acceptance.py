@@ -15,7 +15,7 @@ from scipy.stats import spearmanr
 from gradate import (
     AttributedGraph,
     LabeledGraphDataset,
-    cross_linear_fgw,
+    build_cost,
     fgw_distance,
     gdd,
     gdd_from_cost,
@@ -30,7 +30,7 @@ from gradate import (
 from gradate.cli import main as cli_main
 from gradate.fgw import FGWConfig
 from gradate.great import floor_budget, great_select, validate_weights
-from gradate.pipeline import SelectionConfig, _prepare_features
+from gradate.pipeline import SelectionConfig
 
 from conftest import heterogeneous_graphs, random_graph
 from oracles import (
@@ -193,8 +193,7 @@ def test_criterion_6_selection_quality_at_desk_scale():
         assert dense_frac >= 0.9, f"dense fraction {dense_frac:.2f}"
         assert result.trace.final_gdd <= result.trace.iterations[0].gdd_value + 1e-9
 
-        featured_train, featured_val = _prepare_features(train, val)
-        D = cross_linear_fgw(featured_train, featured_val, cfg=cfg.fgw_config())
+        D = build_cost(train, val, cfg).base
 
         def subset_gdd(indices):
             w = np.zeros(len(train))

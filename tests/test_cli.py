@@ -1,13 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gradate.cli as cli
-from gradate import LabeledGraphDataset, io
+import gradate.pipeline as pipeline
+from gradate import LabeledGraphDataset, build_cost, io
 from gradate.cli import main
+from gradate.pipeline import SelectionConfig
 
 from conftest import path_graph, random_graph
 from oracles import brute_force_ot
@@ -46,6 +50,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_cached(path):
+    """A cache file's matrix, decoded with the key stored in its own header."""
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[4:8], "little")
+    return io.load_matrix_cache(path, json.loads(blob[8:8 + header_len])["key"])
 
 
 class TestSplit:
@@ -102,10 +113,53 @@ class TestGdd:
         def boom(*a, **k):
             raise AssertionError("cross block recomputed despite a warm cache")
 
-        monkeypatch.setattr(cli, "cross_linear_fgw", boom)
+        monkeypatch.setattr(pipeline, "cross_linear_fgw", boom)
         code, out2, _ = run(capsys, "gdd", "ds.json", "split.json", "--c", "0")
         assert code == 0
         assert json.loads(out1)["gdd"] == json.loads(out2)["gdd"]
+
+    def test_solver_switch_on_a_warm_cache_matches_a_cold_run(self, workdir, capsys):
+        # At c > 0 the label distances depend on the OT solver, so an exact
+        # run's D-tilde must not be served to a sinkhorn run.
+        write_two_domain_json(workdir / "ds.json", seed=9)
+        run(capsys, "split", "ds.json", "--by", "density", "--out", "split.json")
+        sinkhorn = ["--c", "1", "--solver", "sinkhorn", "--epsilon", "0.5"]
+        code, cold, _ = run(capsys, "gdd", "ds.json", "split.json", *sinkhorn,
+                            "--cache-dir", "cold")
+        assert code == 0
+        code, _, _ = run(capsys, "gdd", "ds.json", "split.json", "--c", "1",
+                         "--cache-dir", "warm")
+        assert code == 0
+        code, warm, _ = run(capsys, "gdd", "ds.json", "split.json", *sinkhorn,
+                            "--cache-dir", "warm")
+        assert code == 0
+        assert json.loads(warm)["gdd"] == json.loads(cold)["gdd"]
+        assert len(list((workdir / "warm").glob("D-*.gdd"))) == 1
+
+    def test_cached_d_matches_the_library_when_test_holds_the_top_degree(
+            self, workdir, capsys):
+        # Featureless graphs split by density; the test split holds the
+        # largest degree, so featurizing it too would widen the one-hots.
+        rng = np.random.default_rng(6)
+        graphs = [random_graph(rng, n_nodes=int(rng.integers(5, 9)),
+                               edge_prob=rng.uniform(0.2, 0.8), feature_dim=0)
+                  for _ in range(20)]
+        ds = LabeledGraphDataset(graphs, [0] * 20)
+        io.save_dataset_json(ds, "ds.json")
+        run(capsys, "split", "ds.json", "--by", "density", "--out", "split.json")
+        split = io.load_split("split.json")
+
+        def max_degree(idx):
+            return max(int(ds.graphs[i].degrees().max()) for i in idx)
+
+        assert max_degree(split.test_idx) > max(max_degree(split.train_idx),
+                                                max_degree(split.val_idx))
+        code, _, _ = run(capsys, "gdd", "ds.json", "split.json", "--cache-dir", "cache")
+        assert code == 0
+        (cached,) = (workdir / "cache").glob("D-*.gdd")
+        library = build_cost(ds.subset(split.train_idx), ds.subset(split.val_idx),
+                             SelectionConfig(tau=1.0)).base
+        assert np.array_equal(read_cached(cached), library)
 
     def test_toy_instance_matches_transport_oracle(self, workdir, capsys):
         write_two_domain_json(workdir / "ds.json", seed=5, n_dense=3, n_sparse=3,
@@ -327,10 +381,14 @@ class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         ds_path = tmp_path / "ds.json"
         write_two_domain_json(ds_path)
+        # The child imports the same package as this process, installed or not.
+        package_root = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "gradate.cli", "split", str(ds_path),
              "--out", str(tmp_path / "split.json")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         json.loads(proc.stdout)

@@ -1,16 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import gradate.pipeline as pipeline
 from gradate import (
     LabeledGraphDataset,
-    cross_linear_fgw,
+    build_cost,
     gdd_from_cost,
     gradate,
     lava_select,
     random_select,
 )
 from gradate.errors import ConfigInvalid, DimensionMismatch
-from gradate.pipeline import SelectionConfig, _prepare_features
+from gradate.pipeline import SelectionConfig
 
 from conftest import random_graph
 
@@ -48,6 +51,43 @@ class TestSelectionConfig:
         assert cfg.effective_c() == 0.0
 
 
+class TestBuildCost:
+    def test_cached_cost_is_bit_identical_to_a_cold_build(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(13)
+        train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
+        cfg = SelectionConfig(tau=0.5, c=1.0, seed=0)
+        cold = build_cost(train, val, cfg)
+        filled = build_cost(train, val, cfg, cache_dir=tmp_path)
+
+        def boom(*a, **k):
+            raise AssertionError("cross block recomputed despite a warm cache")
+
+        monkeypatch.setattr(pipeline, "cross_linear_fgw", boom)
+        warm = build_cost(train, val, cfg, cache_dir=tmp_path)
+        for cost in (filled, warm):
+            assert np.array_equal(cost.values, cold.values)
+            assert np.array_equal(cost.base, cold.base)
+            assert cost.c == cold.c == 1.0
+
+    @pytest.mark.parametrize("change", [{"fgw_max_iter": 3}, {"inner_tol": 1e-3}])
+    def test_fgw_settings_are_part_of_the_cache_key(self, tmp_path, monkeypatch, change):
+        rng = np.random.default_rng(14)
+        train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
+        cfg = SelectionConfig(tau=0.5, seed=0)
+        build_cost(train, val, cfg, cache_dir=tmp_path)
+
+        calls = []
+        original = pipeline.cross_linear_fgw
+        monkeypatch.setattr(pipeline, "cross_linear_fgw",
+                            lambda *a, **k: calls.append(k) or original(*a, **k))
+        changed = replace(cfg, **change)
+        cost = build_cost(train, val, changed, cache_dir=tmp_path)
+        assert len(calls) == 1
+        assert calls[0]["cfg"] == changed.fgw_config()
+        assert np.array_equal(cost.base, build_cost(train, val, changed).base)
+        assert len(list(tmp_path.glob("D-*.gdd"))) == 2
+
+
 class TestGradate:
     def test_duplicated_validation_graphs_are_recovered(self):
         rng = np.random.default_rng(1)
@@ -81,8 +121,7 @@ class TestGradate:
 
         # Evaluate every selection in the embedding space the optimizer
         # actually works in: one cross block over the full train set.
-        featured_train, featured_val = _prepare_features(train, val)
-        D = cross_linear_fgw(featured_train, featured_val, cfg=cfg.fgw_config())
+        D = build_cost(train, val, cfg).base
 
         def subset_gdd(indices):
             w = np.zeros(len(train))
