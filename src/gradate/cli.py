@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--epsilon", type=float, default=None, help="sinkhorn regularization")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--jobs", type=int, default=None,
-                        help="thread bound for pairwise-distance computation")
+                        help="accepted and recorded for compatibility; has no effect")
     common.add_argument("--cache-dir", default=None,
                         help="distance cache directory (env GRADATE_CACHE_DIR overrides default)")
     common.add_argument("--no-val-labels", dest="val_labels", action="store_const",
@@ -138,6 +138,8 @@ def _log_config(resolved: dict) -> None:
 
 
 def _selection_config(resolved: dict, tau: float | None = None) -> SelectionConfig:
+    if resolved["jobs"] < 1:
+        raise ConfigInvalid(f"jobs must be >= 1, got {resolved['jobs']}")
     return SelectionConfig(
         tau=resolved.get("tau") if tau is None else tau,
         alpha=resolved["alpha"],
@@ -149,7 +151,6 @@ def _selection_config(resolved: dict, tau: float | None = None) -> SelectionConf
         solver=resolved["solver"],
         epsilon=resolved["epsilon"],
         nbar=resolved["nbar"],
-        jobs=resolved["jobs"],
         val_labels_available=resolved["val_labels"],
     )
 

@@ -16,7 +16,6 @@ are flagged slow.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -230,16 +229,15 @@ def default_reference_size(graphs: Sequence[AttributedGraph]) -> int:
 
 
 def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
-                   cfg: FGWConfig | None = None, outer_iter: int = 10,
-                   jobs: int = 1) -> AttributedGraph:
+                   cfg: FGWConfig | None = None, outer_iter: int = 10) -> AttributedGraph:
     """FGW barycenter of a dataset: a reference graph under uniform weights.
 
     Block-coordinate descent: solve one coupling per dataset graph against
     the current reference, then refresh the reference features as the
     coupling-weighted barycentric average and the reference structure as the
-    coupling-weighted average of transported adjacencies. Couplings are
-    warm-started across the `outer_iter` rounds; per-graph solves may run on
-    `jobs` threads.
+    coupling-weighted average of transported adjacencies. The per-graph
+    solves of a round run serially, each warm-started from that graph's
+    coupling of the previous round, for at most `outer_iter` rounds.
     """
     graphs = list(graphs)
     if not graphs:
@@ -284,17 +282,8 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
     prev_obj = np.inf
 
     for _ in range(outer_iter):
-        def solve(item):
-            g, warm = item
-            return fgw_distance(g, reference, cfg, coupling_init=warm)
-
-        work = list(zip(graphs, couplings))
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(solve, work))
-        else:
-            results = [solve(item) for item in work]
-
+        results = [fgw_distance(g, reference, cfg, coupling_init=warm)
+                   for g, warm in zip(graphs, couplings)]
         couplings = [res.coupling for res in results]
         obj = sum(res.objective_curve[-1] for res in results)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AllZeroWeights, DimensionMismatch, EmptyClass, EmptyDataset, ConfigInvalid
 from .fgw import FGWConfig, fgw_barycenter
 from .graphs import LabeledGraphDataset, concat_datasets
-from .linear_fgw import embed_all, linear_fgw_distance
+from .linear_fgw import _linear_fgw_block, embed_all
 from .ot import TransportSolution, solve_exact_ot
 
 OTSolver = Callable[[np.ndarray, np.ndarray, np.ndarray], TransportSolution]
@@ -74,8 +74,7 @@ class LabelInformedCost:
 
 
 def cross_linear_fgw(train: LabeledGraphDataset, val: LabeledGraphDataset,
-                     cfg: FGWConfig | None = None, nbar: int | None = None,
-                     jobs: int = 1) -> np.ndarray:
+                     cfg: FGWConfig | None = None, nbar: int | None = None) -> np.ndarray:
     """Train-by-val LinearFGW block against one joint reference.
 
     The barycenter is built from train and val together so both sides live
@@ -86,14 +85,10 @@ def cross_linear_fgw(train: LabeledGraphDataset, val: LabeledGraphDataset,
         raise EmptyDataset("both datasets must be nonempty")
     cfg = cfg or FGWConfig()
     joint = concat_datasets(train, val)
-    reference = fgw_barycenter(joint.graphs, nbar=nbar, cfg=cfg, jobs=jobs)
-    embeddings = embed_all(joint.graphs, reference, cfg, jobs=jobs)
+    reference = fgw_barycenter(joint.graphs, nbar=nbar, cfg=cfg)
+    embeddings = embed_all(joint.graphs, reference, cfg)
     n = len(train)
-    D = np.empty((n, len(val)))
-    for i in range(n):
-        for j in range(len(val)):
-            D[i, j] = linear_fgw_distance(embeddings[i], embeddings[n + j], cfg.alpha)
-    return D
+    return _linear_fgw_block(embeddings[:n], embeddings[n:], cfg.alpha)
 
 
 def graph_label_distance(train: LabeledGraphDataset, val: LabeledGraphDataset,
@@ -155,10 +150,12 @@ def label_informed_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
         return LabelInformedCost(values=D.copy(), base=D.copy(),
                                  label_offsets=np.zeros_like(D), c=0.0)
     table = label_distance_table(train, val, D, solver)
-    offsets = np.empty_like(D)
-    for i, y in enumerate(train.labels):
-        for j, y_prime in enumerate(val.labels):
-            offsets[i, j] = c * table.get(y, y_prime)
+    # Every label here has members on its own side, so each looked-up pair
+    # is present and `table.get`'s absent-pair penalty is never needed.
+    position = {y: a for a, y in enumerate(table.labels)}
+    train_pos = [position[y] for y in train.labels]
+    val_pos = [position[y] for y in val.labels]
+    offsets = c * table.values[np.ix_(train_pos, val_pos)]
     return LabelInformedCost(values=D + offsets, base=D.copy(),
                              label_offsets=offsets, c=float(c))
 
@@ -189,7 +186,7 @@ def gdd_from_cost(dtilde, w: np.ndarray | None = None,
 def gdd(train: LabeledGraphDataset, val: LabeledGraphDataset,
         w: np.ndarray | None = None, c: float = 0.0,
         cfg: FGWConfig | None = None, nbar: int | None = None,
-        jobs: int = 1, solver: OTSolver | None = None) -> tuple[float, TransportSolution]:
+        solver: OTSolver | None = None) -> tuple[float, TransportSolution]:
     """Graph dataset distance between a weighted train set and a val set.
 
     End-to-end: joint barycenter, LinearFGW cross block, label-informed
@@ -197,6 +194,6 @@ def gdd(train: LabeledGraphDataset, val: LabeledGraphDataset,
     act as the gradient of the distance in the training weights.
     """
     cfg = cfg or FGWConfig()
-    D = cross_linear_fgw(train, val, cfg=cfg, nbar=nbar, jobs=jobs)
+    D = cross_linear_fgw(train, val, cfg=cfg, nbar=nbar)
     dtilde = label_informed_cost(train, val, D, c, solver)
     return gdd_from_cost(dtilde, w, solver)

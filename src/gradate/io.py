@@ -426,14 +426,20 @@ def save_matrix_cache(path, matrix: np.ndarray, key: dict) -> None:
 
 
 def load_matrix_cache(path, key: dict) -> np.ndarray:
-    """Read a cached matrix, verifying magic and exact key agreement."""
+    """Read a cached matrix, verifying magic, exact key agreement and size."""
     blob = Path(path).read_bytes()
     if blob[:4] != CACHE_MAGIC:
         raise SchemaError(f"{path}: bad cache magic {blob[:4]!r}")
-    (header_len,) = struct.unpack("<I", blob[4:8])
+    header_len = struct.unpack("<I", blob[4:8])[0] if len(blob) >= 8 else None
+    if header_len is None or len(blob) < 8 + header_len:
+        raise SchemaError(f"{path}: cache header is truncated")
     header = json.loads(blob[8:8 + header_len].decode())
     if header["config_hash"] != config_hash(key):
         raise HashMismatch(f"{path}: cache key disagrees with the request")
     rows, cols = header["rows"], header["cols"]
-    data = np.frombuffer(blob[8 + header_len:], dtype="<f8", count=rows * cols)
-    return data.reshape(rows, cols).copy()
+    payload = blob[8 + header_len:]
+    if len(payload) != 8 * rows * cols:
+        raise SchemaError(
+            f"{path}: payload has {len(payload)} bytes, expected {8 * rows * cols}"
+        )
+    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()

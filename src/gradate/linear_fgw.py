@@ -9,7 +9,6 @@ instead of N^2.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,46 +78,49 @@ def linear_fgw_distance(e1: BarycentricEmbedding, e2: BarycentricEmbedding,
 
 
 def embed_all(graphs: Sequence[AttributedGraph], reference: AttributedGraph,
-              cfg: FGWConfig | None = None, jobs: int = 1) -> list[BarycentricEmbedding]:
-    """Embed a sequence of graphs against one reference, preserving order."""
+              cfg: FGWConfig | None = None) -> list[BarycentricEmbedding]:
+    """Embed graphs against one reference, serially and in order; graph i gets graph_index=i."""
     cfg = cfg or FGWConfig()
-
-    def one(item):
-        i, g = item
-        return barycentric_embed(g, reference, cfg, graph_index=i)
-
-    items = list(enumerate(graphs))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, items))
-    return [one(item) for item in items]
+    return [barycentric_embed(g, reference, cfg, graph_index=i)
+            for i, g in enumerate(graphs)]
 
 
 def pairwise_linear_fgw(dataset: LabeledGraphDataset,
                         cfg: FGWConfig | None = None,
-                        nbar: int | None = None,
-                        jobs: int = 1) -> np.ndarray:
+                        nbar: int | None = None) -> np.ndarray:
     """Full N x N LinearFGW matrix over one dataset.
 
     Builds the barycenter of the whole dataset, embeds every graph once and
-    fills the matrix one unordered pair at a time, so the result is
-    bit-exactly symmetric with a zero diagonal.
+    fills the matrix with `linear_fgw_distance`'s arithmetic. The result is
+    bit-exactly symmetric with a zero diagonal: entry (i, j) sums the squares
+    of e_i - e_j and entry (j, i) those of e_j - e_i, which are the same
+    floats because negation is exact, and e_i - e_i is exactly zero.
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot compute pairwise distances on an empty dataset")
     cfg = cfg or FGWConfig()
-    reference = fgw_barycenter(dataset.graphs, nbar=nbar, cfg=cfg, jobs=jobs)
-    embeddings = embed_all(dataset.graphs, reference, cfg, jobs=jobs)
-    return pairwise_from_embeddings(embeddings, cfg.alpha)
+    reference = fgw_barycenter(dataset.graphs, nbar=nbar, cfg=cfg)
+    embeddings = embed_all(dataset.graphs, reference, cfg)
+    return _linear_fgw_block(embeddings, embeddings, cfg.alpha)
 
 
-def pairwise_from_embeddings(embeddings: Sequence[BarycentricEmbedding],
-                             alpha: float) -> np.ndarray:
-    n = len(embeddings)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = linear_fgw_distance(embeddings[i], embeddings[j], alpha)
+def _linear_fgw_block(rows: Sequence[BarycentricEmbedding],
+                      cols: Sequence[BarycentricEmbedding],
+                      alpha: float) -> np.ndarray:
+    """LinearFGW distance of every (row, col) pair of same-reference embeddings.
+
+    Entry (i, j) equals `linear_fgw_distance(rows[i], cols[j], alpha)` bit for
+    bit: each row sums its squared differences along one contiguous axis,
+    which is the summation a full `np.sum` does on one pair. Each row
+    allocates O(len(cols) * (nbar * d + nbar^2)), never a rows x cols tensor.
+    """
+    node = np.stack([e.t_node.ravel() for e in cols])
+    edge = np.stack([e.t_edge.ravel() for e in cols])
+    D = np.empty((len(rows), len(cols)))
+    for i, e in enumerate(rows):
+        dn = e.t_node.ravel() - node
+        de = e.t_edge.ravel() - edge
+        D[i] = (1.0 - alpha) * np.sum(dn * dn, axis=1) + alpha * np.sum(de * de, axis=1)
     return D
 
 

@@ -50,7 +50,6 @@ class SelectionConfig:
     nbar: int | None = None
     fgw_max_iter: int = 200
     inner_tol: float = 1e-9
-    jobs: int = 1
     val_labels_available: bool = True
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class SelectionConfig:
             raise ConfigInvalid(f"solver must be 'exact' or 'sinkhorn', got {self.solver!r}")
         if self.solver == "sinkhorn" and self.epsilon <= 0:
             raise ConfigInvalid("sinkhorn epsilon must be positive")
-        if self.jobs < 1:
-            raise ConfigInvalid(f"jobs must be >= 1, got {self.jobs}")
 
     def fgw_config(self) -> FGWConfig:
         return FGWConfig(alpha=self.alpha, order=self.order,
@@ -127,7 +124,7 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     train, val = joint.subset(range(n)), joint.subset(range(n, len(joint)))
     fgw_cfg, c = cfg.fgw_config(), cfg.effective_c()
     if cache_dir is None:
-        D = cross_linear_fgw(train, val, cfg=fgw_cfg, nbar=cfg.nbar, jobs=cfg.jobs)
+        D = cross_linear_fgw(train, val, cfg=fgw_cfg, nbar=cfg.nbar)
         return label_informed_cost(train, val, D, c, cfg.ot_solver())
 
     cache_dir = Path(cache_dir)
@@ -135,7 +132,7 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     key = {"dataset_hash": dataset_hash(joint), "shape": [n, len(val)],
            "nbar": nbar, **asdict(fgw_cfg)}
     D = _cached(cache_dir, "D", key, lambda: cross_linear_fgw(
-        train, val, cfg=fgw_cfg, nbar=nbar, jobs=cfg.jobs))
+        train, val, cfg=fgw_cfg, nbar=nbar))
     key = {**key, "c": c, "solver": cfg.solver, "epsilon": cfg.epsilon}
     values = _cached(cache_dir, "Dtilde", key, lambda: label_informed_cost(
         train, val, D, c, cfg.ot_solver()).values)

@@ -187,13 +187,14 @@ def test_criterion_6_selection_quality_at_desk_scale():
         start = time.perf_counter()
         train, val = _two_domain_corpus()
         cfg = SelectionConfig(tau=0.2, T=10, eta=1e-4, alpha=0.5, seed=0)
-        result = gradate(train, val, cfg)
+        dtilde = build_cost(train, val, cfg)
+        result = gradate(train, val, cfg, dtilde=dtilde)
 
         dense_frac = np.mean([i < 60 for i in result.indices])
         assert dense_frac >= 0.9, f"dense fraction {dense_frac:.2f}"
         assert result.trace.final_gdd <= result.trace.iterations[0].gdd_value + 1e-9
 
-        D = build_cost(train, val, cfg).base
+        D = dtilde.base
 
         def subset_gdd(indices):
             w = np.zeros(len(train))

@@ -216,6 +216,9 @@ class TestGdd:
                            "--config", "cfg.json")
         assert code == 2
         assert "unknown config keys" in err
+        code, _, err = run(capsys, "gdd", "copies.json", "split.json", "--jobs", "0")
+        assert code == 2
+        assert "jobs must be >= 1" in err
 
 
 class TestSelect:

@@ -86,6 +86,18 @@ class TestLabelInformedCost:
                 expected = D[i, j] + c * graph_label_distance(train, val, D, y, y_prime)
                 assert dtilde.values[i, j] == pytest.approx(expected, abs=1e-10)
 
+    def test_offsets_are_c_times_table_entries_bit_exact(self, rng):
+        train = labeled(rng, [2, 0, 1, 0, 2, 1])
+        val = labeled(rng, [0, 2, 2, 0])  # label 1 absent on the val side
+        D = rng.random((6, 4))
+        c = 0.7
+        dtilde = label_informed_cost(train, val, D, c)
+        table = label_distance_table(train, val, D)
+        expected = np.array([[c * table.get(y, y_prime) for y_prime in val.labels]
+                             for y in train.labels])
+        assert np.array_equal(dtilde.label_offsets, expected)
+        assert np.array_equal(dtilde.values, D + expected)
+
     def test_dominates_base_for_nonnegative_c(self, rng):
         train = labeled(rng, [0, 1])
         val = labeled(rng, [0, 1])

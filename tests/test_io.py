@@ -223,6 +223,16 @@ class TestMatrixCache:
         with pytest.raises(SchemaError):
             io.load_matrix_cache(path, {})
 
+    @pytest.mark.parametrize("resize", [lambda b: b[:6], lambda b: b[:20], lambda b: b[:-16],
+                                        lambda b: b + b"\x00" * 8])
+    def test_truncated_or_overlong_file_rejected(self, tmp_path, rng, resize):
+        key = {"x": 1}
+        path = tmp_path / "m.gdd"
+        io.save_matrix_cache(path, rng.random((3, 2)), key)
+        path.write_bytes(resize(path.read_bytes()))
+        with pytest.raises(SchemaError):
+            io.load_matrix_cache(path, key)
+
     def test_write_is_atomic(self, tmp_path, rng):
         key = {"x": 1}
         path = tmp_path / "m.gdd"

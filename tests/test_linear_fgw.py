@@ -6,15 +6,17 @@ from gradate import (
     AttributedGraph,
     LabeledGraphDataset,
     barycentric_embed,
+    cross_linear_fgw,
+    fgw_barycenter,
     fgw_distance,
     linear_fgw_distance,
     pairwise_linear_fgw,
 )
 from gradate.errors import ReferenceMismatch
 from gradate.fgw import FGWConfig
-from gradate.linear_fgw import BarycentricEmbedding
+from gradate.linear_fgw import BarycentricEmbedding, embed_all
 
-from conftest import heterogeneous_graphs, random_graph
+from conftest import heterogeneous_graphs, random_dataset, random_graph
 
 
 class TestBarycentricEmbed:
@@ -136,9 +138,30 @@ class TestPairwise:
         cfg = FGWConfig(alpha=0.5, seed=9)
         assert np.array_equal(pairwise_linear_fgw(ds, cfg), pairwise_linear_fgw(ds, cfg))
 
-    def test_jobs_do_not_change_results(self, rng):
-        graphs = [random_graph(rng) for _ in range(5)]
-        ds = LabeledGraphDataset(graphs, [0] * 5)
-        cfg = FGWConfig(alpha=0.5, seed=4)
-        assert np.array_equal(pairwise_linear_fgw(ds, cfg, jobs=1),
-                              pairwise_linear_fgw(ds, cfg, jobs=4))
+
+class TestBlockKernel:
+    """Every block entry equals the single-pair distance on the same embeddings."""
+
+    @staticmethod
+    def reference_block(rows, cols, graphs, cfg):
+        embs = embed_all(graphs, fgw_barycenter(graphs, cfg=cfg), cfg)
+        return np.array([[linear_fgw_distance(embs[i], embs[j], cfg.alpha) for j in cols]
+                         for i in rows])
+
+    @pytest.mark.parametrize("feature_dim", [0, 3])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_cross_block_matches_pairwise_distance(self, rng, alpha, feature_dim):
+        train = random_dataset(rng, 5, feature_dim=feature_dim)
+        val = random_dataset(rng, 3, feature_dim=feature_dim)
+        cfg = FGWConfig(alpha=alpha, seed=5)
+        expected = self.reference_block(range(5), range(5, 8),
+                                        train.graphs + val.graphs, cfg)
+        assert np.array_equal(cross_linear_fgw(train, val, cfg), expected)
+
+    @pytest.mark.parametrize("feature_dim", [0, 3])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_square_block_matches_pairwise_distance(self, rng, alpha, feature_dim):
+        ds = random_dataset(rng, 5, feature_dim=feature_dim)
+        cfg = FGWConfig(alpha=alpha, seed=6)
+        expected = self.reference_block(range(5), range(5), ds.graphs, cfg)
+        assert np.array_equal(pairwise_linear_fgw(ds, cfg), expected)

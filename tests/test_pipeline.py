@@ -117,11 +117,11 @@ class TestGradate:
         rng = np.random.default_rng(4)
         train, val = two_domain(rng, n_dense=10, n_sparse=10, n_val=5)
         cfg = SelectionConfig(tau=0.3, seed=0)
-        res = gradate(train, val, cfg)
-
         # Evaluate every selection in the embedding space the optimizer
         # actually works in: one cross block over the full train set.
-        D = build_cost(train, val, cfg).base
+        dtilde = build_cost(train, val, cfg)
+        res = gradate(train, val, cfg, dtilde=dtilde)
+        D = dtilde.base
 
         def subset_gdd(indices):
             w = np.zeros(len(train))
