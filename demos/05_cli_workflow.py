@@ -7,6 +7,7 @@ the CLI writes is byte-reproducible for fixed inputs and seed.
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+import gradate
 from gradate import AttributedGraph, LabeledGraphDataset, io
 
 rng = np.random.default_rng(4)
@@ -34,9 +36,16 @@ io.save_dataset_json(dataset, workdir / "graphs.json")
 print("workdir:", workdir)
 
 
+# The CLI runs in workdir, so hand it the package this script imported,
+# installed or not.
+package_root = str(Path(gradate.__file__).resolve().parents[1])
+env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
 def cli(*args):
     cmd = [sys.executable, "-m", "gradate.cli", *args]
-    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=workdir)
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=workdir, env=env)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(proc.returncode)

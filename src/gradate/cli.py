@@ -140,18 +140,19 @@ def _log_config(resolved: dict) -> None:
 def _selection_config(resolved: dict, tau: float | None = None) -> SelectionConfig:
     if resolved["jobs"] < 1:
         raise ConfigInvalid(f"jobs must be >= 1, got {resolved['jobs']}")
+    # T and eta are select-only; gdd leaves them at SelectionConfig's defaults.
+    steps = {key: resolved[key] for key in ("T", "eta") if key in resolved}
     return SelectionConfig(
         tau=resolved.get("tau") if tau is None else tau,
         alpha=resolved["alpha"],
         order=resolved["order"],
         c=resolved["c"],
-        T=resolved.get("T", 10),
-        eta=resolved.get("eta", 1e-4),
         seed=resolved["seed"],
         solver=resolved["solver"],
         epsilon=resolved["epsilon"],
         nbar=resolved["nbar"],
         val_labels_available=resolved["val_labels"],
+        **steps,
     )
 
 

@@ -37,7 +37,7 @@ class FGWConfig:
     order : distance order r >= 1; only r=2 uses the fast contraction.
     max_iter : conditional-gradient iteration budget per coupling solve.
     inner_tol : relative objective-decrease threshold that ends the loop.
-    seed : controls random restarts and barycenter initialization.
+    seed : controls barycenter initialization.
     """
 
     alpha: float = 0.5
@@ -176,39 +176,23 @@ def _frank_wolfe(obj: _QuadObjective, T0: np.ndarray, cfg: FGWConfig):
 
 def fgw_distance(g1: AttributedGraph, g2: AttributedGraph,
                  cfg: FGWConfig | None = None,
-                 coupling_init: np.ndarray | None = None,
-                 restarts: int = 1) -> FGWResult:
+                 coupling_init: np.ndarray | None = None) -> FGWResult:
     """Fused Gromov-Wasserstein distance between two attributed graphs.
 
     Conditional gradient finds a stationary point of the (non-convex) FGW
     objective; the reported distance is objective**(1/order). The coupling
-    starts at the product measure p q^T unless `coupling_init` is given;
-    `restarts` > 1 adds randomized initializations (seeded by cfg.seed) and
-    keeps the best stationary point. A non-converged run returns its best
-    iterate with converged=False rather than raising.
+    starts at the product measure p q^T unless `coupling_init` is given. The
+    exact line search makes the iterates monotone, so the last iterate is
+    the best one; a non-converged run returns it with converged=False rather
+    than raising.
     """
     cfg = cfg or FGWConfig()
     obj = _QuadObjective(g1, g2, cfg)
-    p, q = obj.p, obj.q
-
-    inits: list[np.ndarray] = []
     if coupling_init is not None:
-        inits.append(_check_coupling(coupling_init, p, q))
+        T0 = _check_coupling(coupling_init, obj.p, obj.q)
     else:
-        inits.append(np.outer(p, q))
-    if restarts > 1:
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(restarts - 1):
-            vertex = _lp_vertex(rng.random((len(p), len(q))), p, q)
-            inits.append(0.5 * np.outer(p, q) + 0.5 * vertex)
-
-    best = None
-    for T0 in inits:
-        T, curve, converged = _frank_wolfe(obj, T0, cfg)
-        if best is None or curve[-1] < best[1][-1]:
-            best = (T, curve, converged)
-
-    T, curve, converged = best
+        T0 = np.outer(obj.p, obj.q)
+    T, curve, converged = _frank_wolfe(obj, T0, cfg)
     value = max(curve[-1], 0.0)
     return FGWResult(
         distance=float(value ** (1.0 / cfg.order)),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AllZeroWeights, DimensionMismatch, EmptyClass, EmptyDataset, ConfigInvalid
 from .fgw import FGWConfig, fgw_barycenter
-from .graphs import LabeledGraphDataset, concat_datasets
+from .graphs import LabeledGraphDataset, concat_datasets, degree_one_hot_features
 from .linear_fgw import _linear_fgw_block, embed_all
 from .ot import TransportSolution, solve_exact_ot
 
@@ -29,12 +29,11 @@ class LabelDistanceTable:
     """Pairwise OT distances between train-side and val-side label measures.
 
     values[a, b] is the distance between the measure of train graphs with
-    label labels[a] and val graphs with label labels[b]. Pairs with an empty
-    class on either side are flagged absent (NaN + mask), never zero.
+    label labels[a] and val graphs with label labels[b]. A pair with an empty
+    class on either side is absent and holds NaN, never zero.
     """
 
     values: np.ndarray
-    present: np.ndarray
     labels: tuple
 
     def get(self, y, y_prime) -> float:
@@ -44,11 +43,10 @@ class LabelDistanceTable:
         cost construction total without inventing affinity between classes
         that were never observed together.
         """
-        a = self.labels.index(y)
-        b = self.labels.index(y_prime)
-        if self.present[a, b]:
-            return float(self.values[a, b])
-        if not self.present.any():
+        value = self.values[self.labels.index(y), self.labels.index(y_prime)]
+        if not np.isnan(value):
+            return float(value)
+        if np.isnan(self.values).all():
             raise EmptyClass(y, "train")
         penalty = float(np.nanmax(self.values))
         warnings.warn(
@@ -65,12 +63,7 @@ class LabelInformedCost:
 
     values: np.ndarray
     base: np.ndarray
-    label_offsets: np.ndarray
     c: float
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 def cross_linear_fgw(train: LabeledGraphDataset, val: LabeledGraphDataset,
@@ -79,12 +72,14 @@ def cross_linear_fgw(train: LabeledGraphDataset, val: LabeledGraphDataset,
 
     The barycenter is built from train and val together so both sides live
     in the same embedding space; splitting the reference per side would make
-    the block meaningless.
+    the block meaningless. When both are featureless, degree one-hot
+    features are synthesized over the joint set first, so every caller
+    (`gdd`, `build_cost`, the CLI) compares the same features.
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyDataset("both datasets must be nonempty")
     cfg = cfg or FGWConfig()
-    joint = concat_datasets(train, val)
+    joint = degree_one_hot_features(concat_datasets(train, val))
     reference = fgw_barycenter(joint.graphs, nbar=nbar, cfg=cfg)
     embeddings = embed_all(joint.graphs, reference, cfg)
     n = len(train)
@@ -99,17 +94,13 @@ def graph_label_distance(train: LabeledGraphDataset, val: LabeledGraphDataset,
     Both measures are uniform over their class members; the cost is the
     matching sub-block of the cross LinearFGW matrix D.
     """
-    solver = solver or solve_exact_ot
     rows = train.indices_with_label(y)
     cols = val.indices_with_label(y_prime)
     if not rows:
         raise EmptyClass(y, "train")
     if not cols:
         raise EmptyClass(y_prime, "val")
-    sub = D[np.ix_(rows, cols)]
-    p = np.full(len(rows), 1.0 / len(rows))
-    q = np.full(len(cols), 1.0 / len(cols))
-    return solver(sub, p, q).value
+    return gdd_from_cost(D[np.ix_(rows, cols)], None, solver)[0]
 
 
 def label_distance_table(train: LabeledGraphDataset, val: LabeledGraphDataset,
@@ -119,7 +110,6 @@ def label_distance_table(train: LabeledGraphDataset, val: LabeledGraphDataset,
     labels = tuple(sorted(set(train.label_set) | set(val.label_set)))
     k = len(labels)
     values = np.full((k, k), np.nan)
-    present = np.zeros((k, k), dtype=bool)
     for a, y in enumerate(labels):
         if not train.indices_with_label(y):
             continue
@@ -127,8 +117,7 @@ def label_distance_table(train: LabeledGraphDataset, val: LabeledGraphDataset,
             if not val.indices_with_label(y_prime):
                 continue
             values[a, b] = graph_label_distance(train, val, D, y, y_prime, solver)
-            present[a, b] = True
-    return LabelDistanceTable(values=values, present=present, labels=labels)
+    return LabelDistanceTable(values=values, labels=labels)
 
 
 def label_informed_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
@@ -136,8 +125,9 @@ def label_informed_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
                         solver: OTSolver | None = None) -> LabelInformedCost:
     """Shift every (i, j) entry of D by c times its label-pair distance.
 
-    With c=0 the result is bit-identical to D and no label distance is ever
-    computed, so unlabeled validation data degrades gracefully.
+    The result holds D-tilde and the base D. With c=0 the values are
+    bit-identical to D and no label distance is ever computed, so unlabeled
+    validation data degrades gracefully.
     """
     if c < 0:
         raise ConfigInvalid(f"label weight c must be >= 0, got {c}")
@@ -147,8 +137,7 @@ def label_informed_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
             f"D has shape {D.shape}, expected ({len(train)}, {len(val)})"
         )
     if c == 0:
-        return LabelInformedCost(values=D.copy(), base=D.copy(),
-                                 label_offsets=np.zeros_like(D), c=0.0)
+        return LabelInformedCost(values=D.copy(), base=D.copy(), c=0.0)
     table = label_distance_table(train, val, D, solver)
     # Every label here has members on its own side, so each looked-up pair
     # is present and `table.get`'s absent-pair penalty is never needed.
@@ -156,8 +145,7 @@ def label_informed_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     train_pos = [position[y] for y in train.labels]
     val_pos = [position[y] for y in val.labels]
     offsets = c * table.values[np.ix_(train_pos, val_pos)]
-    return LabelInformedCost(values=D + offsets, base=D.copy(),
-                             label_offsets=offsets, c=float(c))
+    return LabelInformedCost(values=D + offsets, base=D.copy(), c=float(c))
 
 
 def gdd_from_cost(dtilde, w: np.ndarray | None = None,

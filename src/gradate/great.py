@@ -73,12 +73,14 @@ class GreatTrace:
         return [(it.t, it.gdd_value, it.support_size) for it in self.iterations]
 
 
-def gdd_gradient(dtilde, w: np.ndarray, solver: OTSolver | None = None) -> np.ndarray:
+def gdd_gradient(dtilde, w: np.ndarray | None,
+                 solver: OTSolver | None = None) -> np.ndarray:
     """Gradient of the dataset distance in the training weights.
 
-    Solves the outer OT exactly at w and returns the calibrated (zero-sum)
-    source dual vector. Zero-weight atoms keep their reduced-cost-feasible
-    dual value from the solver, so pruned samples can still be ranked.
+    Solves the outer OT at w (uniform when None) and returns the calibrated
+    (zero-sum) source dual vector. Zero-weight atoms keep their
+    reduced-cost-feasible dual value from the solver, so pruned samples can
+    still be ranked.
     """
     _, sol = gdd_from_cost(dtilde, w, solver)
     return calibrate_duals(sol).dual_source

@@ -17,10 +17,10 @@ from . import io
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from .fgw import FGWConfig, default_reference_size
 from .gdd import LabelInformedCost, cross_linear_fgw, label_informed_cost
-from .graphs import LabeledGraphDataset, concat_datasets, degree_one_hot_features
-from .great import GreatTrace, floor_budget, great_select
+from .graphs import LabeledGraphDataset, concat_datasets
+from .great import GreatTrace, floor_budget, gdd_gradient, great_select
 from .io import dataset_hash
-from .ot import calibrate_duals, solve_exact_ot, solve_sinkhorn
+from .ot import solve_exact_ot, solve_sinkhorn
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,7 @@ class SelectionConfig:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise ConfigInvalid(f"tau must be in (0, 1], got {self.tau}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigInvalid(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.order < 1:
-            raise ConfigInvalid(f"order must be >= 1, got {self.order}")
+        self.fgw_config()  # checks alpha, then order
         if self.c < 0:
             raise ConfigInvalid(f"c must be >= 0, got {self.c}")
         if self.T < 2:
@@ -106,12 +103,14 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
                cfg: SelectionConfig, cache_dir=None) -> LabelInformedCost:
     """The label-informed cross cost D-tilde that every selection step reuses.
 
-    When train and val are both featureless, degree one-hot features are
-    synthesized over the two of them together. With `cache_dir`, each matrix
-    is read from or written to a content-addressed file keyed on exactly the
-    inputs of the call that computes it: D on the featurized joint dataset,
-    the train/val shape, the resolved reference size and the FGW config;
-    D-tilde on that key plus the effective c, the OT solver and epsilon.
+    D is `cross_linear_fgw`'s block, which featurizes featureless data over
+    train and val together. With `cache_dir`, each matrix is read from or
+    written to a content-addressed file keyed on exactly the inputs of the
+    call that computes it: D on the joint dataset before featurization (the
+    featurization is a pure function of it), the train/val shape, the
+    resolved reference size and the FGW config; D-tilde on that key plus the
+    effective c, the OT solver and epsilon. At an effective c of 0, D-tilde
+    is D, so only D is cached.
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyDataset("train and val must both be nonempty")
@@ -119,24 +118,24 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
         raise DimensionMismatch(
             f"train has feature dimension {train.feature_dim}, val {val.feature_dim}"
         )
-    joint = degree_one_hot_features(concat_datasets(train, val))
-    n = len(train)
-    train, val = joint.subset(range(n)), joint.subset(range(n, len(joint)))
     fgw_cfg, c = cfg.fgw_config(), cfg.effective_c()
     if cache_dir is None:
         D = cross_linear_fgw(train, val, cfg=fgw_cfg, nbar=cfg.nbar)
         return label_informed_cost(train, val, D, c, cfg.ot_solver())
 
     cache_dir = Path(cache_dir)
+    joint = concat_datasets(train, val)
     nbar = cfg.nbar if cfg.nbar is not None else default_reference_size(joint.graphs)
-    key = {"dataset_hash": dataset_hash(joint), "shape": [n, len(val)],
+    key = {"dataset_hash": dataset_hash(joint), "shape": [len(train), len(val)],
            "nbar": nbar, **asdict(fgw_cfg)}
     D = _cached(cache_dir, "D", key, lambda: cross_linear_fgw(
         train, val, cfg=fgw_cfg, nbar=nbar))
+    if c == 0:
+        return label_informed_cost(train, val, D, c)
     key = {**key, "c": c, "solver": cfg.solver, "epsilon": cfg.epsilon}
     values = _cached(cache_dir, "Dtilde", key, lambda: label_informed_cost(
         train, val, D, c, cfg.ot_solver()).values)
-    return LabelInformedCost(values=values, base=D, label_offsets=values - D, c=float(c))
+    return LabelInformedCost(values=values, base=D, c=float(c))
 
 
 def _cached(cache_dir: Path, kind: str, key: dict, compute) -> np.ndarray:
@@ -198,13 +197,10 @@ def lava_select(train: LabeledGraphDataset, val: LabeledGraphDataset,
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyDataset("train and val must both be nonempty")
-    n = len(train)
-    budget = _check_budget(n, cfg.tau)
+    budget = _check_budget(len(train), cfg.tau)
     if dtilde is None:
         dtilde = build_cost(train, val, cfg)
-    solver = cfg.ot_solver()
-    sol = solver(dtilde.values, np.full(n, 1.0 / n), np.full(len(val), 1.0 / len(val)))
-    ranking = np.argsort(calibrate_duals(sol).dual_source, kind="stable")
+    ranking = np.argsort(gdd_gradient(dtilde, None, cfg.ot_solver()), kind="stable")
     indices = sorted(int(i) for i in ranking[:budget])
     return SelectionResult(
         indices=tuple(indices),

@@ -108,7 +108,8 @@ class TestGdd:
         code, out1, _ = run(capsys, "gdd", "ds.json", "split.json", "--c", "0")
         assert code == 0
         assert list((workdir / ".gradate_cache").glob("D-*.gdd"))
-        assert list((workdir / ".gradate_cache").glob("Dtilde-*.gdd"))
+        # At c=0, D-tilde is D: nothing else is cached.
+        assert not list((workdir / ".gradate_cache").glob("Dtilde-*.gdd"))
 
         def boom(*a, **k):
             raise AssertionError("cross block recomputed despite a warm cache")
@@ -170,8 +171,10 @@ class TestGdd:
                            "--cache-dir", "cache")
         assert code == 0
         value = json.loads(out)["gdd"]
-        dtilde_file = next((workdir / "cache").glob("Dtilde-*.gdd"))
-        blob = dtilde_file.read_bytes()
+        # At c=0 the cost is D itself, the one matrix cached.
+        (d_file,) = (workdir / "cache").glob("D-*.gdd")
+        assert not list((workdir / "cache").glob("Dtilde-*.gdd"))
+        blob = d_file.read_bytes()
         header_len = int.from_bytes(blob[4:8], "little")
         header = json.loads(blob[8:8 + header_len])
         D = np.frombuffer(blob[8 + header_len:], dtype="<f8").reshape(

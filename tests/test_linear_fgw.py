@@ -14,6 +14,7 @@ from gradate import (
 )
 from gradate.errors import ReferenceMismatch
 from gradate.fgw import FGWConfig
+from gradate.graphs import concat_datasets, degree_one_hot_features
 from gradate.linear_fgw import BarycentricEmbedding, embed_all
 
 from conftest import heterogeneous_graphs, random_dataset, random_graph
@@ -154,8 +155,9 @@ class TestBlockKernel:
         train = random_dataset(rng, 5, feature_dim=feature_dim)
         val = random_dataset(rng, 3, feature_dim=feature_dim)
         cfg = FGWConfig(alpha=alpha, seed=5)
-        expected = self.reference_block(range(5), range(5, 8),
-                                        train.graphs + val.graphs, cfg)
+        # The cross block embeds the joint set, degree-featurized if featureless.
+        joint = degree_one_hot_features(concat_datasets(train, val))
+        expected = self.reference_block(range(5), range(5, 8), joint.graphs, cfg)
         assert np.array_equal(cross_linear_fgw(train, val, cfg), expected)
 
     @pytest.mark.parametrize("feature_dim", [0, 3])

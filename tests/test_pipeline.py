@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,13 +6,16 @@ import pytest
 import gradate.pipeline as pipeline
 from gradate import (
     LabeledGraphDataset,
+    LabelInformedCost,
     build_cost,
+    gdd,
     gdd_from_cost,
     gradate,
     lava_select,
     random_select,
 )
 from gradate.errors import ConfigInvalid, DimensionMismatch
+from gradate.fgw import FGWConfig
 from gradate.pipeline import SelectionConfig
 
 from conftest import random_graph
@@ -64,10 +67,27 @@ class TestBuildCost:
 
         monkeypatch.setattr(pipeline, "cross_linear_fgw", boom)
         warm = build_cost(train, val, cfg, cache_dir=tmp_path)
+        assert cold.c == 1.0
         for cost in (filled, warm):
-            assert np.array_equal(cost.values, cold.values)
-            assert np.array_equal(cost.base, cold.base)
-            assert cost.c == cold.c == 1.0
+            for f in fields(LabelInformedCost):
+                assert np.array_equal(getattr(cost, f.name), getattr(cold, f.name)), f.name
+
+    def test_c_zero_caches_only_d(self, tmp_path):
+        rng = np.random.default_rng(15)
+        train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
+        cost = build_cost(train, val, SelectionConfig(tau=0.5, c=0.0), cache_dir=tmp_path)
+        assert [p.name[:2] for p in tmp_path.iterdir()] == ["D-"]
+        assert np.array_equal(cost.values, cost.base)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_gdd_matches_the_built_cost_on_featureless_data(self, c):
+        # gdd() and build_cost (hence the CLI) embed the same featurized block.
+        rng = np.random.default_rng(16)
+        train, val = two_domain(rng, n_dense=4, n_sparse=4, n_val=3)
+        assert train.feature_dim == val.feature_dim == 0
+        direct, _ = gdd(train, val, c=c, cfg=FGWConfig(alpha=0.5, seed=0))
+        cost = build_cost(train, val, SelectionConfig(tau=1.0, c=c, alpha=0.5, seed=0))
+        assert direct == gdd_from_cost(cost)[0]
 
     @pytest.mark.parametrize("change", [{"fgw_max_iter": 3}, {"inner_tol": 1e-3}])
     def test_fgw_settings_are_part_of_the_cache_key(self, tmp_path, monkeypatch, change):
