@@ -3,11 +3,14 @@
 
 Builds a featureless dataset on disk, splits it by graph density, prints the
 train-val dataset distance and selects training data three ways. Everything
-the CLI writes is byte-reproducible for fixed inputs and seed.
+the CLI writes is byte-reproducible for fixed inputs and seed. The working
+directory lives in the system temp dir and is removed when the demo ends.
 """
 
+import atexit
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -32,6 +35,7 @@ for _ in range(30):
 dataset = LabeledGraphDataset(graphs, labels, label_set=[0, 1])
 
 workdir = Path(tempfile.mkdtemp(prefix="gradate-demo-"))
+atexit.register(shutil.rmtree, workdir)  # removed however the demo ends
 io.save_dataset_json(dataset, workdir / "graphs.json")
 print("workdir:", workdir)
 

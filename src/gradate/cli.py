@@ -16,7 +16,7 @@ import datetime as _dt
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,18 +30,17 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
+# Config keys named as in SelectionConfig take its defaults; the rest are
+# CLI-only.
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(SelectionConfig)}
 _COMMON_DEFAULTS = {
-    "c": 0.0,
-    "alpha": 0.5,
-    "order": 2,
-    "nbar": None,
-    "solver": "exact",
-    "epsilon": 0.01,
-    "seed": 0,
+    **{key: _CONFIG_DEFAULTS[key]
+       for key in ("c", "alpha", "order", "nbar", "solver", "epsilon", "seed")},
     "jobs": 1,
     "val_labels": True,
 }
-_SELECT_DEFAULTS = {**_COMMON_DEFAULTS, "method": None, "tau": None, "eta": 1e-4, "T": 10}
+_SELECT_DEFAULTS = {**_COMMON_DEFAULTS, "method": None, "tau": None,
+                    "eta": _CONFIG_DEFAULTS["eta"], "T": _CONFIG_DEFAULTS["T"]}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,14 @@ solve the linear OT subproblem exactly, and take the closed-form line-search
 step of the quadratic objective. The barycenter solver alternates coupling
 solves with closed-form feature/structure updates.
 
+The linear subproblem has two solve paths. With uniform node weights and a
+small lcm(n, m) it is an assignment problem, and the assignment's coupling
+is used when it is certified to be the unique optimum: its support is a
+forest, and it stays optimal when its support cells are raised by a margin
+above the LP's dual tolerance. Otherwise, ties included, the transportation
+LP of `solve_exact_ot` solves it. At a unique optimum the two paths agree to
+rounding, so the choice does not change the result.
+
 For order r=2 the structure gradient uses the factored contraction
 constC - A1 @ T @ (2 A2), which costs O(n^2 m + n m^2) instead of the naive
 O(n^2 m^2) tensor loop; other orders fall back to the explicit tensor and
@@ -24,7 +32,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from .graphs import AttributedGraph
-from .ot import solve_exact_ot
+from .ot import _unique_uniform_vertex, solve_exact_ot
 
 _TENSOR_CELL_BUDGET = 200_000_000  # explicit r != 2 tensor guard
 
@@ -138,7 +146,19 @@ class _QuadObjective:
 
 
 def _lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Optimal vertex of the linear OT subproblem; cost may be signed."""
+    """Optimal vertex of the linear OT subproblem; cost may be signed.
+
+    Uniform weights with a small lcm(n, m) are solved as an assignment
+    problem, whose coupling is kept only when it is certified to be the
+    unique optimum (a forest support that stays optimal when raised by a
+    margin above the LP's tolerance). Every other case, ties included, is
+    solved by the transportation LP, whose vertex on a tie is its own pick.
+    Where the assignment path returns a coupling, the LP returns the same
+    one to rounding.
+    """
+    vertex = _unique_uniform_vertex(cost, p, q)
+    if vertex is not None:
+        return vertex
     lo = cost.min()
     if lo < 0:
         cost = cost - lo

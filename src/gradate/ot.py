@@ -5,16 +5,21 @@ also returns optimal dual potentials, and an entropic (Sinkhorn) solver with
 log-domain potentials. The exact duals are the gradient carrier used by the
 selection loop, so their feasibility and strong duality are part of the
 contract here, not an afterthought.
+
+The FGW linear step also has a private assignment path for uniform weights,
+`_unique_uniform_vertex`, which returns a coupling only when it is certified
+to be the unique optimum and so the LP's vertex.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
 from .errors import InfeasibleMarginals, NonConvergence, NumericalFailure
@@ -117,6 +122,87 @@ def solve_exact_ot(cost, p, q) -> TransportSolution:
         beta[drop_i] = np.min(cost[drop_i] - psi[None, :], axis=1)
 
     return TransportSolution(float(res.fun), coupling, beta, psi)
+
+
+# Largest lcm(n, m) the assignment path takes, at the measured crossover:
+# its two L x L assignments grow as L^3, `linprog` barely with L. On a 2-vCPU
+# VM (median of six Gaussian costs per shape) it won at every L up to 204,
+# broke even at 210 (3.9-5.8 ms against 4.9-6.1 ms) and lost on most shapes
+# from 228 on (7.3-10.4 ms against 7.1-9.4 ms at 240).
+_ASSIGNMENT_MAX_LCM = 210
+
+
+def _unique_uniform_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """The optimal coupling of uniform OT by assignment, if provably unique.
+
+    `cost` may be signed. With uniform p (n atoms) and q (m atoms), repeating
+    each row L/n times and each column L/m times (L = lcm(n, m)) turns the
+    transportation LP into an L x L assignment whose block counts / L are an
+    optimal vertex. That vertex is returned only when it is certified to be
+    the unique LP optimum, so that it agrees with `solve_exact_ot`'s vertex
+    to rounding:
+
+    - its support is a forest, so no other plan lives on the same support;
+    - raising every support cell by delta = 1e-6 * max(1, max|cost|) leaves
+      it optimal, so every other plan costs at least delta more per unit of
+      mass moved off the support. delta sits above HiGHS's 1e-7 dual
+      tolerance, so near-ties are left to the LP as well.
+
+    Returns None (the caller solves the LP) for non-uniform weights, an lcm
+    above `_ASSIGNMENT_MAX_LCM`, a support with a cycle, or a (near-)tie,
+    such as two equal rows or columns.
+    """
+    n, m = cost.shape
+    if np.any(p != p[0]) or np.any(q != q[0]):
+        return None
+    L = math.lcm(n, m)
+    if L > _ASSIGNMENT_MAX_LCM:
+        return None
+    # Two equal rows of a uniform problem can trade their mass, so a unique
+    # optimum must send both to one column alone, which needs 1/m >= 2/n:
+    # a tie in every other case, found without an assignment. Same for
+    # columns.
+    if (2 * m > n and _has_equal_rows(cost)) or (2 * n > m and _has_equal_rows(cost.T)):
+        return None
+    row_of = np.arange(L) // (L // n)
+    col_of = np.arange(L) // (L // m)
+    expanded = cost[np.ix_(row_of, col_of)]
+    rows, cols = linear_sum_assignment(expanded)
+    counts = np.bincount(row_of * m + col_of[cols], minlength=n * m).reshape(n, m)
+    support = counts > 0
+    if not _is_forest(support):
+        return None
+    delta = 1e-6 * max(1.0, float(np.abs(cost).max()))
+    raised = expanded + delta * support[np.ix_(row_of, col_of)]
+    _, rival = linear_sum_assignment(raised)
+    # Any other plan leaves >= 1 of the L unit masses off the support and so
+    # drops by >= delta when it ties; half of delta is far above the rounding
+    # of an L-term sum.
+    if raised[rows, rival].sum() < raised[rows, cols].sum() - 0.5 * delta:
+        return None
+    return counts / L
+
+
+def _has_equal_rows(a: np.ndarray) -> bool:
+    return len({row.tobytes() for row in a}) < len(a)
+
+
+def _is_forest(support: np.ndarray) -> bool:
+    """Whether the bipartite row-column graph of a boolean matrix is acyclic."""
+    n, m = support.shape
+    parent = list(range(n + m))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for i, j in np.argwhere(support).tolist():
+        a, b = root(i), root(n + j)
+        if a == b:
+            return False
+        parent[a] = b
+    return True
 
 
 def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,

@@ -306,6 +306,24 @@ class TestSelect:
         assert len(lines) == 1
         json.loads(lines[0])
 
+    def test_default_config_bytes_are_pinned(self, workdir, capsys):
+        # The resolved defaults reach stderr and selection provenance.
+        write_two_domain_json(workdir / "ds.json")
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        _, _, err = run(capsys, "gdd", "ds.json", "split.json")
+        assert err == (
+            'resolved config: {"alpha": 0.5, "c": 0.0, "dataset": "ds.json", '
+            '"epsilon": 0.01, "jobs": 1, "nbar": null, "order": 2, "seed": 0, '
+            '"solver": "exact", "split": "split.json", "val_labels": true}\n')
+        _, _, err = run(capsys, "select", "ds.json", "split.json",
+                        "--method", "random", "--tau", "0.5", "--out", "s.json")
+        config = ('{"T": 10, "alpha": 0.5, "c": 0.0, "dataset": "ds.json", '
+                  '"epsilon": 0.01, "eta": 0.0001, "jobs": 1, "method": "random", '
+                  '"nbar": null, "order": 2, "seed": 0, "solver": "exact", '
+                  '"split": "split.json", "tau": 0.5, "val_labels": true}')
+        assert err == "resolved config: " + config + "\n"
+        assert '"config": ' + config + ", " in (workdir / "s.json").read_text()
+
     def test_jobs_do_not_change_the_output(self, workdir, capsys):
         write_two_domain_json(workdir / "ds.json", seed=13)
         run(capsys, "split", "ds.json", "--out", "split.json")

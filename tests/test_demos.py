@@ -17,3 +17,4 @@ def test_demo_exits_zero(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert not any(tmp_path.iterdir()), "the demo left files in the temp dir"

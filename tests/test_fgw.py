@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import gradate.fgw as fgw
 from gradate import AttributedGraph, fgw_barycenter, fgw_distance, solve_exact_ot
 from gradate.errors import DimensionMismatch, EmptyDataset
 from gradate.fgw import FGWConfig, default_reference_size
@@ -124,6 +125,48 @@ class TestFgwDistance:
         res = fgw_distance(g1, g2, FGWConfig(alpha=1.0, max_iter=1))
         assert not res.converged
         assert res.distance >= 0.0
+
+
+class TestLinearStepPaths:
+    """The assignment path of the linear step changes no FGW result."""
+
+    @staticmethod
+    def _both_paths(monkeypatch, g1, g2):
+        used = []
+        unique = fgw._unique_uniform_vertex
+
+        def counted(cost, p, q):
+            vertex = unique(cost, p, q)
+            used.append(vertex is not None)
+            return vertex
+
+        monkeypatch.setattr(fgw, "_unique_uniform_vertex", counted)
+        fast = fgw_distance(g1, g2, FGWConfig(alpha=0.5))
+        monkeypatch.setattr(fgw, "_unique_uniform_vertex", lambda cost, p, q: None)
+        slow = fgw_distance(g1, g2, FGWConfig(alpha=0.5))
+        return fast, slow, used
+
+    def test_attributed_pairs_match_the_lp_only_run(self, rng, monkeypatch):
+        assignments = 0
+        for _ in range(8):
+            g1 = random_graph(rng, n_nodes=int(rng.integers(4, 10)))
+            g2 = random_graph(rng, n_nodes=int(rng.integers(4, 10)))
+            fast, slow, used = self._both_paths(monkeypatch, g1, g2)
+            assignments += sum(used)
+            assert fast.iterations == slow.iterations
+            assert fast.distance == pytest.approx(slow.distance, rel=1e-12, abs=1e-12)
+            assert np.abs(fast.coupling - slow.coupling).max() <= 1e-12
+        assert assignments > 0
+
+    def test_tied_featureless_pair_is_bit_identical(self, monkeypatch):
+        path = AttributedGraph.from_edges(5, [(i, i + 1) for i in range(4)])
+        cycle = AttributedGraph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
+        fast, slow, used = self._both_paths(monkeypatch, path, cycle)
+        assert used and not any(used)
+        assert fast.iterations == slow.iterations
+        assert fast.distance == slow.distance
+        assert np.array_equal(fast.coupling, slow.coupling)
+        assert np.array_equal(fast.objective_curve, slow.objective_curve)
 
 
 class TestBarycenter:

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradate import calibrate_duals, solve_exact_ot, solve_sinkhorn
+import gradate.ot as ot
+from gradate import (AttributedGraph, LabeledGraphDataset, calibrate_duals,
+                     degree_one_hot_features, solve_exact_ot, solve_sinkhorn)
 from gradate.errors import InfeasibleMarginals, NonConvergence
-from gradate.ot import as_cost_matrix
+from gradate.fgw import FGWConfig, _lp_vertex, _QuadObjective
+from gradate.ot import _unique_uniform_vertex, as_cost_matrix
 
 from oracles import (
     brute_force_assignment,
@@ -119,6 +122,103 @@ class TestExactSolver:
             q /= q.sum()
             sol = solve_exact_ot(cost, p, q)
             assert np.count_nonzero(sol.coupling > 1e-12) <= n + m - 1
+
+
+def _uniform(n):
+    return np.full(n, 1.0 / n)
+
+
+def _lp_coupling(cost, p, q):
+    """The `linprog` vertex of a signed cost, shifted as the FGW step does."""
+    return solve_exact_ot(cost - min(cost.min(), 0.0), p, q).coupling
+
+
+def _degree_feature_gradient():
+    # FGW gradient at the product coupling between a 5-path and a 4-cycle
+    # with degree one-hot features: every entry is 0.5 or 1.5.
+    path = AttributedGraph.from_edges(5, [(i, i + 1) for i in range(4)])
+    cycle = AttributedGraph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
+    g1, g2 = degree_one_hot_features(LabeledGraphDataset([path, cycle], [0, 0])).graphs
+    obj = _QuadObjective(g1, g2, FGWConfig())
+    return obj.gradient(np.outer(obj.p, obj.q))
+
+
+class TestUniformAssignmentVertex:
+    """The FGW step's assignment path against the LP and the brute-force oracle."""
+
+    def test_certified_coupling_matches_the_lp_and_the_oracle(self):
+        rng = np.random.default_rng(8)
+        certified = oracle_checked = 0
+        for _ in range(300):
+            n, m = (int(x) for x in rng.integers(1, 13, size=2))
+            cost = rng.standard_normal((n, m))  # FW gradients can be negative
+            p, q = _uniform(n), _uniform(m)
+            T = _unique_uniform_vertex(cost, p, q)
+            if T is None:
+                continue
+            certified += 1
+            assert np.abs(T - _lp_coupling(cost, p, q)).max() <= 1e-14
+            L = np.lcm(n, m)
+            if L <= 12 and n * m <= 12:
+                expected = brute_force_ot(cost, [L // n] * n, [L // m] * m)
+                assert float(np.sum(T * cost)) == pytest.approx(expected, abs=1e-12)
+                oracle_checked += 1
+        assert certified >= 290 and oracle_checked >= 10
+
+    @pytest.mark.parametrize("name", ["constant", "duplicated_rows", "degree_features"])
+    def test_ties_fall_back_to_the_lp_vertex_bit_for_bit(self, name):
+        rng = np.random.default_rng(3)
+        cost = {
+            "constant": np.full((4, 6), 0.7),
+            "duplicated_rows": np.repeat(rng.standard_normal((3, 5)), 2, axis=0),
+            "degree_features": _degree_feature_gradient(),
+        }[name]
+        p, q = _uniform(cost.shape[0]), _uniform(cost.shape[1])
+        assert _unique_uniform_vertex(cost, p, q) is None
+        assert np.array_equal(_lp_vertex(cost, p, q), _lp_coupling(cost, p, q))
+
+    def test_integer_costs_take_either_path_with_the_lp_coupling(self, monkeypatch):
+        # Small integer costs tie often and in every way: equal rows, a
+        # support with a cycle, and tied vertices only the second assignment
+        # finds.
+        forest_checks = []
+        is_forest = ot._is_forest
+
+        def recorded(support):
+            forest_checks.append(is_forest(support))
+            return forest_checks[-1]
+
+        monkeypatch.setattr(ot, "_is_forest", recorded)
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for _ in range(300):
+            n, m = (int(x) for x in rng.integers(2, 10, size=2))
+            cost = rng.integers(-2, 3, size=(n, m)).astype(float)
+            p, q = _uniform(n), _uniform(m)
+            forest_checks.clear()
+            T = _unique_uniform_vertex(cost, p, q)
+            outcomes.add((T is not None, tuple(forest_checks)))
+            ref = _lp_coupling(cost, p, q)
+            if T is None:
+                assert np.array_equal(_lp_vertex(cost, p, q), ref)
+            else:
+                assert np.abs(T - ref).max() <= 1e-14
+        # Accepted; equal rows or columns; a cycle; a tie.
+        assert outcomes == {(True, (True,)), (False, ()), (False, (False,)),
+                            (False, (True,))}
+
+    def test_non_uniform_weights_and_large_lcm_fall_back(self):
+        rng = np.random.default_rng(4)
+        cost = rng.standard_normal((4, 5))
+        p = np.array([0.1, 0.2, 0.3, 0.4])
+        assert _unique_uniform_vertex(cost, p, _uniform(5)) is None
+        assert np.array_equal(_lp_vertex(cost, p, _uniform(5)),
+                              _lp_coupling(cost, p, _uniform(5)))
+        n, m = 16, 15  # lcm 240
+        assert np.lcm(n, m) > ot._ASSIGNMENT_MAX_LCM
+        cost = rng.standard_normal((n, m))
+        assert _unique_uniform_vertex(cost, _uniform(n), _uniform(m)) is None
+        assert _unique_uniform_vertex(cost[:15, :14], _uniform(15), _uniform(14)) is not None
 
 
 class TestSinkhorn:
