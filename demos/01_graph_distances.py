@@ -39,7 +39,7 @@ path = AttributedGraph.from_edges(5, [(i, i + 1) for i in range(4)],
                                   features=ring.features + 0.05)
 
 for alpha in (0.0, 0.5, 1.0):
-    res = fgw_distance(ring, path, FGWConfig(alpha=alpha, order=2))
+    res = fgw_distance(ring, path, FGWConfig(alpha=alpha))
     print(f"alpha={alpha:3.1f}  distance={res.distance:.4f}  "
           f"iterations={res.iterations}  converged={res.converged}")
 
@@ -52,5 +52,5 @@ print("objective curve:", np.round(res.objective_curve, 6))
 # has structure cost 0.5, so the distance is sqrt(0.5).
 edge = AttributedGraph([[0.0, 1.0], [1.0, 0.0]])
 empty = AttributedGraph([[0.0, 0.0], [0.0, 0.0]])
-res = fgw_distance(edge, empty, FGWConfig(alpha=1.0, order=2))
+res = fgw_distance(edge, empty, FGWConfig(alpha=1.0))
 print("edge vs empty:", res.distance, "   analytic:", np.sqrt(0.5))

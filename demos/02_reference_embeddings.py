@@ -34,7 +34,7 @@ for _ in range(12):
     graphs.append(AttributedGraph(A, X))
 dataset = LabeledGraphDataset(graphs, [0] * len(graphs))
 
-cfg = FGWConfig(alpha=0.5, order=2, seed=1)
+cfg = FGWConfig(alpha=0.5, seed=1)
 
 # --- the reference graph ----------------------------------------------------
 reference = fgw_barycenter(graphs, cfg=cfg)

@@ -35,8 +35,7 @@ EXIT_NUMERICAL = 3
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(SelectionConfig)}
 _COMMON_DEFAULTS = {
     **{key: _CONFIG_DEFAULTS[key]
-       for key in ("c", "alpha", "order", "nbar", "solver", "epsilon", "seed")},
-    "jobs": 1,
+       for key in ("c", "alpha", "nbar", "solver", "epsilon", "seed")},
     "val_labels": True,
 }
 _SELECT_DEFAULTS = {**_COMMON_DEFAULTS, "method": None, "tau": None,
@@ -62,13 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--c", type=float, default=None, help="label signal strength")
     common.add_argument("--alpha", type=float, default=None, help="FGW trade-off")
-    common.add_argument("--order", type=int, default=None, help="FGW distance order r")
     common.add_argument("--nbar", type=int, default=None, help="reference graph size")
     common.add_argument("--solver", choices=("exact", "sinkhorn"), default=None)
     common.add_argument("--epsilon", type=float, default=None, help="sinkhorn regularization")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--jobs", type=int, default=None,
-                        help="accepted and recorded for compatibility; has no effect")
     common.add_argument("--cache-dir", default=None,
                         help="distance cache directory (env GRADATE_CACHE_DIR overrides default)")
     common.add_argument("--no-val-labels", dest="val_labels", action="store_const",
@@ -81,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON weight array or selection file over the train split")
     gp.add_argument("--force", action="store_true",
                     help="accept a selection file whose dataset hash disagrees")
-    gp.set_defaults(func=cmd_gdd)
+    gp.set_defaults(func=cmd_gdd, parser=gp)
 
     lp = sub.add_parser("select", parents=[common], help="select training data")
     lp.add_argument("--method", choices=("gradate", "lava", "random"), default=None)
@@ -90,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--T", type=int, default=None, dest="T", help="update steps")
     lp.add_argument("--out", required=True, help="where to write the selection JSON")
     lp.add_argument("--trace", default=None, help="optional per-iteration CSV")
-    lp.set_defaults(func=cmd_select)
+    lp.set_defaults(func=cmd_select, parser=lp)
 
     return parser
 
@@ -119,9 +115,14 @@ def _resolve(args, defaults: dict) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         file_cfg = json.loads(Path(config_path).read_text())
+        if not isinstance(file_cfg, dict):
+            raise ConfigInvalid(f"{config_path}: config must be a JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigInvalid(f"unknown config keys {sorted(unknown)}")
+        flags = {action.dest: action for action in args.parser._actions}
+        for key, value in file_cfg.items():
+            _check_file_value(flags[key], value, defaults[key])
         resolved.update(file_cfg)
     for key in defaults:
         value = getattr(args, key, None)
@@ -132,19 +133,34 @@ def _resolve(args, defaults: dict) -> dict:
     return resolved
 
 
+def _check_file_value(action: argparse.Action, value, default) -> None:
+    """A config-file value must be one its flag could set, or a None default.
+
+    The flag's own type and choices decide; a store_const flag takes values
+    of its constant's type. A float flag also takes a JSON integer.
+    """
+    if value is None and default is None:
+        return
+    kind = type(action.const) if action.const is not None else action.type or str
+    accepted = (int, float) if kind is float else kind
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
+            or (action.choices is not None and value not in action.choices)):
+        raise ConfigInvalid(
+            f"config value {value!r} for {action.dest!r} is not a valid "
+            f"{action.option_strings[0]} value"
+        )
+
+
 def _log_config(resolved: dict) -> None:
     print("resolved config: " + json.dumps(resolved, sort_keys=True), file=sys.stderr)
 
 
 def _selection_config(resolved: dict, tau: float | None = None) -> SelectionConfig:
-    if resolved["jobs"] < 1:
-        raise ConfigInvalid(f"jobs must be >= 1, got {resolved['jobs']}")
     # T and eta are select-only; gdd leaves them at SelectionConfig's defaults.
     steps = {key: resolved[key] for key in ("T", "eta") if key in resolved}
     return SelectionConfig(
         tau=resolved.get("tau") if tau is None else tau,
         alpha=resolved["alpha"],
-        order=resolved["order"],
         c=resolved["c"],
         seed=resolved["seed"],
         solver=resolved["solver"],

@@ -15,15 +15,14 @@ above the LP's dual tolerance. Otherwise, ties included, the transportation
 LP of `solve_exact_ot` solves it. At a unique optimum the two paths agree to
 rounding, so the choice does not change the result.
 
-For order r=2 the structure gradient uses the factored contraction
-constC - A1 @ T @ (2 A2), which costs O(n^2 m + n m^2) instead of the naive
-O(n^2 m^2) tensor loop; other orders fall back to the explicit tensor and
-are flagged slow.
+Both terms use the squared loss, the only one for which the barycenter
+updates and the LinearFGW embeddings built on these couplings are closed
+forms. The structure gradient is then the factored contraction
+constC - A1 @ T @ (2 A2), which costs O(n^2 m + n m^2).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,22 +33,18 @@ from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from .graphs import AttributedGraph
 from .ot import _unique_uniform_vertex, solve_exact_ot
 
-_TENSOR_CELL_BUDGET = 200_000_000  # explicit r != 2 tensor guard
-
 
 @dataclass(frozen=True)
 class FGWConfig:
     """Solver settings shared by the distance and barycenter routines.
 
     alpha : trade-off in [0, 1] between features (0) and structure (1).
-    order : distance order r >= 1; only r=2 uses the fast contraction.
     max_iter : conditional-gradient iteration budget per coupling solve.
     inner_tol : relative objective-decrease threshold that ends the loop.
     seed : controls barycenter initialization.
     """
 
     alpha: float = 0.5
-    order: int = 2
     max_iter: int = 200
     inner_tol: float = 1e-9
     seed: int = 0
@@ -57,15 +52,13 @@ class FGWConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigInvalid(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.order < 1:
-            raise ConfigInvalid(f"order must be >= 1, got {self.order}")
 
 
 @dataclass(frozen=True)
 class FGWResult:
     """Outcome of one conditional-gradient solve.
 
-    distance is objective**(1/order); objective_curve records the objective
+    distance is objective**0.5; objective_curve records the objective
     after every iteration (index 0 is the initial coupling), which the tests
     use to assert monotone descent.
     """
@@ -78,7 +71,12 @@ class FGWResult:
 
 
 class _QuadObjective:
-    """FGW objective E(T) = <F, T> + alpha * <L(A1,A2) x T, T> for one pair."""
+    """Squared-loss FGW objective E(T) = <F, T> + alpha * <L x T, T> for one pair.
+
+    F holds (1 - alpha) times the squared feature distances and
+    L[i, j, k, l] = (A1[i, k] - A2[j, l])**2; L is only ever applied in
+    the factored form of `_contract`.
+    """
 
     def __init__(self, g1: AttributedGraph, g2: AttributedGraph, cfg: FGWConfig):
         if g1.feature_dim != g2.feature_dim:
@@ -88,37 +86,20 @@ class _QuadObjective:
         self.p = g1.node_weights
         self.q = g2.node_weights
         A1, A2 = g1.adjacency, g2.adjacency
-        r = cfg.order
         # Featureless graphs carry no Wasserstein term; alpha degenerates to 1.
         alpha = 1.0 if g1.feature_dim == 0 else cfg.alpha
         self.alpha = alpha
         if g1.feature_dim:
-            self.F = (1.0 - alpha) * cdist(g1.features, g2.features) ** r
+            self.F = (1.0 - alpha) * cdist(g1.features, g2.features) ** 2
         else:
             self.F = np.zeros((g1.n_nodes, g2.n_nodes))
-
-        self.factored = r == 2
-        if self.factored:
-            self.constC = np.add.outer((A1 ** 2) @ self.p, (A2 ** 2) @ self.q)
-            self.hC1 = A1
-            self.hC2 = 2.0 * A2
-        else:
-            cells = (g1.n_nodes * g2.n_nodes) ** 2
-            if cells > _TENSOR_CELL_BUDGET:
-                raise ConfigInvalid(
-                    f"order {r} needs an explicit {cells}-cell tensor; too large"
-                )
-            warnings.warn(
-                f"order {r} falls back to the explicit structure tensor; slow",
-                RuntimeWarning, stacklevel=3,
-            )
-            self.L4 = np.abs(A1[:, None, :, None] - A2[None, :, None, :]) ** r
+        self.constC = np.add.outer((A1 ** 2) @ self.p, (A2 ** 2) @ self.q)
+        self.hC1 = A1
+        self.hC2 = 2.0 * A2
 
     def _contract(self, T: np.ndarray) -> np.ndarray:
         """(L x T)[i, j] = sum_kl L[i, j, k, l] T[k, l] for a true coupling T."""
-        if self.factored:
-            return self.constC - self.hC1 @ T @ self.hC2
-        return np.tensordot(self.L4, T, axes=([2, 3], [0, 1]))
+        return self.constC - self.hC1 @ T @ self.hC2
 
     def value(self, T: np.ndarray) -> float:
         return float(np.sum(self.F * T) + self.alpha * np.sum(self._contract(T) * T))
@@ -134,12 +115,7 @@ class _QuadObjective:
         tensor.
         """
         b = float(np.sum(grad * delta))
-        if self.factored:
-            a = -self.alpha * float(np.sum((self.hC1 @ delta @ self.hC2) * delta))
-        else:
-            a = self.alpha * float(
-                np.sum(np.tensordot(self.L4, delta, axes=([2, 3], [0, 1])) * delta)
-            )
+        a = -self.alpha * float(np.sum((self.hC1 @ delta @ self.hC2) * delta))
         if a > 0:
             return float(np.clip(-b / (2.0 * a), 0.0, 1.0))
         return 1.0 if a + b < 0 else 0.0
@@ -200,7 +176,7 @@ def fgw_distance(g1: AttributedGraph, g2: AttributedGraph,
     """Fused Gromov-Wasserstein distance between two attributed graphs.
 
     Conditional gradient finds a stationary point of the (non-convex) FGW
-    objective; the reported distance is objective**(1/order). The coupling
+    objective; the reported distance is objective**0.5. The coupling
     starts at the product measure p q^T unless `coupling_init` is given. The
     exact line search makes the iterates monotone, so the last iterate is
     the best one; a non-converged run returns it with converged=False rather
@@ -215,7 +191,7 @@ def fgw_distance(g1: AttributedGraph, g2: AttributedGraph,
     T, curve, converged = _frank_wolfe(obj, T0, cfg)
     value = max(curve[-1], 0.0)
     return FGWResult(
-        distance=float(value ** (1.0 / cfg.order)),
+        distance=float(value ** 0.5),
         coupling=T,
         converged=converged,
         iterations=len(curve) - 1,

@@ -9,7 +9,6 @@ block as cost. With label weight c=0 the label structure drops out exactly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,26 +34,6 @@ class LabelDistanceTable:
 
     values: np.ndarray
     labels: tuple
-
-    def get(self, y, y_prime) -> float:
-        """Entry lookup; absent entries fall back to the pessimistic penalty.
-
-        The penalty is the maximum finite entry of the table, which keeps
-        cost construction total without inventing affinity between classes
-        that were never observed together.
-        """
-        value = self.values[self.labels.index(y), self.labels.index(y_prime)]
-        if not np.isnan(value):
-            return float(value)
-        if np.isnan(self.values).all():
-            raise EmptyClass(y, "train")
-        penalty = float(np.nanmax(self.values))
-        warnings.warn(
-            f"label pair ({y!r}, {y_prime!r}) has an empty class; "
-            f"using penalty {penalty:.6g}",
-            RuntimeWarning, stacklevel=2,
-        )
-        return penalty
 
 
 @dataclass(frozen=True)
@@ -140,7 +119,7 @@ def label_informed_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
         return LabelInformedCost(values=D.copy(), base=D.copy(), c=0.0)
     table = label_distance_table(train, val, D, solver)
     # Every label here has members on its own side, so each looked-up pair
-    # is present and `table.get`'s absent-pair penalty is never needed.
+    # is present and no NaN reaches the offsets.
     position = {y: a for a, y in enumerate(table.labels)}
     train_pos = [position[y] for y in train.labels]
     val_pos = [position[y] for y in val.labels]

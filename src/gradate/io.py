@@ -433,10 +433,13 @@ def load_matrix_cache(path, key: dict) -> np.ndarray:
     header_len = struct.unpack("<I", blob[4:8])[0] if len(blob) >= 8 else None
     if header_len is None or len(blob) < 8 + header_len:
         raise SchemaError(f"{path}: cache header is truncated")
-    header = json.loads(blob[8:8 + header_len].decode())
-    if header["config_hash"] != config_hash(key):
+    try:
+        header = json.loads(blob[8:8 + header_len].decode())
+        stored_hash, rows, cols = header["config_hash"], header["rows"], header["cols"]
+    except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as exc:
+        raise SchemaError(f"{path}: cache header is unreadable ({exc!r})") from None
+    if stored_hash != config_hash(key):
         raise HashMismatch(f"{path}: cache key disagrees with the request")
-    rows, cols = header["rows"], header["cols"]
     payload = blob[8 + header_len:]
     if len(payload) != 8 * rows * cols:
         raise SchemaError(

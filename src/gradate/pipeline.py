@@ -29,7 +29,6 @@ class SelectionConfig:
 
     tau : fraction of training samples to keep (budget floor(n * tau)).
     alpha : FGW feature/structure trade-off.
-    order : FGW distance order r.
     c : label signal strength in the dataset distance.
     T : number of update steps (T - 1 gradient iterations).
     eta : learning rate of the weight updates.
@@ -40,7 +39,6 @@ class SelectionConfig:
 
     tau: float
     alpha: float = 0.5
-    order: int = 2
     c: float = 0.0
     T: int = 10
     eta: float = 1e-4
@@ -55,7 +53,7 @@ class SelectionConfig:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise ConfigInvalid(f"tau must be in (0, 1], got {self.tau}")
-        self.fgw_config()  # checks alpha, then order
+        self.fgw_config()  # checks alpha
         if self.c < 0:
             raise ConfigInvalid(f"c must be >= 0, got {self.c}")
         if self.T < 2:
@@ -68,9 +66,8 @@ class SelectionConfig:
             raise ConfigInvalid("sinkhorn epsilon must be positive")
 
     def fgw_config(self) -> FGWConfig:
-        return FGWConfig(alpha=self.alpha, order=self.order,
-                         max_iter=self.fgw_max_iter, inner_tol=self.inner_tol,
-                         seed=self.seed)
+        return FGWConfig(alpha=self.alpha, max_iter=self.fgw_max_iter,
+                         inner_tol=self.inner_tol, seed=self.seed)
 
     def ot_solver(self):
         if self.solver == "sinkhorn":
@@ -156,6 +153,8 @@ def _provenance(train, val, cfg_dict: dict) -> dict:
 
 
 def _check_budget(n: int, tau: float) -> int:
+    if not 0.0 < tau <= 1.0:
+        raise ConfigInvalid(f"tau must be in (0, 1], got {tau}")
     budget = floor_budget(n, tau)
     if budget < 1:
         raise ConfigInvalid(f"floor({n} * {tau}) = 0; nothing would be selected")

@@ -76,7 +76,7 @@ def test_criterion_1_exact_ot_matches_enumeration_oracle():
 def test_criterion_2_fgw_correctness():
     with criterion(2, "FGW self-distance, isomorphism invariance, alpha=0 and analytic case"):
         rng = np.random.default_rng(7)
-        cfg = FGWConfig(alpha=0.5, order=2)
+        cfg = FGWConfig(alpha=0.5)
 
         g = random_graph(rng, n_nodes=7)
         self_res = fgw_distance(g, g, cfg, coupling_init=np.diag(g.node_weights))
@@ -90,7 +90,7 @@ def test_criterion_2_fgw_correctness():
 
         g1 = random_graph(rng, n_nodes=6)
         g2 = AttributedGraph(g1.adjacency, rng.standard_normal((6, 3)))
-        got = fgw_distance(g1, g2, FGWConfig(alpha=0.0, order=2)).distance
+        got = fgw_distance(g1, g2, FGWConfig(alpha=0.0)).distance
         M2 = cdist(g1.features, g2.features) ** 2
         exact = solve_exact_ot(M2, g1.node_weights, g2.node_weights).value
         assert abs(got - np.sqrt(exact)) <= 1e-6
@@ -105,7 +105,7 @@ def test_criterion_2_fgw_correctness():
             T = np.array([[a, 0.5 - a], [0.5 - a, a]])
             obj = float(np.einsum("ijkl,ij,kl->", L, T, T))
             assert abs(obj - 0.5) <= 1e-12
-        res = fgw_distance(edge, empty, FGWConfig(alpha=1.0, order=2))
+        res = fgw_distance(edge, empty, FGWConfig(alpha=1.0))
         assert abs(res.distance - np.sqrt(0.5)) <= 1e-6
 
 

@@ -219,9 +219,61 @@ class TestGdd:
                            "--config", "cfg.json")
         assert code == 2
         assert "unknown config keys" in err
-        code, _, err = run(capsys, "gdd", "copies.json", "split.json", "--jobs", "0")
+        code, _, err = run(capsys, "gdd", "copies.json", "split.json", "--jobs", "1")
         assert code == 2
-        assert "jobs must be >= 1" in err
+        assert "unrecognized arguments: --jobs 1" in err
+        (workdir / "cfg.json").write_text(json.dumps({"order": 2}))
+        code, _, err = run(capsys, "gdd", "copies.json", "split.json",
+                           "--config", "cfg.json")
+        assert code == 2
+        assert "unknown config keys ['order']" in err
+
+    @pytest.mark.parametrize("command, file_cfg", [
+        ("gdd", {"alpha": "x"}),
+        ("gdd", {"alpha": None}),
+        ("gdd", {"nbar": 3.5}),
+        ("gdd", {"seed": True}),
+        ("gdd", {"solver": "lbfgs"}),
+        ("gdd", {"val_labels": 1}),
+        ("gdd", []),
+        ("select", {"method": "bogus"}),
+        ("select", {"T": "10"}),
+    ], ids=["alpha-str", "alpha-null", "nbar-float", "seed-bool", "solver-choice",
+            "val_labels-int", "not-an-object", "method-choice", "T-str"])
+    def test_config_value_outside_its_flag_exits_2(self, workdir, capsys, command, file_cfg):
+        write_copies_json(workdir / "copies.json")
+        run(capsys, "split", "copies.json", "--out", "split.json")
+        (workdir / "cfg.json").write_text(json.dumps(file_cfg))
+        extra = ("--method", "lava", "--tau", "0.5", "--out", "s.json")
+        code, out, err = run(capsys, command, "copies.json", "split.json",
+                             "--config", "cfg.json", *(extra if command == "select" else ()))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not (workdir / "s.json").exists()
+
+    def test_config_values_a_flag_could_set_are_accepted(self, workdir, capsys):
+        write_copies_json(workdir / "copies.json")
+        run(capsys, "split", "copies.json", "--out", "split.json")
+        (workdir / "cfg.json").write_text(json.dumps(
+            {"alpha": 1, "nbar": None, "solver": "exact", "val_labels": False}))
+        code, out, _ = run(capsys, "gdd", "copies.json", "split.json", "--config", "cfg.json")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["alpha"], config["val_labels"]) == (1, False)
+
+    def test_corrupt_cache_header_exits_2(self, workdir, capsys):
+        write_copies_json(workdir / "copies.json")
+        run(capsys, "split", "copies.json", "--out", "split.json")
+        assert run(capsys, "gdd", "copies.json", "split.json")[0] == 0
+        (path,) = (workdir / ".gradate_cache").glob("D-*.gdd")
+        blob = bytearray(path.read_bytes())
+        blob[9] = 0xFF  # not UTF-8
+        path.write_bytes(bytes(blob))
+        code, out, err = run(capsys, "gdd", "copies.json", "split.json")
+        assert code == 2
+        assert out == ""
+        assert "cache header is unreadable" in err
 
 
 class TestSelect:
@@ -313,30 +365,28 @@ class TestSelect:
         _, _, err = run(capsys, "gdd", "ds.json", "split.json")
         assert err == (
             'resolved config: {"alpha": 0.5, "c": 0.0, "dataset": "ds.json", '
-            '"epsilon": 0.01, "jobs": 1, "nbar": null, "order": 2, "seed": 0, '
-            '"solver": "exact", "split": "split.json", "val_labels": true}\n')
+            '"epsilon": 0.01, "nbar": null, "seed": 0, "solver": "exact", '
+            '"split": "split.json", "val_labels": true}\n')
         _, _, err = run(capsys, "select", "ds.json", "split.json",
                         "--method", "random", "--tau", "0.5", "--out", "s.json")
         config = ('{"T": 10, "alpha": 0.5, "c": 0.0, "dataset": "ds.json", '
-                  '"epsilon": 0.01, "eta": 0.0001, "jobs": 1, "method": "random", '
-                  '"nbar": null, "order": 2, "seed": 0, "solver": "exact", '
+                  '"epsilon": 0.01, "eta": 0.0001, "method": "random", '
+                  '"nbar": null, "seed": 0, "solver": "exact", '
                   '"split": "split.json", "tau": 0.5, "val_labels": true}')
         assert err == "resolved config: " + config + "\n"
         assert '"config": ' + config + ", " in (workdir / "s.json").read_text()
 
-    def test_jobs_do_not_change_the_output(self, workdir, capsys):
-        write_two_domain_json(workdir / "ds.json", seed=13)
+    @pytest.mark.parametrize("method", ["gradate", "lava", "random"])
+    @pytest.mark.parametrize("tau", ["2", "0", "-0.5"])
+    def test_tau_outside_unit_interval_exits_2(self, workdir, capsys, method, tau):
+        write_two_domain_json(workdir / "ds.json")
         run(capsys, "split", "ds.json", "--out", "split.json")
-        payloads = []
-        for jobs, name in (("1", "a.json"), ("4", "b.json")):
-            code, _, _ = run(capsys, "select", "ds.json", "split.json",
-                             "--method", "lava", "--tau", "0.5", "--jobs", jobs,
-                             "--cache-dir", f"cache{jobs}", "--out", name)
-            assert code == 0
-            payload = json.loads((workdir / name).read_text())
-            payload["config"].pop("jobs")  # provenance records the flag itself
-            payloads.append(payload)
-        assert payloads[0] == payloads[1]
+        code, out, err = run(capsys, "select", "ds.json", "split.json",
+                             "--method", method, "--tau", tau, "--out", "x.json")
+        assert code == 2
+        assert out == ""
+        assert f"tau must be in (0, 1], got {float(tau)}" in err
+        assert not (workdir / "x.json").exists()
 
     def test_numerical_failure_exits_3_and_suppresses_output(self, workdir, capsys,
                                                              monkeypatch):

@@ -10,16 +10,16 @@ from gradate.fgw import FGWConfig, default_reference_size
 from conftest import random_graph
 
 
-def naive_objective(g1, g2, T, alpha, r):
-    """Explicit quadruple-sum FGW objective, the oracle for the factored path."""
+def naive_objective(g1, g2, T, alpha):
+    """Explicit quadruple-sum squared-loss FGW objective, the oracle for the factored path."""
     total = 0.0
     if g1.feature_dim:
-        M = cdist(g1.features, g2.features) ** r
+        M = cdist(g1.features, g2.features) ** 2
         total += (1 - alpha) * float(np.sum(M * T))
     else:
         alpha = 1.0
     A1, A2 = g1.adjacency, g2.adjacency
-    L = np.abs(A1[:, None, :, None] - A2[None, :, None, :]) ** r
+    L = (A1[:, None, :, None] - A2[None, :, None, :]) ** 2
     total += alpha * float(np.einsum("ijkl,ij,kl->", L, T, T))
     return total
 
@@ -47,8 +47,8 @@ class TestFgwDistance:
         g2 = AttributedGraph([[0.0, 0.0], [0.0, 0.0]])
         for a in np.linspace(0.0, 0.5, 11):
             T = np.array([[a, 0.5 - a], [0.5 - a, a]])
-            assert naive_objective(g1, g2, T, 1.0, 2) == pytest.approx(0.5, abs=1e-12)
-        res = fgw_distance(g1, g2, FGWConfig(alpha=1.0, order=2))
+            assert naive_objective(g1, g2, T, 1.0) == pytest.approx(0.5, abs=1e-12)
+        res = fgw_distance(g1, g2, FGWConfig(alpha=1.0))
         assert res.distance == pytest.approx(np.sqrt(0.5), abs=1e-6)
 
     def test_alpha_zero_single_nodes_is_feature_distance(self):
@@ -56,13 +56,13 @@ class TestFgwDistance:
         y = np.array([[4.0, 6.0, 2.0]])
         g1 = AttributedGraph(np.zeros((1, 1)), x)
         g2 = AttributedGraph(np.zeros((1, 1)), y)
-        res = fgw_distance(g1, g2, FGWConfig(alpha=0.0, order=2))
+        res = fgw_distance(g1, g2, FGWConfig(alpha=0.0))
         assert res.distance == pytest.approx(5.0, abs=1e-9)
 
     def test_alpha_zero_equals_exact_wasserstein(self, rng):
         g1 = random_graph(rng, n_nodes=5)
         g2 = AttributedGraph(g1.adjacency, rng.standard_normal((5, 3)))
-        res = fgw_distance(g1, g2, FGWConfig(alpha=0.0, order=2))
+        res = fgw_distance(g1, g2, FGWConfig(alpha=0.0))
         M2 = cdist(g1.features, g2.features) ** 2
         exact = solve_exact_ot(M2, g1.node_weights, g2.node_weights).value
         assert res.distance == pytest.approx(np.sqrt(exact), abs=1e-6)
@@ -87,7 +87,7 @@ class TestFgwDistance:
         g1 = random_graph(rng, n_nodes=5, feature_dim=0)
         g2 = random_graph(rng, n_nodes=6, feature_dim=0)
         s = 3.0
-        cfg = FGWConfig(alpha=1.0, order=2)
+        cfg = FGWConfig(alpha=1.0)
         d1 = fgw_distance(g1, g2, cfg).distance
         ds = fgw_distance(AttributedGraph(s * g1.adjacency),
                           AttributedGraph(s * g2.adjacency), cfg).distance
@@ -101,23 +101,15 @@ class TestFgwDistance:
 
     def test_factored_contraction_matches_naive_tensor(self, rng):
         g1, g2 = random_graph(rng, n_nodes=5), random_graph(rng, n_nodes=4)
-        res = fgw_distance(g1, g2, FGWConfig(alpha=0.7, order=2))
+        res = fgw_distance(g1, g2, FGWConfig(alpha=0.7))
         assert res.objective_curve[-1] == pytest.approx(
-            naive_objective(g1, g2, res.coupling, 0.7, 2), abs=1e-10)
+            naive_objective(g1, g2, res.coupling, 0.7), abs=1e-10)
 
     def test_feature_dim_mismatch_raises(self, rng):
         g1 = random_graph(rng, feature_dim=3)
         g2 = random_graph(rng, feature_dim=4)
         with pytest.raises(DimensionMismatch):
             fgw_distance(g1, g2, FGWConfig())
-
-    def test_order_three_falls_back_to_tensor_with_warning(self, rng):
-        g1, g2 = random_graph(rng, n_nodes=4), random_graph(rng, n_nodes=4)
-        with pytest.warns(RuntimeWarning, match="slow"):
-            res = fgw_distance(g1, g2, FGWConfig(alpha=0.6, order=3))
-        assert np.all(np.diff(res.objective_curve) <= 1e-12)
-        assert res.objective_curve[-1] == pytest.approx(
-            naive_objective(g1, g2, res.coupling, 0.6, 3), abs=1e-10)
 
     def test_budget_exhaustion_returns_best_iterate(self, rng):
         g1 = random_graph(rng, n_nodes=8, feature_dim=0)
@@ -183,7 +175,7 @@ class TestBarycenter:
     def test_two_graph_structure_barycenter(self):
         g_edge = AttributedGraph([[0.0, 1.0], [1.0, 0.0]])
         g_empty = AttributedGraph([[0.0, 0.0], [0.0, 0.0]])
-        cfg = FGWConfig(alpha=1.0, order=2, seed=3)
+        cfg = FGWConfig(alpha=1.0, seed=3)
         ref = fgw_barycenter([g_edge, g_empty], nbar=2, cfg=cfg)
         assert np.all(ref.adjacency >= 0.0) and np.all(ref.adjacency <= 1.0)
 

@@ -93,7 +93,8 @@ class TestLabelInformedCost:
         c = 0.7
         dtilde = label_informed_cost(train, val, D, c)
         table = label_distance_table(train, val, D)
-        expected = np.array([[c * table.get(y, y_prime) for y_prime in val.labels]
+        at = table.labels.index
+        expected = np.array([[c * table.values[at(y), at(y_prime)] for y_prime in val.labels]
                              for y in train.labels])
         assert np.array_equal(dtilde.values, D + expected)
         assert np.array_equal(dtilde.base, D)
@@ -111,9 +112,10 @@ class TestLabelInformedCost:
         D = rng.random((4, 4))
         D = (D + D.T) / 2
         table = label_distance_table(ds, ds, D)
-        assert abs(table.get(0, 1) - table.get(1, 0)) <= 1e-6
+        assert table.labels == (0, 1)
+        assert abs(table.values[0, 1] - table.values[1, 0]) <= 1e-6
 
-    def test_absent_pair_uses_max_penalty_with_warning(self, rng):
+    def test_absent_pair_is_nan(self, rng):
         train = labeled(rng, [0, 0])
         val = labeled(rng, [0, 0])
         train = LabeledGraphDataset(train.graphs, train.labels, label_set=[0, 1])
@@ -121,9 +123,6 @@ class TestLabelInformedCost:
         D = np.abs(rng.random((2, 2)))
         table = label_distance_table(train, val, D)
         assert np.isnan(table.values[1, 1])
-        with pytest.warns(RuntimeWarning, match="empty class"):
-            penalty = table.get(1, 1)
-        assert penalty == pytest.approx(np.nanmax(table.values))
 
 
 class TestGdd:

@@ -233,6 +233,16 @@ class TestMatrixCache:
         with pytest.raises(SchemaError):
             io.load_matrix_cache(path, key)
 
+    @pytest.mark.parametrize("header", [b'{"cols":2,"config_hash":"\xff","rows":3}',
+                                        b'{"cols":2,"rows":3}', b'[2, 3]', b'{"rows'],
+                             ids=["non-utf8", "no-config-hash", "not-an-object", "not-json"])
+    def test_unreadable_header_rejected(self, tmp_path, header):
+        path = tmp_path / "m.gdd"
+        path.write_bytes(io.CACHE_MAGIC + len(header).to_bytes(4, "little") + header
+                         + b"\x00" * 48)
+        with pytest.raises(SchemaError):
+            io.load_matrix_cache(path, {"x": 1})
+
     def test_write_is_atomic(self, tmp_path, rng):
         key = {"x": 1}
         path = tmp_path / "m.gdd"

@@ -36,7 +36,7 @@ def two_domain(rng, n_dense=8, n_sparse=8, n_val=4, feature_dim=0):
 class TestSelectionConfig:
     def test_defaults_follow_the_reference_settings(self):
         cfg = SelectionConfig(tau=0.2)
-        assert (cfg.alpha, cfg.order, cfg.T, cfg.eta) == (0.5, 2, 10, 1e-4)
+        assert (cfg.alpha, cfg.T, cfg.eta) == (0.5, 10, 1e-4)
         assert cfg.c in (0.0, 5.0)
 
     def test_validation(self):
@@ -240,6 +240,12 @@ class TestRandom:
         train = LabeledGraphDataset([random_graph(rng) for _ in range(9)], [0] * 9)
         assert len(random_select(train, tau=0.5, seed=0).indices) == 4
         assert random_select(train, tau=1.0, seed=0).indices == tuple(range(9))
+
+    @pytest.mark.parametrize("tau", [1.5, 2.0, 0.0, -0.5, float("nan")])
+    def test_tau_outside_unit_interval_rejected(self, rng, tau):
+        train = LabeledGraphDataset([random_graph(rng) for _ in range(9)], [0] * 9)
+        with pytest.raises(ConfigInvalid, match=r"tau must be in \(0, 1\]"):
+            random_select(train, tau, 0)
 
 
 class TestResultSchema:
