@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     except (NumericalFailure, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (GradateError, OSError, json.JSONDecodeError) as exc:
+    except (GradateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -114,16 +114,15 @@ def _resolve(args, defaults: dict) -> dict:
     resolved = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
-        file_cfg = json.loads(Path(config_path).read_text())
+        file_cfg = io._read_json(config_path)
         if not isinstance(file_cfg, dict):
             raise ConfigInvalid(f"{config_path}: config must be a JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigInvalid(f"unknown config keys {sorted(unknown)}")
         flags = {action.dest: action for action in args.parser._actions}
-        for key, value in file_cfg.items():
-            _check_file_value(flags[key], value, defaults[key])
-        resolved.update(file_cfg)
+        resolved.update({key: _check_file_value(flags[key], value, defaults[key])
+                         for key, value in file_cfg.items()})
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -133,14 +132,14 @@ def _resolve(args, defaults: dict) -> dict:
     return resolved
 
 
-def _check_file_value(action: argparse.Action, value, default) -> None:
-    """A config-file value must be one its flag could set, or a None default.
+def _check_file_value(action: argparse.Action, value, default):
+    """A config-file value as its flag would set it, or a None default.
 
     The flag's own type and choices decide; a store_const flag takes values
-    of its constant's type. A float flag also takes a JSON integer.
+    of its constant's type. A float flag also takes a JSON integer, as a float.
     """
     if value is None and default is None:
-        return
+        return None
     kind = type(action.const) if action.const is not None else action.type or str
     accepted = (int, float) if kind is float else kind
     if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
@@ -149,6 +148,7 @@ def _check_file_value(action: argparse.Action, value, default) -> None:
             f"config value {value!r} for {action.dest!r} is not a valid "
             f"{action.option_strings[0]} value"
         )
+    return float(value) if kind is float else value
 
 
 def _log_config(resolved: dict) -> None:
@@ -181,13 +181,14 @@ def _cache_dir(args) -> Path:
 
 def _load_splits(args):
     raw = io.load_dataset(args.dataset)
-    split = io.load_split(args.split)
+    digest = io.dataset_hash(raw)
+    split = io.load_split(args.split, expected_hash=digest)
     covered = len(split.train_idx) + len(split.val_idx) + len(split.test_idx)
     if covered != len(raw):
         raise SchemaError(
             f"split covers {covered} graphs but the dataset has {len(raw)}"
         )
-    return raw, raw.subset(split.train_idx), raw.subset(split.val_idx)
+    return digest, raw.subset(split.train_idx), raw.subset(split.val_idx)
 
 
 def _dataset_stamp(dataset_path) -> str:
@@ -197,9 +198,12 @@ def _dataset_stamp(dataset_path) -> str:
 
 
 def _load_weights(path, n: int, expected_hash: str, force: bool) -> np.ndarray:
-    payload = json.loads(Path(path).read_text())
+    payload = io._read_json(path)
     if isinstance(payload, list):
-        w = np.asarray(payload, dtype=np.float64)
+        try:
+            w = np.asarray(payload, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise SchemaError(f"{path}: weights must be numbers") from None
         if w.shape != (n,):
             raise SchemaError(f"{path}: {w.shape[0]} weights for {n} training graphs")
         return w
@@ -230,12 +234,12 @@ def cmd_split(args) -> int:
 def cmd_gdd(args) -> int:
     resolved = _resolve(args, _COMMON_DEFAULTS)
     _log_config(resolved)
-    raw, train, val = _load_splits(args)
+    digest, train, val = _load_splits(args)
     cfg = _selection_config(resolved, tau=1.0)
     dtilde = build_cost(train, val, cfg, _cache_dir(args))
     w = None
     if args.weights:
-        w = _load_weights(args.weights, len(train), io.dataset_hash(raw), args.force)
+        w = _load_weights(args.weights, len(train), digest, args.force)
     value, _ = gdd_from_cost(dtilde, w, cfg.ot_solver())
     print(json.dumps({"gdd": value, "config": resolved}, sort_keys=True))
     return EXIT_OK
@@ -248,7 +252,7 @@ def cmd_select(args) -> int:
         raise ConfigInvalid("--method is required (gradate, lava or random)")
     if resolved["tau"] is None:
         raise ConfigInvalid("--tau is required")
-    raw, train, val = _load_splits(args)
+    digest, train, val = _load_splits(args)
 
     method = resolved["method"]
     if method == "random":
@@ -263,7 +267,7 @@ def cmd_select(args) -> int:
 
     provenance = dict(result.provenance)
     provenance["config"] = resolved
-    provenance["dataset_hash"] = io.dataset_hash(raw)
+    provenance["dataset_hash"] = digest
     result = replace(result, provenance=provenance)
     io.save_selection(result, args.out, created_at=_dataset_stamp(args.dataset))
 

@@ -33,6 +33,8 @@ from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from .graphs import AttributedGraph
 from .ot import _unique_uniform_vertex, solve_exact_ot
 
+BARYCENTER_ROUNDS = 10  # cap on the barycenter's block-coordinate rounds
+
 
 @dataclass(frozen=True)
 class FGWConfig:
@@ -209,7 +211,7 @@ def default_reference_size(graphs: Sequence[AttributedGraph]) -> int:
 
 
 def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
-                   cfg: FGWConfig | None = None, outer_iter: int = 10) -> AttributedGraph:
+                   cfg: FGWConfig | None = None) -> AttributedGraph:
     """FGW barycenter of a dataset: a reference graph under uniform weights.
 
     Block-coordinate descent: solve one coupling per dataset graph against
@@ -217,7 +219,8 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
     coupling-weighted barycentric average and the reference structure as the
     coupling-weighted average of transported adjacencies. The per-graph
     solves of a round run serially, each warm-started from that graph's
-    coupling of the previous round, for at most `outer_iter` rounds.
+    coupling of the previous round, for at most BARYCENTER_ROUNDS rounds,
+    fewer once a round stops lowering the summed objective.
     """
     graphs = list(graphs)
     if not graphs:
@@ -261,7 +264,7 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
     couplings: list[np.ndarray | None] = [None] * len(graphs)
     prev_obj = np.inf
 
-    for _ in range(outer_iter):
+    for _ in range(BARYCENTER_ROUNDS):
         results = [fgw_distance(g, reference, cfg, coupling_init=warm)
                    for g, warm in zip(graphs, couplings)]
         couplings = [res.coupling for res in results]
@@ -281,5 +284,5 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
 
 
 def _symmetrize(A: np.ndarray) -> np.ndarray:
-    # Barycenter updates are symmetric up to float round-off; make it exact.
+    # Barycenter updates and projections are symmetric up to round-off; make it exact.
     return 0.5 * (A + A.T)

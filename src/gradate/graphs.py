@@ -13,10 +13,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AsymmetryError, DimensionMismatch, InfeasibleMarginals
+from .errors import AsymmetryError, DanglingEdge, DimensionMismatch
+from .ot import _check_marginal
 
 SYMMETRY_TOL = 1e-9
-SIMPLEX_TOL = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -32,7 +32,7 @@ class AttributedGraph:
     adjacency : (n, n) symmetric matrix of nonnegative reals. Weighted
         symmetric adjacencies are accepted as-is; asymmetric input is
         rejected rather than silently symmetrized.
-    features : (n, d) real matrix; d may be 0 for featureless graphs.
+    features : (n, d) finite real matrix; d may be 0 for featureless graphs.
     node_weights : probability vector over nodes. Defaults to uniform.
     """
 
@@ -61,15 +61,14 @@ class AttributedGraph:
             raise DimensionMismatch(
                 f"features has {features.shape[0]} rows for {n} nodes"
             )
+        if not np.all(np.isfinite(features)):
+            raise ValueError("feature entries must be finite")
 
         if node_weights is None:
             node_weights = np.full(n, 1.0 / n)
-        node_weights = np.asarray(node_weights, dtype=np.float64)
-        if node_weights.shape != (n,):
+        if np.shape(node_weights) != (n,):
             raise DimensionMismatch("node_weights length must equal node count")
-        if np.any(node_weights < -SIMPLEX_TOL) or abs(node_weights.sum() - 1.0) > SIMPLEX_TOL:
-            raise InfeasibleMarginals("node_weights must be a probability vector")
-        node_weights = np.maximum(node_weights, 0.0)
+        node_weights = _check_marginal(node_weights, n, "node_weights")
 
         object.__setattr__(self, "adjacency", _freeze(adjacency))
         object.__setattr__(self, "features", _freeze(features))
@@ -81,6 +80,8 @@ class AttributedGraph:
         """Build a 0/1 graph from an undirected edge list over nodes 0..n-1."""
         adj = np.zeros((n_nodes, n_nodes))
         for i, j in edges:
+            if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+                raise DanglingEdge(f"edge ({i}, {j}) leaves the nodes 0..{n_nodes - 1}")
             adj[i, j] = 1.0
             adj[j, i] = 1.0
         return cls(adj, features=features, node_weights=node_weights)

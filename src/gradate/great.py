@@ -32,8 +32,10 @@ def floor_budget(n: int, tau: float) -> int:
 
 
 def validate_weights(w: np.ndarray, budget: int | None = None) -> np.ndarray:
-    """Check the weight-vector invariants: simplex point, sparsity bound."""
+    """Check the weight-vector invariants: finite simplex point, sparsity bound."""
     w = np.asarray(w, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise ConfigInvalid("weights must be finite")
     if np.any(w < 0):
         raise ConfigInvalid("weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-9:
@@ -45,16 +47,16 @@ def validate_weights(w: np.ndarray, budget: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GreatIteration:
-    """One optimization step: distance seen, support kept, move made.
+    """One optimization step: distance seen and support kept.
 
     `weights` is the full weight vector after this step, kept for
-    diagnostics and invariant checks.
+    diagnostics and invariant checks; `recovered` marks a step that
+    annihilated every weight and restored the pre-update top-k.
     """
 
     t: int
     gdd_value: float
     support_size: int
-    step_norm: float
     weights: np.ndarray | None = None
     recovered: bool = False
 
@@ -157,7 +159,6 @@ def great_select(dtilde, tau: float, T: int, eta: float,
             t=t,
             gdd_value=value,
             support_size=int(np.count_nonzero(updated)),
-            step_norm=float(np.linalg.norm(updated - w)),
             weights=updated.copy(),
             recovered=recovered,
         ))

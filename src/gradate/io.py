@@ -65,11 +65,34 @@ def _dump_json(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n").encode()
 
 
+def _read_json(path):
+    """The parsed contents of a JSON file; a decode error is a ParseError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, exc.msg) from None
+
+
 # ---------------------------------------------------------------------------
 # TUDataset flat files
 
-def _read_lines(path: Path) -> list[str]:
-    return path.read_text().splitlines()
+def _nonblank_lines(path: Path):
+    """(1-based line number, stripped text) of each nonblank line of a file."""
+    for ln, raw in enumerate(path.read_text().splitlines(), start=1):
+        raw = raw.strip()
+        if raw:
+            yield ln, raw
+
+
+def _parse_lines(path: Path, parse, what: str) -> list:
+    """`parse` applied to each nonblank line; a ValueError names its line."""
+    values = []
+    for ln, raw in _nonblank_lines(path):
+        try:
+            values.append(parse(raw))
+        except ValueError:
+            raise ParseError(path, ln, f"bad {what} {raw!r}") from None
+    return values
 
 
 def load_tudataset(dir_path) -> LabeledGraphDataset:
@@ -98,18 +121,12 @@ def load_tudataset(dir_path) -> LabeledGraphDataset:
         if not required.exists():
             raise ParseError(required, 0, "required file missing")
 
-    node_graph: list[int] = []
-    for ln, raw in enumerate(_read_lines(indicator_path), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            node_graph.append(int(raw) - 1)
-        except ValueError:
-            raise ParseError(indicator_path, ln, f"bad graph id {raw!r}") from None
+    node_graph = _parse_lines(indicator_path, lambda s: int(s) - 1, "graph id")
     n_nodes_total = len(node_graph)
     if n_nodes_total == 0:
         raise ParseError(indicator_path, 0, "no nodes")
+    if min(node_graph) < 0:  # would wrap onto the last graph
+        raise ParseError(indicator_path, 0, "graph ids must count from 1")
     n_graphs = max(node_graph) + 1
 
     # Global node id -> (graph, local index), following indicator order.
@@ -120,10 +137,7 @@ def load_tudataset(dir_path) -> LabeledGraphDataset:
         sizes[gid] += 1
 
     adjacencies = [np.zeros((s, s)) for s in sizes]
-    for ln, raw in enumerate(_read_lines(path_for("A")), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
+    for ln, raw in _nonblank_lines(path_for("A")):
         parts = raw.replace(",", " ").split()
         if len(parts) != 2:
             raise ParseError(path_for("A"), ln, f"expected 'i, j', got {raw!r}")
@@ -141,15 +155,7 @@ def load_tudataset(dir_path) -> LabeledGraphDataset:
         adjacencies[gid][a, b] = 1.0
         adjacencies[gid][b, a] = 1.0
 
-    raw_labels: list[int] = []
-    for ln, raw in enumerate(_read_lines(labels_path), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            raw_labels.append(int(raw))
-        except ValueError:
-            raise ParseError(labels_path, ln, f"bad graph label {raw!r}") from None
+    raw_labels = _parse_lines(labels_path, int, "graph label")
     if len(raw_labels) != n_graphs:
         raise ParseError(labels_path, len(raw_labels),
                          f"{len(raw_labels)} labels for {n_graphs} graphs")
@@ -157,15 +163,8 @@ def load_tudataset(dir_path) -> LabeledGraphDataset:
     attr_path = path_for("node_attributes")
     features = [None] * n_graphs
     if attr_path.exists():
-        rows = []
-        for ln, raw in enumerate(_read_lines(attr_path), start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                rows.append([float(x) for x in raw.split(",")])
-            except ValueError:
-                raise ParseError(attr_path, ln, f"bad attribute row {raw!r}") from None
+        rows = _parse_lines(attr_path, lambda s: [float(x) for x in s.split(",")],
+                            "attribute row")
         if len(rows) != n_nodes_total:
             raise ParseError(attr_path, len(rows),
                              f"{len(rows)} attribute rows for {n_nodes_total} nodes")
@@ -180,7 +179,10 @@ def load_tudataset(dir_path) -> LabeledGraphDataset:
 
     label_names = sorted(set(raw_labels))
     remap = {orig: i for i, orig in enumerate(label_names)}
-    graphs = [AttributedGraph(adjacencies[i], features[i]) for i in range(n_graphs)]
+    try:
+        graphs = [AttributedGraph(adjacencies[i], features[i]) for i in range(n_graphs)]
+    except ValueError as exc:
+        raise SchemaError(f"{root}: {exc}") from None
     return LabeledGraphDataset(
         graphs,
         [remap[y] for y in raw_labels],
@@ -215,11 +217,8 @@ def save_dataset_json(dataset: LabeledGraphDataset, path) -> None:
 
 
 def load_dataset_json(path) -> LabeledGraphDataset:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, exc.msg) from None
+    """Read the native JSON graph format; a graph failing its checks is a SchemaError."""
+    payload = _read_json(path)
     try:
         graphs = []
         labels = []
@@ -230,7 +229,7 @@ def load_dataset_json(path) -> LabeledGraphDataset:
             graphs.append(AttributedGraph.from_edges(entry["n"], entry["edges"], features=feats))
             labels.append(entry["label"])
         return LabeledGraphDataset(graphs, labels, label_set=payload["label_set"])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed dataset JSON ({exc})") from None
 
 
@@ -303,20 +302,23 @@ def save_split(split: DomainSplit, path, dataset_digest: str | None = None) -> N
     _atomic_write_bytes(Path(path), _dump_json(payload))
 
 
-def load_split(path) -> DomainSplit:
-    path = Path(path)
+def load_split(path, expected_hash: str | None = None) -> DomainSplit:
+    """Load a split; one stored with a hash other than `expected_hash` raises HashMismatch."""
+    payload = _read_json(path)
     try:
-        payload = json.loads(path.read_text())
-        return DomainSplit(
+        split = DomainSplit(
             train_idx=tuple(payload["train"]),
             val_idx=tuple(payload["val"]),
             test_idx=tuple(payload["test"]),
             by=payload.get("by", "density"),
         )
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, exc.msg) from None
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{path}: malformed split JSON ({exc})") from None
+    stored = payload.get("dataset_hash", expected_hash)
+    if expected_hash is not None and stored != expected_hash:
+        raise HashMismatch(f"{path}: split was made for dataset {str(stored)[:12]}..., "
+                           f"expected {expected_hash[:12]}...")
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +359,8 @@ def _validate_selection_payload(payload) -> None:
         raise SchemaError("selection indices must be sorted ascending")
     if len(weights) != len(indices):
         raise SchemaError("weights and indices differ in length")
-    if any(x < 0 for x in weights) or abs(sum(weights) - 1.0) > 1e-9:
+    # NaN fails x >= 0, and an infinite entry fails the sum.
+    if not all(x >= 0 for x in weights) or abs(sum(weights) - 1.0) > 1e-9:
         raise SchemaError("selection weights must be a probability vector")
 
 
@@ -369,11 +372,7 @@ def load_selection(path, expected_hash: str | None = None, force: bool = False):
     """
     from .pipeline import SelectionResult  # local import to avoid a cycle
 
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, exc.msg) from None
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: selection JSON must be an object")
     _validate_selection_payload(payload)

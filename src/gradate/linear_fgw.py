@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDataset, ReferenceMismatch
-from .fgw import FGWConfig, fgw_barycenter, fgw_distance
+from .fgw import FGWConfig, _symmetrize, fgw_barycenter, fgw_distance
 from .graphs import AttributedGraph, LabeledGraphDataset
 
 
@@ -25,13 +25,11 @@ class BarycentricEmbedding:
 
     t_node : (nbar, d) feature projection nbar * pi^T X.
     t_edge : (nbar, nbar) structure projection nbar^2 * pi^T A pi.
-    graph_index : position of the graph in its dataset (-1 if standalone).
     converged : whether the underlying coupling solve converged.
     """
 
     t_node: np.ndarray
     t_edge: np.ndarray
-    graph_index: int = -1
     converged: bool = True
 
     @property
@@ -40,8 +38,7 @@ class BarycentricEmbedding:
 
 
 def barycentric_embed(g: AttributedGraph, reference: AttributedGraph,
-                      cfg: FGWConfig | None = None,
-                      graph_index: int = -1) -> BarycentricEmbedding:
+                      cfg: FGWConfig | None = None) -> BarycentricEmbedding:
     """Embed a graph against a uniform-weight reference graph.
 
     Solves the FGW coupling between `g` and `reference`, then projects. The
@@ -56,8 +53,8 @@ def barycentric_embed(g: AttributedGraph, reference: AttributedGraph,
     pi = res.coupling.T  # (nbar, n): reference rows, graph columns
     t_node = nbar * (pi @ g.features)
     t_edge = nbar ** 2 * (pi @ g.adjacency @ pi.T)
-    return BarycentricEmbedding(t_node=t_node, t_edge=_exact_sym(t_edge),
-                                graph_index=graph_index, converged=res.converged)
+    return BarycentricEmbedding(t_node=t_node, t_edge=_symmetrize(t_edge),
+                                converged=res.converged)
 
 
 def linear_fgw_distance(e1: BarycentricEmbedding, e2: BarycentricEmbedding,
@@ -79,10 +76,9 @@ def linear_fgw_distance(e1: BarycentricEmbedding, e2: BarycentricEmbedding,
 
 def embed_all(graphs: Sequence[AttributedGraph], reference: AttributedGraph,
               cfg: FGWConfig | None = None) -> list[BarycentricEmbedding]:
-    """Embed graphs against one reference, serially and in order; graph i gets graph_index=i."""
+    """Embed graphs against one reference, serially; embedding i is graph i's."""
     cfg = cfg or FGWConfig()
-    return [barycentric_embed(g, reference, cfg, graph_index=i)
-            for i, g in enumerate(graphs)]
+    return [barycentric_embed(g, reference, cfg) for g in graphs]
 
 
 def pairwise_linear_fgw(dataset: LabeledGraphDataset,
@@ -122,7 +118,3 @@ def _linear_fgw_block(rows: Sequence[BarycentricEmbedding],
         de = e.t_edge.ravel() - edge
         D[i] = (1.0 - alpha) * np.sum(dn * dn, axis=1) + alpha * np.sum(de * de, axis=1)
     return D
-
-
-def _exact_sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)

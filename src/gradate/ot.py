@@ -55,9 +55,12 @@ def as_cost_matrix(values) -> np.ndarray:
 
 
 def _check_marginal(v, size: int, name: str) -> np.ndarray:
+    """`v` as a probability vector, dust below 0 clipped; also checks node weights."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (size,):
         raise InfeasibleMarginals(f"{name} has shape {v.shape}, expected ({size},)")
+    if not np.all(np.isfinite(v)):
+        raise InfeasibleMarginals(f"{name} has non-finite entries")
     if np.any(v < -SIMPLEX_TOL):
         raise InfeasibleMarginals(f"{name} has negative entries")
     if abs(v.sum() - 1.0) > SIMPLEX_TOL:

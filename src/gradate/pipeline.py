@@ -35,6 +35,8 @@ class SelectionConfig:
     solver : "exact" for LP duals, "sinkhorn" for entropic acceleration.
     val_labels_available : when False, c is forced to 0 and validation
         labels are ignored entirely.
+
+    The FGW solves run with `FGWConfig`'s iteration budget and tolerance.
     """
 
     tau: float
@@ -46,8 +48,6 @@ class SelectionConfig:
     solver: str = "exact"
     epsilon: float = 0.01
     nbar: int | None = None
-    fgw_max_iter: int = 200
-    inner_tol: float = 1e-9
     val_labels_available: bool = True
 
     def __post_init__(self):
@@ -66,8 +66,7 @@ class SelectionConfig:
             raise ConfigInvalid("sinkhorn epsilon must be positive")
 
     def fgw_config(self) -> FGWConfig:
-        return FGWConfig(alpha=self.alpha, max_iter=self.fgw_max_iter,
-                         inner_tol=self.inner_tol, seed=self.seed)
+        return FGWConfig(alpha=self.alpha, seed=self.seed)
 
     def ot_solver(self):
         if self.solver == "sinkhorn":
@@ -76,9 +75,6 @@ class SelectionConfig:
 
     def effective_c(self) -> float:
         return self.c if self.val_labels_available else 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -144,9 +140,9 @@ def _cached(cache_dir: Path, kind: str, key: dict, compute) -> np.ndarray:
     return matrix
 
 
-def _provenance(train, val, cfg_dict: dict) -> dict:
+def _provenance(train, val, cfg: SelectionConfig) -> dict:
     return {
-        "config": cfg_dict,
+        "config": asdict(cfg),
         "train_hash": dataset_hash(train),
         "val_hash": dataset_hash(val),
     }
@@ -182,7 +178,7 @@ def gradate(train: LabeledGraphDataset, val: LabeledGraphDataset,
         weights=tuple(float(x) for x in trace.final_weights[selected]),
         method="gradate",
         trace=trace,
-        provenance=_provenance(train, val, cfg.to_dict()),
+        provenance=_provenance(train, val, cfg),
     )
 
 
@@ -206,7 +202,7 @@ def lava_select(train: LabeledGraphDataset, val: LabeledGraphDataset,
         weights=tuple(1.0 / budget for _ in indices),
         method="lava",
         trace=None,
-        provenance=_provenance(train, val, cfg.to_dict()),
+        provenance=_provenance(train, val, cfg),
     )
 
 

@@ -262,6 +262,81 @@ class TestGdd:
         config = json.loads(out)["config"]
         assert (config["alpha"], config["val_labels"]) == (1, False)
 
+    @pytest.mark.parametrize("flag, kind", [("c", "Dtilde"), ("alpha", "D")])
+    def test_integer_config_value_resolves_as_its_flag(self, workdir, capsys, flag, kind):
+        # {"c": 1} must key the cache as --c 1 does, or the matrix is built twice.
+        write_copies_json(workdir / "copies.json")
+        run(capsys, "split", "copies.json", "--out", "split.json")
+        (workdir / "cfg.json").write_text(json.dumps({flag: 1}))
+        code, by_flag, _ = run(capsys, "gdd", "copies.json", "split.json", f"--{flag}", "1")
+        assert code == 0
+        code, by_file, _ = run(capsys, "gdd", "copies.json", "split.json",
+                               "--config", "cfg.json")
+        assert code == 0
+        assert by_file == by_flag
+        assert json.loads(by_file)["config"][flag] == 1.0
+        assert len(list((workdir / ".gradate_cache").glob(f"{kind}-*.gdd"))) == 1
+
+    @pytest.mark.parametrize("option, name", [("--config", "cfg.json"),
+                                              ("--weights", "w.json")])
+    def test_malformed_json_option_file_names_its_line(self, workdir, capsys, option, name):
+        write_copies_json(workdir / "copies.json")
+        run(capsys, "split", "copies.json", "--out", "split.json")
+        (workdir / name).write_text('{"c": 1,\n}')
+        code, out, err = run(capsys, "gdd", "copies.json", "split.json", option, name)
+        assert code == 2
+        assert out == ""
+        assert f"error: {name}:2: " in err
+
+    @pytest.mark.parametrize("weights, message", [
+        ("[NaN, 0.5, 0.5]", "non-finite"),
+        ('["a", 0.5, 0.5]', "weights must be numbers"),
+    ], ids=["nan", "string"])
+    def test_weights_that_are_not_finite_numbers_exit_2(self, workdir, capsys, weights,
+                                                         message):
+        write_two_domain_json(workdir / "ds.json", seed=6, n_dense=3, n_sparse=3,
+                              n_val_extra=2)
+        split = {"by": "size", "train": [0, 1, 2], "val": [3, 4], "test": [5, 6, 7]}
+        (workdir / "split.json").write_text(json.dumps(split))
+        (workdir / "w.json").write_text(weights)
+        code, out, err = run(capsys, "gdd", "ds.json", "split.json", "--weights", "w.json")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("fault, message", [
+        ("dangling-edge", "edge (0, -1) leaves the nodes 0..2"),
+        ("nan-feature", "feature entries must be finite"),
+        ("label-outside-label-set", "labels [7] not in label_set"),
+    ], ids=["dangling-edge", "nan-feature", "label-outside-label-set"])
+    def test_malformed_dataset_exits_2(self, workdir, capsys, fault, message):
+        ds = LabeledGraphDataset([path_graph(3, feature_dim=1)] * 10, [0] * 10)
+        io.save_dataset_json(ds, "ds.json")
+        payload = json.loads((workdir / "ds.json").read_text())
+        graph = payload["graphs"][4]
+        if fault == "dangling-edge":
+            graph["edges"].append([0, -1])
+        elif fault == "nan-feature":
+            graph["features"][1] = [float("nan")]
+        else:
+            graph["label"] = 7
+        (workdir / "ds.json").write_text(json.dumps(payload))
+        split = {"by": "size", "train": list(range(6)), "val": [6, 7], "test": [8, 9]}
+        (workdir / "split.json").write_text(json.dumps(split))
+        code, out, err = run(capsys, "gdd", "ds.json", "split.json")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_split_of_another_dataset_exits_2(self, workdir, capsys):
+        write_two_domain_json(workdir / "ds.json", seed=0)
+        write_two_domain_json(workdir / "other.json", seed=99)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        code, out, err = run(capsys, "gdd", "other.json", "split.json")
+        assert code == 2
+        assert out == ""
+        assert "split was made for dataset" in err
+
     def test_corrupt_cache_header_exits_2(self, workdir, capsys):
         write_copies_json(workdir / "copies.json")
         run(capsys, "split", "copies.json", "--out", "split.json")

@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["03_dataset_distance.py", "05_cli_workflow.py"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_exits_zero(demo, tmp_path):
     # The documented invocation: from the repository root, PYTHONPATH=src.
     env = {**os.environ, "PYTHONPATH": "src", "TMPDIR": str(tmp_path)}

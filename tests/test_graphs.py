@@ -32,6 +32,8 @@ class TestAttributedGraph:
     def test_rejects_bad_weights(self):
         with pytest.raises(InfeasibleMarginals):
             AttributedGraph(np.zeros((2, 2)), node_weights=[0.7, 0.7])
+        with pytest.raises(InfeasibleMarginals, match="non-finite"):
+            AttributedGraph(np.zeros((3, 3)), node_weights=[np.nan, 0.5, 0.5])
 
     def test_weighted_symmetric_accepted(self):
         A = np.array([[0.0, 2.5], [2.5, 0.0]])

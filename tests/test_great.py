@@ -168,6 +168,10 @@ class TestGreatSelect:
         with pytest.raises(ConfigInvalid):
             great_select(rng.random((3, 2)), tau=0.2, T=5, eta=0.1)
 
+    def test_validate_weights_rejects_nan(self):
+        with pytest.raises(ConfigInvalid, match="finite"):
+            validate_weights([np.nan, 0.5, 0.5])
+
     def test_annihilating_update_recovers_and_is_recorded(self, rng, monkeypatch):
         # Reachable only with uncalibrated gradients; force it by stubbing
         # the calibration to return a large all-positive dual vector.

@@ -67,6 +67,17 @@ class TestTuLoader:
         with pytest.raises(ParseError, match=":2:"):
             io.load_tudataset(d)
 
+    def test_graph_id_below_one_rejected(self, tmp_path):
+        # Id 0 would index graph -1 and join the last graph.
+        d = write_tu(tmp_path, indicator=(1, 1, 0), labels=(1,))
+        with pytest.raises(ParseError, match=":0: graph ids must count from 1"):
+            io.load_tudataset(d)
+
+    def test_non_finite_attribute_is_a_schema_error(self, tmp_path):
+        d = write_tu(tmp_path, attributes=["0.5, 1.0", "nan, 3.0", "4.0, 5.0"])
+        with pytest.raises(SchemaError, match="finite"):
+            io.load_tudataset(d)
+
     def test_cross_graph_edge_rejected(self, tmp_path):
         d = write_tu(tmp_path, edges=((1, 3),))
         with pytest.raises(ParseError, match="crosses"):
@@ -90,6 +101,36 @@ class TestTuLoader:
         assert io.dataset_hash(io.load_dataset(out)) == io.dataset_hash(ds)
         with pytest.raises(ParseError):
             io.load_dataset(tmp_path / "nope.txt")
+
+
+def write_json_dataset(path, edges=((0, 1),), features=((0.5,), (1.0,), (2.0,)),
+                       label=0, label_set=(0, 1)):
+    graph = {"n": 3, "edges": [list(e) for e in edges],
+             "features": [list(r) for r in features], "label": label}
+    path.write_text(json.dumps({"graphs": [graph], "label_set": list(label_set)}))
+    return path
+
+
+class TestJsonLoader:
+    @pytest.mark.parametrize("edge", [(0, -1), (0, 3)], ids=["minus-one", "n"])
+    def test_endpoint_outside_the_nodes_is_a_dangling_edge(self, tmp_path, edge):
+        # -1 used to wrap round to node 2 and add the edge 0-2.
+        with pytest.raises(DanglingEdge):
+            AttributedGraph.from_edges(3, [edge])
+        with pytest.raises(DanglingEdge):
+            io.load_dataset_json(write_json_dataset(tmp_path / "ds.json", edges=[edge]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_feature_is_a_schema_error(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="finite"):
+            AttributedGraph(np.zeros((2, 2)), features=[[0.0], [bad]])
+        path = write_json_dataset(tmp_path / "ds.json", features=((0.5,), (bad,), (2.0,)))
+        with pytest.raises(SchemaError, match="finite"):
+            io.load_dataset_json(path)
+
+    def test_label_outside_the_label_set_is_a_schema_error(self, tmp_path):
+        with pytest.raises(SchemaError, match=r"labels \[7\] not in label_set"):
+            io.load_dataset_json(write_json_dataset(tmp_path / "ds.json", label=7))
 
 
 class TestCovariateSplit:
@@ -149,6 +190,21 @@ class TestCovariateSplit:
         again = io.load_split(path)
         assert again == split
 
+    def test_split_of_another_dataset_rejected(self, tmp_path):
+        g = AttributedGraph(np.zeros((1, 1)))
+        ds = LabeledGraphDataset([g] * 8, [0] * 8)
+        split = io.covariate_split(ds, "density")
+        path = tmp_path / "split.json"
+        io.save_split(split, path, dataset_digest=io.dataset_hash(ds))
+        assert io.load_split(path, expected_hash=io.dataset_hash(ds)) == split
+        with pytest.raises(HashMismatch, match="split was made for dataset"):
+            io.load_split(path, expected_hash="0" * 64)
+
+    def test_split_without_a_stored_hash_loads(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"train": [0, 1, 2], "val": [3], "test": [4]}))
+        assert io.load_split(path, expected_hash="0" * 64).train_idx == (0, 1, 2)
+
     def test_overlapping_split_rejected(self):
         with pytest.raises(SchemaError):
             io.DomainSplit(train_idx=(0, 1), val_idx=(1,), test_idx=(2,))
@@ -178,6 +234,15 @@ class TestSelectionPersistence:
         payload["weights"] = [0.25, 0.25, 0.25, 0.25]
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError):
+            io.load_selection(path)
+
+    def test_nan_weight_rejected(self, tmp_path, result):
+        path = tmp_path / "sel.json"
+        io.save_selection(result, path)
+        payload = json.loads(path.read_text())
+        payload["weights"][0] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match="probability vector"):
             io.load_selection(path)
 
     def test_hash_mismatch_without_force(self, tmp_path, result):

@@ -59,6 +59,12 @@ class TestExactSolver:
             solve_exact_ot(np.zeros((2, 2)), [0.7, 0.7], [0.5, 0.5])
         with pytest.raises(InfeasibleMarginals):
             solve_exact_ot(np.zeros((2, 2)), [1.5, -0.5], [0.5, 0.5])
+        # A NaN atom must not pass as zero mass.
+        nan_p = [np.nan, 0.5, 0.5]
+        with pytest.raises(InfeasibleMarginals, match="non-finite"):
+            solve_exact_ot(np.ones((3, 2)), nan_p, [0.5, 0.5])
+        with pytest.raises(InfeasibleMarginals, match="non-finite"):
+            solve_sinkhorn(np.ones((3, 2)), nan_p, [0.5, 0.5], epsilon=0.1)
 
     def test_rejects_bad_cost(self):
         with pytest.raises(ValueError):

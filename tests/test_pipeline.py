@@ -89,7 +89,7 @@ class TestBuildCost:
         cost = build_cost(train, val, SelectionConfig(tau=1.0, c=c, alpha=0.5, seed=0))
         assert direct == gdd_from_cost(cost)[0]
 
-    @pytest.mark.parametrize("change", [{"fgw_max_iter": 3}, {"inner_tol": 1e-3}])
+    @pytest.mark.parametrize("change", [{"alpha": 0.3}, {"seed": 1}])
     def test_fgw_settings_are_part_of_the_cache_key(self, tmp_path, monkeypatch, change):
         rng = np.random.default_rng(14)
         train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
