@@ -65,10 +65,20 @@ def _dump_json(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n").encode()
 
 
+def _read_text(path) -> str:
+    """A file's text; bytes that are not UTF-8 are a ParseError at their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1,
+                         f"not UTF-8 text (byte {data[exc.start]:#04x})") from None
+
+
 def _read_json(path):
     """The parsed contents of a JSON file; a decode error is a ParseError."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.msg) from None
 
@@ -78,7 +88,7 @@ def _read_json(path):
 
 def _nonblank_lines(path: Path):
     """(1-based line number, stripped text) of each nonblank line of a file."""
-    for ln, raw in enumerate(path.read_text().splitlines(), start=1):
+    for ln, raw in enumerate(_read_text(path).splitlines(), start=1):
         raw = raw.strip()
         if raw:
             yield ln, raw
@@ -351,6 +361,10 @@ def _validate_selection_payload(payload) -> None:
         raise SchemaError(f"selection JSON missing fields {sorted(missing)}")
     indices = payload["indices"]
     weights = payload["weights"]
+    if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+        raise SchemaError("selection indices must be a list of integers")
+    if not isinstance(weights, list) or any(type(x) not in (int, float) for x in weights):
+        raise SchemaError("selection weights must be a list of numbers")
     if len(set(indices)) != len(indices):
         raise SchemaError("selection indices contain duplicates")
     if any(i < 0 for i in indices):

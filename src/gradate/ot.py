@@ -4,7 +4,10 @@ Two solvers share one result type: an exact transportation-LP solver that
 also returns optimal dual potentials, and an entropic (Sinkhorn) solver with
 log-domain potentials. The exact duals are the gradient carrier used by the
 selection loop, so their feasibility and strong duality are part of the
-contract here, not an afterthought.
+contract here, not an afterthought. Every exact LP is one dual-simplex run of
+HiGHS, called directly through scipy's private bindings with the options and
+model of `linprog(method="highs-ds")`, so it returns `linprog`'s bits without
+its per-call Python overhead.
 
 The FGW linear step also has a private assignment path for uniform weights,
 `_unique_uniform_vertex`, which returns a coupling only when it is certified
@@ -19,7 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
+from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsOptions,
+                                           MatrixFormat, _Highs, kHighsInf)
 from scipy.special import logsumexp
 
 from .errors import InfeasibleMarginals, NonConvergence, NumericalFailure
@@ -79,11 +84,14 @@ def _transport_constraints(n: int, m: int):
 def solve_exact_ot(cost, p, q) -> TransportSolution:
     """Exact OT(p, q, cost) via the transportation linear program.
 
-    Returns an optimal basic solution together with optimal dual potentials.
-    Zero-mass atoms are dropped before the solve and re-inserted afterwards:
-    their coupling rows/columns are zero and their duals are set to the
-    tightest reduced-cost-feasible value, so a sparsified training measure
-    still yields a full-length, feasible dual vector.
+    Returns an optimal basic solution together with optimal dual potentials:
+    the vertex and row duals of HiGHS's dual simplex, the same bits as
+    `linprog(method="highs-ds")` gives. Any HiGHS outcome other than optimal
+    raises NumericalFailure. Zero-mass atoms are dropped before the solve and
+    re-inserted afterwards: their coupling rows/columns are zero and their
+    duals are set to the tightest reduced-cost-feasible value, so a
+    sparsified training measure still yields a full-length, feasible dual
+    vector.
     """
     cost = as_cost_matrix(cost)
     n, m = cost.shape
@@ -96,23 +104,11 @@ def solve_exact_ot(cost, p, q) -> TransportSolution:
     ps, qs = p[keep_i], q[keep_j]
     ns, ms = len(keep_i), len(keep_j)
 
-    # Dual simplex guarantees an optimal *basic* solution (a vertex of the
-    # transportation polytope) along with exact LP duals.
-    res = linprog(
-        sub.ravel(),
-        A_eq=_transport_constraints(ns, ms),
-        b_eq=np.concatenate([ps, qs]),
-        bounds=(0, None),
-        method="highs-ds",
-    )
-    if res.status != 0:
-        raise NumericalFailure(f"transportation LP failed: {res.message}")
-
+    x, duals, value = _solve_transport_lp(sub.ravel(), np.concatenate([ps, qs]), ns, ms)
     coupling = np.zeros((n, m))
-    coupling[np.ix_(keep_i, keep_j)] = res.x.reshape(ns, ms)
+    coupling[np.ix_(keep_i, keep_j)] = x.reshape(ns, ms)
     beta = np.empty(n)
     psi = np.empty(m)
-    duals = res.eqlin.marginals
     beta[keep_i] = duals[:ns]
     psi[keep_j] = duals[ns:]
     # Extend duals to zero-mass atoms: columns first against the kept rows,
@@ -124,15 +120,61 @@ def solve_exact_ot(cost, p, q) -> TransportSolution:
     if drop_i.size:
         beta[drop_i] = np.min(cost[drop_i] - psi[None, :], axis=1)
 
-    return TransportSolution(float(res.fun), coupling, beta, psi)
+    return TransportSolution(value, coupling, beta, psi)
+
+
+# The HiGHS options `linprog(method="highs-ds")` passes: presolve on, dual
+# simplex, no debug checks, no output. Changing any of them can change the
+# vertex HiGHS picks on a tie, and so the selections.
+_HIGHS_OPTIONS = HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.solver = "simplex"
+_HIGHS_OPTIONS.simplex_strategy = 1  # dual
+_HIGHS_OPTIONS.highs_debug_level = 0
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+
+
+def _solve_transport_lp(c: np.ndarray, b: np.ndarray, n: int, m: int):
+    """x, row duals and objective of the (n, m) transportation LP min c @ x, A x = b, x >= 0.
+
+    One dual-simplex HiGHS run on a fresh instance, the model `linprog`
+    would pass. Unlike `linprog` it reads no basis, so nothing loops over the
+    n * m columns in Python. A fresh instance per call carries no state from
+    one LP to the next, and peaks lower in memory than one reused instance.
+    """
+    A = _transport_constraints(n, m)
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = b.size
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(c.size)
+    lp.col_upper_ = np.full(c.size, kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b
+    highs = _Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise NumericalFailure(
+            f"transportation LP failed: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    return (np.array(solution.col_value), np.array(solution.row_dual),
+            highs.getInfo().objective_function_value)
 
 
 # Largest lcm(n, m) the assignment path takes, at the measured crossover:
-# its two L x L assignments grow as L^3, `linprog` barely with L. On a 2-vCPU
-# VM (median of six Gaussian costs per shape) it won at every L up to 204,
-# broke even at 210 (3.9-5.8 ms against 4.9-6.1 ms) and lost on most shapes
-# from 228 on (7.3-10.4 ms against 7.1-9.4 ms at 240).
-_ASSIGNMENT_MAX_LCM = 210
+# its two L x L assignments grow as L^3, the direct HiGHS LP barely with L.
+# On a 2-vCPU VM (40 Gaussian costs per lcm, the best of five timings of
+# each) it won at every lcm up to 126 (1.0 against 1.1 ms there), broke even
+# from 130 to 140 (time ratios 0.93-1.10) and lost from 143 on (3.2 against
+# 1.4 ms at 210).
+_ASSIGNMENT_MAX_LCM = 126
 
 
 def _unique_uniform_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
@@ -230,15 +272,20 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
     ps, qs = p[keep_i], q[keep_j]
     logp, logq = np.log(ps), np.log(qs)
 
-    f = np.zeros(len(keep_i))
-    g = np.zeros(len(keep_j))
+    def f_update(g):
+        return -epsilon * (logsumexp((g[None, :] - sub) / epsilon + logq[None, :], axis=1))
+
+    # At potentials (f, g) the coupling's row sums are ps * exp((f - f_next) / eps),
+    # f_next the next f-update, and after the g-update its column sums are qs
+    # to rounding. So the stopping test needs no coupling, and f_next is
+    # carried into the next sweep.
+    f_next = f_update(np.zeros(len(keep_j)))
     err = np.inf
     for _ in range(max_iter):
-        f = -epsilon * (logsumexp((g[None, :] - sub) / epsilon + logq[None, :], axis=1))
+        f = f_next
         g = -epsilon * (logsumexp((f[:, None] - sub) / epsilon + logp[:, None], axis=0))
-        log_pi = (f[:, None] + g[None, :] - sub) / epsilon + logp[:, None] + logq[None, :]
-        pi = np.exp(log_pi)
-        err = max(np.abs(pi.sum(axis=1) - ps).max(), np.abs(pi.sum(axis=0) - qs).max())
+        f_next = f_update(g)
+        err = np.abs(ps * np.expm1((f - f_next) / epsilon)).max()
         if err <= tol:
             break
     else:
@@ -246,6 +293,7 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
             f"sinkhorn marginal violation {err:.3e} > {tol:.3e} after {max_iter} iterations"
         )
 
+    pi = np.exp((f[:, None] + g[None, :] - sub) / epsilon + logp[:, None] + logq[None, :])
     coupling = np.zeros((n, m))
     coupling[np.ix_(keep_i, keep_j)] = pi
     beta = np.empty(n)

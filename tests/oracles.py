@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here is deliberately naive: enumeration and finite differences
-only, no shared code with the solvers under test.
+Everything here is deliberately naive: enumeration, finite differences and
+a Sinkhorn loop that tests the coupling it builds, no shared code with the
+solvers under test.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.special import logsumexp
 
 
 def enumerate_transport_tables(supplies, demands):
@@ -93,3 +95,25 @@ def random_rational_marginal(rng, size, total):
     parts = np.diff(np.concatenate([[0], cuts, [total]]))
     assert parts.sum() == total and np.all(parts >= 1)
     return parts.astype(np.int64)
+
+
+def sinkhorn_coupling_per_sweep(cost, p, q, epsilon, max_iter=10_000, tol=1e-9):
+    """Log-domain Sinkhorn that builds the coupling on every sweep to test it.
+
+    The loop `solve_sinkhorn` ran before it tested the row sums in closed
+    form. Returns (f, g, coupling, sweeps) for strictly positive p and q,
+    or None when `max_iter` sweeps do not reach `tol`.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    logp, logq = np.log(p), np.log(q)
+    f = np.zeros(len(p))
+    g = np.zeros(len(q))
+    for sweep in range(1, max_iter + 1):
+        f = -epsilon * (logsumexp((g[None, :] - cost) / epsilon + logq[None, :], axis=1))
+        g = -epsilon * (logsumexp((f[:, None] - cost) / epsilon + logp[:, None], axis=0))
+        log_pi = (f[:, None] + g[None, :] - cost) / epsilon + logp[:, None] + logq[None, :]
+        pi = np.exp(log_pi)
+        err = max(np.abs(pi.sum(axis=1) - p).max(), np.abs(pi.sum(axis=0) - q).max())
+        if err <= tol:
+            return f, g, pi, sweep
+    return None

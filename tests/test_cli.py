@@ -304,6 +304,29 @@ class TestGdd:
         assert out == ""
         assert message in err
 
+    def test_selection_weight_of_the_wrong_type_exits_2(self, workdir, capsys):
+        write_two_domain_json(workdir / "ds.json", seed=15)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        run(capsys, "select", "ds.json", "split.json", "--method", "random",
+            "--tau", "0.5", "--seed", "2", "--out", "sel.json")
+        payload = json.loads((workdir / "sel.json").read_text())
+        payload["weights"][0] = "a"
+        (workdir / "sel.json").write_text(json.dumps(payload))
+        code, out, err = run(capsys, "gdd", "ds.json", "split.json", "--weights", "sel.json")
+        assert code == 2
+        assert out == ""
+        assert "selection weights must be a list of numbers" in err
+
+    def test_dataset_that_is_not_utf8_exits_2(self, workdir, capsys):
+        write_copies_json(workdir / "copies.json")
+        run(capsys, "split", "copies.json", "--out", "split.json")
+        text = (workdir / "copies.json").read_bytes()
+        (workdir / "copies.json").write_bytes(text.replace(b'"label_set"', b'"label_\xffset"'))
+        code, out, err = run(capsys, "gdd", "copies.json", "split.json")
+        assert code == 2
+        assert out == ""
+        assert "error: copies.json:1: not UTF-8 text (byte 0xff)" in err
+
     @pytest.mark.parametrize("fault, message", [
         ("dangling-edge", "edge (0, -1) leaves the nodes 0..2"),
         ("nan-feature", "feature entries must be finite"),

@@ -78,6 +78,12 @@ class TestTuLoader:
         with pytest.raises(SchemaError, match="finite"):
             io.load_tudataset(d)
 
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        d = write_tu(tmp_path)
+        (d / "DS_graph_labels.txt").write_bytes(b"1\n\xff2\n")
+        with pytest.raises(ParseError, match=r"DS_graph_labels.txt:2: not UTF-8 text \(byte 0xff\)"):
+            io.load_tudataset(d)
+
     def test_cross_graph_edge_rejected(self, tmp_path):
         d = write_tu(tmp_path, edges=((1, 3),))
         with pytest.raises(ParseError, match="crosses"):
@@ -126,6 +132,12 @@ class TestJsonLoader:
             AttributedGraph(np.zeros((2, 2)), features=[[0.0], [bad]])
         path = write_json_dataset(tmp_path / "ds.json", features=((0.5,), (bad,), (2.0,)))
         with pytest.raises(SchemaError, match="finite"):
+            io.load_dataset_json(path)
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = write_json_dataset(tmp_path / "ds.json")
+        path.write_bytes(b'{"graphs": [],\n "label_set": ["\xff"]}')
+        with pytest.raises(ParseError, match=r"ds.json:2: not UTF-8 text \(byte 0xff\)"):
             io.load_dataset_json(path)
 
     def test_label_outside_the_label_set_is_a_schema_error(self, tmp_path):
@@ -244,6 +256,35 @@ class TestSelectionPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match="probability vector"):
             io.load_selection(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("weights", "a", "weights must be a list of numbers"),
+        ("weights", True, "weights must be a list of numbers"),
+        ("weights", None, "weights must be a list of numbers"),
+        ("indices", "a", "indices must be a list of integers"),
+        ("indices", False, "indices must be a list of integers"),
+        ("indices", None, "indices must be a list of integers"),
+        ("indices", 1.0, "indices must be a list of integers"),
+    ], ids=["weight-str", "weight-bool", "weight-null", "index-str", "index-bool",
+            "index-null", "index-float"])
+    def test_entry_of_the_wrong_type_rejected(self, tmp_path, result, field, value,
+                                              message):
+        path = tmp_path / "sel.json"
+        io.save_selection(result, path)
+        payload = json.loads(path.read_text())
+        payload[field][0] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=message):
+            io.load_selection(path)
+
+    def test_fields_that_are_not_lists_rejected(self, tmp_path, result):
+        path = tmp_path / "sel.json"
+        io.save_selection(result, path)
+        payload = json.loads(path.read_text())
+        for field in ("indices", "weights"):
+            path.write_text(json.dumps({**payload, field: None}))
+            with pytest.raises(SchemaError, match=f"{field} must be a list"):
+                io.load_selection(path)
 
     def test_hash_mismatch_without_force(self, tmp_path, result):
         path = tmp_path / "sel.json"

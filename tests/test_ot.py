@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import gradate.ot as ot
 from gradate import (AttributedGraph, LabeledGraphDataset, calibrate_duals,
                      degree_one_hot_features, solve_exact_ot, solve_sinkhorn)
-from gradate.errors import InfeasibleMarginals, NonConvergence
+from gradate.errors import InfeasibleMarginals, NonConvergence, NumericalFailure
 from gradate.fgw import FGWConfig, _lp_vertex, _QuadObjective
 from gradate.ot import _unique_uniform_vertex, as_cost_matrix
 
@@ -14,6 +16,7 @@ from oracles import (
     brute_force_assignment,
     brute_force_ot,
     random_rational_marginal,
+    sinkhorn_coupling_per_sweep,
 )
 
 
@@ -134,8 +137,64 @@ def _uniform(n):
     return np.full(n, 1.0 / n)
 
 
+def _random_marginal(rng, size):
+    v = rng.random(size) + 0.1
+    return v / v.sum()
+
+
+class TestDirectHighs:
+    """The direct HiGHS call against `linprog(method="highs-ds")`, bit for bit."""
+
+    @staticmethod
+    def assert_linprog_bits(cost, p, q):
+        sol = solve_exact_ot(cost, p, q)
+        keep_i, keep_j = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
+        ns, ms = len(keep_i), len(keep_j)
+        res = linprog(cost[np.ix_(keep_i, keep_j)].ravel(),
+                      A_eq=ot._transport_constraints(ns, ms),
+                      b_eq=np.concatenate([p[keep_i], q[keep_j]]),
+                      bounds=(0, None), method="highs-ds")
+        assert res.status == 0
+        assert np.array_equal(sol.coupling[np.ix_(keep_i, keep_j)].ravel(), res.x)
+        assert np.count_nonzero(sol.coupling) == np.count_nonzero(res.x)
+        assert np.array_equal(sol.dual_source[keep_i], res.eqlin.marginals[:ns])
+        assert np.array_equal(sol.dual_target[keep_j], res.eqlin.marginals[ns:])
+        assert sol.value == res.fun
+
+    def test_outer_lp_with_zero_weight_rows(self):
+        rng = np.random.default_rng(21)
+        p = np.zeros(300)
+        kept = rng.choice(300, size=200, replace=False)
+        p[kept] = _random_marginal(rng, 200)
+        self.assert_linprog_bits(rng.random((300, 100)), p, _uniform(100))
+
+    @pytest.mark.parametrize("shape", [(100, 33), (60, 20), (7, 2)])
+    def test_label_table_shapes(self, shape):
+        # The class-pair LPs: uniform weights over the graphs of one class.
+        rng = np.random.default_rng(shape[0])
+        cost = rng.random(shape) ** 2
+        self.assert_linprog_bits(cost, _uniform(shape[0]), _uniform(shape[1]))
+
+    def test_tied_integer_inner_lps(self):
+        # Integer FW gradients tie often, so the vertex is HiGHS's choice.
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            n, m = (int(x) for x in rng.integers(2, 10, size=2))
+            cost = rng.integers(0, 3, size=(n, m)).astype(float)
+            self.assert_linprog_bits(cost, _uniform(n), _uniform(m))
+
+    def test_status_other_than_optimal_is_a_numerical_failure(self, monkeypatch):
+        class Infeasible(ot._Highs):
+            def getModelStatus(self):
+                return HighsModelStatus.kInfeasible
+
+        monkeypatch.setattr(ot, "_Highs", Infeasible)
+        with pytest.raises(NumericalFailure, match="transportation LP failed: Infeasible"):
+            solve_exact_ot(np.ones((2, 3)), _uniform(2), _uniform(3))
+
+
 def _lp_coupling(cost, p, q):
-    """The `linprog` vertex of a signed cost, shifted as the FGW step does."""
+    """The LP vertex of a signed cost, shifted as the FGW step does."""
     return solve_exact_ot(cost - min(cost.min(), 0.0), p, q).coupling
 
 
@@ -220,11 +279,12 @@ class TestUniformAssignmentVertex:
         assert _unique_uniform_vertex(cost, p, _uniform(5)) is None
         assert np.array_equal(_lp_vertex(cost, p, _uniform(5)),
                               _lp_coupling(cost, p, _uniform(5)))
-        n, m = 16, 15  # lcm 240
+        n, m = 16, 9  # lcm 144
         assert np.lcm(n, m) > ot._ASSIGNMENT_MAX_LCM
         cost = rng.standard_normal((n, m))
         assert _unique_uniform_vertex(cost, _uniform(n), _uniform(m)) is None
-        assert _unique_uniform_vertex(cost[:15, :14], _uniform(15), _uniform(14)) is not None
+        assert np.lcm(14, m) <= ot._ASSIGNMENT_MAX_LCM  # lcm 126
+        assert _unique_uniform_vertex(cost[:14], _uniform(14), _uniform(m)) is not None
 
 
 class TestSinkhorn:
@@ -289,6 +349,30 @@ class TestSinkhorn:
         q /= q.sum()
         with pytest.raises(NonConvergence):
             solve_sinkhorn(cost, p, q, epsilon=0.001, max_iter=2, tol=1e-12)
+
+    @pytest.mark.parametrize("seed, shape, scale, epsilon, uniform", [
+        (0, (180, 60), 20.0, 0.5, True),
+        (1, (30, 30), 1.0, 0.003, False),
+        (3, (50, 20), 2.0, 0.01, False),
+        (6, (12, 9), 1.0, 0.005, False),
+    ])
+    def test_same_bits_and_sweeps_as_testing_the_coupling(self, seed, shape, scale,
+                                                          epsilon, uniform):
+        rng = np.random.default_rng(seed)
+        cost = scale * rng.random(shape)
+        n, m = shape
+        if uniform:
+            p, q = _uniform(n), _uniform(m)
+        else:
+            p, q = _random_marginal(rng, n), _random_marginal(rng, m)
+        f, g, pi, sweeps = sinkhorn_coupling_per_sweep(cost, p, q, epsilon)
+        sol = solve_sinkhorn(cost, p, q, epsilon, max_iter=sweeps)
+        assert np.array_equal(sol.coupling, pi)
+        assert np.array_equal(sol.dual_source, f)
+        assert np.array_equal(sol.dual_target, g)
+        assert sol.value == float(np.sum(pi * cost))
+        with pytest.raises(NonConvergence):
+            solve_sinkhorn(cost, p, q, epsilon, max_iter=sweeps - 1)
 
     def test_zero_atoms_supported(self):
         cost = np.array([[0.0, 2.0], [1.0, 0.5], [3.0, 1.0]])
