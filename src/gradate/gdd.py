@@ -9,6 +9,7 @@ block as cost. With label weight c=0 the label structure drops out exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,8 +109,8 @@ def label_informed_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     bit-identical to D and no label distance is ever computed, so unlabeled
     validation data degrades gracefully.
     """
-    if c < 0:
-        raise ConfigInvalid(f"label weight c must be >= 0, got {c}")
+    if not (math.isfinite(c) and c >= 0):
+        raise ConfigInvalid(f"label weight c must be finite and >= 0, got {c}")
     D = np.asarray(D, dtype=np.float64)
     if D.shape != (len(train), len(val)):
         raise DimensionMismatch(

@@ -134,8 +134,8 @@ def great_select(dtilde, tau: float, T: int, eta: float,
         raise ConfigInvalid(f"tau must be in (0, 1], got {tau}")
     if T < 2:
         raise ConfigInvalid(f"T must be >= 2, got {T}")
-    if eta < 0:
-        raise ConfigInvalid(f"eta must be >= 0, got {eta}")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ConfigInvalid(f"eta must be finite and >= 0, got {eta}")
     budget = floor_budget(n, tau)
     if budget < 1:
         raise ConfigInvalid(f"floor(n * tau) = {budget}; nothing would be selected")

@@ -7,7 +7,10 @@ selection loop, so their feasibility and strong duality are part of the
 contract here, not an afterthought. Every exact LP is one dual-simplex run of
 HiGHS, called directly through scipy's private bindings with the options and
 model of `linprog(method="highs-ds")`, so it returns `linprog`'s bits without
-its per-call Python overhead.
+its per-call Python overhead; the model goes in as NumPy buffers. Sinkhorn's
+log-sum-exp is `_logsumexp`, scipy 1.17's arithmetic in plain NumPy, so its
+bits no longer depend on the installed scipy. Neither solver copies the cost
+or the coupling when no atom has zero mass.
 
 The FGW linear step also has a private assignment path for uniform weights,
 `_unique_uniform_vertex`, which returns a coupling only when it is certified
@@ -18,14 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linear_sum_assignment
-from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsOptions,
-                                           MatrixFormat, _Highs, kHighsInf)
-from scipy.special import logsumexp
+from scipy.optimize._highspy._core import HighsModelStatus, HighsOptions, _Highs, kHighsInf
 
 from .errors import InfeasibleMarginals, NonConvergence, NumericalFailure
 
@@ -52,9 +51,9 @@ def as_cost_matrix(values) -> np.ndarray:
     cost = np.asarray(values, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
-    if np.any(cost < 0):
+    if (cost < 0).any():
         raise ValueError("cost matrix entries must be nonnegative")
     return cost
 
@@ -64,21 +63,13 @@ def _check_marginal(v, size: int, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (size,):
         raise InfeasibleMarginals(f"{name} has shape {v.shape}, expected ({size},)")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InfeasibleMarginals(f"{name} has non-finite entries")
-    if np.any(v < -SIMPLEX_TOL):
+    if (v < -SIMPLEX_TOL).any():
         raise InfeasibleMarginals(f"{name} has negative entries")
     if abs(v.sum() - 1.0) > SIMPLEX_TOL:
         raise InfeasibleMarginals(f"{name} sums to {v.sum()!r}, expected 1")
     return np.maximum(v, 0.0)
-
-
-@lru_cache(maxsize=128)
-def _transport_constraints(n: int, m: int):
-    """Sparse equality constraints of the (n, m) transportation polytope."""
-    rows = sparse.kron(sparse.eye(n), np.ones((1, m)))
-    cols = sparse.kron(np.ones((1, n)), sparse.eye(m))
-    return sparse.vstack([rows, cols]).tocsc()
 
 
 def solve_exact_ot(cost, p, q) -> TransportSolution:
@@ -100,6 +91,9 @@ def solve_exact_ot(cost, p, q) -> TransportSolution:
 
     keep_i = np.flatnonzero(p > 0)
     keep_j = np.flatnonzero(q > 0)
+    if len(keep_i) == n and len(keep_j) == m:
+        x, duals, value = _solve_transport_lp(cost.ravel(), np.concatenate([p, q]), n, m)
+        return TransportSolution(value, x.reshape(n, m), duals[:n], duals[n:])
     sub = cost[np.ix_(keep_i, keep_j)]
     ps, qs = p[keep_i], q[keep_j]
     ns, ms = len(keep_i), len(keep_j)
@@ -138,26 +132,23 @@ _HIGHS_OPTIONS.log_to_console = False
 def _solve_transport_lp(c: np.ndarray, b: np.ndarray, n: int, m: int):
     """x, row duals and objective of the (n, m) transportation LP min c @ x, A x = b, x >= 0.
 
-    One dual-simplex HiGHS run on a fresh instance, the model `linprog`
-    would pass. Unlike `linprog` it reads no basis, so nothing loops over the
-    n * m columns in Python. A fresh instance per call carries no state from
-    one LP to the next, and peaks lower in memory than one reused instance.
+    One dual-simplex HiGHS run on a fresh instance, with the model `linprog`
+    would pass: the n + m equality rows, then the n * m columns, column
+    k = i * m + j with a 1 in rows i and n + j. Both go in as NumPy buffers,
+    so no Python loop touches the columns, and unlike `linprog` it reads no
+    basis. A fresh instance per call carries no state from one LP to the
+    next, and peaks lower in memory than one reused instance.
     """
-    A = _transport_constraints(n, m)
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = b.size
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(c.size)
-    lp.col_upper_ = np.full(c.size, kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = b
+    k = np.arange(n * m, dtype=np.int32)
+    index = np.empty(2 * k.size, dtype=np.int32)
+    index[0::2] = k // m
+    index[1::2] = n + k % m
     highs = _Highs()
     highs.passOptions(_HIGHS_OPTIONS)
-    highs.passModel(lp)
+    no_entries = np.empty(0, dtype=np.int32)
+    highs.addRows(b.size, b, b, 0, no_entries, no_entries, np.empty(0))
+    highs.addCols(c.size, c, np.zeros(c.size), np.full(c.size, kHighsInf),
+                  index.size, 2 * k, index, np.ones(index.size))
     highs.run()
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
@@ -255,12 +246,15 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
     """Entropic OT via log-domain Sinkhorn iterations.
 
     The reported value is <coupling, cost> without the regularization term;
-    dual_source/dual_target are the converged potentials. Raises
+    dual_source/dual_target are the converged potentials. Each half-sweep is
+    one `_logsumexp`, which gives the bits of scipy 1.17's `logsumexp`.
+    Zero-mass atoms are dropped before the sweeps and re-inserted after.
+    Raises ValueError unless epsilon is positive and finite, and
     NonConvergence when the marginal violation still exceeds `tol` after
     `max_iter` sweeps.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     cost = as_cost_matrix(cost)
     n, m = cost.shape
     p = _check_marginal(p, n, "source marginal p")
@@ -268,12 +262,15 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
 
     keep_i = np.flatnonzero(p > 0)
     keep_j = np.flatnonzero(q > 0)
-    sub = cost[np.ix_(keep_i, keep_j)]
-    ps, qs = p[keep_i], q[keep_j]
+    whole = len(keep_i) == n and len(keep_j) == m
+    if whole:
+        sub, ps, qs = np.ascontiguousarray(cost), p, q
+    else:
+        sub, ps, qs = cost[np.ix_(keep_i, keep_j)], p[keep_i], q[keep_j]
     logp, logq = np.log(ps), np.log(qs)
 
     def f_update(g):
-        return -epsilon * (logsumexp((g[None, :] - sub) / epsilon + logq[None, :], axis=1))
+        return -epsilon * (_logsumexp((g[None, :] - sub) / epsilon + logq[None, :], axis=1))
 
     # At potentials (f, g) the coupling's row sums are ps * exp((f - f_next) / eps),
     # f_next the next f-update, and after the g-update its column sums are qs
@@ -283,7 +280,7 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
     err = np.inf
     for _ in range(max_iter):
         f = f_next
-        g = -epsilon * (logsumexp((f[:, None] - sub) / epsilon + logp[:, None], axis=0))
+        g = -epsilon * (_logsumexp((f[:, None] - sub) / epsilon + logp[:, None], axis=0))
         f_next = f_update(g)
         err = np.abs(ps * np.expm1((f - f_next) / epsilon)).max()
         if err <= tol:
@@ -294,6 +291,8 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
         )
 
     pi = np.exp((f[:, None] + g[None, :] - sub) / epsilon + logp[:, None] + logq[None, :])
+    if whole:
+        return TransportSolution(float(np.sum(pi * cost)), pi, f, g)
     coupling = np.zeros((n, m))
     coupling[np.ix_(keep_i, keep_j)] = pi
     beta = np.empty(n)
@@ -303,17 +302,37 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
     drop_j = np.flatnonzero(q <= 0)
     if drop_j.size:
         # Soft-min extension of the potentials to unused atoms.
-        psi[drop_j] = -epsilon * logsumexp(
+        psi[drop_j] = -epsilon * _logsumexp(
             (beta[keep_i, None] - cost[np.ix_(keep_i, drop_j)]) / epsilon
             + logp[:, None], axis=0)
     drop_i = np.flatnonzero(p <= 0)
     if drop_i.size:
-        beta[drop_i] = -epsilon * logsumexp(
+        beta[drop_i] = -epsilon * _logsumexp(
             (psi[None, :] - cost[drop_i]) / epsilon
             + np.log(np.maximum(q[None, :], 1e-300)), axis=1)
 
     value = float(np.sum(coupling * cost))
     return TransportSolution(value, coupling, beta, psi)
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a), axis)) with the arithmetic of scipy 1.17's `logsumexp`.
+
+    The maximum and its ties are taken out of the sum: the rest is
+    exponentiated against the maximum and summed, then divided by the number
+    of ties, and the result is log1p(sum) + log(ties) + maximum. These are
+    scipy's operations in scipy's order, so the bits agree, without its
+    array-API dispatch and its second, unshifted pass. Non-finite input gives
+    scipy's result as well: -inf, inf or NaN.
+    """
+    amax = a.max(axis=axis, keepdims=True)
+    ties = a == amax
+    count = ties.sum(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # as scipy, for inf - inf
+        rest = np.exp(a - amax)
+        rest[ties] = 0.0
+        out = np.log1p(rest.sum(axis=axis, keepdims=True) / count) + np.log(count) + amax
+    return out.squeeze(axis)
 
 
 def calibrate_duals(sol: TransportSolution) -> TransportSolution:

@@ -7,6 +7,7 @@ Downstream consumers cannot distinguish them except by the method field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -54,16 +55,16 @@ class SelectionConfig:
         if not 0.0 < self.tau <= 1.0:
             raise ConfigInvalid(f"tau must be in (0, 1], got {self.tau}")
         self.fgw_config()  # checks alpha
-        if self.c < 0:
-            raise ConfigInvalid(f"c must be >= 0, got {self.c}")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ConfigInvalid(f"c must be finite and >= 0, got {self.c}")
         if self.T < 2:
             raise ConfigInvalid(f"T must be >= 2, got {self.T}")
-        if self.eta < 0:
-            raise ConfigInvalid(f"eta must be >= 0, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ConfigInvalid(f"eta must be finite and >= 0, got {self.eta}")
         if self.solver not in ("exact", "sinkhorn"):
             raise ConfigInvalid(f"solver must be 'exact' or 'sinkhorn', got {self.solver!r}")
-        if self.solver == "sinkhorn" and self.epsilon <= 0:
-            raise ConfigInvalid("sinkhorn epsilon must be positive")
+        if self.solver == "sinkhorn" and not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigInvalid(f"sinkhorn epsilon must be finite and > 0, got {self.epsilon}")
 
     def fgw_config(self) -> FGWConfig:
         return FGWConfig(alpha=self.alpha, seed=self.seed)
@@ -102,8 +103,8 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     call that computes it: D on the joint dataset before featurization (the
     featurization is a pure function of it), the train/val shape, the
     resolved reference size and the FGW config; D-tilde on that key plus the
-    effective c, the OT solver and epsilon. At an effective c of 0, D-tilde
-    is D, so only D is cached.
+    effective c, the OT solver and, for Sinkhorn only, epsilon. At an
+    effective c of 0, D-tilde is D, so only D is cached.
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyDataset("train and val must both be nonempty")
@@ -125,7 +126,9 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
         train, val, cfg=fgw_cfg, nbar=nbar))
     if c == 0:
         return label_informed_cost(train, val, D, c)
-    key = {**key, "c": c, "solver": cfg.solver, "epsilon": cfg.epsilon}
+    key = {**key, "c": c, "solver": cfg.solver}
+    if cfg.solver == "sinkhorn":
+        key["epsilon"] = cfg.epsilon
     values = _cached(cache_dir, "Dtilde", key, lambda: label_informed_cost(
         train, val, D, c, cfg.ot_solver()).values)
     return LabelInformedCost(values=values, base=D, c=float(c))

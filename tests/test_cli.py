@@ -252,6 +252,27 @@ class TestGdd:
         assert err.startswith("error: ")
         assert not (workdir / "s.json").exists()
 
+    @pytest.mark.parametrize("command, flags, named", [
+        ("gdd", ["--c", "nan"], "c must be finite"),
+        ("gdd", ["--c", "inf"], "c must be finite"),
+        ("gdd", ["--solver", "sinkhorn", "--epsilon", "nan"], "epsilon must be finite"),
+        ("gdd", ["--solver", "sinkhorn", "--epsilon", "inf"], "epsilon must be finite"),
+        ("select", ["--eta", "nan"], "eta must be finite"),
+        ("select", ["--eta", "inf"], "eta must be finite"),
+    ], ids=["c-nan", "c-inf", "epsilon-nan", "epsilon-inf", "eta-nan", "eta-inf"])
+    def test_non_finite_setting_exits_2_before_any_work(self, workdir, capsys, command,
+                                                        flags, named):
+        write_copies_json(workdir / "copies.json")
+        run(capsys, "split", "copies.json", "--out", "split.json")
+        extra = ("--method", "gradate", "--tau", "0.5", "--out", "s.json")
+        code, out, err = run(capsys, command, "copies.json", "split.json", *flags,
+                             *(extra if command == "select" else ()))
+        assert code == 2
+        assert out == ""
+        assert named in err
+        assert not (workdir / ".gradate_cache").exists()
+        assert not (workdir / "s.json").exists()
+
     def test_config_values_a_flag_could_set_are_accepted(self, workdir, capsys):
         write_copies_json(workdir / "copies.json")
         run(capsys, "split", "copies.json", "--out", "split.json")

@@ -10,7 +10,7 @@ from gradate import (
     label_informed_cost,
     linear_fgw_distance,
 )
-from gradate.errors import AllZeroWeights, EmptyClass, EmptyDataset
+from gradate.errors import AllZeroWeights, ConfigInvalid, EmptyClass, EmptyDataset
 from gradate.fgw import FGWConfig
 from gradate.linear_fgw import BarycentricEmbedding
 
@@ -65,6 +65,13 @@ class TestLabelInformedCost:
         dtilde = label_informed_cost(train, val, D, c=0.0)
         assert np.array_equal(dtilde.values, D)
         assert np.array_equal(dtilde.base, D)
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_c_is_rejected(self, rng, c):
+        train = labeled(rng, [0, 1, 0])
+        val = labeled(rng, [1, 0])
+        with pytest.raises(ConfigInvalid, match="c must be finite"):
+            label_informed_cost(train, val, rng.random((3, 2)), c=c)
 
     def test_single_shared_label_is_constant_shift(self, rng):
         train = labeled(rng, [0, 0, 0])

@@ -165,6 +165,9 @@ class TestGreatSelect:
             great_select(dtilde, tau=0.5, T=1, eta=0.1)
         with pytest.raises(ConfigInvalid):
             great_select(dtilde, tau=0.5, T=5, eta=-1.0)
+        for eta in (np.nan, np.inf):
+            with pytest.raises(ConfigInvalid, match="eta must be finite"):
+                great_select(dtilde, tau=0.5, T=5, eta=eta)
         with pytest.raises(ConfigInvalid):
             great_select(rng.random((3, 2)), tau=0.2, T=5, eta=0.1)
 

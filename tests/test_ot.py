@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.special import logsumexp
 
 import gradate.ot as ot
 from gradate import (AttributedGraph, LabeledGraphDataset, calibrate_duals,
                      degree_one_hot_features, solve_exact_ot, solve_sinkhorn)
 from gradate.errors import InfeasibleMarginals, NonConvergence, NumericalFailure
 from gradate.fgw import FGWConfig, _lp_vertex, _QuadObjective
-from gradate.ot import _unique_uniform_vertex, as_cost_matrix
+from gradate.ot import _logsumexp, _unique_uniform_vertex, as_cost_matrix
 
 from oracles import (
     brute_force_assignment,
@@ -142,6 +144,13 @@ def _random_marginal(rng, size):
     return v / v.sum()
 
 
+def _transport_a_eq(n, m):
+    """The (n + m) x (n * m) equality constraints: row sums, then column sums."""
+    rows = sparse.kron(sparse.eye(n), np.ones((1, m)))
+    cols = sparse.kron(np.ones((1, n)), sparse.eye(m))
+    return sparse.vstack([rows, cols]).tocsc()
+
+
 class TestDirectHighs:
     """The direct HiGHS call against `linprog(method="highs-ds")`, bit for bit."""
 
@@ -151,7 +160,7 @@ class TestDirectHighs:
         keep_i, keep_j = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
         ns, ms = len(keep_i), len(keep_j)
         res = linprog(cost[np.ix_(keep_i, keep_j)].ravel(),
-                      A_eq=ot._transport_constraints(ns, ms),
+                      A_eq=_transport_a_eq(ns, ms),
                       b_eq=np.concatenate([p[keep_i], q[keep_j]]),
                       bounds=(0, None), method="highs-ds")
         assert res.status == 0
@@ -182,6 +191,26 @@ class TestDirectHighs:
             n, m = (int(x) for x in rng.integers(2, 10, size=2))
             cost = rng.integers(0, 3, size=(n, m)).astype(float)
             self.assert_linprog_bits(cost, _uniform(n), _uniform(m))
+
+    def test_seeded_sweep_of_shapes_weights_and_ties(self):
+        # Wide and tall LPs, zero-weight rows and columns, and integer costs
+        # that tie: each one's vertex, duals and objective are linprog's.
+        rng = np.random.default_rng(29)
+        for t in range(200):
+            n, m = (int(x) for x in rng.integers(1, 7, size=2))
+            n, m = [(n, 6 * m + 20), (6 * n + 20, m), (n + m, m + 3), (n, m)][t % 4]
+            if t % 3:
+                cost = rng.integers(0, 3, size=(n, m)).astype(float)
+            else:
+                cost = rng.random((n, m))
+            p, q = _random_marginal(rng, n), _uniform(m)
+            if t % 5 == 0 and n > 1:
+                p[rng.choice(n, size=n // 2, replace=False)] = 0.0
+                p /= p.sum()
+            if t % 7 == 0 and m > 1:
+                q[: m // 3] = 0.0
+                q /= q.sum()
+            self.assert_linprog_bits(cost, p, q)
 
     def test_status_other_than_optimal_is_a_numerical_failure(self, monkeypatch):
         class Infeasible(ot._Highs):
@@ -374,6 +403,11 @@ class TestSinkhorn:
         with pytest.raises(NonConvergence):
             solve_sinkhorn(cost, p, q, epsilon, max_iter=sweeps - 1)
 
+    @pytest.mark.parametrize("epsilon", [0.0, np.nan, np.inf])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            solve_sinkhorn(np.ones((2, 2)), _uniform(2), _uniform(2), epsilon)
+
     def test_zero_atoms_supported(self):
         cost = np.array([[0.0, 2.0], [1.0, 0.5], [3.0, 1.0]])
         p = np.array([0.5, 0.0, 0.5])
@@ -381,6 +415,32 @@ class TestSinkhorn:
         sol = solve_sinkhorn(cost, p, q, epsilon=0.1)
         assert np.all(sol.coupling[1] == 0)
         assert np.isfinite(sol.dual_source).all()
+
+
+class TestLogsumexp:
+    """Sinkhorn's log-sum-exp against `scipy.special.logsumexp`, bit for bit."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_random_arrays_with_ties_and_magnitudes(self, axis):
+        rng = np.random.default_rng(31 + axis)
+        for t in range(150):
+            shape = (int(rng.integers(1, 90)), int(rng.integers(1, 90)))
+            shape = [shape, (1, shape[1]), (shape[0], 1)][t % 3]
+            scale = 10.0 ** rng.uniform(-1, 4)
+            a = scale * rng.standard_normal(shape)
+            if t % 2:
+                a = scale * np.round(2 * a / scale)  # many tied maxima
+            assert np.array_equal(_logsumexp(a, axis), logsumexp(a, axis=axis))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_entries_give_scipys_result(self, axis):
+        a = np.array([[-np.inf, -np.inf, 1.0, np.inf],
+                      [-np.inf, 2.0, -np.inf, np.inf]])
+        a = a if axis == 1 else a.T
+        assert np.array_equal(_logsumexp(a, axis), logsumexp(a, axis=axis))
+        everywhere_minus_inf = np.full((2, 3), -np.inf)
+        assert np.array_equal(_logsumexp(everywhere_minus_inf, axis),
+                              logsumexp(everywhere_minus_inf, axis=axis))
 
 
 class TestCalibration:

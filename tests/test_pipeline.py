@@ -49,6 +49,17 @@ class TestSelectionConfig:
         with pytest.raises(ConfigInvalid):
             SelectionConfig(tau=0.5, T=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_settings_are_rejected(self, bad):
+        with pytest.raises(ConfigInvalid, match="c must be finite"):
+            SelectionConfig(tau=0.5, c=bad)
+        with pytest.raises(ConfigInvalid, match="eta must be finite"):
+            SelectionConfig(tau=0.5, eta=bad)
+        with pytest.raises(ConfigInvalid, match="epsilon must be finite"):
+            SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=bad)
+        # The exact solver never reads epsilon.
+        assert SelectionConfig(tau=0.5, epsilon=bad).solver == "exact"
+
     def test_effective_c_honors_label_availability(self):
         cfg = SelectionConfig(tau=0.5, c=5.0, val_labels_available=False)
         assert cfg.effective_c() == 0.0
@@ -106,6 +117,26 @@ class TestBuildCost:
         assert calls[0]["cfg"] == changed.fgw_config()
         assert np.array_equal(cost.base, build_cost(train, val, changed).base)
         assert len(list(tmp_path.glob("D-*.gdd"))) == 2
+
+    def test_exact_dtilde_is_shared_across_epsilons(self, tmp_path, monkeypatch):
+        # The exact solver never reads epsilon, so it is not in the key.
+        rng = np.random.default_rng(17)
+        train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
+        cfg = SelectionConfig(tau=0.5, c=1.0, epsilon=0.01)
+        first = build_cost(train, val, cfg, cache_dir=tmp_path)
+
+        def boom(*a, **k):
+            raise AssertionError("label table recomputed for another epsilon")
+
+        monkeypatch.setattr(pipeline, "label_informed_cost", boom)
+        second = build_cost(train, val, replace(cfg, epsilon=0.5), cache_dir=tmp_path)
+        assert np.array_equal(first.values, second.values)
+        assert len(list(tmp_path.glob("Dtilde-*.gdd"))) == 1
+        monkeypatch.undo()
+        for epsilon in (0.5, 0.7):
+            build_cost(train, val, replace(cfg, solver="sinkhorn", epsilon=epsilon),
+                       cache_dir=tmp_path)
+        assert len(list(tmp_path.glob("Dtilde-*.gdd"))) == 3
 
 
 class TestGradate:
