@@ -9,8 +9,7 @@ HiGHS, called directly through scipy's private bindings with the options and
 model of `linprog(method="highs-ds")`, so it returns `linprog`'s bits without
 its per-call Python overhead; the model goes in as NumPy buffers. Sinkhorn's
 log-sum-exp is `_logsumexp`, scipy 1.17's arithmetic in plain NumPy, so its
-bits no longer depend on the installed scipy. Neither solver copies the cost
-or the coupling when no atom has zero mass.
+bits no longer depend on the installed scipy.
 
 The FGW linear step also has a private assignment path for uniform weights,
 `_unique_uniform_vertex`, which returns a coupling only when it is certified
@@ -91,9 +90,6 @@ def solve_exact_ot(cost, p, q) -> TransportSolution:
 
     keep_i = np.flatnonzero(p > 0)
     keep_j = np.flatnonzero(q > 0)
-    if len(keep_i) == n and len(keep_j) == m:
-        x, duals, value = _solve_transport_lp(cost.ravel(), np.concatenate([p, q]), n, m)
-        return TransportSolution(value, x.reshape(n, m), duals[:n], duals[n:])
     sub = cost[np.ix_(keep_i, keep_j)]
     ps, qs = p[keep_i], q[keep_j]
     ns, ms = len(keep_i), len(keep_j)
@@ -262,11 +258,8 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
 
     keep_i = np.flatnonzero(p > 0)
     keep_j = np.flatnonzero(q > 0)
-    whole = len(keep_i) == n and len(keep_j) == m
-    if whole:
-        sub, ps, qs = np.ascontiguousarray(cost), p, q
-    else:
-        sub, ps, qs = cost[np.ix_(keep_i, keep_j)], p[keep_i], q[keep_j]
+    sub = cost[np.ix_(keep_i, keep_j)]
+    ps, qs = p[keep_i], q[keep_j]
     logp, logq = np.log(ps), np.log(qs)
 
     def f_update(g):
@@ -291,8 +284,6 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
         )
 
     pi = np.exp((f[:, None] + g[None, :] - sub) / epsilon + logp[:, None] + logq[None, :])
-    if whole:
-        return TransportSolution(float(np.sum(pi * cost)), pi, f, g)
     coupling = np.zeros((n, m))
     coupling[np.ix_(keep_i, keep_j)] = pi
     beta = np.empty(n)

@@ -63,8 +63,10 @@ class SelectionConfig:
             raise ConfigInvalid(f"eta must be finite and >= 0, got {self.eta}")
         if self.solver not in ("exact", "sinkhorn"):
             raise ConfigInvalid(f"solver must be 'exact' or 'sinkhorn', got {self.solver!r}")
-        if self.solver == "sinkhorn" and not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigInvalid(f"sinkhorn epsilon must be finite and > 0, got {self.epsilon}")
+        if not math.isfinite(self.epsilon):
+            raise ConfigInvalid(f"epsilon must be finite, got {self.epsilon}")
+        if self.solver == "sinkhorn" and self.epsilon <= 0:
+            raise ConfigInvalid(f"sinkhorn epsilon must be > 0, got {self.epsilon}")
 
     def fgw_config(self) -> FGWConfig:
         return FGWConfig(alpha=self.alpha, seed=self.seed)

@@ -257,9 +257,12 @@ class TestGdd:
         ("gdd", ["--c", "inf"], "c must be finite"),
         ("gdd", ["--solver", "sinkhorn", "--epsilon", "nan"], "epsilon must be finite"),
         ("gdd", ["--solver", "sinkhorn", "--epsilon", "inf"], "epsilon must be finite"),
+        ("gdd", ["--epsilon", "nan"], "epsilon must be finite"),
+        ("gdd", ["--epsilon=-inf"], "epsilon must be finite"),
         ("select", ["--eta", "nan"], "eta must be finite"),
         ("select", ["--eta", "inf"], "eta must be finite"),
-    ], ids=["c-nan", "c-inf", "epsilon-nan", "epsilon-inf", "eta-nan", "eta-inf"])
+    ], ids=["c-nan", "c-inf", "epsilon-nan", "epsilon-inf", "exact-epsilon-nan",
+            "exact-epsilon-minus-inf", "eta-nan", "eta-inf"])
     def test_non_finite_setting_exits_2_before_any_work(self, workdir, capsys, command,
                                                         flags, named):
         write_copies_json(workdir / "copies.json")

@@ -55,10 +55,9 @@ class TestSelectionConfig:
             SelectionConfig(tau=0.5, c=bad)
         with pytest.raises(ConfigInvalid, match="eta must be finite"):
             SelectionConfig(tau=0.5, eta=bad)
-        with pytest.raises(ConfigInvalid, match="epsilon must be finite"):
-            SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=bad)
-        # The exact solver never reads epsilon.
-        assert SelectionConfig(tau=0.5, epsilon=bad).solver == "exact"
+        for solver in ("exact", "sinkhorn"):
+            with pytest.raises(ConfigInvalid, match="epsilon must be finite"):
+                SelectionConfig(tau=0.5, solver=solver, epsilon=bad)
 
     def test_effective_c_honors_label_availability(self):
         cfg = SelectionConfig(tau=0.5, c=5.0, val_labels_available=False)
