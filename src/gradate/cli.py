@@ -158,7 +158,7 @@ def _log_config(resolved: dict) -> None:
 def _selection_config(resolved: dict, tau: float | None = None) -> SelectionConfig:
     # T and eta are select-only; gdd leaves them at SelectionConfig's defaults.
     steps = {key: resolved[key] for key in ("T", "eta") if key in resolved}
-    return SelectionConfig(
+    cfg = SelectionConfig(
         tau=resolved.get("tau") if tau is None else tau,
         alpha=resolved["alpha"],
         c=resolved["c"],
@@ -166,9 +166,10 @@ def _selection_config(resolved: dict, tau: float | None = None) -> SelectionConf
         solver=resolved["solver"],
         epsilon=resolved["epsilon"],
         nbar=resolved["nbar"],
-        val_labels_available=resolved["val_labels"],
         **steps,
     )
+    # The given c is checked above even when no validation labels are read.
+    return cfg if resolved["val_labels"] else replace(cfg, c=0.0)
 
 
 def _cache_dir(args) -> Path:

@@ -33,7 +33,10 @@ from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from .graphs import AttributedGraph
 from .ot import _unique_uniform_vertex, solve_exact_ot
 
+FW_MAX_ITER = 200  # conditional-gradient iteration budget per coupling solve
+FW_TOL = 1e-9  # relative objective decrease that ends a coupling solve
 BARYCENTER_ROUNDS = 10  # cap on the barycenter's block-coordinate rounds
+BARYCENTER_TOL = 1e-9  # relative decrease of the summed objective that ends them
 
 
 @dataclass(frozen=True)
@@ -41,14 +44,10 @@ class FGWConfig:
     """Solver settings shared by the distance and barycenter routines.
 
     alpha : trade-off in [0, 1] between features (0) and structure (1).
-    max_iter : conditional-gradient iteration budget per coupling solve.
-    inner_tol : relative objective-decrease threshold that ends the loop.
     seed : controls barycenter initialization.
     """
 
     alpha: float = 0.5
-    max_iter: int = 200
-    inner_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
@@ -153,11 +152,11 @@ def _check_coupling(T, p, q):
     return T
 
 
-def _frank_wolfe(obj: _QuadObjective, T0: np.ndarray, cfg: FGWConfig):
+def _frank_wolfe(obj: _QuadObjective, T0: np.ndarray):
     T = T0
     curve = [obj.value(T)]
     converged = False
-    for _ in range(cfg.max_iter):
+    for _ in range(FW_MAX_ITER):
         grad = obj.gradient(T)
         vertex = _lp_vertex(grad, obj.p, obj.q)
         delta = vertex - T
@@ -166,7 +165,7 @@ def _frank_wolfe(obj: _QuadObjective, T0: np.ndarray, cfg: FGWConfig):
             T = T + step * delta
         curve.append(obj.value(T))
         drop = curve[-2] - curve[-1]
-        if step == 0.0 or drop <= cfg.inner_tol * max(abs(curve[-2]), 1e-16):
+        if step == 0.0 or drop <= FW_TOL * max(abs(curve[-2]), 1e-16):
             converged = True
             break
     return T, curve, converged
@@ -190,7 +189,7 @@ def fgw_distance(g1: AttributedGraph, g2: AttributedGraph,
         T0 = _check_coupling(coupling_init, obj.p, obj.q)
     else:
         T0 = np.outer(obj.p, obj.q)
-    T, curve, converged = _frank_wolfe(obj, T0, cfg)
+    T, curve, converged = _frank_wolfe(obj, T0)
     value = max(curve[-1], 0.0)
     return FGWResult(
         distance=float(value ** 0.5),
@@ -276,7 +275,7 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
         A /= np.outer(pbar, pbar)
         reference = AttributedGraph(_symmetrize(A), X, pbar)
 
-        if prev_obj - obj <= cfg.inner_tol * max(abs(prev_obj), 1e-16):
+        if prev_obj - obj <= BARYCENTER_TOL * max(abs(prev_obj), 1e-16):
             break
         prev_obj = obj
 

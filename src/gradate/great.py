@@ -66,7 +66,6 @@ class GreatTrace:
     """Per-iteration log plus the final state of the selection run."""
 
     iterations: tuple[GreatIteration, ...]
-    selected: tuple[int, ...]
     final_weights: np.ndarray
     final_gdd: float
 
@@ -169,11 +168,5 @@ def great_select(dtilde, tau: float, T: int, eta: float,
         w /= w.sum()
 
     final_value, _ = gdd_from_cost(values, w, solver)
-    selected = np.flatnonzero(w)
-    trace = GreatTrace(
-        iterations=tuple(records),
-        selected=tuple(int(i) for i in selected),
-        final_weights=w,
-        final_gdd=final_value,
-    )
-    return selected, trace
+    trace = GreatTrace(iterations=tuple(records), final_weights=w, final_gdd=final_value)
+    return np.flatnonzero(w), trace

@@ -34,10 +34,9 @@ class SelectionConfig:
     T : number of update steps (T - 1 gradient iterations).
     eta : learning rate of the weight updates.
     solver : "exact" for LP duals, "sinkhorn" for entropic acceleration.
-    val_labels_available : when False, c is forced to 0 and validation
-        labels are ignored entirely.
 
-    The FGW solves run with `FGWConfig`'s iteration budget and tolerance.
+    Without validation labels, use c = 0: the cost then reads no label.
+    The FGW solves stop at the `fgw` module's FW_MAX_ITER and FW_TOL.
     """
 
     tau: float
@@ -49,7 +48,6 @@ class SelectionConfig:
     solver: str = "exact"
     epsilon: float = 0.01
     nbar: int | None = None
-    val_labels_available: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
@@ -76,9 +74,6 @@ class SelectionConfig:
             return partial(solve_sinkhorn, epsilon=self.epsilon)
         return solve_exact_ot
 
-    def effective_c(self) -> float:
-        return self.c if self.val_labels_available else 0.0
-
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -104,9 +99,10 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     written to a content-addressed file keyed on exactly the inputs of the
     call that computes it: D on the joint dataset before featurization (the
     featurization is a pure function of it), the train/val shape, the
-    resolved reference size and the FGW config; D-tilde on that key plus the
-    effective c, the OT solver and, for Sinkhorn only, epsilon. At an
-    effective c of 0, D-tilde is D, so only D is cached.
+    resolved reference size and the FGW config; D-tilde on that key plus c,
+    the OT solver and, for Sinkhorn only, epsilon. At c = 0, D-tilde is D,
+    so only D is cached. Without `cache_dir` the same matrices are computed
+    and nothing is written.
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyDataset("train and val must both be nonempty")
@@ -114,30 +110,27 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
         raise DimensionMismatch(
             f"train has feature dimension {train.feature_dim}, val {val.feature_dim}"
         )
-    fgw_cfg, c = cfg.fgw_config(), cfg.effective_c()
-    if cache_dir is None:
-        D = cross_linear_fgw(train, val, cfg=fgw_cfg, nbar=cfg.nbar)
-        return label_informed_cost(train, val, D, c, cfg.ot_solver())
-
-    cache_dir = Path(cache_dir)
+    fgw_cfg = cfg.fgw_config()
     joint = concat_datasets(train, val)
     nbar = cfg.nbar if cfg.nbar is not None else default_reference_size(joint.graphs)
     key = {"dataset_hash": dataset_hash(joint), "shape": [len(train), len(val)],
            "nbar": nbar, **asdict(fgw_cfg)}
     D = _cached(cache_dir, "D", key, lambda: cross_linear_fgw(
         train, val, cfg=fgw_cfg, nbar=nbar))
-    if c == 0:
-        return label_informed_cost(train, val, D, c)
-    key = {**key, "c": c, "solver": cfg.solver}
+    if cfg.c == 0:
+        return label_informed_cost(train, val, D, cfg.c)
+    key = {**key, "c": cfg.c, "solver": cfg.solver}
     if cfg.solver == "sinkhorn":
         key["epsilon"] = cfg.epsilon
     values = _cached(cache_dir, "Dtilde", key, lambda: label_informed_cost(
-        train, val, D, c, cfg.ot_solver()).values)
-    return LabelInformedCost(values=values, base=D, c=float(c))
+        train, val, D, cfg.c, cfg.ot_solver()).values)
+    return LabelInformedCost(values=values, base=D, c=float(cfg.c))
 
 
-def _cached(cache_dir: Path, kind: str, key: dict, compute) -> np.ndarray:
-    path = cache_dir / io.cache_file_name(kind, key)
+def _cached(cache_dir, kind: str, key: dict, compute) -> np.ndarray:
+    if cache_dir is None:
+        return compute()
+    path = Path(cache_dir) / io.cache_file_name(kind, key)
     if path.exists():
         return io.load_matrix_cache(path, key)
     matrix = compute()

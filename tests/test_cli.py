@@ -510,6 +510,24 @@ class TestSelect:
         assert f"tau must be in (0, 1], got {float(tau)}" in err
         assert not (workdir / "x.json").exists()
 
+    def test_remark_one_alignment_when_val_labels_unavailable(self, workdir, capsys):
+        # Without validation labels the run is the label-free one, c = 0.
+        write_two_domain_json(workdir / "ds.json", seed=6, n_dense=5, n_sparse=5)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        outputs = {}
+        for name, flags in (("off", ["--c", "5", "--no-val-labels"]), ("zero", ["--c", "0"])):
+            cache = ["--cache-dir", f"cache-{name}"]
+            code, _, _ = run(capsys, "select", "ds.json", "split.json", "--method", "gradate",
+                             "--tau", "0.4", *flags, *cache, "--out", f"{name}.json")
+            assert code == 0
+            code, out, _ = run(capsys, "gdd", "ds.json", "split.json", *flags, *cache,
+                               "--weights", f"{name}.json")
+            assert code == 0
+            sel = json.loads((workdir / f"{name}.json").read_text())
+            outputs[name] = (sel["indices"], sel["weights"], json.loads(out)["gdd"])
+            assert not list((workdir / f"cache-{name}").glob("Dtilde-*.gdd"))
+        assert outputs["off"] == outputs["zero"]
+
     def test_numerical_failure_exits_3_and_suppresses_output(self, workdir, capsys,
                                                              monkeypatch):
         from gradate.errors import NonConvergence

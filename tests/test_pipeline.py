@@ -59,10 +59,6 @@ class TestSelectionConfig:
             with pytest.raises(ConfigInvalid, match="epsilon must be finite"):
                 SelectionConfig(tau=0.5, solver=solver, epsilon=bad)
 
-    def test_effective_c_honors_label_availability(self):
-        cfg = SelectionConfig(tau=0.5, c=5.0, val_labels_available=False)
-        assert cfg.effective_c() == 0.0
-
 
 class TestBuildCost:
     def test_cached_cost_is_bit_identical_to_a_cold_build(self, tmp_path, monkeypatch):
@@ -194,16 +190,6 @@ class TestGradate:
         assert a.weights == b.weights
         assert [it.gdd_value for it in a.trace.iterations] \
             == [it.gdd_value for it in b.trace.iterations]
-
-    def test_remark_one_alignment_when_val_labels_unavailable(self):
-        rng = np.random.default_rng(6)
-        train, val = two_domain(rng, n_dense=5, n_sparse=5, n_val=3)
-        with_labels_off = gradate(train, val,
-                                  SelectionConfig(tau=0.4, c=5.0, seed=0,
-                                                  val_labels_available=False))
-        plain = gradate(train, val, SelectionConfig(tau=0.4, c=0.0, seed=0))
-        assert with_labels_off.indices == plain.indices
-        assert with_labels_off.weights == plain.weights
 
     def test_zero_budget_rejected(self):
         rng = np.random.default_rng(7)
