@@ -253,18 +253,15 @@ def cmd_select(args) -> int:
         raise ConfigInvalid("--method is required (gradate, lava or random)")
     if resolved["tau"] is None:
         raise ConfigInvalid("--tau is required")
+    cfg = _selection_config(resolved)
     digest, train, val = _load_splits(args)
 
     method = resolved["method"]
     if method == "random":
-        result = random_select(train, resolved["tau"], resolved["seed"])
+        result = random_select(train, cfg.tau, cfg.seed)
     else:
-        cfg = _selection_config(resolved)
-        dtilde = build_cost(train, val, cfg, _cache_dir(args))
-        if method == "gradate":
-            result = gradate(train, val, cfg, dtilde=dtilde)
-        else:
-            result = lava_select(train, val, cfg, dtilde=dtilde)
+        select = gradate if method == "gradate" else lava_select
+        result = select(train, val, cfg, dtilde=build_cost(train, val, cfg, _cache_dir(args)))
 
     provenance = dict(result.provenance)
     provenance["config"] = resolved

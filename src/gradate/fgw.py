@@ -152,10 +152,8 @@ def _check_coupling(T, p, q):
     return T
 
 
-def _frank_wolfe(obj: _QuadObjective, T0: np.ndarray):
-    T = T0
+def _frank_wolfe(obj: _QuadObjective, T: np.ndarray):
     curve = [obj.value(T)]
-    converged = False
     for _ in range(FW_MAX_ITER):
         grad = obj.gradient(T)
         vertex = _lp_vertex(grad, obj.p, obj.q)
@@ -166,9 +164,8 @@ def _frank_wolfe(obj: _QuadObjective, T0: np.ndarray):
         curve.append(obj.value(T))
         drop = curve[-2] - curve[-1]
         if step == 0.0 or drop <= FW_TOL * max(abs(curve[-2]), 1e-16):
-            converged = True
-            break
-    return T, curve, converged
+            return T, curve, True
+    return T, curve, False
 
 
 def fgw_distance(g1: AttributedGraph, g2: AttributedGraph,

@@ -2,8 +2,8 @@
 
 Graphs are stored dense: the sets this package targets are small (a few
 hundred nodes at most) and every distance kernel downstream is dense anyway.
-All containers are immutable after construction and safe to share across
-workers.
+All containers are immutable after construction: their arrays are
+read-only, so a graph can be shared between datasets without copying.
 """
 
 from __future__ import annotations

@@ -226,19 +226,33 @@ def save_dataset_json(dataset: LabeledGraphDataset, path) -> None:
     _atomic_write_bytes(Path(path), _dump_json(payload))
 
 
+def _json_int(value, what: str) -> int:
+    # JSON true and false load as bool, a subclass of int; they are not integers here.
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_dataset_json(path) -> LabeledGraphDataset:
-    """Read the native JSON graph format; a graph failing its checks is a SchemaError."""
+    """Read the native JSON graph format; a graph failing its checks is a SchemaError.
+
+    `n`, labels, `label_set` entries and edge endpoints must be JSON integers.
+    """
     payload = _read_json(path)
     try:
         graphs = []
         labels = []
-        for entry in payload["graphs"]:
+        for k, entry in enumerate(payload["graphs"]):
+            n = _json_int(entry["n"], f"graph {k}: n")
+            edges = [[_json_int(v, f"graph {k}: edge endpoint") for v in edge]
+                     for edge in entry["edges"]]
             feats = np.array(entry["features"], dtype=np.float64)
             if feats.size == 0:
-                feats = np.zeros((entry["n"], 0))
-            graphs.append(AttributedGraph.from_edges(entry["n"], entry["edges"], features=feats))
-            labels.append(entry["label"])
-        return LabeledGraphDataset(graphs, labels, label_set=payload["label_set"])
+                feats = np.zeros((n, 0))
+            graphs.append(AttributedGraph.from_edges(n, edges, features=feats))
+            labels.append(_json_int(entry["label"], f"graph {k}: label"))
+        label_set = [_json_int(y, "label_set entry") for y in payload["label_set"]]
+        return LabeledGraphDataset(graphs, labels, label_set=label_set)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed dataset JSON ({exc})") from None
 

@@ -101,8 +101,7 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     featurization is a pure function of it), the train/val shape, the
     resolved reference size and the FGW config; D-tilde on that key plus c,
     the OT solver and, for Sinkhorn only, epsilon. At c = 0, D-tilde is D,
-    so only D is cached. Without `cache_dir` the same matrices are computed
-    and nothing is written.
+    so only D is cached.
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyDataset("train and val must both be nonempty")
@@ -155,6 +154,19 @@ def _check_budget(n: int, tau: float) -> int:
     return budget
 
 
+def _budget_and_cost(train, val, cfg: SelectionConfig, dtilde):
+    """The selection budget, and `dtilde` checked against the splits or built."""
+    if len(train) == 0 or len(val) == 0:
+        raise EmptyDataset("train and val must both be nonempty")
+    budget = _check_budget(len(train), cfg.tau)
+    if dtilde is None:
+        return budget, build_cost(train, val, cfg)
+    shape = np.shape(dtilde.values if isinstance(dtilde, LabelInformedCost) else dtilde)
+    if shape != (len(train), len(val)):
+        raise DimensionMismatch(f"dtilde has shape {shape}, expected {(len(train), len(val))}")
+    return budget, dtilde
+
+
 def gradate(train: LabeledGraphDataset, val: LabeledGraphDataset,
             cfg: SelectionConfig, dtilde=None) -> SelectionResult:
     """Select the training subset that minimizes the dataset distance.
@@ -163,13 +175,9 @@ def gradate(train: LabeledGraphDataset, val: LabeledGraphDataset,
     the iterative reweighting loop and returns the nonzero support of the
     final weights, with the optimization trace attached. A cost from
     `build_cost` (for instance a cached one) can be passed as `dtilde` to
-    skip the embedding stage.
+    skip the embedding stage; it must be len(train) by len(val).
     """
-    if len(train) == 0 or len(val) == 0:
-        raise EmptyDataset("train and val must both be nonempty")
-    _check_budget(len(train), cfg.tau)
-    if dtilde is None:
-        dtilde = build_cost(train, val, cfg)
+    _, dtilde = _budget_and_cost(train, val, cfg, dtilde)
     selected, trace = great_select(dtilde, cfg.tau, cfg.T, cfg.eta, cfg.ot_solver())
     return SelectionResult(
         indices=tuple(int(i) for i in selected),
@@ -188,11 +196,7 @@ def lava_select(train: LabeledGraphDataset, val: LabeledGraphDataset,
     training samples by calibrated dual ascending (ties to the lower index)
     and keeps the floor(n * tau) smallest. No iteration.
     """
-    if len(train) == 0 or len(val) == 0:
-        raise EmptyDataset("train and val must both be nonempty")
-    budget = _check_budget(len(train), cfg.tau)
-    if dtilde is None:
-        dtilde = build_cost(train, val, cfg)
+    budget, dtilde = _budget_and_cost(train, val, cfg, dtilde)
     ranking = np.argsort(gdd_gradient(dtilde, None, cfg.ot_solver()), kind="stable")
     indices = sorted(int(i) for i in ranking[:budget])
     return SelectionResult(

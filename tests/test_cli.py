@@ -261,15 +261,16 @@ class TestGdd:
         ("gdd", ["--epsilon=-inf"], "epsilon must be finite"),
         ("select", ["--eta", "nan"], "eta must be finite"),
         ("select", ["--eta", "inf"], "eta must be finite"),
+        ("select", ["--method", "random", "--c", "nan", "--eta", "inf"], "c must be finite"),
     ], ids=["c-nan", "c-inf", "epsilon-nan", "epsilon-inf", "exact-epsilon-nan",
-            "exact-epsilon-minus-inf", "eta-nan", "eta-inf"])
+            "exact-epsilon-minus-inf", "eta-nan", "eta-inf", "random-c-nan"])
     def test_non_finite_setting_exits_2_before_any_work(self, workdir, capsys, command,
                                                         flags, named):
         write_copies_json(workdir / "copies.json")
         run(capsys, "split", "copies.json", "--out", "split.json")
         extra = ("--method", "gradate", "--tau", "0.5", "--out", "s.json")
-        code, out, err = run(capsys, command, "copies.json", "split.json", *flags,
-                             *(extra if command == "select" else ()))
+        code, out, err = run(capsys, command, "copies.json", "split.json",
+                             *(extra if command == "select" else ()), *flags)
         assert code == 2
         assert out == ""
         assert named in err
@@ -355,7 +356,10 @@ class TestGdd:
         ("dangling-edge", "edge (0, -1) leaves the nodes 0..2"),
         ("nan-feature", "feature entries must be finite"),
         ("label-outside-label-set", "labels [7] not in label_set"),
-    ], ids=["dangling-edge", "nan-feature", "label-outside-label-set"])
+        ("label-not-an-integer", "graph 4: label must be an integer, got 0.9"),
+        ("label-set-entry-not-an-integer", 'label_set entry must be an integer, got "x"'),
+    ], ids=["dangling-edge", "nan-feature", "label-outside-label-set",
+            "label-not-an-integer", "label-set-entry-not-an-integer"])
     def test_malformed_dataset_exits_2(self, workdir, capsys, fault, message):
         ds = LabeledGraphDataset([path_graph(3, feature_dim=1)] * 10, [0] * 10)
         io.save_dataset_json(ds, "ds.json")
@@ -365,15 +369,59 @@ class TestGdd:
             graph["edges"].append([0, -1])
         elif fault == "nan-feature":
             graph["features"][1] = [float("nan")]
+        elif fault == "label-not-an-integer":
+            graph["label"] = 0.9
+        elif fault == "label-set-entry-not-an-integer":
+            payload["label_set"].append("x")
         else:
             graph["label"] = 7
         (workdir / "ds.json").write_text(json.dumps(payload))
         split = {"by": "size", "train": list(range(6)), "val": [6, 7], "test": [8, 9]}
         (workdir / "split.json").write_text(json.dumps(split))
-        code, out, err = run(capsys, "gdd", "ds.json", "split.json")
+        code, out, err = run(capsys, "gdd", "ds.json", "split.json", "--c", "1")
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_split_without_a_hash_that_misses_graphs_exits_2(self, workdir, capsys):
+        write_copies_json(workdir / "copies.json", n=10)
+        split = {"by": "size", "train": list(range(6)), "val": [6], "test": [7]}
+        (workdir / "split.json").write_text(json.dumps(split))
+        code, out, err = run(capsys, "gdd", "copies.json", "split.json")
+        assert code == 2
+        assert out == ""
+        assert "split covers 8 graphs but the dataset has 10" in err
+
+    @pytest.mark.parametrize("source, message", [
+        ("list", "w.json: 2 weights for 4 training graphs"),
+        ("selection", "w.json: selection index 5 outside the train split"),
+    ], ids=["list", "selection"])
+    def test_weights_that_do_not_fit_the_train_split_exit_2(self, workdir, capsys,
+                                                            source, message):
+        write_two_domain_json(workdir / "ds.json", seed=6, n_dense=3, n_sparse=3,
+                              n_val_extra=2)
+        run(capsys, "split", "ds.json", "--by", "size", "--out", "split.json")
+        if source == "list":
+            (workdir / "w.json").write_text("[0.5, 0.5]")
+        else:
+            run(capsys, "select", "ds.json", "split.json", "--method", "random",
+                "--tau", "0.4", "--out", "w.json")
+            payload = json.loads((workdir / "w.json").read_text())
+            payload["indices"] = [5]
+            (workdir / "w.json").write_text(json.dumps(payload))
+        code, out, err = run(capsys, "gdd", "ds.json", "split.json", "--weights", "w.json")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_reference_size_below_one_exits_2(self, workdir, capsys):
+        write_copies_json(workdir / "copies.json")
+        run(capsys, "split", "copies.json", "--out", "split.json")
+        code, out, err = run(capsys, "gdd", "copies.json", "split.json", "--nbar", "0")
+        assert code == 2
+        assert out == ""
+        assert "nbar must be >= 1, got 0" in err
+        assert not list((workdir / ".gradate_cache").iterdir())
 
     def test_split_of_another_dataset_exits_2(self, workdir, capsys):
         write_two_domain_json(workdir / "ds.json", seed=0)
@@ -464,6 +512,16 @@ class TestSelect:
         code, _, err = run(capsys, "select", "ds.json", "split.json",
                            "--tau", "0.5", "--out", "x.json")
         assert code == 2
+        assert not (workdir / "x.json").exists()
+
+    def test_missing_tau_exits_2(self, workdir, capsys):
+        write_two_domain_json(workdir / "ds.json")
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        code, out, err = run(capsys, "select", "ds.json", "split.json",
+                             "--method", "lava", "--out", "x.json")
+        assert code == 2
+        assert out == ""
+        assert "--tau is required" in err
         assert not (workdir / "x.json").exists()
 
     def test_missing_dataset_exits_2(self, workdir, capsys):

@@ -144,6 +144,28 @@ class TestJsonLoader:
         with pytest.raises(SchemaError, match=r"labels \[7\] not in label_set"):
             io.load_dataset_json(write_json_dataset(tmp_path / "ds.json", label=7))
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("label", 0.9, "graph 0: label"),
+        ("label", "1", "graph 0: label"),
+        ("label", True, "graph 0: label"),
+        ("n", 3.0, "graph 0: n"),
+        ("edges", [[False, 1]], "graph 0: edge endpoint"),
+        ("edges", [[True, 2]], "graph 0: edge endpoint"),
+        ("edges", [[0, 1.0]], "graph 0: edge endpoint"),
+        ("label_set", [0, 1, "x"], "label_set entry"),
+    ], ids=["label-float", "label-string", "label-true", "n-float", "edge-false",
+            "edge-true", "edge-float", "label-set-string"])
+    def test_integer_fields_take_only_json_integers(self, tmp_path, field, value, named):
+        path = write_json_dataset(tmp_path / "ds.json")
+        payload = json.loads(path.read_text())
+        if field == "label_set":
+            payload["label_set"] = value
+        else:
+            payload["graphs"][0][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=f"{named} must be an integer"):
+            io.load_dataset_json(path)
+
 
 class TestCovariateSplit:
     def test_split_by_size_orders_ascending(self, rng):
@@ -220,6 +242,10 @@ class TestCovariateSplit:
     def test_overlapping_split_rejected(self):
         with pytest.raises(SchemaError):
             io.DomainSplit(train_idx=(0, 1), val_idx=(1,), test_idx=(2,))
+
+    def test_split_with_a_gap_rejected(self):
+        with pytest.raises(SchemaError, match="do not cover the dataset"):
+            io.DomainSplit(train_idx=(0, 1), val_idx=(3,), test_idx=(4,))
 
 
 class TestSelectionPersistence:

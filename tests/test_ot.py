@@ -416,6 +416,21 @@ class TestSinkhorn:
         assert np.all(sol.coupling[1] == 0)
         assert np.isfinite(sol.dual_source).all()
 
+    def test_zero_mass_source_and_target_atoms_are_reinserted(self):
+        # The case of TestExactSolver.test_zero_weight_atoms_are_reinserted.
+        rng = np.random.default_rng(11)
+        cost = rng.random((4, 3))
+        p = np.array([0.5, 0.0, 0.5, 0.0])
+        q = np.array([0.2, 0.0, 0.8])
+        sol = solve_sinkhorn(cost, p, q, epsilon=0.1)
+        assert np.all(sol.coupling[[1, 3]] == 0) and np.all(sol.coupling[:, 1] == 0)
+        rows, cols = [0, 2], [0, 2]
+        reduced = solve_sinkhorn(cost[np.ix_(rows, cols)], p[rows], q[cols], epsilon=0.1)
+        assert np.array_equal(sol.coupling[np.ix_(rows, cols)], reduced.coupling)
+        assert np.array_equal(sol.dual_source[rows], reduced.dual_source)
+        assert np.array_equal(sol.dual_target[cols], reduced.dual_target)
+        assert np.isfinite(sol.dual_source).all() and np.isfinite(sol.dual_target).all()
+
 
 class TestLogsumexp:
     """Sinkhorn's log-sum-exp against `scipy.special.logsumexp`, bit for bit."""

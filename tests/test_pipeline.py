@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -113,6 +114,26 @@ class TestBuildCost:
         assert np.array_equal(cost.base, build_cost(train, val, changed).base)
         assert len(list(tmp_path.glob("D-*.gdd"))) == 2
 
+    def test_cache_keys_hold_exactly_the_inputs_of_each_matrix(self, tmp_path):
+        rng = np.random.default_rng(18)
+        train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
+        for solver in ("exact", "sinkhorn"):
+            build_cost(train, val, SelectionConfig(tau=0.5, c=1.0, solver=solver, epsilon=0.5),
+                       cache_dir=tmp_path)
+
+        def key_fields(kind):
+            found = set()
+            for path in tmp_path.glob(f"{kind}-*.gdd"):
+                blob = path.read_bytes()
+                header_len = int.from_bytes(blob[4:8], "little")
+                found.add(tuple(sorted(json.loads(blob[8:8 + header_len])["key"])))
+            return found
+
+        d_key = ("alpha", "dataset_hash", "nbar", "seed", "shape")
+        assert key_fields("D") == {d_key}
+        assert key_fields("Dtilde") == {tuple(sorted(d_key + ("c", "solver"))),
+                                        tuple(sorted(d_key + ("c", "solver", "epsilon")))}
+
     def test_exact_dtilde_is_shared_across_epsilons(self, tmp_path, monkeypatch):
         # The exact solver never reads epsilon, so it is not in the key.
         rng = np.random.default_rng(17)
@@ -203,6 +224,11 @@ class TestGradate:
         with pytest.raises(DimensionMismatch):
             gradate(train, val, SelectionConfig(tau=1.0))
 
+    def test_prebuilt_cost_of_the_wrong_shape_rejected(self, rng):
+        train, val = two_domain(rng, n_dense=2, n_sparse=2, n_val=3)
+        with pytest.raises(DimensionMismatch, match=r"dtilde has shape \(10, 3\)"):
+            gradate(train, val, SelectionConfig(tau=0.5), dtilde=rng.random((10, 3)))
+
     def test_sinkhorn_solver_is_a_usable_acceleration(self):
         rng = np.random.default_rng(12)
         train, val = two_domain(rng, n_dense=8, n_sparse=8, n_val=4)
@@ -243,6 +269,12 @@ class TestLava:
         train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
         res = lava_select(train, val, SelectionConfig(tau=1.0, seed=0))
         assert res.indices == tuple(range(6))
+
+    def test_prebuilt_cost_of_the_wrong_shape_rejected(self, rng):
+        train, val = two_domain(rng, n_dense=2, n_sparse=2, n_val=3)
+        cost = LabelInformedCost(values=rng.random((10, 3)), base=rng.random((10, 3)), c=0.0)
+        with pytest.raises(DimensionMismatch, match=r"dtilde has shape \(10, 3\)"):
+            lava_select(train, val, SelectionConfig(tau=0.5), dtilde=cost)
 
 
 class TestRandom:
