@@ -235,8 +235,8 @@ def cmd_split(args) -> int:
 def cmd_gdd(args) -> int:
     resolved = _resolve(args, _COMMON_DEFAULTS)
     _log_config(resolved)
-    digest, train, val = _load_splits(args)
     cfg = _selection_config(resolved, tau=1.0)
+    digest, train, val = _load_splits(args)
     dtilde = build_cost(train, val, cfg, _cache_dir(args))
     w = None
     if args.weights:

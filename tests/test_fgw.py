@@ -4,7 +4,7 @@ from scipy.spatial.distance import cdist
 
 import gradate.fgw as fgw
 from gradate import AttributedGraph, fgw_barycenter, fgw_distance, solve_exact_ot
-from gradate.errors import ConfigInvalid, DimensionMismatch, EmptyDataset
+from gradate.errors import DimensionMismatch, EmptyDataset
 from gradate.fgw import FGWConfig, default_reference_size
 
 from conftest import random_graph
@@ -195,10 +195,6 @@ class TestBarycenter:
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDataset):
             fgw_barycenter([], nbar=3)
-
-    def test_reference_size_below_one_raises(self, rng):
-        with pytest.raises(ConfigInvalid, match="nbar must be >= 1, got 0"):
-            fgw_barycenter([random_graph(rng)], nbar=0)
 
     def test_default_reference_size_is_median_rounded_up(self, rng):
         sizes = [3, 5, 9]
