@@ -237,11 +237,12 @@ def cmd_gdd(args) -> int:
     _log_config(resolved)
     cfg = _selection_config(resolved, tau=1.0)
     digest, train, val = _load_splits(args)
-    dtilde = build_cost(train, val, cfg, _cache_dir(args))
+    cache = _cache_dir(args)
+    dtilde = build_cost(train, val, cfg, cache)
     w = None
     if args.weights:
         w = _load_weights(args.weights, len(train), digest, args.force)
-    value, _ = gdd_from_cost(dtilde, w, cfg.ot_solver())
+    value, _ = gdd_from_cost(dtilde, w, cfg.ot_solver(cache))
     print(json.dumps({"gdd": value, "config": resolved}, sort_keys=True))
     return EXIT_OK
 
@@ -261,7 +262,7 @@ def cmd_select(args) -> int:
         result = random_select(train, cfg.tau, cfg.seed)
     else:
         select = gradate if method == "gradate" else lava_select
-        result = select(train, val, cfg, dtilde=build_cost(train, val, cfg, _cache_dir(args)))
+        result = select(train, val, cfg, cache_dir=_cache_dir(args))
 
     provenance = dict(result.provenance)
     provenance["config"] = resolved

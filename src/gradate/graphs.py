@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AsymmetryError, DanglingEdge, DimensionMismatch
+from .errors import AsymmetryError, DanglingEdge, DimensionMismatch, SchemaError
 from .ot import _check_marginal
 
 SYMMETRY_TOL = 1e-9
@@ -47,9 +47,11 @@ class AttributedGraph:
         n = adjacency.shape[0]
         if n < 1:
             raise DimensionMismatch("a graph needs at least one node")
-        if not np.all(np.isfinite(adjacency)) or np.any(adjacency < 0):
+        # min and max propagate NaN, so these two tests also reject NaN.
+        if not (adjacency.min() >= 0 and adjacency.max() < np.inf):
             raise ValueError("adjacency entries must be finite and nonnegative")
-        if np.abs(adjacency - adjacency.T).max() > SYMMETRY_TOL:
+        if ((adjacency != adjacency.T).any()
+                and np.abs(adjacency - adjacency.T).max() > SYMMETRY_TOL):
             raise AsymmetryError("adjacency is not symmetric; directed graphs are out of scope")
 
         if features is None:
@@ -61,14 +63,15 @@ class AttributedGraph:
             raise DimensionMismatch(
                 f"features has {features.shape[0]} rows for {n} nodes"
             )
-        if not np.all(np.isfinite(features)):
+        if not np.isfinite(features).all():
             raise ValueError("feature entries must be finite")
 
         if node_weights is None:
             node_weights = np.full(n, 1.0 / n)
-        if np.shape(node_weights) != (n,):
+        elif np.shape(node_weights) != (n,):
             raise DimensionMismatch("node_weights length must equal node count")
-        node_weights = _check_marginal(node_weights, n, "node_weights")
+        else:
+            node_weights = _check_marginal(node_weights, n, "node_weights")
 
         object.__setattr__(self, "adjacency", _freeze(adjacency))
         object.__setattr__(self, "features", _freeze(features))
@@ -79,11 +82,17 @@ class AttributedGraph:
                    features=None, node_weights=None) -> "AttributedGraph":
         """Build a 0/1 graph from an undirected edge list over nodes 0..n-1."""
         adj = np.zeros((n_nodes, n_nodes))
-        for i, j in edges:
-            if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+        ends = np.array(list(edges))
+        if len(ends):
+            if ends.ndim != 2 or ends.shape[1] != 2:
+                raise ValueError("each edge must be a pair of node indices")
+            if ends.dtype.kind not in "iu":
+                raise IndexError(f"edge endpoints must be integers, got {ends.dtype}")
+            if ends.min() < 0 or ends.max() >= n_nodes:
+                i, j = ends[((ends < 0) | (ends >= n_nodes)).any(axis=1)][0]
                 raise DanglingEdge(f"edge ({i}, {j}) leaves the nodes 0..{n_nodes - 1}")
-            adj[i, j] = 1.0
-            adj[j, i] = 1.0
+            i, j = ends.T
+            adj[i, j] = adj[j, i] = 1.0
         return cls(adj, features=features, node_weights=node_weights)
 
     @property
@@ -104,6 +113,8 @@ class LabeledGraphDataset:
     """An ordered collection of (graph, class-label) pairs sharing a label set.
 
     Ordering is significant: selection results index into it by position.
+    Labels and label_set entries are Python or NumPy integers, stored as
+    int; any other value, a bool too, is a SchemaError.
     `label_names` optionally records the original label values per class id
     when labels were remapped at load time.
     """
@@ -116,12 +127,12 @@ class LabeledGraphDataset:
     def __init__(self, graphs: Sequence[AttributedGraph], labels: Sequence[int],
                  label_set: Sequence[int] | None = None, label_names=None):
         graphs = tuple(graphs)
-        labels = tuple(int(y) for y in labels)
+        labels = tuple(_class_label(y, "label") for y in labels)
         if len(graphs) != len(labels):
             raise DimensionMismatch("graphs and labels must have equal length")
         if label_set is None:
             label_set = sorted(set(labels))
-        label_set = tuple(label_set)
+        label_set = tuple(_class_label(y, "label_set entry") for y in label_set)
         missing = set(labels) - set(label_set)
         if missing:
             raise ValueError(f"labels {sorted(missing)} not in label_set")
@@ -153,6 +164,13 @@ class LabeledGraphDataset:
 
     def indices_with_label(self, label) -> list[int]:
         return [i for i, y in enumerate(self.labels) if y == label]
+
+
+def _class_label(y, what: str) -> int:
+    """A Python or NumPy integer as an int; anything else, bool too, is a SchemaError."""
+    if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
+        raise SchemaError(f"{what} must be an integer, got {y!r}")
+    return int(y)
 
 
 def concat_datasets(first: LabeledGraphDataset, second: LabeledGraphDataset) -> LabeledGraphDataset:

@@ -1,9 +1,9 @@
 """Dataset ingestion, covariate-shift splitting and persistence.
 
 Supports TUDataset-style flat files and a native JSON graph format, plus
-content-addressed binary caches for distance matrices and JSON round-trips
-for splits and selection results. Writers are atomic (write to a sibling
-temp file, then rename) and deterministic byte for byte.
+content-addressed binary caches for distance matrices and OT solutions, and
+JSON round-trips for splits and selection results. Writers are atomic
+(write to a sibling temp file, then rename) and deterministic byte for byte.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -244,8 +245,10 @@ def load_dataset_json(path) -> LabeledGraphDataset:
         labels = []
         for k, entry in enumerate(payload["graphs"]):
             n = _json_int(entry["n"], f"graph {k}: n")
-            edges = [[_json_int(v, f"graph {k}: edge endpoint") for v in edge]
-                     for edge in entry["edges"]]
+            edges = entry["edges"]
+            if set(map(type, chain.from_iterable(edges))) - {int}:
+                _json_int(next(v for v in chain.from_iterable(edges) if type(v) is not int),
+                          f"graph {k}: edge endpoint")
             feats = np.array(entry["features"], dtype=np.float64)
             if feats.size == 0:
                 feats = np.zeros((n, 0))

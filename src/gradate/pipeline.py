@@ -7,6 +7,7 @@ Downstream consumers cannot distinguish them except by the method field.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -15,13 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
+from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset, SchemaError
 from .fgw import FGWConfig, default_reference_size
 from .gdd import LabelInformedCost, cross_linear_fgw, label_informed_cost
 from .graphs import LabeledGraphDataset, concat_datasets
 from .great import GreatTrace, floor_budget, gdd_gradient, great_select
 from .io import dataset_hash
-from .ot import solve_exact_ot, solve_sinkhorn
+from .ot import (TransportSolution, _check_marginal, as_cost_matrix, solve_exact_ot,
+                 solve_sinkhorn)
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ class SelectionConfig:
         self.fgw_config()  # checks alpha
         if not (math.isfinite(self.c) and self.c >= 0):
             raise ConfigInvalid(f"c must be finite and >= 0, got {self.c}")
+        if self.nbar is not None and self.nbar < 1:
+            raise ConfigInvalid(f"nbar must be >= 1, got {self.nbar}")
         if self.T < 2:
             raise ConfigInvalid(f"T must be >= 2, got {self.T}")
         if not (math.isfinite(self.eta) and self.eta >= 0):
@@ -69,10 +73,24 @@ class SelectionConfig:
     def fgw_config(self) -> FGWConfig:
         return FGWConfig(alpha=self.alpha, seed=self.seed)
 
-    def ot_solver(self):
+    def ot_solver(self, cache_dir=None):
+        """The OT solver this config names, cached under `cache_dir` if one is given.
+
+        Without `cache_dir` this is `solve_exact_ot`, or `solve_sinkhorn` at
+        `epsilon`. With it, each solve first runs the solver's own input
+        checks, then reads an "OT" cache entry keyed on the solver (and, for
+        Sinkhorn only, epsilon), the cost's shape and float64 bytes, and the
+        indices and values of the positive entries of p and q; a miss solves
+        and writes the entry. A hit returns the bits the solve returned.
+        """
         if self.solver == "sinkhorn":
-            return partial(solve_sinkhorn, epsilon=self.epsilon)
-        return solve_exact_ot
+            solve = partial(solve_sinkhorn, epsilon=self.epsilon)
+            solver_key = {"solver": "sinkhorn", "epsilon": self.epsilon}
+        else:
+            solve, solver_key = solve_exact_ot, {"solver": "exact"}
+        if cache_dir is None:
+            return solve
+        return partial(_cached_ot, cache_dir, solver_key, solve)
 
 
 @dataclass(frozen=True)
@@ -101,7 +119,9 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     featurization is a pure function of it), the train/val shape, the
     resolved reference size and the FGW config; D-tilde on that key plus c,
     the OT solver and, for Sinkhorn only, epsilon. At c = 0, D-tilde is D,
-    so only D is cached.
+    so only D is cached. The label-table solves of a D-tilde build go
+    through the OT cache of `SelectionConfig.ot_solver`, so two values of c
+    share them.
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyDataset("train and val must both be nonempty")
@@ -122,7 +142,7 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     if cfg.solver == "sinkhorn":
         key["epsilon"] = cfg.epsilon
     values = _cached(cache_dir, "Dtilde", key, lambda: label_informed_cost(
-        train, val, D, cfg.c, cfg.ot_solver()).values)
+        train, val, D, cfg.c, cfg.ot_solver(cache_dir)).values)
     return LabelInformedCost(values=values, base=D, c=float(cfg.c))
 
 
@@ -135,6 +155,49 @@ def _cached(cache_dir, kind: str, key: dict, compute) -> np.ndarray:
     matrix = compute()
     io.save_matrix_cache(path, matrix, key)
     return matrix
+
+
+def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolution:
+    """`solve(cost, p, q)` through an "OT" cache entry; see `SelectionConfig.ot_solver`.
+
+    The solver's checks run before the lookup, so a hit accepts no input that
+    a solve rejects. Zero-mass atoms are dropped by both solvers, so only the
+    positive entries of p and q enter the key (and 0.0 and -0.0 are one key).
+    The entry is one column: value, source duals, target duals, the flat
+    indices of the coupling's nonzero bit patterns, then their masses; an
+    exact vertex has at most n + m - 1 of them.
+    """
+    cost = as_cost_matrix(cost)
+    n, m = cost.shape
+    key = {**solver_key, "shape": [n, m],
+           "cost": hashlib.sha256(np.ascontiguousarray(cost, dtype="<f8")).hexdigest(),
+           "p": _positive_digest(_check_marginal(p, n, "source marginal p")),
+           "q": _positive_digest(_check_marginal(q, m, "target marginal q"))}
+
+    def compute():
+        sol = solve(cost, p, q)
+        flat = sol.coupling.ravel()
+        cells = np.flatnonzero(flat.view(np.uint64))
+        return np.concatenate([[sol.value], sol.dual_source, sol.dual_target,
+                               cells, flat[cells]])[:, None]
+
+    column = _cached(cache_dir, "OT", key, compute).ravel()
+    k, odd = divmod(column.size - 1 - n - m, 2)
+    cells = column[1 + n + m:1 + n + m + max(k, 0)]
+    if odd or k < 0 or not np.all((cells == np.floor(cells)) & (cells >= 0) & (cells < n * m)):
+        raise SchemaError(f"{io.cache_file_name('OT', key)}: malformed OT cache entry")
+    coupling = np.zeros(n * m)
+    coupling[cells.astype(np.int64)] = column[1 + n + m + k:]
+    return TransportSolution(float(column[0]), coupling.reshape(n, m),
+                             column[1:1 + n].copy(), column[1 + n:1 + n + m].copy())
+
+
+def _positive_digest(v: np.ndarray) -> str:
+    """sha256 of the indices and float64 values of the positive entries of `v`."""
+    keep = np.flatnonzero(v > 0)
+    h = hashlib.sha256(keep.astype("<i8").tobytes())
+    h.update(v[keep].astype("<f8").tobytes())
+    return h.hexdigest()
 
 
 def _provenance(train, val, cfg: SelectionConfig) -> dict:
@@ -154,13 +217,13 @@ def _check_budget(n: int, tau: float) -> int:
     return budget
 
 
-def _budget_and_cost(train, val, cfg: SelectionConfig, dtilde):
+def _budget_and_cost(train, val, cfg: SelectionConfig, dtilde, cache_dir):
     """The selection budget, and `dtilde` checked against the splits or built."""
     if len(train) == 0 or len(val) == 0:
         raise EmptyDataset("train and val must both be nonempty")
     budget = _check_budget(len(train), cfg.tau)
     if dtilde is None:
-        return budget, build_cost(train, val, cfg)
+        return budget, build_cost(train, val, cfg, cache_dir)
     shape = np.shape(dtilde.values if isinstance(dtilde, LabelInformedCost) else dtilde)
     if shape != (len(train), len(val)):
         raise DimensionMismatch(f"dtilde has shape {shape}, expected {(len(train), len(val))}")
@@ -168,17 +231,21 @@ def _budget_and_cost(train, val, cfg: SelectionConfig, dtilde):
 
 
 def gradate(train: LabeledGraphDataset, val: LabeledGraphDataset,
-            cfg: SelectionConfig, dtilde=None) -> SelectionResult:
+            cfg: SelectionConfig, dtilde=None, cache_dir=None) -> SelectionResult:
     """Select the training subset that minimizes the dataset distance.
 
     Builds the joint barycenter and the label-informed cost once, then runs
     the iterative reweighting loop and returns the nonzero support of the
     final weights, with the optimization trace attached. A cost from
     `build_cost` (for instance a cached one) can be passed as `dtilde` to
-    skip the embedding stage; it must be len(train) by len(val).
+    skip the embedding stage; it must be len(train) by len(val). With
+    `cache_dir`, the cost is read from or written to `build_cost`'s cache
+    and every outer OT solve goes through the OT cache of
+    `SelectionConfig.ot_solver`, so a repeated run, or one at another tau
+    (the first three solves do not depend on tau), reuses its solves.
     """
-    _, dtilde = _budget_and_cost(train, val, cfg, dtilde)
-    selected, trace = great_select(dtilde, cfg.tau, cfg.T, cfg.eta, cfg.ot_solver())
+    _, dtilde = _budget_and_cost(train, val, cfg, dtilde, cache_dir)
+    selected, trace = great_select(dtilde, cfg.tau, cfg.T, cfg.eta, cfg.ot_solver(cache_dir))
     return SelectionResult(
         indices=tuple(int(i) for i in selected),
         weights=tuple(float(x) for x in trace.final_weights[selected]),
@@ -189,15 +256,17 @@ def gradate(train: LabeledGraphDataset, val: LabeledGraphDataset,
 
 
 def lava_select(train: LabeledGraphDataset, val: LabeledGraphDataset,
-                cfg: SelectionConfig, dtilde=None) -> SelectionResult:
+                cfg: SelectionConfig, dtilde=None, cache_dir=None) -> SelectionResult:
     """One-shot selection by calibrated duals at uniform weights.
 
     Solves a single OT between the uniform train and val measures, ranks
     training samples by calibrated dual ascending (ties to the lower index)
-    and keeps the floor(n * tau) smallest. No iteration.
+    and keeps the floor(n * tau) smallest. No iteration. `dtilde` is as for
+    `gradate`; with `cache_dir` the cost and the solve are cached as there,
+    and the solve is the one `gradate`'s first iteration makes.
     """
-    budget, dtilde = _budget_and_cost(train, val, cfg, dtilde)
-    ranking = np.argsort(gdd_gradient(dtilde, None, cfg.ot_solver()), kind="stable")
+    budget, dtilde = _budget_and_cost(train, val, cfg, dtilde, cache_dir)
+    ranking = np.argsort(gdd_gradient(dtilde, None, cfg.ot_solver(cache_dir)), kind="stable")
     indices = sorted(int(i) for i in ranking[:budget])
     return SelectionResult(
         indices=tuple(indices),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gradate.ot as ot
 from gradate import AttributedGraph, LabeledGraphDataset
 
 
@@ -52,6 +53,15 @@ def path_graph(n, feature_dim=0):
         feats = np.arange(n * feature_dim, dtype=float).reshape(n, feature_dim)
         g = AttributedGraph(g.adjacency, feats)
     return g
+
+
+def count_lps(monkeypatch) -> list:
+    """Patch the exact LP so that each HiGHS run appends to the returned list."""
+    calls = []
+    original = ot._solve_transport_lp
+    monkeypatch.setattr(ot, "_solve_transport_lp",
+                        lambda *a: calls.append(a[2:]) or original(*a))
+    return calls
 
 
 @pytest.fixture

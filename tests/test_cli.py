@@ -13,7 +13,7 @@ from gradate import LabeledGraphDataset, build_cost, io
 from gradate.cli import main
 from gradate.pipeline import SelectionConfig
 
-from conftest import path_graph, random_graph
+from conftest import count_lps, path_graph, random_graph
 from oracles import brute_force_ot
 
 
@@ -421,7 +421,7 @@ class TestGdd:
         assert code == 2
         assert out == ""
         assert "nbar must be >= 1, got 0" in err
-        assert not list((workdir / ".gradate_cache").iterdir())
+        assert not (workdir / ".gradate_cache").exists()
 
     def test_split_of_another_dataset_exits_2(self, workdir, capsys):
         write_two_domain_json(workdir / "ds.json", seed=0)
@@ -647,6 +647,78 @@ class TestSelect:
             code, _, _ = run(capsys, "gdd", "other.json", "osplit.json",
                              "--weights", "sel.json", "--force")
         assert code == 0
+
+
+class TestOtCache:
+    SELECT = ("select", "ds.json", "split.json", "--c", "1")
+
+    def test_warm_commands_run_no_lp_and_repeat_their_bytes(self, workdir, capsys,
+                                                             monkeypatch):
+        write_two_domain_json(workdir / "ds.json", seed=21)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        commands = {
+            "a": [*self.SELECT, "--method", "gradate", "--tau", "0.25",
+                  "--out", "a.json", "--trace", "a.csv"],
+            "lava": [*self.SELECT, "--method", "lava", "--tau", "0.25",
+                     "--out", "lava.json", "--trace", "lava.csv"],
+            "gdd": ["gdd", "ds.json", "split.json", "--c", "1", "--weights", "a.json"],
+        }
+
+        def outputs(label):
+            code, out, err = run(capsys, *commands[label])
+            assert code == 0
+            files = [workdir / f"{label}.{ext}" for ext in ("json", "csv")]
+            return out, err, [f.read_bytes() for f in files if f.exists()]
+
+        cold = {label: outputs(label) for label in commands}
+        calls = count_lps(monkeypatch)
+        warm = {label: outputs(label) for label in commands}
+        assert calls == []
+        assert warm == cold
+
+    def test_a_second_tau_shares_the_first_three_solves(self, workdir, capsys, monkeypatch):
+        write_two_domain_json(workdir / "ds.json", seed=22)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        select = [*self.SELECT, "--method", "gradate", "--out", "sel.json"]
+        assert run(capsys, *select, "--tau", "0.2", "--cache-dir", "shared")[0] == 0
+        # The same D and D-tilde, without the OT entries of the tau = 0.2 run.
+        (workdir / "fresh").mkdir()
+        for path in (workdir / "shared").glob("D*.gdd"):
+            (workdir / "fresh" / path.name).write_bytes(path.read_bytes())
+        counts = {}
+        for cache in ("shared", "fresh"):
+            calls = count_lps(monkeypatch)
+            assert run(capsys, *select, "--tau", "0.4", "--cache-dir", cache)[0] == 0
+            counts[cache] = len(calls)
+        assert counts == {"shared": 7, "fresh": 10}  # T - 1 iterations and the final solve
+
+    def test_negative_weight_on_a_warm_cache_exits_2(self, workdir, capsys):
+        write_two_domain_json(workdir / "ds.json", seed=23)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        run(capsys, *self.SELECT, "--method", "gradate", "--tau", "0.25", "--out", "a.json")
+        assert run(capsys, "gdd", "ds.json", "split.json", "--c", "1",
+                   "--weights", "a.json")[0] == 0
+        selection = io.load_selection(workdir / "a.json")
+        w = np.zeros(12)
+        w[list(selection.indices)] = selection.weights
+        w[np.flatnonzero(w == 0)[0]] = -0.5
+        (workdir / "w.json").write_text(json.dumps(w.tolist()))
+        code, out, err = run(capsys, "gdd", "ds.json", "split.json", "--c", "1",
+                             "--weights", "w.json")
+        assert code == 2
+        assert out == ""
+        assert "source marginal p has negative entries" in err
+
+    def test_truncated_ot_entry_exits_2(self, workdir, capsys):
+        write_copies_json(workdir / "copies.json")
+        run(capsys, "split", "copies.json", "--out", "split.json")
+        assert run(capsys, "gdd", "copies.json", "split.json")[0] == 0
+        (path,) = (workdir / ".gradate_cache").glob("OT-*.gdd")
+        path.write_bytes(path.read_bytes()[:-8])
+        code, out, err = run(capsys, "gdd", "copies.json", "split.json")
+        assert code == 2
+        assert out == ""
+        assert "payload has" in err
 
 
 class TestConsoleScript:

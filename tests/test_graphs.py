@@ -10,7 +10,13 @@ from gradate import (
     degree_one_hot_features,
     graph_density,
 )
-from gradate.errors import AsymmetryError, DimensionMismatch, InfeasibleMarginals
+from gradate.errors import (
+    AsymmetryError,
+    DanglingEdge,
+    DimensionMismatch,
+    InfeasibleMarginals,
+    SchemaError,
+)
 
 from conftest import path_graph, random_graph
 
@@ -40,6 +46,22 @@ class TestAttributedGraph:
         g = AttributedGraph(A)
         assert g.adjacency[0, 1] == 2.5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_adjacency(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            AttributedGraph([[0.0, bad], [bad, 0.0]])
+
+    def test_from_edges_takes_any_iterable_and_rejects_what_is_not_a_pair(self):
+        g = AttributedGraph.from_edges(3, ((i, i + 1) for i in range(2)))
+        assert np.array_equal(g.adjacency, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        assert not AttributedGraph.from_edges(2, []).adjacency.any()
+        with pytest.raises(ValueError, match="pair"):
+            AttributedGraph.from_edges(3, [(0, 1, 2)])
+        with pytest.raises(IndexError, match="integers"):
+            AttributedGraph.from_edges(3, [(0, 1.0)])
+        with pytest.raises(DanglingEdge, match=r"edge \(2, 3\) leaves the nodes 0..2"):
+            AttributedGraph.from_edges(3, [(0, 1), (2, 3), (-1, 0)])
+
     def test_immutable_arrays(self):
         g = AttributedGraph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
@@ -51,6 +73,29 @@ class TestDataset:
         g = AttributedGraph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
             LabeledGraphDataset([g], [3], label_set=[0, 1])
+
+    @pytest.mark.parametrize("labels, label_set", [
+        ([0.9, 1.7], None),
+        ([0, 1.0], [0, 1]),
+        (["1"], [1]),
+        ([True], [0, 1]),
+        ([np.bool_(True)], [0, 1]),
+        ([np.float64(1.0)], [0, 1]),
+        ([0], [0, "x"]),
+        ([0], [0, 1.5]),
+        ([0], [0, True]),
+    ], ids=["floats", "one-float", "str", "bool", "numpy-bool", "numpy-float",
+            "label-set-str", "label-set-float", "label-set-bool"])
+    def test_labels_and_label_set_take_only_integers(self, labels, label_set):
+        graphs = [AttributedGraph.from_edges(2, [(0, 1)])] * len(labels)
+        with pytest.raises(SchemaError, match="must be an integer"):
+            LabeledGraphDataset(graphs, labels, label_set=label_set)
+
+    def test_numpy_integer_labels_become_ints(self):
+        g = AttributedGraph.from_edges(2, [(0, 1)])
+        ds = LabeledGraphDataset([g, g], np.array([1, 0]), label_set=np.arange(2))
+        assert ds.labels == (1, 0) and ds.label_set == (0, 1)
+        assert all(type(y) is int for y in ds.labels + ds.label_set)
 
     def test_feature_dims_must_agree(self):
         g0 = AttributedGraph(np.zeros((2, 2)), features=np.zeros((2, 3)))

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import gradate.ot as ot
 import gradate.pipeline as pipeline
 from gradate import (
     LabeledGraphDataset,
@@ -12,14 +13,15 @@ from gradate import (
     gdd,
     gdd_from_cost,
     gradate,
+    io,
     lava_select,
     random_select,
 )
-from gradate.errors import ConfigInvalid, DimensionMismatch
+from gradate.errors import ConfigInvalid, DimensionMismatch, InfeasibleMarginals, SchemaError
 from gradate.fgw import FGWConfig
 from gradate.pipeline import SelectionConfig
 
-from conftest import random_graph
+from conftest import count_lps, random_graph
 
 
 def two_domain(rng, n_dense=8, n_sparse=8, n_val=4, feature_dim=0):
@@ -49,6 +51,11 @@ class TestSelectionConfig:
             SelectionConfig(tau=0.5, solver="magic")
         with pytest.raises(ConfigInvalid):
             SelectionConfig(tau=0.5, T=1)
+
+    @pytest.mark.parametrize("nbar", [0, -3])
+    def test_reference_size_below_one_rejected(self, nbar):
+        with pytest.raises(ConfigInvalid, match=f"nbar must be >= 1, got {nbar}"):
+            SelectionConfig(tau=0.5, nbar=nbar)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_settings_are_rejected(self, bad):
@@ -153,6 +160,109 @@ class TestBuildCost:
             build_cost(train, val, replace(cfg, solver="sinkhorn", epsilon=epsilon),
                        cache_dir=tmp_path)
         assert len(list(tmp_path.glob("Dtilde-*.gdd"))) == 3
+
+
+def bits(sol):
+    return (np.float64(sol.value).tobytes(), sol.coupling.tobytes(),
+            sol.dual_source.tobytes(), sol.dual_target.tobytes())
+
+
+class TestOtCache:
+    def test_without_a_cache_dir_the_solver_is_the_plain_one(self):
+        assert SelectionConfig(tau=0.5).ot_solver() is ot.solve_exact_ot
+        sinkhorn = SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=0.3).ot_solver()
+        assert (sinkhorn.func, sinkhorn.keywords) == (ot.solve_sinkhorn, {"epsilon": 0.3})
+
+    @pytest.mark.parametrize("solver", ["exact", "sinkhorn"])
+    def test_a_hit_returns_the_bits_of_the_solve(self, tmp_path, monkeypatch, solver):
+        rng = np.random.default_rng(3)
+        cost = rng.random((7, 5))
+        p = np.array([0.25, 0.0, 0.25, 0.0, 0.3, 0.2, 0.0])
+        q = np.full(5, 0.2)
+        cfg = SelectionConfig(tau=0.5, solver=solver, epsilon=0.5)
+        direct = cfg.ot_solver()(cost, p, q)
+        cached = cfg.ot_solver(tmp_path)
+        assert bits(cached(cost, p, q)) == bits(direct)
+        calls = count_lps(monkeypatch)
+        # -0.0 is no mass, as 0.0 is: the same entry answers.
+        assert bits(cached(cost, np.where(p > 0, p, -0.0), q)) == bits(direct)
+        assert calls == []
+        assert len(list(tmp_path.glob("OT-*.gdd"))) == 1
+
+    def test_an_exact_entry_grows_with_n_plus_m(self, tmp_path):
+        cost = np.random.default_rng(4).random((40, 30))
+        SelectionConfig(tau=0.5).ot_solver(tmp_path)(cost, np.full(40, 1 / 40), np.full(30, 1 / 30))
+        (path,) = tmp_path.glob("OT-*.gdd")
+        header_len = int.from_bytes(path.read_bytes()[4:8], "little")
+        # value, 40 + 30 duals, and at most 40 + 30 - 1 cells with their masses
+        assert path.stat().st_size - 8 - header_len <= 8 * (1 + 70 + 2 * 69)
+
+    def test_input_a_solve_rejects_is_rejected_on_a_warm_cache(self, tmp_path):
+        cost = np.random.default_rng(5).random((4, 3))
+        p, q = np.array([0.5, 0.5, 0.0, 0.0]), np.full(3, 1 / 3)
+        solve = SelectionConfig(tau=0.5).ot_solver(tmp_path)
+        solve(cost, p, q)
+        # Same positive entries as the cached problem, plus one negative weight.
+        with pytest.raises(InfeasibleMarginals, match="negative entries"):
+            solve(cost, np.array([0.5, 0.5, -0.5, 0.5]), q)
+        with pytest.raises(ValueError, match="finite"):
+            solve(np.where(cost > 0.5, np.inf, cost), p, q)
+
+    @pytest.mark.parametrize("tail", [[0.0], [2.5, 0.5], [12.0, 0.5], [np.nan, 0.5]],
+                             ids=["odd-length", "fractional-cell", "cell-outside", "nan-cell"])
+    def test_an_entry_that_is_no_solution_is_a_schema_error(self, tmp_path, tail):
+        cost = np.random.default_rng(6).random((4, 3))
+        p, q = np.full(4, 0.25), np.full(3, 1 / 3)
+        solve = SelectionConfig(tau=0.5).ot_solver(tmp_path)
+        solve(cost, p, q)
+        (path,) = tmp_path.glob("OT-*.gdd")
+        blob = path.read_bytes()
+        key = json.loads(blob[8:8 + int.from_bytes(blob[4:8], "little")])["key"]
+        io.save_matrix_cache(path, np.array([[0.0]] * 8 + [[x] for x in tail]), key)
+        with pytest.raises(SchemaError, match="malformed OT cache entry"):
+            solve(cost, p, q)
+
+    def test_ot_keys_hold_exactly_the_inputs_of_a_solve(self, tmp_path):
+        rng = np.random.default_rng(18)
+        train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
+        for solver in ("exact", "sinkhorn"):
+            lava_select(train, val, SelectionConfig(tau=0.5, solver=solver, epsilon=2.0),
+                        cache_dir=tmp_path)
+        keys = set()
+        for path in tmp_path.glob("OT-*.gdd"):
+            blob = path.read_bytes()
+            header_len = int.from_bytes(blob[4:8], "little")
+            keys.add(tuple(sorted(json.loads(blob[8:8 + header_len])["key"])))
+        base = ("cost", "p", "q", "shape", "solver")
+        assert keys == {base, tuple(sorted(base + ("epsilon",)))}
+
+    def test_two_values_of_c_share_the_label_table_solves(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(19)
+        train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
+        val = LabeledGraphDataset(val.graphs, [0, 1], label_set=[0, 1])
+        build_cost(train, val, SelectionConfig(tau=0.5, c=1.0), cache_dir=tmp_path)
+        uncached = build_cost(train, val, SelectionConfig(tau=0.5, c=2.0))
+        calls = count_lps(monkeypatch)
+        cost = build_cost(train, val, SelectionConfig(tau=0.5, c=2.0), cache_dir=tmp_path)
+        assert calls == []
+        assert np.array_equal(cost.values, uncached.values)
+        assert len(list(tmp_path.glob("Dtilde-*.gdd"))) == 2
+
+    def test_a_warm_selection_runs_no_lp_and_repeats_its_result(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(20)
+        train, val = two_domain(rng, n_dense=4, n_sparse=4, n_val=3)
+        cfg = SelectionConfig(tau=0.25, c=1.0)
+        plain = gradate(train, val, cfg)
+        first = gradate(train, val, cfg, cache_dir=tmp_path)
+        calls = count_lps(monkeypatch)
+        again = gradate(train, val, cfg, cache_dir=tmp_path)
+        lava = lava_select(train, val, cfg, cache_dir=tmp_path)
+        assert calls == []
+        for result in (first, again):
+            assert result == plain
+            assert result.trace.rows() == plain.trace.rows()
+            assert result.trace.final_weights.tobytes() == plain.trace.final_weights.tobytes()
+        assert lava == lava_select(train, val, cfg)
 
 
 class TestGradate:
