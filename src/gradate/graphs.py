@@ -108,6 +108,62 @@ class AttributedGraph:
         return np.count_nonzero(self.adjacency, axis=1)
 
 
+def _graphs_from_arrays(sizes, edge_graph, ends, features) -> list[AttributedGraph]:
+    """The 0/1 graphs of a whole dataset, built in one pass from flat arrays.
+
+    sizes : (G,) node count of each graph.
+    edge_graph, ends : (E,) graph of each edge and (E, 2) integer endpoints,
+        local to that graph (0..n-1).
+    features : (sum(sizes), d) feature rows, stacked in graph order.
+
+    The whole dataset is checked at once for what `from_edges` and the
+    constructor check per graph. If a check fails, the first failing graph
+    goes through `from_edges` alone, which raises its error. Otherwise each
+    graph holds read-only views into three shared buffers (adjacencies,
+    features, uniform node weights), and no constructor runs; the arrays
+    equal those of `from_edges(n, edges, features)` byte for byte.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    edge_graph = np.asarray(edge_graph, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
+    # A copy owned here: views of a frozen owner cannot be made writeable again.
+    features = np.array(features, dtype=np.float64, order="C")
+    node_start = np.concatenate(([0], np.cumsum(sizes)))
+    if features.ndim != 2 or features.shape[0] != node_start[-1]:
+        raise DimensionMismatch(f"features has shape {features.shape} for {node_start[-1]} nodes")
+
+    bad = sizes < 1
+    if not bad.any():
+        edge_n = sizes[edge_graph]
+        bad[edge_graph[((ends < 0) | (ends >= edge_n[:, None])).any(axis=1)]] = True
+        row_graph = np.repeat(np.arange(len(sizes)), sizes)
+        bad[row_graph[~np.isfinite(features).all(axis=1)]] = True
+    if bad.any():
+        k = int(np.argmax(bad))
+        AttributedGraph.from_edges(int(sizes[k]), ends[edge_graph == k],
+                                   features=features[node_start[k]:node_start[k + 1]])
+        raise AssertionError(f"graph {k} failed a bulk check but passed from_edges")
+
+    adj_start = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    adjacency = np.zeros(adj_start[-1])
+    i, j = ends.T
+    cell = adj_start[edge_graph]
+    adjacency[cell + i * edge_n + j] = 1.0
+    adjacency[cell + j * edge_n + i] = 1.0
+    weights = np.repeat(1.0 / sizes, sizes)
+    for buf in (adjacency, features, weights):
+        buf.setflags(write=False)
+
+    graphs = []
+    for n, a, s in zip(sizes.tolist(), adj_start.tolist(), node_start.tolist()):
+        g = object.__new__(AttributedGraph)
+        object.__setattr__(g, "adjacency", adjacency[a:a + n * n].reshape(n, n))
+        object.__setattr__(g, "features", features[s:s + n])
+        object.__setattr__(g, "node_weights", weights[s:s + n])
+        graphs.append(g)
+    return graphs
+
+
 @dataclass(frozen=True)
 class LabeledGraphDataset:
     """An ordered collection of (graph, class-label) pairs sharing a label set.

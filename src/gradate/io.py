@@ -4,6 +4,14 @@ Supports TUDataset-style flat files and a native JSON graph format, plus
 content-addressed binary caches for distance matrices and OT solutions, and
 JSON round-trips for splits and selection results. Writers are atomic
 (write to a sibling temp file, then rename) and deterministic byte for byte.
+
+Both dataset readers check and build all graphs of a dataset in one
+vectorized pass (`graphs._graphs_from_arrays`): the graphs of a loaded
+dataset are read-only views into three shared buffers, and no per-graph
+constructor runs. A JSON file that fails a check, or that holds a field
+in a shape the one-pass reader does not take (a string where it expects a
+list, say), is read entry by entry instead, so a fault is reported as the
+first failing graph's own error.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .graphs import AttributedGraph, LabeledGraphDataset, graph_density
+from .graphs import AttributedGraph, LabeledGraphDataset, _graphs_from_arrays, graph_density
 
 CACHE_MAGIC = b"GDD1"
 
@@ -40,11 +48,13 @@ def dataset_hash(dataset: LabeledGraphDataset) -> str:
     """Content hash of a dataset: graphs, order, labels and label set."""
     h = hashlib.sha256()
     h.update(struct.pack("<q", len(dataset)))
+    # A graph's arrays are frozen C-contiguous float64, so their buffers are
+    # the bytes to hash.
     for g, y in zip(dataset.graphs, dataset.labels):
-        h.update(struct.pack("<qqq", g.n_nodes, g.feature_dim, int(y)))
-        h.update(np.ascontiguousarray(g.adjacency).tobytes())
-        h.update(np.ascontiguousarray(g.features).tobytes())
-        h.update(np.ascontiguousarray(g.node_weights).tobytes())
+        h.update(struct.pack("<qqq", *g.features.shape, y))  # n, d, label
+        h.update(g.adjacency)
+        h.update(g.features)
+        h.update(g.node_weights)
     h.update(json.dumps(list(dataset.label_set)).encode())
     return h.hexdigest()
 
@@ -141,13 +151,15 @@ def load_tudataset(dir_path) -> LabeledGraphDataset:
     n_graphs = max(node_graph) + 1
 
     # Global node id -> (graph, local index), following indicator order.
+    sizes = np.bincount(node_graph, minlength=n_graphs)
+    if not sizes.all():
+        raise ParseError(indicator_path, 0, f"graph id {np.argmin(sizes) + 1} has no nodes")
+    by_graph = np.argsort(node_graph, kind="stable")  # each graph's nodes in indicator order
     local_index = np.empty(n_nodes_total, dtype=np.int64)
-    sizes = np.zeros(n_graphs, dtype=np.int64)
-    for v, gid in enumerate(node_graph):
-        local_index[v] = sizes[gid]
-        sizes[gid] += 1
+    local_index[by_graph] = np.arange(n_nodes_total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    local_index = local_index.tolist()
 
-    adjacencies = [np.zeros((s, s)) for s in sizes]
+    edge_graph, ends = [], []
     for ln, raw in _nonblank_lines(path_for("A")):
         parts = raw.replace(",", " ").split()
         if len(parts) != 2:
@@ -161,10 +173,8 @@ def load_tudataset(dir_path) -> LabeledGraphDataset:
         if node_graph[u] != node_graph[v]:
             raise ParseError(path_for("A"), ln,
                              f"edge {raw!r} crosses graphs {node_graph[u] + 1} and {node_graph[v] + 1}")
-        gid = node_graph[u]
-        a, b = local_index[u], local_index[v]
-        adjacencies[gid][a, b] = 1.0
-        adjacencies[gid][b, a] = 1.0
+        edge_graph.append(node_graph[u])
+        ends.append((local_index[u], local_index[v]))
 
     raw_labels = _parse_lines(labels_path, int, "graph label")
     if len(raw_labels) != n_graphs:
@@ -172,7 +182,7 @@ def load_tudataset(dir_path) -> LabeledGraphDataset:
                          f"{len(raw_labels)} labels for {n_graphs} graphs")
 
     attr_path = path_for("node_attributes")
-    features = [None] * n_graphs
+    features = np.zeros((n_nodes_total, 0))
     if attr_path.exists():
         rows = _parse_lines(attr_path, lambda s: [float(x) for x in s.split(",")],
                             "attribute row")
@@ -182,16 +192,12 @@ def load_tudataset(dir_path) -> LabeledGraphDataset:
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise ParseError(attr_path, 0, f"ragged attribute rows: widths {sorted(widths)}")
-        width = widths.pop()
-        feats = [np.zeros((s, width)) for s in sizes]
-        for v, row in enumerate(rows):
-            feats[node_graph[v]][local_index[v]] = row
-        features = feats
+        features = np.array(rows)[by_graph]
 
     label_names = sorted(set(raw_labels))
     remap = {orig: i for i, orig in enumerate(label_names)}
     try:
-        graphs = [AttributedGraph(adjacencies[i], features[i]) for i in range(n_graphs)]
+        graphs = _graphs_from_arrays(sizes, edge_graph, ends, features)
     except ValueError as exc:
         raise SchemaError(f"{root}: {exc}") from None
     return LabeledGraphDataset(
@@ -237,27 +243,77 @@ def _json_int(value, what: str) -> int:
 def load_dataset_json(path) -> LabeledGraphDataset:
     """Read the native JSON graph format; a graph failing its checks is a SchemaError.
 
-    `n`, labels, `label_set` entries and edge endpoints must be JSON integers.
+    `n`, labels, `label_set` entries and edge endpoints must be JSON integers,
+    and `n` at least 1. A file whose fields have the shapes `_json_arrays`
+    takes is checked and built in one pass; any other file, and any file that
+    fails a check, is read entry by entry, which reports the first fault.
     """
     payload = _read_json(path)
     try:
-        graphs = []
-        labels = []
-        for k, entry in enumerate(payload["graphs"]):
-            n = _json_int(entry["n"], f"graph {k}: n")
-            edges = entry["edges"]
-            if set(map(type, chain.from_iterable(edges))) - {int}:
-                _json_int(next(v for v in chain.from_iterable(edges) if type(v) is not int),
-                          f"graph {k}: edge endpoint")
-            feats = np.array(entry["features"], dtype=np.float64)
-            if feats.size == 0:
-                feats = np.zeros((n, 0))
-            graphs.append(AttributedGraph.from_edges(n, edges, features=feats))
-            labels.append(_json_int(entry["label"], f"graph {k}: label"))
-        label_set = [_json_int(y, "label_set entry") for y in payload["label_set"]]
-        return LabeledGraphDataset(graphs, labels, label_set=label_set)
+        arrays = _json_arrays(payload)
+        if arrays is None:
+            return _json_dataset_by_entry(payload)
+        sizes, edge_graph, ends, features, labels = arrays
+        return LabeledGraphDataset(_graphs_from_arrays(sizes, edge_graph, ends, features),
+                                   labels, label_set=payload["label_set"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed dataset JSON ({exc})") from None
+
+
+def _json_arrays(payload):
+    """A dataset payload as flat arrays for `_graphs_from_arrays`, or None.
+
+    None unless every JSON-integer field holds a JSON integer, every `n` is at
+    least 1, every edge is a pair, and every graph's features are a list of
+    `n` rows (or `n` numbers, one column) that stack into one matrix, or `[]`
+    in every graph.
+    """
+    try:
+        entries = payload["graphs"]
+        sizes = [entry["n"] for entry in entries]
+        edges = [entry["edges"] for entry in entries]
+        feats = [entry["features"] for entry in entries]
+        labels = [entry["label"] for entry in entries]
+        pairs = list(chain.from_iterable(edges))
+        endpoints = list(chain.from_iterable(pairs))
+        if (set(map(type, chain(sizes, labels, payload["label_set"], endpoints))) - {int}
+                or set(map(len, pairs)) - {2} or set(map(type, feats)) - {list}
+                or min(sizes, default=1) < 1):
+            return None
+        ends = np.array(endpoints, dtype=np.int64).reshape(-1, 2)
+        rows = list(chain.from_iterable(feats))
+        features = np.array(rows, dtype=np.float64)
+        if not rows:
+            features = np.zeros((sum(sizes), 0))
+        elif features.ndim == 1:
+            features = features[:, None]
+    except (LookupError, TypeError, ValueError, OverflowError):
+        return None
+    if features.ndim != 2 or (rows and list(map(len, feats)) != sizes):
+        return None
+    edge_counts = np.array(list(map(len, edges)), dtype=np.int64)
+    return sizes, np.repeat(np.arange(len(sizes)), edge_counts), ends, features, labels
+
+
+def _json_dataset_by_entry(payload) -> LabeledGraphDataset:
+    """The payload's dataset, each entry checked and built on its own."""
+    graphs = []
+    labels = []
+    for k, entry in enumerate(payload["graphs"]):
+        n = _json_int(entry["n"], f"graph {k}: n")
+        if n < 1:
+            raise ValueError(f"graph {k}: n must be at least 1, got {n}")
+        edges = entry["edges"]
+        if set(map(type, chain.from_iterable(edges))) - {int}:
+            _json_int(next(v for v in chain.from_iterable(edges) if type(v) is not int),
+                      f"graph {k}: edge endpoint")
+        feats = np.array(entry["features"], dtype=np.float64)
+        if feats.size == 0:
+            feats = np.zeros((n, 0))
+        graphs.append(AttributedGraph.from_edges(n, edges, features=feats))
+        labels.append(_json_int(entry["label"], f"graph {k}: label"))
+    label_set = [_json_int(y, "label_set entry") for y in payload["label_set"]]
+    return LabeledGraphDataset(graphs, labels, label_set=label_set)
 
 
 def load_dataset(path) -> LabeledGraphDataset:

@@ -79,13 +79,14 @@ class SelectionConfig:
         Without `cache_dir` this is `solve_exact_ot`, or `solve_sinkhorn` at
         `epsilon`. With it, each solve first runs the solver's own input
         checks, then reads an "OT" cache entry keyed on the solver (and, for
-        Sinkhorn only, epsilon), the cost's shape and float64 bytes, and the
-        indices and values of the positive entries of p and q; a miss solves
-        and writes the entry. A hit returns the bits the solve returned.
+        Sinkhorn only, epsilon and the dense coupling layout), the cost's
+        shape and float64 bytes, and the indices and values of the positive
+        entries of p and q; a miss solves and writes the entry. A hit returns
+        the bits the solve returned.
         """
         if self.solver == "sinkhorn":
             solve = partial(solve_sinkhorn, epsilon=self.epsilon)
-            solver_key = {"solver": "sinkhorn", "epsilon": self.epsilon}
+            solver_key = {"solver": "sinkhorn", "epsilon": self.epsilon, "coupling": "dense"}
         else:
             solve, solver_key = solve_exact_ot, {"solver": "exact"}
         if cache_dir is None:
@@ -163,9 +164,11 @@ def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolut
     The solver's checks run before the lookup, so a hit accepts no input that
     a solve rejects. Zero-mass atoms are dropped by both solvers, so only the
     positive entries of p and q enter the key (and 0.0 and -0.0 are one key).
-    The entry is one column: value, source duals, target duals, the flat
-    indices of the coupling's nonzero bit patterns, then their masses; an
-    exact vertex has at most n + m - 1 of them.
+    The entry is one column: value, source duals, target duals, then the
+    coupling. A key with `"coupling": "dense"` (Sinkhorn's, whose coupling
+    has no zero cell) stores all n * m cells row-major; otherwise the entry
+    stores the flat indices of the coupling's nonzero bit patterns, then
+    their masses, and an exact vertex has at most n + m - 1 of them.
     """
     cost = as_cost_matrix(cost)
     n, m = cost.shape
@@ -173,22 +176,34 @@ def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolut
            "cost": hashlib.sha256(np.ascontiguousarray(cost, dtype="<f8")).hexdigest(),
            "p": _positive_digest(_check_marginal(p, n, "source marginal p")),
            "q": _positive_digest(_check_marginal(q, m, "target marginal q"))}
+    dense = solver_key.get("coupling") == "dense"
 
     def compute():
         sol = solve(cost, p, q)
         flat = sol.coupling.ravel()
-        cells = np.flatnonzero(flat.view(np.uint64))
-        return np.concatenate([[sol.value], sol.dual_source, sol.dual_target,
-                               cells, flat[cells]])[:, None]
+        if dense:
+            tail = [flat]
+        else:
+            cells = np.flatnonzero(flat.view(np.uint64))
+            tail = [cells, flat[cells]]
+        return np.concatenate([[sol.value], sol.dual_source, sol.dual_target, *tail])[:, None]
 
     column = _cached(cache_dir, "OT", key, compute).ravel()
-    k, odd = divmod(column.size - 1 - n - m, 2)
-    cells = column[1 + n + m:1 + n + m + max(k, 0)]
-    if odd or k < 0 or not np.all((cells == np.floor(cells)) & (cells >= 0) & (cells < n * m)):
-        raise SchemaError(f"{io.cache_file_name('OT', key)}: malformed OT cache entry")
-    coupling = np.zeros(n * m)
-    coupling[cells.astype(np.int64)] = column[1 + n + m + k:]
-    return TransportSolution(float(column[0]), coupling.reshape(n, m),
+    malformed = f"{io.cache_file_name('OT', key)}: malformed OT cache entry"
+    body = column[1 + n + m:]
+    if dense:
+        if body.size != n * m:
+            raise SchemaError(malformed)
+        coupling = body.reshape(n, m)
+    else:
+        k, odd = divmod(column.size - 1 - n - m, 2)
+        cells = body[:max(k, 0)]
+        if odd or k < 0 or not np.all((cells == np.floor(cells)) & (cells >= 0) & (cells < n * m)):
+            raise SchemaError(malformed)
+        coupling = np.zeros(n * m)
+        coupling[cells.astype(np.int64)] = body[k:]
+        coupling = coupling.reshape(n, m)
+    return TransportSolution(float(column[0]), coupling,
                              column[1:1 + n].copy(), column[1 + n:1 + n + m].copy())
 
 

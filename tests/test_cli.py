@@ -383,6 +383,19 @@ class TestGdd:
         assert out == ""
         assert message in err
 
+    def test_graph_without_nodes_exits_2_naming_the_file_and_graph(self, workdir, capsys):
+        ds = LabeledGraphDataset([path_graph(3, feature_dim=1)] * 10, [0] * 10)
+        io.save_dataset_json(ds, "ds.json")
+        payload = json.loads((workdir / "ds.json").read_text())
+        payload["graphs"][4].update(n=0, edges=[], features=[])
+        (workdir / "ds.json").write_text(json.dumps(payload))
+        split = {"by": "size", "train": list(range(6)), "val": [6, 7], "test": [8, 9]}
+        (workdir / "split.json").write_text(json.dumps(split))
+        code, out, err = run(capsys, "gdd", "ds.json", "split.json")
+        assert code == 2
+        assert out == ""
+        assert "ds.json: malformed dataset JSON (graph 4: n must be at least 1, got 0)" in err
+
     def test_split_without_a_hash_that_misses_graphs_exits_2(self, workdir, capsys):
         write_copies_json(workdir / "copies.json", n=10)
         split = {"by": "size", "train": list(range(6)), "val": [6], "test": [7]}

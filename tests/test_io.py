@@ -3,17 +3,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradate import AttributedGraph, LabeledGraphDataset, io, random_select
 from gradate.errors import (
     DanglingEdge,
     DatasetTooSmall,
+    DimensionMismatch,
     HashMismatch,
     ParseError,
     SchemaError,
 )
 
-from conftest import path_graph, random_graph
+from conftest import path_graph, random_dataset, random_graph
 
 
 def write_tu(tmp_path, name="DS", edges=((1, 2), (2, 1)), indicator=(1, 1, 2),
@@ -164,6 +167,135 @@ class TestJsonLoader:
             payload["graphs"][0][field] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match=f"{named} must be an integer"):
+            io.load_dataset_json(path)
+
+
+def assert_same_graphs(loaded, reference):
+    """Equal graphs byte for byte, in the same order, and equal dataset hashes."""
+    assert len(loaded) == len(reference)
+    for g, ref in zip(loaded.graphs, reference.graphs):
+        for name in ("adjacency", "features", "node_weights"):
+            a, b = getattr(g, name), getattr(ref, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert io.dataset_hash(loaded) == io.dataset_hash(reference)
+
+
+def entry(n, edges, features, label=0):
+    return {"n": n, "edges": [list(e) for e in edges], "features": features, "label": label}
+
+
+@pytest.fixture
+def constructor_calls(monkeypatch):
+    """Patch AttributedGraph.__init__ so that each call appends to the returned list."""
+    calls = []
+    init = AttributedGraph.__init__
+    monkeypatch.setattr(AttributedGraph, "__init__",
+                        lambda self, *a, **kw: calls.append(a) or init(self, *a, **kw))
+    return calls
+
+
+class TestOnePassLoad:
+    @pytest.mark.parametrize("entries", [
+        [entry(3, [(0, 1), (1, 2)], [[0.5, -1.0], [2.0, 0.0], [1.5, 3.25]]),
+         entry(1, [], [[0.0, 1.0]], label=1),
+         entry(4, [(3, 0), (2, 2), (0, 3)], [[1, 2], [3, 4], [5, 6], [7, 8]])],
+        [entry(2, [(0, 1)], []), entry(1, [], [], label=1), entry(5, [(0, 4), (1, 3)], [])],
+        [entry(2, [(0, 1)], [[], []]), entry(1, [], [[]])],
+        [entry(2, [(0, 1)], [0.5, 1.5]), entry(1, [], [2.0], label=1)],
+    ], ids=["attributed", "featureless", "empty-rows", "one-d-features"])
+    def test_graphs_equal_those_built_one_by_one(self, tmp_path, entries):
+        reference = LabeledGraphDataset(
+            [AttributedGraph.from_edges(e["n"], e["edges"],
+                                        features=e["features"] if np.size(e["features"]) else None)
+             for e in entries],
+            [e["label"] for e in entries], label_set=[0, 1])
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"graphs": entries, "label_set": [0, 1]}))
+        assert_same_graphs(io.load_dataset_json(path), reference)
+
+    @given(st.integers(min_value=0, max_value=2 ** 20), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=30, deadline=None)
+    def test_save_and_load_round_trip(self, tmp_path_factory, seed, feature_dim):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, int(rng.integers(0, 7)), n_classes=3, feature_dim=feature_dim,
+                            size_range=(1, 7))
+        path = tmp_path_factory.mktemp("round-trip") / "ds.json"
+        io.save_dataset_json(ds, path)
+        assert_same_graphs(io.load_dataset_json(path), ds)
+
+    def test_tu_and_json_copies_hash_equal(self, tmp_path):
+        # The indicator interleaves the two graphs, so the TU reader regroups nodes.
+        d = write_tu(tmp_path, edges=((1, 3), (3, 1), (2, 4), (4, 5)),
+                     indicator=(1, 2, 1, 2, 2), labels=(5, 7),
+                     attributes=["0.5, 1", "2, 3", "4, 5", "6, 7", "8, 9.5"])
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"graphs": [
+            entry(2, [(0, 1)], [[0.5, 1], [4, 5]]),
+            entry(3, [(0, 1), (1, 2)], [[2, 3], [6, 7], [8, 9.5]], label=1),
+        ], "label_set": [0, 1]}))
+        assert_same_graphs(io.load_tudataset(d), io.load_dataset_json(path))
+
+    def test_loaded_arrays_are_read_only(self, tmp_path, rng):
+        io.save_dataset_json(random_dataset(rng, 5), tmp_path / "ds.json")
+        (tmp_path / "one-d.json").write_text(json.dumps(
+            {"graphs": [entry(2, [(0, 1)], [0.5, 1.5])], "label_set": [0]}))
+        d = write_tu(tmp_path, attributes=["0.5, 1.0", "2.0, 3.0", "4.0, 5.0"])
+        for ds in (io.load_dataset_json(tmp_path / "ds.json"),
+                   io.load_dataset_json(tmp_path / "one-d.json"), io.load_tudataset(d)):
+            for g in ds.graphs:
+                for a in (g.adjacency, g.features, g.node_weights):
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a.setflags(write=True)
+
+    def test_a_valid_file_runs_no_graph_constructor(self, tmp_path, rng, constructor_calls):
+        ds = random_dataset(rng, 20)
+        io.save_dataset_json(ds, tmp_path / "ds.json")
+        d = write_tu(tmp_path, attributes=["0.5, 1.0", "2.0, 3.0", "4.0, 5.0"])
+        constructor_calls.clear()
+        assert_same_graphs(io.load_dataset_json(tmp_path / "ds.json"), ds)
+        assert len(io.load_tudataset(d)) == 2
+        assert constructor_calls == []
+
+    def test_json_graph_without_nodes_names_itself(self, tmp_path):
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"graphs": [entry(2, [(0, 1)], []), entry(0, [], [])],
+                                    "label_set": [0]}))
+        with pytest.raises(SchemaError, match="graph 1: n must be at least 1, got 0"):
+            io.load_dataset_json(path)
+
+    def test_tu_graph_without_nodes_names_itself(self, tmp_path):
+        d = write_tu(tmp_path, indicator=(1, 1, 3), labels=(1, 2, 1))
+        with pytest.raises(ParseError, match=r"DS_graph_indicator.txt:0: graph id 2 has no nodes"):
+            io.load_tudataset(d)
+
+    @pytest.mark.parametrize("first, second, error, message", [
+        ("dangling-edge", "nan-feature", DanglingEdge, r"edge \(0, 5\) leaves the nodes 0..2"),
+        ("nan-feature", "dangling-edge", SchemaError, "feature entries must be finite"),
+        ("few-feature-rows", "dangling-edge", DimensionMismatch, "features has 2 rows for 3 nodes"),
+        ("string-label", "dangling-edge", SchemaError, "graph 1: label must be an integer"),
+        ("dangling-edge", "string-label", DanglingEdge, r"edge \(0, 5\) leaves the nodes 0..2"),
+        ("float-endpoint", "nan-feature", SchemaError, "graph 1: edge endpoint must be an integer"),
+        ("dangling-edge", "no-nodes", DanglingEdge, r"edge \(0, 5\) leaves the nodes 0..2"),
+    ])
+    def test_of_two_faulty_graphs_the_earlier_is_reported(self, tmp_path, first, second,
+                                                          error, message):
+        faults = {
+            "dangling-edge": lambda g: g["edges"].append([0, 5]),
+            "nan-feature": lambda g: g["features"].__setitem__(1, [float("nan")]),
+            "few-feature-rows": lambda g: g["features"].pop(),
+            "string-label": lambda g: g.__setitem__("label", "x"),
+            "float-endpoint": lambda g: g["edges"].append([0, 1.0]),
+            "no-nodes": lambda g: g.update(n=0, edges=[], features=[]),
+        }
+        ds = LabeledGraphDataset([path_graph(3, feature_dim=1)] * 5, [0] * 5)
+        path = tmp_path / "ds.json"
+        io.save_dataset_json(ds, path)
+        payload = json.loads(path.read_text())
+        faults[first](payload["graphs"][1])
+        faults[second](payload["graphs"][3])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(error, match=message):
             io.load_dataset_json(path)
 
 
@@ -390,6 +522,19 @@ class TestDatasetHash:
         c = LabeledGraphDataset(graphs, [1, 0, 0])
         assert io.dataset_hash(a) != io.dataset_hash(b)
         assert io.dataset_hash(a) != io.dataset_hash(c)
+
+    def test_digest_is_pinned(self, tmp_path):
+        # Split files, selection files and the D cache key store this digest.
+        ds = LabeledGraphDataset(
+            [AttributedGraph.from_edges(3, [(0, 1), (1, 2)],
+                                        features=[[0.5, -1.0], [2.0, 0.0], [1.5, 3.25]]),
+             AttributedGraph.from_edges(1, [], features=[[0.0, 1.0]]),
+             AttributedGraph.from_edges(2, [(0, 1)], features=[[1.0, 1.0], [-2.0, 0.125]])],
+            [1, 0, 1], label_set=[0, 1, 2])
+        pinned = "f6a3628223776695eb3c1bba0f071cb0b8acaae5ea728b49ddada510d6a39cdf"
+        assert io.dataset_hash(ds) == pinned
+        io.save_dataset_json(ds, tmp_path / "ds.json")
+        assert io.dataset_hash(io.load_dataset_json(tmp_path / "ds.json")) == pinned
 
     def test_stable_across_identical_builds(self, rng):
         g = random_graph(rng)

@@ -197,6 +197,51 @@ class TestOtCache:
         # value, 40 + 30 duals, and at most 40 + 30 - 1 cells with their masses
         assert path.stat().st_size - 8 - header_len <= 8 * (1 + 70 + 2 * 69)
 
+    def test_a_sinkhorn_entry_is_dense(self, tmp_path):
+        # A Sinkhorn coupling has no zero cell: n * m masses, not 2 * n * m.
+        cost = np.random.default_rng(4).random((40, 30))
+        cfg = SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=0.5)
+        cfg.ot_solver(tmp_path)(cost, np.full(40, 1 / 40), np.full(30, 1 / 30))
+        (path,) = tmp_path.glob("OT-*.gdd")
+        header_len = int.from_bytes(path.read_bytes()[4:8], "little")
+        assert path.stat().st_size - 8 - header_len == 8 * (1 + 70 + 40 * 30)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 4)], ids=["k-odd", "k-is-half-of-nm"])
+    def test_a_sparse_layout_is_not_read_as_a_sinkhorn_entry(self, tmp_path, shape):
+        # An entry in the sparse layout, written under the key without the
+        # layout field, must miss. At 4 x 4 its k = n * m / 2 cells give it
+        # the dense length, so only the key tells the layouts apart.
+        n, m = shape
+        cost = np.random.default_rng(7).random(shape)
+        p, q = np.full(n, 1 / n), np.full(m, 1 / m)
+        cfg = SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=0.5)
+        sol = cfg.ot_solver()(cost, p, q)
+        cached = cfg.ot_solver(tmp_path)
+        cached(cost, p, q)
+        (path,) = tmp_path.glob("OT-*.gdd")
+        blob = path.read_bytes()
+        key = json.loads(blob[8:8 + int.from_bytes(blob[4:8], "little")])["key"]
+        path.unlink()
+        assert key.pop("coupling") == "dense"
+        cells = np.arange(0, n * m, 2)
+        sparse = np.concatenate([[sol.value], sol.dual_source, sol.dual_target,
+                                 cells, sol.coupling.ravel()[cells]])[:, None]
+        io.save_matrix_cache(tmp_path / io.cache_file_name("OT", key), sparse, key)
+        assert bits(cached(cost, p, q)) == bits(sol)
+        assert len(list(tmp_path.glob("OT-*.gdd"))) == 2
+
+    def test_a_sinkhorn_entry_of_the_wrong_length_is_a_schema_error(self, tmp_path):
+        cost = np.random.default_rng(6).random((4, 3))
+        p, q = np.full(4, 0.25), np.full(3, 1 / 3)
+        solve = SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=0.5).ot_solver(tmp_path)
+        solve(cost, p, q)
+        (path,) = tmp_path.glob("OT-*.gdd")
+        blob = path.read_bytes()
+        key = json.loads(blob[8:8 + int.from_bytes(blob[4:8], "little")])["key"]
+        io.save_matrix_cache(path, np.zeros((1 + 7 + 11, 1)), key)
+        with pytest.raises(SchemaError, match="malformed OT cache entry"):
+            solve(cost, p, q)
+
     def test_input_a_solve_rejects_is_rejected_on_a_warm_cache(self, tmp_path):
         cost = np.random.default_rng(5).random((4, 3))
         p, q = np.array([0.5, 0.5, 0.0, 0.0]), np.full(3, 1 / 3)
@@ -234,7 +279,7 @@ class TestOtCache:
             header_len = int.from_bytes(blob[4:8], "little")
             keys.add(tuple(sorted(json.loads(blob[8:8 + header_len])["key"])))
         base = ("cost", "p", "q", "shape", "solver")
-        assert keys == {base, tuple(sorted(base + ("epsilon",)))}
+        assert keys == {base, tuple(sorted(base + ("coupling", "epsilon")))}
 
     def test_two_values_of_c_share_the_label_table_solves(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(19)
