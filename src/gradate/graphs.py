@@ -59,6 +59,8 @@ class AttributedGraph:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim == 1:
             features = features[:, None]
+        if features.ndim != 2:
+            raise DimensionMismatch(f"features must be an (n, d) matrix, got shape {features.shape}")
         if features.shape[0] != n:
             raise DimensionMismatch(
                 f"features has {features.shape[0]} rows for {n} nodes"

@@ -4,12 +4,20 @@ Two solvers share one result type: an exact transportation-LP solver that
 also returns optimal dual potentials, and an entropic (Sinkhorn) solver with
 log-domain potentials. The exact duals are the gradient carrier used by the
 selection loop, so their feasibility and strong duality are part of the
-contract here, not an afterthought. Every exact LP is one dual-simplex run of
-HiGHS, called directly through scipy's private bindings with the options and
-model of `linprog(method="highs-ds")`, so it returns `linprog`'s bits without
-its per-call Python overhead; the model goes in as NumPy buffers. Sinkhorn's
-log-sum-exp is `_logsumexp`, scipy 1.17's arithmetic in plain NumPy, so its
-bits no longer depend on the installed scipy.
+contract here, not an afterthought. Every exact LP runs HiGHS's dual simplex,
+called directly through scipy's private bindings with the options of
+`linprog(method="highs-ds")` and the model as NumPy buffers, without
+`linprog`'s per-call Python overhead. It takes one of two paths:
+
+- the LP path: one run on the full model `linprog` would pass, which returns
+  `linprog`'s bits;
+- the certified path, `_certified_grown_lp`: for LPs above a measured size,
+  runs on a support grown by violated reduced costs, whose result is kept
+  only when it is certified to be the unique optimum, and so equals the LP
+  path's vertex, calibrated duals and value to rounding.
+
+Sinkhorn's log-sum-exp is `_logsumexp`, scipy 1.17's arithmetic in plain
+NumPy, so its bits no longer depend on the installed scipy.
 
 The FGW linear step also has a private assignment path for uniform weights,
 `_unique_uniform_vertex`, which returns a coupling only when it is certified
@@ -74,10 +82,14 @@ def _check_marginal(v, size: int, name: str) -> np.ndarray:
 def solve_exact_ot(cost, p, q) -> TransportSolution:
     """Exact OT(p, q, cost) via the transportation linear program.
 
-    Returns an optimal basic solution together with optimal dual potentials:
-    the vertex and row duals of HiGHS's dual simplex, the same bits as
-    `linprog(method="highs-ds")` gives. Any HiGHS outcome other than optimal
-    raises NumericalFailure. Zero-mass atoms are dropped before the solve and
+    Returns an optimal basic solution together with optimal dual potentials.
+    On the LP path these are the vertex and row duals of HiGHS's dual
+    simplex, the same bits as `linprog(method="highs-ds")` gives. The
+    certified path (`_certified_grown_lp`) answers only where the optimum is
+    unique, and returns it to rounding: the coupling, value and calibrated
+    duals agree with the LP path's, the raw duals up to their additive
+    constant. Any HiGHS outcome other than optimal on the LP path raises
+    NumericalFailure. Zero-mass atoms are dropped before the solve and
     re-inserted afterwards: their coupling rows/columns are zero and their
     duals are set to the tightest reduced-cost-feasible value, so a
     sparsified training measure still yields a full-length, feasible dual
@@ -94,7 +106,10 @@ def solve_exact_ot(cost, p, q) -> TransportSolution:
     ps, qs = p[keep_i], q[keep_j]
     ns, ms = len(keep_i), len(keep_j)
 
-    x, duals, value = _solve_transport_lp(sub.ravel(), np.concatenate([ps, qs]), ns, ms)
+    solved = _certified_grown_lp(sub, ps, qs)
+    if solved is None:
+        solved = _solve_transport_lp(sub.ravel(), np.concatenate([ps, qs]), ns, ms)
+    x, duals, value = solved
     coupling = np.zeros((n, m))
     coupling[np.ix_(keep_i, keep_j)] = x.reshape(ns, ms)
     beta = np.empty(n)
@@ -125,34 +140,166 @@ _HIGHS_OPTIONS.output_flag = False
 _HIGHS_OPTIONS.log_to_console = False
 
 
-def _solve_transport_lp(c: np.ndarray, b: np.ndarray, n: int, m: int):
-    """x, row duals and objective of the (n, m) transportation LP min c @ x, A x = b, x >= 0.
-
-    One dual-simplex HiGHS run on a fresh instance, with the model `linprog`
-    would pass: the n + m equality rows, then the n * m columns, column
-    k = i * m + j with a 1 in rows i and n + j. Both go in as NumPy buffers,
-    so no Python loop touches the columns, and unlike `linprog` it reads no
-    basis. A fresh instance per call carries no state from one LP to the
-    next, and peaks lower in memory than one reused instance.
-    """
-    k = np.arange(n * m, dtype=np.int32)
-    index = np.empty(2 * k.size, dtype=np.int32)
-    index[0::2] = k // m
-    index[1::2] = n + k % m
+def _transport_model(b: np.ndarray) -> _Highs:
+    """A fresh HiGHS instance holding the equality rows A x = b of a transportation LP."""
     highs = _Highs()
     highs.passOptions(_HIGHS_OPTIONS)
     no_entries = np.empty(0, dtype=np.int32)
     highs.addRows(b.size, b, b, 0, no_entries, no_entries, np.empty(0))
-    highs.addCols(c.size, c, np.zeros(c.size), np.full(c.size, kHighsInf),
-                  index.size, 2 * k, index, np.ones(index.size))
+    return highs
+
+
+def _add_cells(highs: _Highs, c: np.ndarray, cells: np.ndarray, n: int, m: int) -> None:
+    """Append the columns of the flat cells k = i * m + j, cost c[k], to an (n, m) model.
+
+    Column k has a 1 in rows i and n + j. The columns go in as NumPy
+    buffers, so no Python loop touches them.
+    """
+    index = np.empty(2 * cells.size, dtype=np.int32)
+    index[0::2] = cells // m
+    index[1::2] = n + cells % m
+    highs.addCols(cells.size, c[cells], np.zeros(cells.size), np.full(cells.size, kHighsInf),
+                  index.size, np.arange(0, index.size, 2, dtype=np.int32), index,
+                  np.ones(index.size))
+
+
+def _run_highs(highs: _Highs) -> bool:
+    """Run HiGHS on the model it holds; whether it ended optimal.
+
+    Every exact LP solve of this module, full or on a grown support, is one
+    call here.
+    """
     highs.run()
-    status = highs.getModelStatus()
-    if status != HighsModelStatus.kOptimal:
-        raise NumericalFailure(
-            f"transportation LP failed: {highs.modelStatusToString(status)}")
+    return highs.getModelStatus() == HighsModelStatus.kOptimal
+
+
+def _solve_transport_lp(c: np.ndarray, b: np.ndarray, n: int, m: int):
+    """x, row duals and objective of the (n, m) transportation LP min c @ x, A x = b, x >= 0.
+
+    One dual-simplex HiGHS run on a fresh instance, with the model `linprog`
+    would pass: the n + m equality rows, then the n * m columns in flat
+    order. Unlike `linprog` it reads no basis. A fresh instance per call
+    carries no state from one LP to the next, and peaks lower in memory than
+    one reused instance.
+    """
+    highs = _transport_model(b)
+    _add_cells(highs, c, np.arange(n * m, dtype=np.int32), n, m)
+    if not _run_highs(highs):
+        raise NumericalFailure("transportation LP failed: "
+                               + highs.modelStatusToString(highs.getModelStatus()))
     solution = highs.getSolution()
     return (np.array(solution.col_value), np.array(solution.row_dual),
             highs.getInfo().objective_function_value)
+
+
+# Smallest n * m the grown-support path is tried on, at the measured
+# crossover. On a 2-vCPU VM (20 random costs with non-uniform p per shape,
+# the best of five timings of each) it broke even with the full LP at
+# 400-450 cells (median time ratios 0.95-0.99), won 19-20 of 20 from 576
+# cells on, and took 0.5x the time at 1,600 cells and 0.06x at 600 x 200.
+# Below it, the FGW inner LPs keep the full LP's bits.
+_GROWN_MIN_CELLS = 576
+_GROWN_START_CELLS = 8   # each row's and each column's cheapest cells start the model
+_GROWN_ADDED_PER_ROW = 2  # the most violated cells a violated row adds per round
+# Cap on HiGHS runs per grown solve. GREAT's outer LPs took 3-5 on the
+# shifted_labeled benchmark corpus and 3-9 on shifted-style costs up to
+# 1200 x 400; random costs took 1-2.
+_GROWN_MAX_ROUNDS = 30
+# Certificate margins, 10x HiGHS's absolute 1e-7 primal and dual feasibility
+# tolerances. A basis adjacent to a certified one has a basic mass below
+# -_CERTIFIED_MIN_MASS or a reduced cost below -_CERTIFIED_MIN_REDUCED_COST,
+# so no run of the full LP within those tolerances stops at it. GREAT's
+# certified outer LPs on shifted_labeled had a smallest tree mass of 1.9e-6
+# and a smallest off-support reduced cost of 2.4e-5, with max|cost| = 55.
+_CERTIFIED_MIN_MASS = 1e-6
+_CERTIFIED_MIN_REDUCED_COST = 1e-6
+
+
+def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """`_solve_transport_lp`'s result on a grown support, if provably the unique optimum.
+
+    `p` and `q` are positive. The model starts on each row's and each
+    column's `_GROWN_START_CELLS` cheapest cells and the north-west-corner
+    plan, so it is feasible. After each HiGHS run, every row with a cell of
+    negative reduced cost outside the model adds its
+    `_GROWN_ADDED_PER_ROW` most negative ones, and HiGHS runs again on the
+    same instance from its last basis. When no cell is violated, the
+    optimum is accepted only under a certificate:
+
+    - its positive cells number n + m - 1 and form a spanning tree, each
+      with mass above `_CERTIFIED_MIN_MASS`, so the vertex is nondegenerate
+      and the duals (up to their additive constant) are unique;
+    - every other cell's reduced cost is above
+      `_CERTIFIED_MIN_REDUCED_COST`, so the vertex is the unique optimum.
+
+    It then equals the full LP's vertex, calibrated duals and value to
+    rounding. Returns None (the caller solves the full LP) below
+    `_GROWN_MIN_CELLS` cells, for uniform marginals with gcd(n, m) > 1, after
+    `_GROWN_MAX_ROUNDS` runs, on a non-optimal status, or when the
+    certificate fails. Uniform marginals with g = gcd(n, m) > 1 balance n/g
+    rows against m/g columns at mass 1/g each, so the LP has degenerate
+    vertices; at the shapes where m divides n, as in GREAT's first solve and
+    LAVA's, no optimum measured had a tree support.
+    """
+    n, m = cost.shape
+    if n * m < _GROWN_MIN_CELLS:
+        return None
+    if np.all(p == p[0]) and np.all(q == q[0]) and math.gcd(n, m) > 1:
+        return None
+    kr, kc = min(_GROWN_START_CELLS, m), min(_GROWN_START_CELLS, n)
+    by_row = np.argpartition(cost, kr - 1, axis=1)[:, :kr]
+    by_col = np.argpartition(cost, kc - 1, axis=0)[:kc]
+    cells = np.unique(np.concatenate([
+        (np.arange(n)[:, None] * m + by_row).ravel(),
+        (by_col * m + np.arange(m)).ravel(),
+        _north_west_corner(p, q)])).astype(np.int32)
+    c = cost.ravel()
+    in_model = np.zeros(n * m, dtype=bool)
+    highs = _transport_model(np.concatenate([p, q]))
+    model_cells = []
+    for _ in range(_GROWN_MAX_ROUNDS):
+        _add_cells(highs, c, cells, n, m)
+        in_model[cells] = True
+        model_cells.append(cells)
+        if not _run_highs(highs):
+            return None
+        duals = np.array(highs.getSolution().row_dual)
+        reduced = cost - duals[:n, None] - duals[None, n:]
+        outside = np.where(in_model.reshape(n, m), np.inf, reduced)
+        violated = np.flatnonzero(outside.min(axis=1) < 0)
+        if violated.size == 0:
+            break
+        # m >= 2 here: with one column, the starting model holds every cell.
+        worst = np.argpartition(outside[violated], _GROWN_ADDED_PER_ROW - 1,
+                                axis=1)[:, :_GROWN_ADDED_PER_ROW]
+        cells = (violated[:, None] * m + worst).ravel()
+        cells = cells[outside.ravel()[cells] < 0].astype(np.int32)
+    else:
+        return None
+    x = np.zeros(n * m)
+    x[np.concatenate(model_cells)] = highs.getSolution().col_value
+    support = x > 0
+    if (np.count_nonzero(support) != n + m - 1
+            or x[support].min() <= _CERTIFIED_MIN_MASS
+            or reduced.ravel()[~support].min(initial=np.inf) <= _CERTIFIED_MIN_REDUCED_COST
+            or not _is_forest(support.reshape(n, m))):
+        return None
+    return x, duals, highs.getInfo().objective_function_value
+
+
+def _north_west_corner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Flat cells i * len(q) + j of the north-west-corner plan of positive marginals p, q.
+
+    Row i covers [P[i-1], P[i]) of the unit interval and column j covers
+    [Q[j-1], Q[j]), with P and Q the cumulative sums; the plan moves mass
+    along every overlap, a staircase through every row and column.
+    """
+    P, Q = np.cumsum(p), np.cumsum(q)
+    edges = np.union1d([0.0], np.concatenate([P, Q]))
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    rows = np.minimum(np.searchsorted(P, mid, side="right"), len(p) - 1)
+    cols = np.minimum(np.searchsorted(Q, mid, side="right"), len(q) - 1)
+    return rows * len(q) + cols
 
 
 # Largest lcm(n, m) the assignment path takes, at the measured crossover:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import gradate.ot as ot
 from gradate import AttributedGraph, LabeledGraphDataset
@@ -56,12 +57,40 @@ def path_graph(n, feature_dim=0):
 
 
 def count_lps(monkeypatch) -> list:
-    """Patch the exact LP so that each HiGHS run appends to the returned list."""
+    """Patch the HiGHS entry point so that each HiGHS run appends to the returned list.
+
+    A full LP and each round of a grown-support solve are one run each; the
+    list holds the (rows, columns) of the model each run solved.
+    """
+    calls = []
+    original = ot._run_highs
+    monkeypatch.setattr(ot, "_run_highs", lambda highs: calls.append(
+        (highs.getNumRow(), highs.getNumCol())) or original(highs))
+    return calls
+
+
+def count_full_lps(monkeypatch) -> list:
+    """Patch the full transportation LP so that each one appends its (n, m) to the returned list.
+
+    A solve that the grown-support path certifies runs no full LP.
+    """
     calls = []
     original = ot._solve_transport_lp
     monkeypatch.setattr(ot, "_solve_transport_lp",
                         lambda *a: calls.append(a[2:]) or original(*a))
     return calls
+
+
+def shifted_style_dtilde(seed, n=300, m=100, n_classes=3):
+    """A label-informed cost shaped like a covariate-shifted split's D-tilde.
+
+    Squared distances between Gaussian train points and shifted val points,
+    plus a random offset per (train label, val label) pair.
+    """
+    rng = np.random.default_rng(seed)
+    D = cdist(rng.standard_normal((n, 3)), rng.standard_normal((m, 3)) + 0.5, "sqeuclidean")
+    offsets = rng.random((n_classes, n_classes))
+    return D + offsets[np.ix_(rng.integers(0, n_classes, n), rng.integers(0, n_classes, m))]
 
 
 @pytest.fixture

@@ -355,10 +355,11 @@ class TestGdd:
     @pytest.mark.parametrize("fault, message", [
         ("dangling-edge", "edge (0, -1) leaves the nodes 0..2"),
         ("nan-feature", "feature entries must be finite"),
+        ("three-d-features", "features must be an (n, d) matrix, got shape (3, 1, 1)"),
         ("label-outside-label-set", "labels [7] not in label_set"),
         ("label-not-an-integer", "graph 4: label must be an integer, got 0.9"),
         ("label-set-entry-not-an-integer", 'label_set entry must be an integer, got "x"'),
-    ], ids=["dangling-edge", "nan-feature", "label-outside-label-set",
+    ], ids=["dangling-edge", "nan-feature", "three-d-features", "label-outside-label-set",
             "label-not-an-integer", "label-set-entry-not-an-integer"])
     def test_malformed_dataset_exits_2(self, workdir, capsys, fault, message):
         ds = LabeledGraphDataset([path_graph(3, feature_dim=1)] * 10, [0] * 10)
@@ -369,6 +370,8 @@ class TestGdd:
             graph["edges"].append([0, -1])
         elif fault == "nan-feature":
             graph["features"][1] = [float("nan")]
+        elif fault == "three-d-features":
+            graph["features"] = [[row] for row in graph["features"]]
         elif fault == "label-not-an-integer":
             graph["label"] = 0.9
         elif fault == "label-set-entry-not-an-integer":

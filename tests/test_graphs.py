@@ -35,6 +35,11 @@ class TestAttributedGraph:
         with pytest.raises(DimensionMismatch):
             AttributedGraph(np.zeros((3, 3)), features=np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 3, 1, 2), ()])
+    def test_rejects_features_that_are_not_a_matrix(self, shape):
+        with pytest.raises(DimensionMismatch, match=r"features must be an \(n, d\) matrix"):
+            AttributedGraph(np.zeros((2, 2)), features=np.zeros(shape))
+
     def test_rejects_bad_weights(self):
         with pytest.raises(InfeasibleMarginals):
             AttributedGraph(np.zeros((2, 2)), node_weights=[0.7, 0.7])

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 import gradate.great as great_module
+import gradate.ot as ot
 from gradate import gdd_from_cost, gdd_gradient, great_select, sparsity_schedule
 from gradate.errors import ConfigInvalid
 from gradate.great import floor_budget, validate_weights
 from gradate.ot import TransportSolution
 
+from conftest import count_full_lps, shifted_style_dtilde
 from oracles import simplex_central_difference
 
 
@@ -198,3 +202,24 @@ class TestGreatSelect:
         rows = trace.rows()
         assert [r[0] for r in rows] == [1, 2, 3]
         assert all(len(r) == 3 for r in rows)
+
+
+class TestCertifiedOuterSolves:
+    """GREAT's reweighted outer LPs on the grown-support path, against the full LP."""
+
+    def test_reweighted_solves_are_certified_and_select_the_same(self, monkeypatch):
+        dtilde = shifted_style_dtilde(0)
+        full = count_full_lps(monkeypatch)
+        selected, trace = great_select(dtilde, tau=0.2, T=10, eta=1e-4)
+        # The first solve has uniform weights (gcd(300, 100) > 1); solves
+        # 2..T and the final one are certified.
+        assert full == [(300, 100)]
+        monkeypatch.setattr(ot, "_GROWN_MIN_CELLS", math.inf)
+        ref_selected, ref = great_select(dtilde, tau=0.2, T=10, eta=1e-4)
+        assert len(full) == 1 + 10
+        assert np.array_equal(selected, ref_selected)
+        for it, ref_it in zip(trace.iterations, ref.iterations):
+            assert np.abs(it.weights - ref_it.weights).max() <= 1e-12
+            assert it.gdd_value == pytest.approx(ref_it.gdd_value, rel=1e-12, abs=0)
+        assert np.abs(trace.final_weights - ref.final_weights).max() <= 1e-12
+        assert trace.final_gdd == pytest.approx(ref.final_gdd, rel=1e-12, abs=0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from gradate.errors import InfeasibleMarginals, NonConvergence, NumericalFailure
 from gradate.fgw import FGWConfig, _lp_vertex, _QuadObjective
 from gradate.ot import _logsumexp, _unique_uniform_vertex, as_cost_matrix
 
+from conftest import count_full_lps, count_lps, shifted_style_dtilde
 from oracles import (
     brute_force_assignment,
     brute_force_ot,
@@ -151,26 +154,34 @@ def _transport_a_eq(n, m):
     return sparse.vstack([rows, cols]).tocsc()
 
 
+def _linprog(cost, p, q):
+    """`linprog(method="highs-ds")` on the positive-mass block, and that block's indices."""
+    keep_i, keep_j = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
+    res = linprog(cost[np.ix_(keep_i, keep_j)].ravel(),
+                  A_eq=_transport_a_eq(len(keep_i), len(keep_j)),
+                  b_eq=np.concatenate([p[keep_i], q[keep_j]]),
+                  bounds=(0, None), method="highs-ds")
+    assert res.status == 0
+    return res, keep_i, keep_j
+
+
 class TestDirectHighs:
     """The direct HiGHS call against `linprog(method="highs-ds")`, bit for bit."""
 
     @staticmethod
     def assert_linprog_bits(cost, p, q):
         sol = solve_exact_ot(cost, p, q)
-        keep_i, keep_j = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
-        ns, ms = len(keep_i), len(keep_j)
-        res = linprog(cost[np.ix_(keep_i, keep_j)].ravel(),
-                      A_eq=_transport_a_eq(ns, ms),
-                      b_eq=np.concatenate([p[keep_i], q[keep_j]]),
-                      bounds=(0, None), method="highs-ds")
-        assert res.status == 0
+        res, keep_i, keep_j = _linprog(cost, p, q)
+        ns = len(keep_i)
         assert np.array_equal(sol.coupling[np.ix_(keep_i, keep_j)].ravel(), res.x)
         assert np.count_nonzero(sol.coupling) == np.count_nonzero(res.x)
         assert np.array_equal(sol.dual_source[keep_i], res.eqlin.marginals[:ns])
         assert np.array_equal(sol.dual_target[keep_j], res.eqlin.marginals[ns:])
         assert sol.value == res.fun
 
-    def test_outer_lp_with_zero_weight_rows(self):
+    def test_outer_lp_with_zero_weight_rows(self, monkeypatch):
+        # Certified by the grown-support path otherwise; pinned to the full LP.
+        monkeypatch.setattr(ot, "_GROWN_MIN_CELLS", math.inf)
         rng = np.random.default_rng(21)
         p = np.zeros(300)
         kept = rng.choice(300, size=200, replace=False)
@@ -178,8 +189,10 @@ class TestDirectHighs:
         self.assert_linprog_bits(rng.random((300, 100)), p, _uniform(100))
 
     @pytest.mark.parametrize("shape", [(100, 33), (60, 20), (7, 2)])
-    def test_label_table_shapes(self, shape):
+    def test_label_table_shapes(self, shape, monkeypatch):
         # The class-pair LPs: uniform weights over the graphs of one class.
+        # (100, 33) has gcd 1 and is certified otherwise; pinned to the full LP.
+        monkeypatch.setattr(ot, "_GROWN_MIN_CELLS", math.inf)
         rng = np.random.default_rng(shape[0])
         cost = rng.random(shape) ** 2
         self.assert_linprog_bits(cost, _uniform(shape[0]), _uniform(shape[1]))
@@ -220,6 +233,96 @@ class TestDirectHighs:
         monkeypatch.setattr(ot, "_Highs", Infeasible)
         with pytest.raises(NumericalFailure, match="transportation LP failed: Infeasible"):
             solve_exact_ot(np.ones((2, 3)), _uniform(2), _uniform(3))
+
+
+def _near_tie(rng):
+    """A cost whose unique optimum has an off-support reduced cost of 1e-8."""
+    cost = shifted_style_dtilde(1, 40, 30)
+    p = _random_marginal(rng, 40)
+    sol = solve_exact_ot(cost, p, _uniform(30))
+    reduced = cost - sol.dual_source[:, None] - sol.dual_target[None, :]
+    i, j = np.unravel_index(np.argmin(np.where(sol.coupling > 0, np.inf, reduced)), cost.shape)
+    cost[i, j] -= reduced[i, j] - 1e-8
+    return cost - min(cost.min(), 0.0), p, _uniform(30)
+
+
+class TestCertifiedGrownLp:
+    """The grown-support path against linprog and the brute-force oracle, and its fall-backs."""
+
+    def test_matches_linprog_on_non_uniform_outer_lps(self, monkeypatch):
+        full = count_full_lps(monkeypatch)
+        runs = count_lps(monkeypatch)
+        rng = np.random.default_rng(41)
+        for t in range(6):
+            p = _random_marginal(rng, 300)
+            if t % 2:
+                p[rng.choice(300, size=100, replace=False)] = 0.0
+                p /= p.sum()
+            cost, q = shifted_style_dtilde(t), _uniform(100)
+            sol = solve_exact_ot(cost, p, q)
+            res, keep_i, keep_j = _linprog(cost, p, q)
+            ns = len(keep_i)
+            assert abs(sol.value - res.fun) <= 1e-12
+            assert np.abs(sol.coupling[np.ix_(keep_i, keep_j)].ravel() - res.x).max() <= 1e-12
+            assert np.count_nonzero(sol.coupling) == ns + 100 - 1
+            shift, ref_shift = sol.dual_source[keep_i].mean(), res.eqlin.marginals[:ns].mean()
+            assert np.abs((sol.dual_source[keep_i] - shift)
+                          - (res.eqlin.marginals[:ns] - ref_shift)).max() <= 1e-12
+            assert np.abs((sol.dual_target + shift)
+                          - (res.eqlin.marginals[ns:] + ref_shift)).max() <= 1e-12
+            check_solution(sol, cost, p, q, tol=1e-12)
+        assert full == []  # all certified
+        assert len(runs) > 6  # and grown: more HiGHS runs than solves
+
+    def test_matches_the_enumeration_oracle_at_small_sizes(self, monkeypatch):
+        # Floor and starting support lowered, so that tiny LPs grow in rounds.
+        monkeypatch.setattr(ot, "_GROWN_MIN_CELLS", 1)
+        monkeypatch.setattr(ot, "_GROWN_START_CELLS", 1)
+        full = count_full_lps(monkeypatch)
+        runs = count_lps(monkeypatch)
+        rng = np.random.default_rng(43)
+        certified = 0
+        for t in range(40):
+            n, m = (int(x) for x in rng.integers(2, 5, size=2))
+            supplies = random_rational_marginal(rng, n, 9)
+            demands = random_rational_marginal(rng, m, 9)
+            cost = rng.random((n, m))
+            lps = len(full)
+            sol = solve_exact_ot(cost, supplies / 9, demands / 9)
+            certified += len(full) == lps
+            assert sol.value == pytest.approx(brute_force_ot(cost, supplies, demands), abs=1e-12)
+            check_solution(sol, cost, supplies / 9, demands / 9, tol=1e-12)
+        assert certified >= 10 and len(full) >= 5  # both outcomes are checked
+        assert len(runs) - len(full) > certified  # some solves grew
+
+    @pytest.mark.parametrize("case", ["uniform-gcd", "equal-rows", "near-tie", "round-cap",
+                                      "not-optimal"])
+    def test_fall_backs_return_the_linprog_bits(self, case, monkeypatch):
+        rng = np.random.default_rng(47)
+        cost, p, q = shifted_style_dtilde(0, 60, 30), _random_marginal(rng, 60), _uniform(30)
+        if case == "uniform-gcd":
+            # 30 of the 60 rows balance 15 of the 30 columns: not attempted.
+            p = _uniform(60)
+        elif case == "equal-rows":
+            # Each copy of the row outweighs a column, so the two split their
+            # mass over shared or tied columns: never a unique tree.
+            cost[1] = cost[0]
+            p[:2] = 0.1
+            p[2:] *= 0.8 / p[2:].sum()
+        elif case == "near-tie":
+            cost, p, q = _near_tie(rng)
+        elif case == "round-cap":
+            monkeypatch.setattr(ot, "_GROWN_MAX_ROUNDS", 1)
+        else:
+            run_highs = ot._run_highs
+            monkeypatch.setattr(ot, "_run_highs",
+                                lambda highs: highs.getNumCol() == 60 * 30 and run_highs(highs))
+        full = count_full_lps(monkeypatch)
+        runs = count_lps(monkeypatch)
+        TestDirectHighs.assert_linprog_bits(cost, p, q)
+        assert len(full) == 1
+        # The full LP runs after at least one grown run, unless none was attempted.
+        assert (len(runs) == 1) == (case == "uniform-gcd")
 
 
 def _lp_coupling(cost, p, q):

@@ -21,7 +21,7 @@ from gradate.errors import ConfigInvalid, DimensionMismatch, InfeasibleMarginals
 from gradate.fgw import FGWConfig
 from gradate.pipeline import SelectionConfig
 
-from conftest import count_lps, random_graph
+from conftest import count_lps, random_graph, shifted_style_dtilde
 
 
 def two_domain(rng, n_dense=8, n_sparse=8, n_val=4, feature_dim=0):
@@ -308,6 +308,24 @@ class TestOtCache:
             assert result.trace.rows() == plain.trace.rows()
             assert result.trace.final_weights.tobytes() == plain.trace.final_weights.tobytes()
         assert lava == lava_select(train, val, cfg)
+
+    def test_a_warm_run_above_the_grown_floor_runs_no_highs(self, tmp_path, monkeypatch):
+        # 300 x 100: the cold run's reweighted solves take the grown-support
+        # path, whose rounds are HiGHS runs that the cache must also spare.
+        rng = np.random.default_rng(24)
+        graphs = [random_graph(rng, n_nodes=3, feature_dim=1) for _ in range(400)]
+        train = LabeledGraphDataset(graphs[:300], [i % 3 for i in range(300)], label_set=range(3))
+        val = LabeledGraphDataset(graphs[300:], [i % 3 for i in range(100)], label_set=range(3))
+        dtilde = shifted_style_dtilde(0)
+        cfg = SelectionConfig(tau=0.2, c=1.0)
+        calls = count_lps(monkeypatch)
+        cold = gradate(train, val, cfg, dtilde=dtilde, cache_dir=tmp_path)
+        assert len(calls) > cfg.T  # the T solves took more runs than one each
+        calls.clear()
+        warm = gradate(train, val, cfg, dtilde=dtilde, cache_dir=tmp_path)
+        assert calls == []
+        assert warm == cold
+        assert warm.trace.final_weights.tobytes() == cold.trace.final_weights.tobytes()
 
 
 class TestGradate:
