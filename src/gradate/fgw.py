@@ -11,9 +11,10 @@ The linear subproblem has two solve paths. With uniform node weights and a
 small lcm(n, m) it is an assignment problem, and the assignment's coupling
 is used when it is certified to be the unique optimum: its support is a
 forest, and it stays optimal when its support cells are raised by a margin
-above the LP's dual tolerance. Otherwise, ties included, the transportation
-LP of `solve_exact_ot` solves it. At a unique optimum the two paths agree to
-rounding, so the choice does not change the result.
+above the LP's dual tolerance. Otherwise, ties included, one full
+transportation LP solves it (`solve_exact_ot`'s LP path, never its
+grown-support path), so its vertex is `linprog`'s. At a unique optimum the
+two paths agree to rounding, so the choice does not change the result.
 
 Both terms use the squared loss, the only one for which the barycenter
 updates and the LinearFGW embeddings built on these couplings are closed
@@ -31,7 +32,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from .graphs import AttributedGraph
-from .ot import _unique_uniform_vertex, solve_exact_ot
+from .ot import _exact_ot, _unique_uniform_vertex
 
 FW_MAX_ITER = 200  # conditional-gradient iteration budget per coupling solve
 FW_TOL = 1e-9  # relative objective decrease that ends a coupling solve
@@ -129,7 +130,8 @@ def _lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     problem, whose coupling is kept only when it is certified to be the
     unique optimum (a forest support that stays optimal when raised by a
     margin above the LP's tolerance). Every other case, ties included, is
-    solved by the transportation LP, whose vertex on a tie is its own pick.
+    solved by one full transportation LP, whose vertex on a tie is its own
+    pick.
     Where the assignment path returns a coupling, the LP returns the same
     one to rounding.
     """
@@ -139,7 +141,7 @@ def _lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     lo = cost.min()
     if lo < 0:
         cost = cost - lo
-    return solve_exact_ot(cost, p, q).coupling
+    return _exact_ot(cost, p, q, certified_path=False).coupling
 
 
 def _check_coupling(T, p, q):

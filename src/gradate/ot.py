@@ -11,10 +11,12 @@ called directly through scipy's private bindings with the options of
 
 - the LP path: one run on the full model `linprog` would pass, which returns
   `linprog`'s bits;
-- the certified path, `_certified_grown_lp`: for LPs above a measured size,
-  runs on a support grown by violated reduced costs, whose result is kept
-  only when it is certified to be the unique optimum, and so equals the LP
-  path's vertex, calibrated duals and value to rounding.
+- the certified path, `_certified_grown_lp`: for `solve_exact_ot`'s LPs
+  above a measured size, runs on a support grown by violated reduced costs,
+  whose result is kept only when it is certified to be the unique optimum,
+  and so equals the LP path's vertex, calibrated duals and value to
+  rounding. The FGW inner step solves through `_exact_ot` with this path
+  off, so its couplings, and so D, keep `linprog`'s bits at every size.
 
 Sinkhorn's log-sum-exp is `_logsumexp`, scipy 1.17's arithmetic in plain
 NumPy, so its bits no longer depend on the installed scipy.
@@ -95,6 +97,17 @@ def solve_exact_ot(cost, p, q) -> TransportSolution:
     sparsified training measure still yields a full-length, feasible dual
     vector.
     """
+    return _exact_ot(cost, p, q, certified_path=True)
+
+
+def _exact_ot(cost, p, q, certified_path: bool) -> TransportSolution:
+    """`solve_exact_ot`, trying the certified path only when `certified_path` is set.
+
+    The FGW inner step sets it False. Its gradient costs are often exactly
+    tied, and a tie never certifies, so a grown attempt there would mostly
+    be paid for and then thrown away; on the LP path alone its couplings
+    keep `linprog`'s bits at every graph size.
+    """
     cost = as_cost_matrix(cost)
     n, m = cost.shape
     p = _check_marginal(p, n, "source marginal p")
@@ -106,7 +119,7 @@ def solve_exact_ot(cost, p, q) -> TransportSolution:
     ps, qs = p[keep_i], q[keep_j]
     ns, ms = len(keep_i), len(keep_j)
 
-    solved = _certified_grown_lp(sub, ps, qs)
+    solved = _certified_grown_lp(sub, ps, qs) if certified_path else None
     if solved is None:
         solved = _solve_transport_lp(sub.ravel(), np.concatenate([ps, qs]), ns, ms)
     x, duals, value = solved
@@ -197,7 +210,6 @@ def _solve_transport_lp(c: np.ndarray, b: np.ndarray, n: int, m: int):
 # the best of five timings of each) it broke even with the full LP at
 # 400-450 cells (median time ratios 0.95-0.99), won 19-20 of 20 from 576
 # cells on, and took 0.5x the time at 1,600 cells and 0.06x at 600 x 200.
-# Below it, the FGW inner LPs keep the full LP's bits.
 _GROWN_MIN_CELLS = 576
 _GROWN_START_CELLS = 8   # each row's and each column's cheapest cells start the model
 _GROWN_ADDED_PER_ROW = 2  # the most violated cells a violated row adds per round

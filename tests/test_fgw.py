@@ -3,11 +3,12 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import gradate.fgw as fgw
+import gradate.ot as ot
 from gradate import AttributedGraph, fgw_barycenter, fgw_distance, solve_exact_ot
 from gradate.errors import DimensionMismatch, EmptyDataset
 from gradate.fgw import FGWConfig, default_reference_size
 
-from conftest import random_graph
+from conftest import count_full_lps, random_graph
 
 
 def naive_objective(g1, g2, T, alpha):
@@ -160,6 +161,25 @@ class TestLinearStepPaths:
         assert fast.distance == slow.distance
         assert np.array_equal(fast.coupling, slow.coupling)
         assert np.array_equal(fast.objective_curve, slow.objective_curve)
+
+    @pytest.mark.parametrize("floor", [None, 1])
+    def test_lp_steps_never_take_the_grown_support_path(self, rng, monkeypatch, floor):
+        # 25 x 24 uniform (lcm 600, above the assignment path's cap, 600
+        # cells, above the grown path's floor) and a non-uniform pair; with
+        # the floor lowered to 1 even small LPs would qualify.
+        if floor is not None:
+            monkeypatch.setattr(ot, "_GROWN_MIN_CELLS", floor)
+        grown = []
+        monkeypatch.setattr(ot, "_certified_grown_lp", lambda *a: grown.append(a) or None)
+        full = count_full_lps(monkeypatch)
+        g1, g2 = random_graph(rng, n_nodes=25), random_graph(rng, n_nodes=24)
+        w = rng.random(7) + 0.1
+        g3 = AttributedGraph(random_graph(rng, n_nodes=7).adjacency,
+                             rng.standard_normal((7, 3)), w / w.sum())
+        fgw_distance(g1, g2, FGWConfig(alpha=0.5))
+        fgw_distance(g3, random_graph(rng, n_nodes=5), FGWConfig(alpha=0.5))
+        assert len(full) > 0
+        assert grown == []
 
 
 class TestBarycenter:
