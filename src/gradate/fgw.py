@@ -28,11 +28,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
+# numpy loads numpy.random on first use: load it with the package, not
+# inside the first barycenter.
+import numpy.random  # noqa: F401
 
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from .graphs import AttributedGraph
-from .ot import _exact_ot, _unique_uniform_vertex
+from .ot import _exact_ot, _scipy_extension, _unique_uniform_vertex
+
+# `scipy.spatial.distance.cdist(X, Y)` dispatches to this compiled function
+# for its default "euclidean" metric, so results keep cdist's bits.
+_cdist = _scipy_extension("scipy.spatial._distance_pybind").cdist_euclidean
 
 FW_MAX_ITER = 200  # conditional-gradient iteration budget per coupling solve
 FW_TOL = 1e-9  # relative objective decrease that ends a coupling solve
@@ -92,7 +98,7 @@ class _QuadObjective:
         alpha = 1.0 if g1.feature_dim == 0 else cfg.alpha
         self.alpha = alpha
         if g1.feature_dim:
-            self.F = (1.0 - alpha) * cdist(g1.features, g2.features) ** 2
+            self.F = (1.0 - alpha) * _cdist(g1.features, g2.features) ** 2
         else:
             self.F = np.zeros((g1.n_nodes, g2.n_nodes))
         self.constC = np.add.outer((A1 ** 2) @ self.p, (A2 ** 2) @ self.q)
@@ -246,7 +252,7 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
         X = np.array(graphs[nearest].features)
     else:
         pts = rng.standard_normal((nbar, 2))
-        A = cdist(pts, pts)
+        A = _cdist(pts, pts)
         if A.max() > 0:
             A /= A.max()
         scale = max(g.adjacency.max() for g in graphs)

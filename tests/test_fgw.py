@@ -7,6 +7,7 @@ import gradate.ot as ot
 from gradate import AttributedGraph, fgw_barycenter, fgw_distance, solve_exact_ot
 from gradate.errors import DimensionMismatch, EmptyDataset
 from gradate.fgw import FGWConfig, default_reference_size
+from gradate.graphs import _graphs_from_arrays
 
 from conftest import count_full_lps, random_graph
 
@@ -180,6 +181,42 @@ class TestLinearStepPaths:
         fgw_distance(g3, random_graph(rng, n_nodes=5), FGWConfig(alpha=0.5))
         assert len(full) > 0
         assert grown == []
+
+
+class TestFeatureDistances:
+    """The feature term and the barycenter start keep `cdist`'s bits."""
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 13, 40])
+    def test_feature_term_equals_cdist(self, rng, d):
+        # Graphs as a loaded dataset hands them out: read-only views into
+        # one shared feature buffer.
+        sizes = np.array([5, 7, 4])
+        graphs = _graphs_from_arrays(sizes, np.zeros(0, dtype=int), np.zeros((0, 2), dtype=int),
+                                     rng.standard_normal((sizes.sum(), d)))
+        assert not graphs[1].features.flags.writeable
+        own = random_graph(rng, n_nodes=6, feature_dim=d)
+        for g1, g2 in [(graphs[0], graphs[1]), (graphs[2], own), (own, graphs[1])]:
+            for alpha in (0.0, 0.5, 0.3):
+                F = fgw._QuadObjective(g1, g2, FGWConfig(alpha=alpha)).F
+                expected = (1 - alpha) * cdist(g1.features, g2.features) ** 2
+                assert F.tobytes() == expected.tobytes()
+
+    def test_random_barycenter_start_equals_cdist(self, rng, monkeypatch):
+        calls = []
+        real = fgw._cdist
+
+        def spy(X, Y):
+            result = real(X, Y)
+            calls.append((X.copy(), Y.copy(), result.copy()))
+            return result
+
+        monkeypatch.setattr(fgw, "_cdist", spy)
+        graphs = [random_graph(rng, n_nodes=n) for n in (4, 5, 9)]
+        fgw_barycenter(graphs, nbar=7, cfg=FGWConfig(alpha=0.5, seed=2))
+        pts = np.random.default_rng(2).standard_normal((7, 2))
+        start = calls[0]
+        assert np.array_equal(start[0], pts) and np.array_equal(start[1], pts)
+        assert start[2].tobytes() == cdist(pts, pts).tobytes()
 
 
 class TestBarycenter:

@@ -1,0 +1,142 @@
+"""What `import gradate` loads of scipy, and how it shares those modules with scipy.
+
+gradate calls three compiled scipy functions, and `gradate.ot` loads their
+extension modules without scipy's package `__init__`s, whose imports cost
+most of a process's start-up. Each check runs in a fresh interpreter, since
+this one has scipy's packages loaded already.
+"""
+
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+import scipy
+
+import gradate
+import gradate.ot as ot
+
+EXTENSIONS = (
+    "scipy.optimize._lsap",
+    "scipy.optimize._highspy._core",
+    "scipy.spatial._distance_pybind",
+)
+HEAVY_PACKAGES = (
+    "scipy.optimize",
+    "scipy.spatial",
+    "scipy.linalg",
+    "scipy.sparse",
+    "scipy.special",
+    "scipy.fft",
+)
+
+
+def within(module: str, packages) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in packages)
+
+
+def run_fresh(code: str) -> str:
+    """stdout of `code` run by a fresh interpreter that imports this gradate."""
+    package_root = str(Path(gradate.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportCost:
+    @pytest.mark.parametrize("module", ["gradate", "gradate.cli"])
+    def test_import_loads_no_heavy_scipy_package(self, module):
+        out = run_fresh(f"""
+            import sys
+            import {module}
+            print(" ".join(sorted(sys.modules)))
+        """)
+        loaded = set(out.split())
+        assert set(EXTENSIONS) <= loaded
+        # The pybind11 HiGHS module registers submodules of its own (`_core.cb`).
+        heavy = sorted(m for m in loaded if within(m, HEAVY_PACKAGES) and not within(m, EXTENSIONS))
+        assert heavy == []
+
+    def test_first_solves_import_nothing(self):
+        # What numpy loads lazily (numpy.ma for np.unique, numpy.random) is
+        # loaded with the package, so a cold solve does not pay for it.
+        out = run_fresh("""
+            import sys
+            import numpy as np
+            import gradate
+            from gradate.fgw import FGWConfig
+
+            before = set(sys.modules)
+            i, j = np.arange(30.0)[:, None], np.arange(20.0)[None, :]
+            cost = (7 * i + 13 * j) % 17 + 0.01 * i * j
+            p, q = np.arange(1.0, 31.0), np.arange(1.0, 21.0)
+            gradate.solve_exact_ot(cost, p / p.sum(), q / q.sum())
+            graphs = [gradate.AttributedGraph.from_edges(
+                n, [(k, k + 1) for k in range(n - 1)], features=np.eye(n, 3)) for n in (4, 6)]
+            ref = gradate.fgw_barycenter(graphs, nbar=5, cfg=FGWConfig(alpha=0.5))
+            gradate.fgw_distance(ref, graphs[0], FGWConfig(alpha=0.5))
+            print(" ".join(sorted(set(sys.modules) - before)) or "none")
+        """)
+        assert out.split() == ["none"]
+
+
+class TestScipyInterop:
+    def test_scipy_imported_after_gradate_reuses_its_modules(self):
+        out = run_fresh("""
+            import sys
+            import gradate
+            import scipy.optimize
+            from scipy.spatial.distance import cdist
+
+            assert scipy.optimize.linear_sum_assignment is gradate.ot.linear_sum_assignment
+            assert sys.modules["scipy.optimize._highspy._core"] is gradate.ot._highspy
+            res = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
+                                         method="highs-ds")
+            assert res.status == 0 and res.x.tolist() == [1.0, 0.0]
+            assert cdist([[0.0, 0.0]], [[3.0, 4.0]]).tolist() == [[5.0]]
+            print("ok")
+        """)
+        assert out.split() == ["ok"]
+
+    def test_gradate_imported_after_scipy_reuses_scipys_modules(self):
+        out = run_fresh("""
+            import sys
+            import scipy.optimize
+            import scipy.spatial.distance
+            core = sys.modules["scipy.optimize._highspy._core"]
+            import gradate
+            assert gradate.ot._highspy is core
+            assert gradate.ot._Highs is core._Highs
+            assert gradate.ot.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+            print("ok")
+        """)
+        assert out.split() == ["ok"]
+
+
+class TestLoaderFailure:
+    def test_a_missing_module_is_an_import_error(self):
+        name = "scipy.optimize._no_such_extension"
+        with pytest.raises(ImportError, match=re.escape(scipy.__version__)) as info:
+            ot._scipy_extension(name)
+        assert name in str(info.value)
+        assert info.value.name == name
+        assert name not in sys.modules
+
+    def test_a_python_module_is_not_loaded_in_its_place(self):
+        # scipy/optimize/_linprog.py exists, but it is not a compiled module;
+        # running it would import the scipy.optimize package after all.
+        out = run_fresh("""
+            import sys
+            import gradate.ot as ot
+            try:
+                ot._scipy_extension("scipy.optimize._linprog")
+            except ImportError as e:
+                print(e.name, "scipy.optimize" in sys.modules)
+        """)
+        assert out.split() == ["scipy.optimize._linprog", "False"]
