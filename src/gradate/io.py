@@ -67,9 +67,19 @@ def config_hash(key: dict) -> str:
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    """Write `data` to a temp file of this call's own beside `path`, then rename it.
+
+    Two processes writing one cache entry never rename each other's temp
+    file; the last rename wins, with one writer's complete bytes.
+    """
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _dump_json(obj) -> bytes:

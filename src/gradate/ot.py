@@ -34,7 +34,8 @@ loads their extension modules straight from scipy's directory:
 `scipy.optimize` and `scipy.spatial` would run those packages' `__init__`s,
 which load scipy.linalg, scipy.sparse, scipy.special and more: 0.65 s of
 the 0.82 s an `import gradate` took, and 36 MB of a warm CLI command's
-80 MB peak RSS. These private paths are those of scipy 1.17.1; a release
+80 MB peak RSS. These private paths are those of scipy 1.17.1, and the
+package is built against scipy >=1.17,<1.18 (pyproject.toml); a release
 that moves one makes the import fail with an ImportError naming it.
 """
 
@@ -99,11 +100,12 @@ class TransportSolution:
 
     For the exact solver the duals satisfy beta[i] + psi[j] <= cost[i, j]
     and strong duality p @ beta + q @ psi == value. For Sinkhorn they are the
-    converged log-domain potentials.
+    converged log-domain potentials. Both solvers return the coupling; the
+    cached solver of `SelectionConfig.ot_solver` keeps none and returns None.
     """
 
     value: float
-    coupling: np.ndarray
+    coupling: np.ndarray | None
     dual_source: np.ndarray
     dual_target: np.ndarray
 

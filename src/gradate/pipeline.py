@@ -79,14 +79,15 @@ class SelectionConfig:
         Without `cache_dir` this is `solve_exact_ot`, or `solve_sinkhorn` at
         `epsilon`. With it, each solve first runs the solver's own input
         checks, then reads an "OT" cache entry keyed on the solver (and, for
-        Sinkhorn only, epsilon and the dense coupling layout), the cost's
-        shape and float64 bytes, and the indices and values of the positive
-        entries of p and q; a miss solves and writes the entry. A hit returns
-        the bits the solve returned.
+        Sinkhorn only, epsilon), the entry layout, the cost's shape and
+        float64 bytes, and the indices and values of the positive entries of
+        p and q; a miss solves and writes the entry. The cache keeps no
+        coupling: a miss and a hit alike return the solve's value and duals
+        bit for bit, with `coupling` None.
         """
         if self.solver == "sinkhorn":
             solve = partial(solve_sinkhorn, epsilon=self.epsilon)
-            solver_key = {"solver": "sinkhorn", "epsilon": self.epsilon, "coupling": "dense"}
+            solver_key = {"solver": "sinkhorn", "epsilon": self.epsilon}
         else:
             solve, solver_key = solve_exact_ot, {"solver": "exact"}
         if cache_dir is None:
@@ -164,47 +165,26 @@ def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolut
     The solver's checks run before the lookup, so a hit accepts no input that
     a solve rejects. Zero-mass atoms are dropped by both solvers, so only the
     positive entries of p and q enter the key (and 0.0 and -0.0 are one key).
-    The entry is one column: value, source duals, target duals, then the
-    coupling. A key with `"coupling": "dense"` (Sinkhorn's, whose coupling
-    has no zero cell) stores all n * m cells row-major; otherwise the entry
-    stores the flat indices of the coupling's nonzero bit patterns, then
-    their masses, and an exact vertex has at most n + m - 1 of them.
+    The entry is one column of 1 + n + m floats: the value, the n source
+    duals, then the m target duals, zero-mass atoms included. The key's
+    `"entry"` field names that layout, so entries that also stored the
+    coupling have other file names and miss once.
     """
     cost = as_cost_matrix(cost)
     n, m = cost.shape
-    key = {**solver_key, "shape": [n, m],
+    key = {**solver_key, "entry": "value+duals", "shape": [n, m],
            "cost": hashlib.sha256(np.ascontiguousarray(cost, dtype="<f8")).hexdigest(),
            "p": _positive_digest(_check_marginal(p, n, "source marginal p")),
            "q": _positive_digest(_check_marginal(q, m, "target marginal q"))}
-    dense = solver_key.get("coupling") == "dense"
 
     def compute():
         sol = solve(cost, p, q)
-        flat = sol.coupling.ravel()
-        if dense:
-            tail = [flat]
-        else:
-            cells = np.flatnonzero(flat.view(np.uint64))
-            tail = [cells, flat[cells]]
-        return np.concatenate([[sol.value], sol.dual_source, sol.dual_target, *tail])[:, None]
+        return np.concatenate([[sol.value], sol.dual_source, sol.dual_target])[:, None]
 
     column = _cached(cache_dir, "OT", key, compute).ravel()
-    malformed = f"{io.cache_file_name('OT', key)}: malformed OT cache entry"
-    body = column[1 + n + m:]
-    if dense:
-        if body.size != n * m:
-            raise SchemaError(malformed)
-        coupling = body.reshape(n, m)
-    else:
-        k, odd = divmod(column.size - 1 - n - m, 2)
-        cells = body[:max(k, 0)]
-        if odd or k < 0 or not np.all((cells == np.floor(cells)) & (cells >= 0) & (cells < n * m)):
-            raise SchemaError(malformed)
-        coupling = np.zeros(n * m)
-        coupling[cells.astype(np.int64)] = body[k:]
-        coupling = coupling.reshape(n, m)
-    return TransportSolution(float(column[0]), coupling,
-                             column[1:1 + n].copy(), column[1 + n:1 + n + m].copy())
+    if column.size != 1 + n + m:
+        raise SchemaError(f"{io.cache_file_name('OT', key)}: malformed OT cache entry")
+    return TransportSolution(float(column[0]), None, column[1:1 + n], column[1 + n:])
 
 
 def _positive_digest(v: np.ndarray) -> str:
@@ -213,14 +193,6 @@ def _positive_digest(v: np.ndarray) -> str:
     h = hashlib.sha256(keep.astype("<i8").tobytes())
     h.update(v[keep].astype("<f8").tobytes())
     return h.hexdigest()
-
-
-def _provenance(train, val, cfg: SelectionConfig) -> dict:
-    return {
-        "config": asdict(cfg),
-        "train_hash": dataset_hash(train),
-        "val_hash": dataset_hash(val),
-    }
 
 
 def _check_budget(n: int, tau: float) -> int:
@@ -266,7 +238,7 @@ def gradate(train: LabeledGraphDataset, val: LabeledGraphDataset,
         weights=tuple(float(x) for x in trace.final_weights[selected]),
         method="gradate",
         trace=trace,
-        provenance=_provenance(train, val, cfg),
+        provenance={"config": asdict(cfg)},
     )
 
 
@@ -288,7 +260,7 @@ def lava_select(train: LabeledGraphDataset, val: LabeledGraphDataset,
         weights=tuple(1.0 / budget for _ in indices),
         method="lava",
         trace=None,
-        provenance=_provenance(train, val, cfg),
+        provenance={"config": asdict(cfg)},
     )
 
 
@@ -305,8 +277,5 @@ def random_select(train: LabeledGraphDataset, tau: float, seed: int) -> Selectio
         weights=tuple(1.0 / budget for _ in indices),
         method="random",
         trace=None,
-        provenance={
-            "config": {"tau": tau, "seed": seed},
-            "train_hash": dataset_hash(train),
-        },
+        provenance={"config": {"tau": tau, "seed": seed}},
     )

@@ -692,6 +692,33 @@ class TestOtCache:
         assert calls == []
         assert warm == cold
 
+    def test_every_entry_is_the_value_and_the_duals(self, workdir, capsys):
+        write_two_domain_json(workdir / "ds.json", seed=24)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        commands = [[*self.SELECT, "--method", "gradate", "--tau", "0.25", "--out", "a.json"],
+                    ["gdd", "ds.json", "split.json", "--c", "1", "--solver", "sinkhorn",
+                     "--epsilon", "0.5"]]
+
+        def outputs():
+            stdout = []
+            for argv in commands:
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                stdout.append(out)
+            return stdout, (workdir / "a.json").read_bytes()
+
+        cold = outputs()
+        assert outputs() == cold
+        solvers = set()
+        for path in (workdir / ".gradate_cache").glob("OT-*.gdd"):
+            blob = path.read_bytes()
+            header_len = int.from_bytes(blob[4:8], "little")
+            key = json.loads(blob[8:8 + header_len])["key"]
+            n, m = key["shape"]
+            assert len(blob) - 8 - header_len == 8 * (1 + n + m)
+            solvers.add(key["solver"])
+        assert solvers == {"exact", "sinkhorn"}
+
     def test_a_second_tau_shares_the_first_three_solves(self, workdir, capsys, monkeypatch):
         write_two_domain_json(workdir / "ds.json", seed=22)
         run(capsys, "split", "ds.json", "--out", "split.json")

@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 
 import numpy as np
@@ -512,6 +513,34 @@ class TestMatrixCache:
         path = tmp_path / "m.gdd"
         io.save_matrix_cache(path, rng.random((2, 2)), key)
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_a_writer_that_finishes_first_does_not_break_a_slower_one(self, tmp_path,
+                                                                       monkeypatch):
+        # Two processes write one entry: the second writes and renames its
+        # file between the first one's write and its rename.
+        path = tmp_path / "OT-x.gdd"
+        rename = os.replace
+        nested = []
+
+        def interleaved(src, dst):
+            if not nested:
+                nested.append(src)
+                io._atomic_write_bytes(path, b"second writer, longer bytes")
+            rename(src, dst)
+
+        monkeypatch.setattr(io.os, "replace", interleaved)
+        io._atomic_write_bytes(path, b"first writer")
+        assert path.read_bytes() == b"first writer"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(io.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            io._atomic_write_bytes(tmp_path / "m.gdd", b"bytes")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDatasetHash:

@@ -163,8 +163,29 @@ class TestBuildCost:
 
 
 def bits(sol):
-    return (np.float64(sol.value).tobytes(), sol.coupling.tobytes(),
-            sol.dual_source.tobytes(), sol.dual_target.tobytes())
+    return (np.float64(sol.value).tobytes(), sol.dual_source.tobytes(),
+            sol.dual_target.tobytes())
+
+
+def entry(path):
+    """The key and the payload floats of a cache file."""
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[4:8], "little")
+    key = json.loads(blob[8:8 + header_len])["key"]
+    return key, np.frombuffer(blob[8 + header_len:], dtype="<f8")
+
+
+def assert_wrong_lengths_are_schema_errors(tmp_path, cfg):
+    cost = np.random.default_rng(6).random((4, 3))
+    p, q = np.full(4, 0.25), np.full(3, 1 / 3)
+    solve = cfg.ot_solver(tmp_path)
+    solve(cost, p, q)
+    (path,) = tmp_path.glob("OT-*.gdd")
+    key, _ = entry(path)
+    for size in (1 + 4 + 3 - 1, 1 + 4 + 3 + 1):
+        io.save_matrix_cache(path, np.zeros((size, 1)), key)
+        with pytest.raises(SchemaError, match="malformed OT cache entry"):
+            solve(cost, p, q)
 
 
 class TestOtCache:
@@ -182,65 +203,64 @@ class TestOtCache:
         cfg = SelectionConfig(tau=0.5, solver=solver, epsilon=0.5)
         direct = cfg.ot_solver()(cost, p, q)
         cached = cfg.ot_solver(tmp_path)
-        assert bits(cached(cost, p, q)) == bits(direct)
+        miss = cached(cost, p, q)
+        assert miss.coupling is None
+        assert bits(miss) == bits(direct)
         calls = count_lps(monkeypatch)
         # -0.0 is no mass, as 0.0 is: the same entry answers.
-        assert bits(cached(cost, np.where(p > 0, p, -0.0), q)) == bits(direct)
+        hit = cached(cost, np.where(p > 0, p, -0.0), q)
+        assert hit.coupling is None
+        assert bits(hit) == bits(direct)
         assert calls == []
         assert len(list(tmp_path.glob("OT-*.gdd"))) == 1
 
-    def test_an_exact_entry_grows_with_n_plus_m(self, tmp_path):
+    @pytest.mark.parametrize("solver", ["exact", "sinkhorn"])
+    def test_an_entry_is_the_value_and_the_duals(self, tmp_path, solver):
+        # 1 + n + m floats for either solver, with a dual for each zero-mass atom.
         cost = np.random.default_rng(4).random((40, 30))
-        SelectionConfig(tau=0.5).ot_solver(tmp_path)(cost, np.full(40, 1 / 40), np.full(30, 1 / 30))
+        p = np.where(np.arange(40) % 4 == 0, 0.0, 1 / 30)
+        q = np.full(30, 1 / 30)
+        cfg = SelectionConfig(tau=0.5, solver=solver, epsilon=0.5)
+        sol = cfg.ot_solver()(cost, p, q)
+        cfg.ot_solver(tmp_path)(cost, p, q)
         (path,) = tmp_path.glob("OT-*.gdd")
-        header_len = int.from_bytes(path.read_bytes()[4:8], "little")
-        # value, 40 + 30 duals, and at most 40 + 30 - 1 cells with their masses
-        assert path.stat().st_size - 8 - header_len <= 8 * (1 + 70 + 2 * 69)
+        _, payload = entry(path)
+        assert payload.size == 1 + 40 + 30
+        assert payload.tobytes() == b"".join(bits(sol))
 
-    def test_a_sinkhorn_entry_is_dense(self, tmp_path):
-        # A Sinkhorn coupling has no zero cell: n * m masses, not 2 * n * m.
-        cost = np.random.default_rng(4).random((40, 30))
-        cfg = SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=0.5)
-        cfg.ot_solver(tmp_path)(cost, np.full(40, 1 / 40), np.full(30, 1 / 30))
-        (path,) = tmp_path.glob("OT-*.gdd")
-        header_len = int.from_bytes(path.read_bytes()[4:8], "little")
-        assert path.stat().st_size - 8 - header_len == 8 * (1 + 70 + 40 * 30)
-
-    @pytest.mark.parametrize("shape", [(4, 3), (4, 4)], ids=["k-odd", "k-is-half-of-nm"])
-    def test_a_sparse_layout_is_not_read_as_a_sinkhorn_entry(self, tmp_path, shape):
-        # An entry in the sparse layout, written under the key without the
-        # layout field, must miss. At 4 x 4 its k = n * m / 2 cells give it
-        # the dense length, so only the key tells the layouts apart.
-        n, m = shape
-        cost = np.random.default_rng(7).random(shape)
+    @pytest.mark.parametrize("solver", ["exact", "sinkhorn"])
+    def test_an_entry_that_also_holds_the_coupling_is_never_read(self, tmp_path, solver):
+        # Entries that stored the coupling after the duals had no "entry" key
+        # field: exact ones its nonzero cells and their masses, Sinkhorn ones
+        # all n * m cells under "coupling": "dense". Such an entry misses.
+        n, m = 4, 4
+        cost = np.random.default_rng(7).random((n, m))
         p, q = np.full(n, 1 / n), np.full(m, 1 / m)
-        cfg = SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=0.5)
+        cfg = SelectionConfig(tau=0.5, solver=solver, epsilon=0.5)
         sol = cfg.ot_solver()(cost, p, q)
         cached = cfg.ot_solver(tmp_path)
         cached(cost, p, q)
         (path,) = tmp_path.glob("OT-*.gdd")
-        blob = path.read_bytes()
-        key = json.loads(blob[8:8 + int.from_bytes(blob[4:8], "little")])["key"]
+        key = {field: value for field, value in entry(path)[0].items() if field != "entry"}
         path.unlink()
-        assert key.pop("coupling") == "dense"
-        cells = np.arange(0, n * m, 2)
-        sparse = np.concatenate([[sol.value], sol.dual_source, sol.dual_target,
-                                 cells, sol.coupling.ravel()[cells]])[:, None]
-        io.save_matrix_cache(tmp_path / io.cache_file_name("OT", key), sparse, key)
+        flat = sol.coupling.ravel()
+        if solver == "sinkhorn":
+            key["coupling"] = "dense"
+            tail = [flat]
+        else:
+            cells = np.flatnonzero(flat.view(np.uint64))
+            tail = [cells, flat[cells]]
+        old = np.concatenate([[sol.value], sol.dual_source, sol.dual_target, *tail])
+        io.save_matrix_cache(tmp_path / io.cache_file_name("OT", key), old[:, None], key)
         assert bits(cached(cost, p, q)) == bits(sol)
         assert len(list(tmp_path.glob("OT-*.gdd"))) == 2
 
+    def test_an_entry_that_is_no_solution_is_a_schema_error(self, tmp_path):
+        assert_wrong_lengths_are_schema_errors(tmp_path, SelectionConfig(tau=0.5))
+
     def test_a_sinkhorn_entry_of_the_wrong_length_is_a_schema_error(self, tmp_path):
-        cost = np.random.default_rng(6).random((4, 3))
-        p, q = np.full(4, 0.25), np.full(3, 1 / 3)
-        solve = SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=0.5).ot_solver(tmp_path)
-        solve(cost, p, q)
-        (path,) = tmp_path.glob("OT-*.gdd")
-        blob = path.read_bytes()
-        key = json.loads(blob[8:8 + int.from_bytes(blob[4:8], "little")])["key"]
-        io.save_matrix_cache(path, np.zeros((1 + 7 + 11, 1)), key)
-        with pytest.raises(SchemaError, match="malformed OT cache entry"):
-            solve(cost, p, q)
+        assert_wrong_lengths_are_schema_errors(
+            tmp_path, SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=0.5))
 
     def test_input_a_solve_rejects_is_rejected_on_a_warm_cache(self, tmp_path):
         cost = np.random.default_rng(5).random((4, 3))
@@ -253,33 +273,15 @@ class TestOtCache:
         with pytest.raises(ValueError, match="finite"):
             solve(np.where(cost > 0.5, np.inf, cost), p, q)
 
-    @pytest.mark.parametrize("tail", [[0.0], [2.5, 0.5], [12.0, 0.5], [np.nan, 0.5]],
-                             ids=["odd-length", "fractional-cell", "cell-outside", "nan-cell"])
-    def test_an_entry_that_is_no_solution_is_a_schema_error(self, tmp_path, tail):
-        cost = np.random.default_rng(6).random((4, 3))
-        p, q = np.full(4, 0.25), np.full(3, 1 / 3)
-        solve = SelectionConfig(tau=0.5).ot_solver(tmp_path)
-        solve(cost, p, q)
-        (path,) = tmp_path.glob("OT-*.gdd")
-        blob = path.read_bytes()
-        key = json.loads(blob[8:8 + int.from_bytes(blob[4:8], "little")])["key"]
-        io.save_matrix_cache(path, np.array([[0.0]] * 8 + [[x] for x in tail]), key)
-        with pytest.raises(SchemaError, match="malformed OT cache entry"):
-            solve(cost, p, q)
-
     def test_ot_keys_hold_exactly_the_inputs_of_a_solve(self, tmp_path):
         rng = np.random.default_rng(18)
         train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
         for solver in ("exact", "sinkhorn"):
             lava_select(train, val, SelectionConfig(tau=0.5, solver=solver, epsilon=2.0),
                         cache_dir=tmp_path)
-        keys = set()
-        for path in tmp_path.glob("OT-*.gdd"):
-            blob = path.read_bytes()
-            header_len = int.from_bytes(blob[4:8], "little")
-            keys.add(tuple(sorted(json.loads(blob[8:8 + header_len])["key"])))
-        base = ("cost", "p", "q", "shape", "solver")
-        assert keys == {base, tuple(sorted(base + ("coupling", "epsilon")))}
+        keys = {tuple(sorted(entry(path)[0])) for path in tmp_path.glob("OT-*.gdd")}
+        base = ("cost", "entry", "p", "q", "shape", "solver")
+        assert keys == {base, tuple(sorted(base + ("epsilon",)))}
 
     def test_two_values_of_c_share_the_label_table_solves(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(19)
@@ -483,5 +485,5 @@ class TestResultSchema:
             assert len(res.weights) == len(res.indices)
             assert abs(sum(res.weights) - 1.0) <= 1e-9
             assert all(x >= 0 for x in res.weights)
-            assert "train_hash" in res.provenance
+            assert set(res.provenance) == {"config"}
         assert {r.method for r in results} == {"gradate", "lava", "random"}
