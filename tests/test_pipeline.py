@@ -175,15 +175,15 @@ def entry(path):
     return key, np.frombuffer(blob[8 + header_len:], dtype="<f8")
 
 
-def assert_wrong_lengths_are_schema_errors(tmp_path, cfg):
+def assert_malformed_entries_are_schema_errors(tmp_path, cfg, payloads):
     cost = np.random.default_rng(6).random((4, 3))
     p, q = np.full(4, 0.25), np.full(3, 1 / 3)
     solve = cfg.ot_solver(tmp_path)
     solve(cost, p, q)
     (path,) = tmp_path.glob("OT-*.gdd")
     key, _ = entry(path)
-    for size in (1 + 4 + 3 - 1, 1 + 4 + 3 + 1):
-        io.save_matrix_cache(path, np.zeros((size, 1)), key)
+    for payload in payloads:
+        io.save_matrix_cache(path, np.asarray(payload, dtype=float)[:, None], key)
         with pytest.raises(SchemaError, match="malformed OT cache entry"):
             solve(cost, p, q)
 
@@ -255,12 +255,19 @@ class TestOtCache:
         assert bits(cached(cost, p, q)) == bits(sol)
         assert len(list(tmp_path.glob("OT-*.gdd"))) == 2
 
-    def test_an_entry_that_is_no_solution_is_a_schema_error(self, tmp_path):
-        assert_wrong_lengths_are_schema_errors(tmp_path, SelectionConfig(tau=0.5))
+    @pytest.mark.parametrize("tail", [[0.0], [2.5, 0.5], [12.0, 0.5], [np.nan, 0.5]],
+                             ids=["odd-length", "fractional-cell", "cell-outside", "nan-cell"])
+    def test_an_entry_that_is_no_solution_is_a_schema_error(self, tmp_path, tail):
+        # An entry is exactly the value and 4 + 3 duals: one float short is
+        # malformed, and so is any tail after the duals, such as the cells and
+        # masses of a coupling, well formed or not.
+        assert_malformed_entries_are_schema_errors(
+            tmp_path, SelectionConfig(tau=0.5), [np.zeros(1 + 4 + 3 - 1), np.r_[np.zeros(8), tail]])
 
     def test_a_sinkhorn_entry_of_the_wrong_length_is_a_schema_error(self, tmp_path):
-        assert_wrong_lengths_are_schema_errors(
-            tmp_path, SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=0.5))
+        assert_malformed_entries_are_schema_errors(
+            tmp_path, SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=0.5),
+            [np.zeros(1 + 4 + 3 - 1), np.zeros(1 + 4 + 3 + 1)])
 
     def test_input_a_solve_rejects_is_rejected_on_a_warm_cache(self, tmp_path):
         cost = np.random.default_rng(5).random((4, 3))
