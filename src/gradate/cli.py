@@ -201,10 +201,10 @@ def _dataset_stamp(dataset_path) -> str:
 def _load_weights(path, n: int, expected_hash: str, force: bool) -> np.ndarray:
     payload = io._read_json(path)
     if isinstance(payload, list):
-        try:
-            w = np.asarray(payload, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise SchemaError(f"{path}: weights must be numbers") from None
+        # As in a selection file: a string or a boolean (a subclass of int) is no number.
+        if any(type(x) not in (int, float) for x in payload):
+            raise SchemaError(f"{path}: weights must be numbers")
+        w = np.asarray(payload, dtype=np.float64)
         if w.shape != (n,):
             raise SchemaError(f"{path}: {w.shape[0]} weights for {n} training graphs")
         return w

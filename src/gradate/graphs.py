@@ -84,12 +84,17 @@ class AttributedGraph:
                    features=None, node_weights=None) -> "AttributedGraph":
         """Build a 0/1 graph from an undirected edge list over nodes 0..n-1."""
         adj = np.zeros((n_nodes, n_nodes))
-        ends = np.array(list(edges))
+        edges = list(edges)
+        ends = np.array(edges)
         if len(ends):
             if ends.ndim != 2 or ends.shape[1] != 2:
                 raise ValueError("each edge must be a pair of node indices")
             if ends.dtype.kind not in "iu":
-                raise IndexError(f"edge endpoints must be integers, got {ends.dtype}")
+                # Integers beyond int64 make an object or float array; they leave the nodes too.
+                exact = np.array(edges, dtype=object)
+                if not all(type(v) is int or isinstance(v, np.integer) for v in exact.flat):
+                    raise IndexError(f"edge endpoints must be integers, got {ends.dtype}")
+                ends = exact
             if ends.min() < 0 or ends.max() >= n_nodes:
                 i, j = ends[((ends < 0) | (ends >= n_nodes)).any(axis=1)][0]
                 raise DanglingEdge(f"edge ({i}, {j}) leaves the nodes 0..{n_nodes - 1}")
@@ -120,19 +125,26 @@ def _graphs_from_arrays(sizes, edge_graph, ends, features) -> list[AttributedGra
 
     The whole dataset is checked at once for what `from_edges` and the
     constructor check per graph. If a check fails, the first failing graph
-    goes through `from_edges` alone, which raises its error. Otherwise each
+    goes through `from_edges` alone, which raises its error; so does a lone
+    graph (G = 1) given in any other form `from_edges` takes. Otherwise each
     graph holds read-only views into three shared buffers (adjacencies,
     features, uniform node weights), and no constructor runs; the arrays
     equal those of `from_edges(n, edges, features)` byte for byte.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    edge_graph = np.asarray(edge_graph, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
     # A copy owned here: views of a frozen owner cannot be made writeable again.
     features = np.array(features, dtype=np.float64, order="C")
+    stacked = features.ndim == 2 and features.shape[0] == sum(sizes)
+    given = ends
+    if stacked:  # edges that are not pairs may be ragged, and then do not convert
+        ends = np.asarray(ends) if len(ends) else np.zeros((0, 2), dtype=np.int64)
+        stacked = ends.dtype == np.int64 and ends.shape[1:] == (2,)
+    if not stacked:
+        if len(sizes) == 1:
+            AttributedGraph.from_edges(sizes[0], given, features=features)
+        raise DimensionMismatch(f"edges or features do not stack for {sum(sizes)} nodes")
+    sizes = np.asarray(sizes, dtype=np.int64)
+    edge_graph = np.asarray(edge_graph, dtype=np.int64)
     node_start = np.concatenate(([0], np.cumsum(sizes)))
-    if features.ndim != 2 or features.shape[0] != node_start[-1]:
-        raise DimensionMismatch(f"features has shape {features.shape} for {node_start[-1]} nodes")
 
     bad = sizes < 1
     if not bad.any():

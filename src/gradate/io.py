@@ -8,10 +8,9 @@ JSON round-trips for splits and selection results. Writers are atomic
 Both dataset readers check and build all graphs of a dataset in one
 vectorized pass (`graphs._graphs_from_arrays`): the graphs of a loaded
 dataset are read-only views into three shared buffers, and no per-graph
-constructor runs. A JSON file that fails a check, or that holds a field
-in a shape the one-pass reader does not take (a string where it expects a
-list, say), is read entry by entry instead, so a fault is reported as the
-first failing graph's own error.
+constructor runs. The JSON reader is one function, `_json_graphs`; when
+its pass over all entries raises, it runs on each entry alone, so the
+first faulty graph reports its own error.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import json
 import os
 import struct
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -32,11 +32,12 @@ from .errors import (
     ConfigInvalid,
     DanglingEdge,
     DatasetTooSmall,
+    GradateError,
     HashMismatch,
     ParseError,
     SchemaError,
 )
-from .graphs import AttributedGraph, LabeledGraphDataset, _graphs_from_arrays, graph_density
+from .graphs import LabeledGraphDataset, _graphs_from_arrays, graph_density
 
 CACHE_MAGIC = b"GDD1"
 
@@ -159,11 +160,13 @@ def load_tudataset(dir_path) -> LabeledGraphDataset:
     if min(node_graph) < 0:  # would wrap onto the last graph
         raise ParseError(indicator_path, 0, "graph ids must count from 1")
     n_graphs = max(node_graph) + 1
+    ids = set(node_graph)
+    if len(ids) < n_graphs:  # found before bincount allocates a count for each id
+        empty = next(k for k in range(n_graphs) if k not in ids)
+        raise ParseError(indicator_path, 0, f"graph id {empty + 1} has no nodes")
 
     # Global node id -> (graph, local index), following indicator order.
     sizes = np.bincount(node_graph, minlength=n_graphs)
-    if not sizes.all():
-        raise ParseError(indicator_path, 0, f"graph id {np.argmin(sizes) + 1} has no nodes")
     by_graph = np.argsort(node_graph, kind="stable")  # each graph's nodes in indicator order
     local_index = np.empty(n_nodes_total, dtype=np.int64)
     local_index[by_graph] = np.arange(n_nodes_total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -243,87 +246,76 @@ def save_dataset_json(dataset: LabeledGraphDataset, path) -> None:
     _atomic_write_bytes(Path(path), _dump_json(payload))
 
 
-def _json_int(value, what: str) -> int:
-    # JSON true and false load as bool, a subclass of int; they are not integers here.
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, got {json.dumps(value)}")
-    return value
-
-
 def load_dataset_json(path) -> LabeledGraphDataset:
     """Read the native JSON graph format; a graph failing its checks is a SchemaError.
 
     `n`, labels, `label_set` entries and edge endpoints must be JSON integers,
-    and `n` at least 1. A file whose fields have the shapes `_json_arrays`
-    takes is checked and built in one pass; any other file, and any file that
-    fails a check, is read entry by entry, which reports the first fault.
+    and `n` at least 1. All entries are checked and built in one pass; if it
+    raises, each entry is read alone in turn, so the first faulty graph
+    raises its own error, and graphs whose feature layouts do not stack (a
+    flat column beside rows, say) still load.
     """
     payload = _read_json(path)
     try:
-        arrays = _json_arrays(payload)
-        if arrays is None:
-            return _json_dataset_by_entry(payload)
-        sizes, edge_graph, ends, features, labels = arrays
-        return LabeledGraphDataset(_graphs_from_arrays(sizes, edge_graph, ends, features),
-                                   labels, label_set=payload["label_set"])
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        entries = payload["graphs"]
+        try:
+            graphs, labels = _json_graphs(entries, 0)
+        except (GradateError, LookupError, TypeError, ValueError, OverflowError):
+            graphs, labels = [], []
+            for k, entry in enumerate(entries):
+                graph, label = _json_graphs([entry], k)
+                graphs += graph
+                labels += label
+        _require_json_ints(payload["label_set"], "label_set entry")
+        return LabeledGraphDataset(graphs, labels, label_set=payload["label_set"])
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed dataset JSON ({exc})") from None
 
 
-def _json_arrays(payload):
-    """A dataset payload as flat arrays for `_graphs_from_arrays`, or None.
+def _require_json_ints(values, what: str) -> None:
+    # JSON true and false load as bool, a subclass of int; they are not integers here.
+    if set(map(type, values)) - {int}:
+        value = next(v for v in values if type(v) is not int)
+        raise TypeError(f"{what} must be an integer, got {json.dumps(value)}")
 
-    None unless every JSON-integer field holds a JSON integer, every `n` is at
-    least 1, every edge is a pair, and every graph's features are a list of
-    `n` rows (or `n` numbers, one column) that stack into one matrix, or `[]`
-    in every graph.
+
+def _json_graphs(entries, first: int):
+    """The graphs and labels of dataset entries, checked and built in one pass.
+
+    Raises at the first failing check, in this order: `n` is a JSON integer
+    and at least 1, edge endpoints are JSON integers, features convert to
+    floats, `graphs._graphs_from_arrays`'s checks, labels are JSON integers.
+    Entries whose features do not stack into one matrix raise too. Messages
+    name graph `first`, so they are exact for a lone entry.
     """
-    try:
-        entries = payload["graphs"]
-        sizes = [entry["n"] for entry in entries]
-        edges = [entry["edges"] for entry in entries]
-        feats = [entry["features"] for entry in entries]
-        labels = [entry["label"] for entry in entries]
-        pairs = list(chain.from_iterable(edges))
-        endpoints = list(chain.from_iterable(pairs))
-        if (set(map(type, chain(sizes, labels, payload["label_set"], endpoints))) - {int}
-                or set(map(len, pairs)) - {2} or set(map(type, feats)) - {list}
-                or min(sizes, default=1) < 1):
-            return None
-        ends = np.array(endpoints, dtype=np.int64).reshape(-1, 2)
-        rows = list(chain.from_iterable(feats))
-        features = np.array(rows, dtype=np.float64)
-        if not rows:
-            features = np.zeros((sum(sizes), 0))
-        elif features.ndim == 1:
-            features = features[:, None]
-    except (LookupError, TypeError, ValueError, OverflowError):
-        return None
-    if features.ndim != 2 or (rows and list(map(len, feats)) != sizes):
-        return None
-    edge_counts = np.array(list(map(len, edges)), dtype=np.int64)
-    return sizes, np.repeat(np.arange(len(sizes)), edge_counts), ends, features, labels
-
-
-def _json_dataset_by_entry(payload) -> LabeledGraphDataset:
-    """The payload's dataset, each entry checked and built on its own."""
-    graphs = []
-    labels = []
-    for k, entry in enumerate(payload["graphs"]):
-        n = _json_int(entry["n"], f"graph {k}: n")
-        if n < 1:
-            raise ValueError(f"graph {k}: n must be at least 1, got {n}")
-        edges = entry["edges"]
-        if set(map(type, chain.from_iterable(edges))) - {int}:
-            _json_int(next(v for v in chain.from_iterable(edges) if type(v) is not int),
-                      f"graph {k}: edge endpoint")
-        feats = np.array(entry["features"], dtype=np.float64)
-        if feats.size == 0:
-            feats = np.zeros((n, 0))
-        graphs.append(AttributedGraph.from_edges(n, edges, features=feats))
-        labels.append(_json_int(entry["label"], f"graph {k}: label"))
-    label_set = [_json_int(y, "label_set entry") for y in payload["label_set"]]
-    return LabeledGraphDataset(graphs, labels, label_set=label_set)
+    sizes = [entry["n"] for entry in entries]
+    _require_json_ints(sizes, f"graph {first}: n")
+    if min(sizes, default=1) < 1:
+        raise ValueError(f"graph {first}: n must be at least 1, got {min(sizes)}")
+    edges = [entry["edges"] for entry in entries]
+    pairs = list(chain.from_iterable(edges))
+    endpoints = list(chain.from_iterable(pairs))
+    _require_json_ints(endpoints, f"graph {first}: edge endpoint")
+    feats = [entry["features"] for entry in entries]
+    if len(feats) > 1 and (set(map(type, feats)) - {list}
+                           or (any(feats) and list(map(len, feats)) != sizes)):
+        raise ValueError("the graphs' features do not stack into one matrix")
+    # A lone entry's features convert as given, so that `from_edges` judges any form.
+    features = np.array(feats[0] if len(feats) == 1 else list(chain.from_iterable(feats)),
+                        dtype=np.float64)
+    if features.size == 0:  # [], or any list of empty lists: no features
+        features = np.zeros((sum(sizes), 0))
+    elif features.ndim == 1:
+        features = features[:, None]
+    ends = pairs  # as given, for `from_edges` to judge, unless they are int64 pairs
+    if set(map(len, pairs)) <= {2}:
+        with suppress(OverflowError):  # the flat list converts faster than the nested one
+            ends = np.array(endpoints, dtype=np.int64).reshape(-1, 2)
+    edge_graph = np.repeat(np.arange(len(entries)), list(map(len, edges)))
+    graphs = _graphs_from_arrays(sizes, edge_graph, ends, features)
+    labels = [entry["label"] for entry in entries]
+    _require_json_ints(labels, f"graph {first}: label")
+    return graphs, labels
 
 
 def load_dataset(path) -> LabeledGraphDataset:
@@ -399,13 +391,18 @@ def load_split(path, expected_hash: str | None = None) -> DomainSplit:
     """Load a split; one stored with a hash other than `expected_hash` raises HashMismatch."""
     payload = _read_json(path)
     try:
+        for name in ("train", "val", "test"):
+            _require_json_ints(payload[name], f"{name} index")
+        by = payload.get("by", "density")
+        if by not in ("density", "size"):
+            raise ValueError(f'by must be "density" or "size", got {json.dumps(by)}')
         split = DomainSplit(
             train_idx=tuple(payload["train"]),
             val_idx=tuple(payload["val"]),
             test_idx=tuple(payload["test"]),
-            by=payload.get("by", "density"),
+            by=by,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed split JSON ({exc})") from None
     stored = payload.get("dataset_hash", expected_hash)
     if expected_hash is not None and stored != expected_hash:

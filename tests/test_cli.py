@@ -316,7 +316,9 @@ class TestGdd:
     @pytest.mark.parametrize("weights, message", [
         ("[NaN, 0.5, 0.5]", "non-finite"),
         ('["a", 0.5, 0.5]', "weights must be numbers"),
-    ], ids=["nan", "string"])
+        ('["0.5", 0.25, 0.25]', "weights must be numbers"),
+        ("[true, false, false]", "weights must be numbers"),
+    ], ids=["nan", "string", "numeric-string", "bool"])
     def test_weights_that_are_not_finite_numbers_exit_2(self, workdir, capsys, weights,
                                                          message):
         write_two_domain_json(workdir / "ds.json", seed=6, n_dense=3, n_sparse=3,

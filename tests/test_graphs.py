@@ -64,8 +64,12 @@ class TestAttributedGraph:
             AttributedGraph.from_edges(3, [(0, 1, 2)])
         with pytest.raises(IndexError, match="integers"):
             AttributedGraph.from_edges(3, [(0, 1.0)])
+        with pytest.raises(IndexError, match="integers"):
+            AttributedGraph.from_edges(3, [(0, 2 ** 70), (0, 1.0)])
         with pytest.raises(DanglingEdge, match=r"edge \(2, 3\) leaves the nodes 0..2"):
             AttributedGraph.from_edges(3, [(0, 1), (2, 3), (-1, 0)])
+        with pytest.raises(DanglingEdge, match=r"edge \(2, 3\) leaves the nodes 0..2"):
+            AttributedGraph.from_edges(3, [(0, 1), (2, 3), (0, 2 ** 70)])
 
     def test_immutable_arrays(self):
         g = AttributedGraph.from_edges(2, [(0, 1)])

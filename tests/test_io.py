@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradate import AttributedGraph, LabeledGraphDataset, io, random_select
@@ -12,6 +12,7 @@ from gradate.errors import (
     DanglingEdge,
     DatasetTooSmall,
     DimensionMismatch,
+    GradateError,
     HashMismatch,
     ParseError,
     SchemaError,
@@ -122,12 +123,16 @@ def write_json_dataset(path, edges=((0, 1),), features=((0.5,), (1.0,), (2.0,)),
 
 
 class TestJsonLoader:
-    @pytest.mark.parametrize("edge", [(0, -1), (0, 3)], ids=["minus-one", "n"])
+    @pytest.mark.parametrize("edge", [(0, -1), (0, 3), (0, 2 ** 63), (0, 2 ** 70),
+                                      (0, -2 ** 63 - 1)],
+                             ids=["minus-one", "n", "2^63", "2^70", "below-int64"])
     def test_endpoint_outside_the_nodes_is_a_dangling_edge(self, tmp_path, edge):
-        # -1 used to wrap round to node 2 and add the edge 0-2.
-        with pytest.raises(DanglingEdge):
+        # -1 used to wrap round to node 2 and add the edge 0-2. Beyond int64, numpy
+        # makes a float or object array of the edges, not an integer one.
+        message = rf"edge \(0, {edge[1]}\) leaves the nodes 0..2"
+        with pytest.raises(DanglingEdge, match=message):
             AttributedGraph.from_edges(3, [edge])
-        with pytest.raises(DanglingEdge):
+        with pytest.raises(DanglingEdge, match=message):
             io.load_dataset_json(write_json_dataset(tmp_path / "ds.json", edges=[edge]))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -185,6 +190,75 @@ def entry(n, edges, features, label=0):
     return {"n": n, "edges": [list(e) for e in edges], "features": features, "label": label}
 
 
+# Each fault of one graph of a valid file: the edit that makes it, then the
+# error it raises and its message, where {k} is the graph's number.
+FAULTS = {
+    "dangling-edge": (lambda g: g["edges"].append([0, 5]),
+                      DanglingEdge, r"edge \(0, 5\) leaves the nodes 0..2"),
+    "nan-feature": (lambda g: g["features"].__setitem__(1, [float("nan")]),
+                    SchemaError, "feature entries must be finite"),
+    "few-feature-rows": (lambda g: g["features"].pop(),
+                         DimensionMismatch, "features has 2 rows for 3 nodes"),
+    "3-d-features": (lambda g: g.update(features=[[r] for r in g["features"]]),
+                     DimensionMismatch, r"must be an \(n, d\) matrix, got shape \(3, 1, 1\)"),
+    "string-label": (lambda g: g.update(label="x"),
+                     SchemaError, "graph {k}: label must be an integer"),
+    "float-endpoint": (lambda g: g["edges"].append([0, 1.0]),
+                       SchemaError, "graph {k}: edge endpoint must be an integer"),
+    "no-nodes": (lambda g: g.update(n=0, edges=[], features=[]),
+                 SchemaError, "graph {k}: n must be at least 1, got 0"),
+    "non-pair-edge": (lambda g: g.update(edges=[[0, 1, 2]]),
+                      SchemaError, "each edge must be a pair of node indices"),
+    "label-outside-set": (lambda g: g.update(label=7),
+                          SchemaError, r"labels \[7\] not in label_set"),
+}
+
+# JSON values of each kind, beside the valid one they replace.
+_BIG_INTS = (st.sampled_from([2 ** 63, 2 ** 64, -2 ** 63 - 1, 10 ** 400])
+             | st.integers(min_value=2 ** 63, max_value=2 ** 1100)
+             | st.integers(min_value=-2 ** 1100, max_value=-2 ** 63 - 1))
+_STRINGS = st.text(max_size=3) | st.sampled_from(["0", "1", "2.5", "nan"])
+_LEAVES = _BIG_INTS | st.floats() | _STRINGS | st.booleans() | st.none()
+_NESTED = st.recursive(
+    st.integers(min_value=-1, max_value=5) | _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=2),
+    max_leaves=6)
+OTHER_JSON_VALUES = (_LEAVES | st.lists(_NESTED, max_size=3)
+                     | st.dictionaries(st.text(max_size=2), _NESTED, max_size=2))
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid two-graph dataset payload with one or two fields replaced by OTHER_JSON_VALUES.
+
+    A field is found by a walk from the root that stops at each level with
+    probability 1/2, so `n`, `edges` and `label_set` are hit as often as
+    single feature values.
+    """
+    d = draw(st.integers(min_value=0, max_value=2))
+    flat = d == 1 and draw(st.booleans())
+    graphs = []
+    for label in (0, 1):
+        n = draw(st.integers(min_value=1, max_value=50))
+        node = st.integers(min_value=0, max_value=n - 1)
+        features = [[float(i + j) for j in range(d)] for i in range(n)]
+        graphs.append({"n": n, "edges": draw(st.lists(st.lists(node, min_size=2, max_size=2),
+                                                       max_size=4)),
+                       "features": [row[0] for row in features] if flat else features,
+                       "label": label})
+    payload = {"graphs": graphs, "label_set": [0, 1]}
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        parent, key = None, None
+        value = payload
+        while key is None or (isinstance(value, (dict, list)) and value and draw(st.booleans())):
+            parent, key = value, draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                                                      else range(len(value))))
+            value = parent[key]
+        parent[key] = draw(OTHER_JSON_VALUES)
+    return payload
+
+
 @pytest.fixture
 def constructor_calls(monkeypatch):
     """Patch AttributedGraph.__init__ so that each call appends to the returned list."""
@@ -203,7 +277,10 @@ class TestOnePassLoad:
         [entry(2, [(0, 1)], []), entry(1, [], [], label=1), entry(5, [(0, 4), (1, 3)], [])],
         [entry(2, [(0, 1)], [[], []]), entry(1, [], [[]])],
         [entry(2, [(0, 1)], [0.5, 1.5]), entry(1, [], [2.0], label=1)],
-    ], ids=["attributed", "featureless", "empty-rows", "one-d-features"])
+        [entry(2, [(0, 1)], [0.5, 1.5]), entry(1, [], [[2.0]], label=1)],
+        [entry(1, [], []), entry(2, [(0, 1)], [[], []], label=1)],
+    ], ids=["attributed", "featureless", "empty-rows", "one-d-features", "column-beside-rows",
+            "empty-beside-empty-rows"])
     def test_graphs_equal_those_built_one_by_one(self, tmp_path, entries):
         reference = LabeledGraphDataset(
             [AttributedGraph.from_edges(e["n"], e["edges"],
@@ -270,34 +347,41 @@ class TestOnePassLoad:
         with pytest.raises(ParseError, match=r"DS_graph_indicator.txt:0: graph id 2 has no nodes"):
             io.load_tudataset(d)
 
-    @pytest.mark.parametrize("first, second, error, message", [
-        ("dangling-edge", "nan-feature", DanglingEdge, r"edge \(0, 5\) leaves the nodes 0..2"),
-        ("nan-feature", "dangling-edge", SchemaError, "feature entries must be finite"),
-        ("few-feature-rows", "dangling-edge", DimensionMismatch, "features has 2 rows for 3 nodes"),
-        ("string-label", "dangling-edge", SchemaError, "graph 1: label must be an integer"),
-        ("dangling-edge", "string-label", DanglingEdge, r"edge \(0, 5\) leaves the nodes 0..2"),
-        ("float-endpoint", "nan-feature", SchemaError, "graph 1: edge endpoint must be an integer"),
-        ("dangling-edge", "no-nodes", DanglingEdge, r"edge \(0, 5\) leaves the nodes 0..2"),
-    ])
-    def test_of_two_faulty_graphs_the_earlier_is_reported(self, tmp_path, first, second,
-                                                          error, message):
-        faults = {
-            "dangling-edge": lambda g: g["edges"].append([0, 5]),
-            "nan-feature": lambda g: g["features"].__setitem__(1, [float("nan")]),
-            "few-feature-rows": lambda g: g["features"].pop(),
-            "string-label": lambda g: g.__setitem__("label", "x"),
-            "float-endpoint": lambda g: g["edges"].append([0, 1.0]),
-            "no-nodes": lambda g: g.update(n=0, edges=[], features=[]),
-        }
+    def test_a_huge_tu_graph_id_is_named_before_any_allocation(self, tmp_path):
+        # Counting the nodes of every id up to this one would take 8 TiB.
+        d = write_tu(tmp_path, indicator=(1, 1, 2 ** 40), labels=(1, 2))
+        with pytest.raises(ParseError, match=r"DS_graph_indicator.txt:0: graph id 2 has no nodes"):
+            io.load_tudataset(d)
+
+    @pytest.mark.parametrize("second", sorted(FAULTS))
+    @pytest.mark.parametrize("first", sorted(FAULTS))
+    def test_of_two_faulty_graphs_the_earlier_is_reported(self, tmp_path, first, second):
         ds = LabeledGraphDataset([path_graph(3, feature_dim=1)] * 5, [0] * 5)
         path = tmp_path / "ds.json"
         io.save_dataset_json(ds, path)
         payload = json.loads(path.read_text())
-        faults[first](payload["graphs"][1])
-        faults[second](payload["graphs"][3])
+        FAULTS[first][0](payload["graphs"][1])
+        FAULTS[second][0](payload["graphs"][3])
         path.write_text(json.dumps(payload))
-        with pytest.raises(error, match=message):
+        # A label outside label_set is a fault of the dataset, found after every graph's.
+        k, kind = (1, first) if first != "label-outside-set" else (3, second)
+        error, message = FAULTS[kind][1:]
+        with pytest.raises(error, match=message.format(k=k)):
             io.load_dataset_json(path)
+
+    @given(mutated_payloads())
+    @example({"graphs": [entry(2, [(0, 2 ** 70)], [[0.5], [1.0]]), entry(1, [], [[2.0]])],
+              "label_set": [0]})
+    @example({"graphs": [entry(2, [(0, 1)], [[0.5], [10 ** 400]]), entry(1, [], [[2.0]])],
+              "label_set": [0]})
+    @settings(max_examples=150, deadline=None)
+    def test_a_mutated_file_loads_or_raises_a_gradate_error(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(json.dumps(payload))
+        try:
+            io.load_dataset_json(path)
+        except GradateError:
+            pass
 
 
 class TestCovariateSplit:
@@ -371,6 +455,23 @@ class TestCovariateSplit:
         path = tmp_path / "split.json"
         path.write_text(json.dumps({"train": [0, 1, 2], "val": [3], "test": [4]}))
         assert io.load_split(path, expected_hash="0" * 64).train_idx == (0, 1, 2)
+
+    @pytest.mark.parametrize("index", [1.0, True, "1", None],
+                             ids=["float", "true", "string", "null"])
+    def test_split_indices_take_only_json_integers(self, tmp_path, index):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"by": "size", "train": [0, index, 2], "val": [3],
+                                    "test": [4]}))
+        with pytest.raises(SchemaError, match="train index must be an integer"):
+            io.load_split(path)
+
+    @pytest.mark.parametrize("by", [5, "degree", None, ["size"]],
+                             ids=["int", "other-name", "null", "list"])
+    def test_split_by_is_density_or_size(self, tmp_path, by):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({"by": by, "train": [0, 1, 2], "val": [3], "test": [4]}))
+        with pytest.raises(SchemaError, match='by must be "density" or "size"'):
+            io.load_split(path)
 
     def test_overlapping_split_rejected(self):
         with pytest.raises(SchemaError):
