@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--epsilon", type=float, default=None, help="sinkhorn regularization")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--cache-dir", default=None,
-                        help="distance cache directory (env GRADATE_CACHE_DIR overrides default)")
+                        help="cache directory for datasets, distance matrices and OT solves "
+                             "(env GRADATE_CACHE_DIR overrides default)")
     common.add_argument("--no-val-labels", dest="val_labels", action="store_const",
                         const=False, default=None,
                         help="ignore validation labels and force c=0")
@@ -180,8 +181,8 @@ def _cache_dir(args) -> Path:
     return path
 
 
-def _load_splits(args):
-    raw = io.load_dataset(args.dataset)
+def _load_splits(args, cache: Path):
+    raw = io.load_dataset(args.dataset, cache)
     digest = io.dataset_hash(raw)
     split = io.load_split(args.split, expected_hash=digest)
     covered = len(split.train_idx) + len(split.val_idx) + len(split.test_idx)
@@ -204,7 +205,10 @@ def _load_weights(path, n: int, expected_hash: str, force: bool) -> np.ndarray:
         # As in a selection file: a string or a boolean (a subclass of int) is no number.
         if any(type(x) not in (int, float) for x in payload):
             raise SchemaError(f"{path}: weights must be numbers")
-        w = np.asarray(payload, dtype=np.float64)
+        try:
+            w = np.asarray(payload, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            raise SchemaError(f"{path}: weights must be numbers in the float range") from None
         if w.shape != (n,):
             raise SchemaError(f"{path}: {w.shape[0]} weights for {n} training graphs")
         return w
@@ -236,8 +240,8 @@ def cmd_gdd(args) -> int:
     resolved = _resolve(args, _COMMON_DEFAULTS)
     _log_config(resolved)
     cfg = _selection_config(resolved, tau=1.0)
-    digest, train, val = _load_splits(args)
     cache = _cache_dir(args)
+    digest, train, val = _load_splits(args, cache)
     dtilde = build_cost(train, val, cfg, cache)
     w = None
     if args.weights:
@@ -255,14 +259,15 @@ def cmd_select(args) -> int:
     if resolved["tau"] is None:
         raise ConfigInvalid("--tau is required")
     cfg = _selection_config(resolved)
-    digest, train, val = _load_splits(args)
+    cache = _cache_dir(args)
+    digest, train, val = _load_splits(args, cache)
 
     method = resolved["method"]
     if method == "random":
         result = random_select(train, cfg.tau, cfg.seed)
     else:
         select = gradate if method == "gradate" else lava_select
-        result = select(train, val, cfg, cache_dir=_cache_dir(args))
+        result = select(train, val, cfg, cache_dir=cache)
 
     provenance = dict(result.provenance)
     provenance["config"] = resolved

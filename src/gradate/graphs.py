@@ -183,8 +183,8 @@ class LabeledGraphDataset:
     """An ordered collection of (graph, class-label) pairs sharing a label set.
 
     Ordering is significant: selection results index into it by position.
-    Labels and label_set entries are Python or NumPy integers, stored as
-    int; any other value, a bool too, is a SchemaError.
+    Labels and label_set entries are Python or NumPy integers in the int64
+    range, stored as int; any other value, a bool too, is a SchemaError.
     `label_names` optionally records the original label values per class id
     when labels were remapped at load time.
     """
@@ -237,10 +237,16 @@ class LabeledGraphDataset:
 
 
 def _class_label(y, what: str) -> int:
-    """A Python or NumPy integer as an int; anything else, bool too, is a SchemaError."""
+    """A Python or NumPy integer in the int64 range as an int; else a SchemaError.
+
+    A bool is no integer here. Labels are hashed and cached as int64.
+    """
     if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
         raise SchemaError(f"{what} must be an integer, got {y!r}")
-    return int(y)
+    y = int(y)
+    if not -2 ** 63 <= y < 2 ** 63:
+        raise SchemaError(f"{what} must fit in int64, got {y}")
+    return y
 
 
 def concat_datasets(first: LabeledGraphDataset, second: LabeledGraphDataset) -> LabeledGraphDataset:

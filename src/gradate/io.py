@@ -1,9 +1,10 @@
 """Dataset ingestion, covariate-shift splitting and persistence.
 
 Supports TUDataset-style flat files and a native JSON graph format, plus
-content-addressed binary caches for distance matrices and OT solutions, and
-JSON round-trips for splits and selection results. Writers are atomic
-(write to a sibling temp file, then rename) and deterministic byte for byte.
+content-addressed binary caches for distance matrices, OT solutions and
+JSON datasets, and JSON round-trips for splits and selection results.
+Writers are atomic (write to a sibling temp file, then rename) and
+deterministic byte for byte.
 
 Both dataset readers check and build all graphs of a dataset in one
 vectorized pass (`graphs._graphs_from_arrays`): the graphs of a loaded
@@ -11,6 +12,11 @@ dataset are read-only views into three shared buffers, and no per-graph
 constructor runs. The JSON reader is one function, `_json_graphs`; when
 its pass over all entries raises, it runs on each entry alone, so the
 first faulty graph reports its own error.
+
+With a cache directory, `load_dataset` keeps a JSON dataset as a "DS"
+entry keyed on the sha256 of the file's bytes: a warm load rebuilds the
+graphs from the entry's flat arrays, through the same builder and checks,
+and skips the JSON parse.
 """
 
 from __future__ import annotations
@@ -87,9 +93,13 @@ def _dump_json(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(", ", ": ")) + "\n").encode()
 
 
-def _read_text(path) -> str:
-    """A file's text; bytes that are not UTF-8 are a ParseError at their line."""
-    data = Path(path).read_bytes()
+def _read_text(path, data: bytes | None = None) -> str:
+    """A file's text, decoded from `data` if its bytes were read already.
+
+    Bytes that are not UTF-8 are a ParseError at their line.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -97,10 +107,13 @@ def _read_text(path) -> str:
                          f"not UTF-8 text (byte {data[exc.start]:#04x})") from None
 
 
-def _read_json(path):
-    """The parsed contents of a JSON file; a decode error is a ParseError."""
+def _read_json(path, data: bytes | None = None):
+    """The parsed contents of a JSON file, or of its bytes `data`.
+
+    A decode error is a ParseError.
+    """
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_read_text(path, data))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.msg) from None
 
@@ -249,13 +262,19 @@ def save_dataset_json(dataset: LabeledGraphDataset, path) -> None:
 def load_dataset_json(path) -> LabeledGraphDataset:
     """Read the native JSON graph format; a graph failing its checks is a SchemaError.
 
-    `n`, labels, `label_set` entries and edge endpoints must be JSON integers,
-    and `n` at least 1. All entries are checked and built in one pass; if it
-    raises, each entry is read alone in turn, so the first faulty graph
-    raises its own error, and graphs whose feature layouts do not stack (a
-    flat column beside rows, say) still load.
+    `n`, labels, `label_set` entries and edge endpoints must be JSON
+    integers, and `n` at least 1; labels and `label_set` entries must fit in
+    int64. All entries are checked and built in one pass; if it raises, each
+    entry is read alone in turn, so the first faulty graph raises its own
+    error, and graphs whose feature layouts do not stack (a flat column
+    beside rows, say) still load.
     """
-    payload = _read_json(path)
+    return _dataset_from_json(path, Path(path).read_bytes())
+
+
+def _dataset_from_json(path, data: bytes) -> LabeledGraphDataset:
+    """`load_dataset_json` of the file `path`, whose bytes `data` were read already."""
+    payload = _read_json(path, data)
     try:
         entries = payload["graphs"]
         try:
@@ -266,7 +285,7 @@ def load_dataset_json(path) -> LabeledGraphDataset:
                 graph, label = _json_graphs([entry], k)
                 graphs += graph
                 labels += label
-        _require_json_ints(payload["label_set"], "label_set entry")
+        _require_json_labels(payload["label_set"], "label_set entry")
         return LabeledGraphDataset(graphs, labels, label_set=payload["label_set"])
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed dataset JSON ({exc})") from None
@@ -279,12 +298,22 @@ def _require_json_ints(values, what: str) -> None:
         raise TypeError(f"{what} must be an integer, got {json.dumps(value)}")
 
 
+def _require_json_labels(values, what: str) -> None:
+    # Labels are hashed and cached as int64; `graphs._class_label` checks
+    # the range too, but without naming the file and the graph.
+    _require_json_ints(values, what)
+    if values and not -2 ** 63 <= min(values) <= max(values) < 2 ** 63:
+        value = next(v for v in values if not -2 ** 63 <= v < 2 ** 63)
+        raise ValueError(f"{what} must fit in int64, got {value}")
+
+
 def _json_graphs(entries, first: int):
     """The graphs and labels of dataset entries, checked and built in one pass.
 
     Raises at the first failing check, in this order: `n` is a JSON integer
     and at least 1, edge endpoints are JSON integers, features convert to
-    floats, `graphs._graphs_from_arrays`'s checks, labels are JSON integers.
+    floats, `graphs._graphs_from_arrays`'s checks, labels are JSON integers
+    in the int64 range.
     Entries whose features do not stack into one matrix raise too. Messages
     name graph `first`, so they are exact for a lone entry.
     """
@@ -314,18 +343,36 @@ def _json_graphs(entries, first: int):
     edge_graph = np.repeat(np.arange(len(entries)), list(map(len, edges)))
     graphs = _graphs_from_arrays(sizes, edge_graph, ends, features)
     labels = [entry["label"] for entry in entries]
-    _require_json_ints(labels, f"graph {first}: label")
+    _require_json_labels(labels, f"graph {first}: label")
     return graphs, labels
 
 
-def load_dataset(path) -> LabeledGraphDataset:
-    """Dispatch on path type: directory = TU flat files, file = native JSON."""
+def load_dataset(path, cache_dir=None) -> LabeledGraphDataset:
+    """Dispatch on path type: directory = TU flat files, file = native JSON.
+
+    With `cache_dir`, a JSON dataset goes through a "DS" cache entry keyed
+    on the sha256 of the file's bytes and the entry layout
+    (`DATASET_ENTRY`): an edited file misses. The file is read once. On a
+    miss its bytes are checked and built as `load_dataset_json` does, and
+    only a dataset that passed every check is written. A hit rebuilds the dataset
+    from the entry's flat arrays through the same builder and checks, so it
+    equals the cold load byte for byte. TU directories are read directly.
+    """
     path = Path(path)
     if path.is_dir():
         return load_tudataset(path)
-    if path.suffix == ".json":
+    if path.suffix != ".json":
+        raise ParseError(path, 0, "expected a TUDataset directory or a .json dataset")
+    if cache_dir is None:
         return load_dataset_json(path)
-    raise ParseError(path, 0, "expected a TUDataset directory or a .json dataset")
+    data = path.read_bytes()
+    key = {"entry": DATASET_ENTRY, "sha256": hashlib.sha256(data).hexdigest()}
+    entry = Path(cache_dir) / cache_file_name("DS", key)
+    if entry.exists():
+        return _load_dataset_entry(entry, key)
+    dataset = _dataset_from_json(path, data)
+    _save_dataset_entry(entry, dataset, key)
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -492,34 +539,31 @@ def load_selection(path, expected_hash: str | None = None, force: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# binary matrix cache
+# binary caches
+#
+# Every cache file has one layout: magic "GDD1", little-endian uint32 header
+# length, a JSON header (sizes, config hash and the key itself), then
+# little-endian int64 or float64 buffers. Files are written once and never
+# mutated.
 
 def cache_file_name(kind: str, key: dict) -> str:
     return f"{kind}-{config_hash(key)[:20]}.gdd"
 
 
-def save_matrix_cache(path, matrix: np.ndarray, key: dict) -> None:
-    """Write a distance matrix to the binary cache format.
-
-    Layout: magic "GDD1", little-endian uint32 header length, JSON header
-    (dims + config hash + the key itself), then the row-major float64
-    little-endian payload. Files are written once and never mutated.
-    """
-    matrix = np.ascontiguousarray(matrix, dtype="<f8")
-    header = {
-        "rows": int(matrix.shape[0]),
-        "cols": int(matrix.shape[1]),
-        "config_hash": config_hash(key),
-        "key": key,
-    }
+def _save_entry(path, sizes: dict, key: dict, payload: bytes) -> None:
+    header = {**sizes, "config_hash": config_hash(key), "key": key}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    blob = (CACHE_MAGIC + struct.pack("<I", len(header_bytes))
-            + header_bytes + matrix.tobytes(order="C"))
-    _atomic_write_bytes(Path(path), blob)
+    _atomic_write_bytes(Path(path), CACHE_MAGIC + struct.pack("<I", len(header_bytes))
+                        + header_bytes + payload)
 
 
-def load_matrix_cache(path, key: dict) -> np.ndarray:
-    """Read a cached matrix, verifying magic, exact key agreement and size."""
+def _load_entry(path, key: dict, sizes: tuple[str, ...], n_items) -> tuple[list, memoryview]:
+    """The header sizes and the payload of a cache file, checked against `key`.
+
+    `n_items(*sizes)` is the payload's length in 8-byte items; sizes
+    that are not nonnegative integers, or a payload of another length, are
+    a SchemaError.
+    """
     blob = Path(path).read_bytes()
     if blob[:4] != CACHE_MAGIC:
         raise SchemaError(f"{path}: bad cache magic {blob[:4]!r}")
@@ -528,14 +572,75 @@ def load_matrix_cache(path, key: dict) -> np.ndarray:
         raise SchemaError(f"{path}: cache header is truncated")
     try:
         header = json.loads(blob[8:8 + header_len].decode())
-        stored_hash, rows, cols = header["config_hash"], header["rows"], header["cols"]
+        stored_hash, values = header["config_hash"], [header[name] for name in sizes]
     except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as exc:
         raise SchemaError(f"{path}: cache header is unreadable ({exc!r})") from None
     if stored_hash != config_hash(key):
         raise HashMismatch(f"{path}: cache key disagrees with the request")
-    payload = blob[8 + header_len:]
-    if len(payload) != 8 * rows * cols:
-        raise SchemaError(
-            f"{path}: payload has {len(payload)} bytes, expected {8 * rows * cols}"
-        )
+    if any(type(v) is not int or v < 0 for v in values):
+        raise SchemaError(f"{path}: cache header sizes {values} are not counts")
+    payload = memoryview(blob)[8 + header_len:]
+    expected = 8 * n_items(*values)
+    if len(payload) != expected:
+        raise SchemaError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
+    return values, payload
+
+
+def save_matrix_cache(path, matrix: np.ndarray, key: dict) -> None:
+    """Write a distance matrix: header sizes `rows` and `cols`, then row-major float64."""
+    matrix = np.ascontiguousarray(matrix, dtype="<f8")
+    _save_entry(path, {"rows": int(matrix.shape[0]), "cols": int(matrix.shape[1])}, key,
+                matrix.tobytes(order="C"))
+
+
+def load_matrix_cache(path, key: dict) -> np.ndarray:
+    """Read a cached matrix, verifying magic, exact key agreement and size."""
+    (rows, cols), payload = _load_entry(path, key, ("rows", "cols"), lambda r, c: r * c)
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+
+
+# The layout of a "DS" entry, part of its key. Rename it whenever the JSON
+# reader changes what it accepts or builds, so that entries written before
+# miss once and are rewritten.
+DATASET_ENTRY = "json-dataset-arrays"
+_DATASET_SIZES = ("graphs", "edges", "rows", "cols", "classes")
+
+
+def _save_dataset_entry(path, dataset: LabeledGraphDataset, key: dict) -> None:
+    """Write the flat arrays that `graphs._graphs_from_arrays` rebuilds `dataset` from.
+
+    Payload, int64 then float64: the graph sizes, the labels, each edge's
+    graph and its endpoint pair (the upper-triangle support, diagonal
+    included, of each 0/1 adjacency), the label set, then the stacked
+    feature rows.
+    """
+    graphs = dataset.graphs
+    sizes = np.array([g.n_nodes for g in graphs], dtype=np.int64)
+    adj_start = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    cells = np.flatnonzero(np.concatenate([np.zeros(0)] + [g.adjacency.ravel() for g in graphs]))
+    edge_graph = np.searchsorted(adj_start, cells, side="right") - 1
+    i, j = np.divmod(cells - adj_start[edge_graph], sizes[edge_graph])
+    upper = i <= j
+    features = np.concatenate([g.features for g in graphs] or [np.zeros((0, 0))])
+    counts = dict(zip(_DATASET_SIZES, (len(graphs), int(upper.sum()), *features.shape,
+                                       len(dataset.label_set))))
+    ints = [sizes, dataset.labels, edge_graph[upper],
+            np.stack([i[upper], j[upper]], axis=1), dataset.label_set]
+    ints = np.concatenate([np.asarray(a, dtype=np.int64).ravel() for a in ints])
+    _save_entry(path, counts, key,
+                ints.astype("<i8").tobytes() + features.astype("<f8").tobytes())
+
+
+def _load_dataset_entry(path, key: dict) -> LabeledGraphDataset:
+    """The dataset of a "DS" entry, built and checked as the JSON reader builds it."""
+    (n_graphs, n_edges, rows, cols, n_classes), payload = _load_entry(
+        path, key, _DATASET_SIZES, lambda g, e, r, c, k: 2 * g + 3 * e + k + r * c)
+    ints = np.frombuffer(payload, dtype="<i8", count=2 * n_graphs + 3 * n_edges + n_classes)
+    sizes, labels, edge_graph, ends, label_set = np.split(
+        ints.astype(np.int64), np.cumsum([n_graphs, n_graphs, n_edges, 2 * n_edges]))
+    features = np.frombuffer(payload, dtype="<f8", offset=ints.nbytes).reshape(rows, cols)
+    try:
+        graphs = _graphs_from_arrays(sizes.tolist(), edge_graph, ends.reshape(-1, 2), features)
+        return LabeledGraphDataset(graphs, labels.tolist(), label_set=label_set.tolist())
+    except (GradateError, ValueError, IndexError) as exc:
+        raise SchemaError(f"{path}: malformed dataset cache entry ({exc})") from None

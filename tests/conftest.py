@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 import gradate.ot as ot
 from gradate import AttributedGraph, LabeledGraphDataset
+from gradate.errors import HashMismatch, SchemaError
 
 
 def random_graph(rng, n_nodes=None, edge_prob=0.4, feature_dim=3):
@@ -91,6 +94,22 @@ def shifted_style_dtilde(seed, n=300, m=100, n_classes=3):
     D = cdist(rng.standard_normal((n, 3)), rng.standard_normal((m, 3)) + 0.5, "sqeuclidean")
     offsets = rng.random((n_classes, n_classes))
     return D + offsets[np.ix_(rng.integers(0, n_classes, n), rng.integers(0, n_classes, m))]
+
+
+def _payload_start(blob: bytes) -> int:
+    return 8 + int.from_bytes(blob[4:8], "little")
+
+
+# Edits of a cache file's bytes: each with the error it makes a read raise,
+# and a part of that error's message.
+CORRUPT_ENTRIES = {
+    "bad-magic": (lambda b: b"NOPE" + b[4:], SchemaError, "bad cache magic"),
+    "cut-short": (lambda b: b[:-8], SchemaError, "payload has"),
+    "one-element": (lambda b: b[:_payload_start(b) + 8], SchemaError, "payload has 8 bytes"),
+    "other-key": (lambda b: b.replace(json.loads(b[8:_payload_start(b)])["config_hash"].encode(),
+                                      b"0" * 64),
+                  HashMismatch, "cache key disagrees"),
+}
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from gradate import LabeledGraphDataset, build_cost, io
 from gradate.cli import main
 from gradate.pipeline import SelectionConfig
 
-from conftest import count_lps, path_graph, random_graph
+from conftest import CORRUPT_ENTRIES, count_lps, path_graph, random_graph
 from oracles import brute_force_ot
 
 
@@ -70,6 +70,22 @@ class TestSplit:
         split = io.load_split(workdir / "split.json")
         assert set(split.train_idx) | set(split.val_idx) | set(split.test_idx) \
             == set(range(20))
+        assert not (workdir / ".gradate_cache").exists()  # split reads the file directly
+
+    @pytest.mark.parametrize("field", ["label", "label_set"])
+    def test_label_beyond_int64_exits_2(self, workdir, capsys, field):
+        write_copies_json(workdir / "copies.json")
+        payload = json.loads((workdir / "copies.json").read_text())
+        payload["label_set"].append(2 ** 64)
+        if field == "label":
+            payload["graphs"][3]["label"] = 2 ** 64
+        (workdir / "copies.json").write_text(json.dumps(payload))
+        code, out, err = run(capsys, "split", "copies.json", "--out", "split.json")
+        assert code == 2
+        assert out == ""
+        named = "graph 3: label" if field == "label" else "label_set entry"
+        assert (f"error: copies.json: malformed dataset JSON ({named} must fit in int64, "
+                f"got {2 ** 64})") in err
 
     def test_too_small_dataset_exits_2(self, workdir, capsys):
         write_copies_json(workdir / "tiny.json", n=3)
@@ -318,7 +334,8 @@ class TestGdd:
         ('["a", 0.5, 0.5]', "weights must be numbers"),
         ('["0.5", 0.25, 0.25]', "weights must be numbers"),
         ("[true, false, false]", "weights must be numbers"),
-    ], ids=["nan", "string", "numeric-string", "bool"])
+        (f"[1{'0' * 400}, 0, 0]", "weights must be numbers in the float range"),
+    ], ids=["nan", "string", "numeric-string", "bool", "integer-beyond-float"])
     def test_weights_that_are_not_finite_numbers_exit_2(self, workdir, capsys, weights,
                                                          message):
         write_two_domain_json(workdir / "ds.json", seed=6, n_dense=3, n_sparse=3,
@@ -387,6 +404,9 @@ class TestGdd:
         assert code == 2
         assert out == ""
         assert message in err
+        # The file wrote no dataset entry, so a second run fails alike.
+        assert not list((workdir / ".gradate_cache").glob("DS-*.gdd"))
+        assert run(capsys, "gdd", "ds.json", "split.json", "--c", "1") == (code, out, err)
 
     def test_graph_without_nodes_exits_2_naming_the_file_and_graph(self, workdir, capsys):
         ds = LabeledGraphDataset([path_graph(3, feature_dim=1)] * 10, [0] * 10)
@@ -764,6 +784,45 @@ class TestOtCache:
         assert code == 2
         assert out == ""
         assert "payload has" in err
+
+
+class TestDatasetEntry:
+    @pytest.mark.parametrize("argv, written", [
+        (("select", "--method", "gradate", "--tau", "0.25", "--out", "sel.json",
+          "--trace", "trace.csv"), ("sel.json", "trace.csv")),
+        (("select", "--method", "lava", "--tau", "0.25", "--out", "sel.json"), ("sel.json",)),
+        (("select", "--method", "random", "--tau", "0.25", "--out", "sel.json"), ("sel.json",)),
+        (("gdd", "--weights", "w.json"), ()),
+    ], ids=["gradate", "lava", "random", "gdd"])
+    def test_cold_and_warm_runs_write_the_same_bytes(self, workdir, capsys, monkeypatch,
+                                                     argv, written):
+        write_two_domain_json(workdir / "ds.json", seed=24)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        (workdir / "w.json").write_text(json.dumps([1 / 12] * 12))
+        command = (argv[0], "ds.json", "split.json", "--c", "1", *argv[1:])
+        outputs = []
+        for _ in range(2):
+            code, out, _ = run(capsys, *command)
+            assert code == 0
+            outputs.append([out] + [(workdir / name).read_bytes() for name in written])
+            # The warm run reads the dataset entry the cold run wrote.
+            monkeypatch.setattr(io, "_json_graphs",
+                                lambda *a: pytest.fail("a warm run ran the JSON reader"))
+        assert outputs[0] == outputs[1]
+        assert len(list((workdir / ".gradate_cache").glob("DS-*.gdd"))) == 1
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPT_ENTRIES))
+    def test_a_malformed_entry_exits_2(self, workdir, capsys, corruption):
+        write_copies_json(workdir / "copies.json")
+        run(capsys, "split", "copies.json", "--out", "split.json")
+        assert run(capsys, "gdd", "copies.json", "split.json")[0] == 0
+        (path,) = (workdir / ".gradate_cache").glob("DS-*.gdd")
+        edit, _, message = CORRUPT_ENTRIES[corruption]
+        path.write_bytes(edit(path.read_bytes()))
+        code, out, err = run(capsys, "gdd", "copies.json", "split.json")
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestConsoleScript:

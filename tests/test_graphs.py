@@ -100,6 +100,16 @@ class TestDataset:
         with pytest.raises(SchemaError, match="must be an integer"):
             LabeledGraphDataset(graphs, labels, label_set=label_set)
 
+    @pytest.mark.parametrize("labels, label_set", [
+        ([2 ** 63], [0, 2 ** 63]),
+        ([0], [0, -2 ** 63 - 1]),
+        ([np.uint64(2 ** 64 - 1)], None),
+    ], ids=["label-2^63", "label-set-below-int64", "numpy-uint64-max"])
+    def test_labels_beyond_int64_are_schema_errors(self, labels, label_set):
+        g = AttributedGraph.from_edges(2, [(0, 1)])
+        with pytest.raises(SchemaError, match="must fit in int64"):
+            LabeledGraphDataset([g] * len(labels), labels, label_set=label_set)
+
     def test_numpy_integer_labels_become_ints(self):
         g = AttributedGraph.from_edges(2, [(0, 1)])
         ds = LabeledGraphDataset([g, g], np.array([1, 0]), label_set=np.arange(2))

@@ -18,7 +18,7 @@ from gradate.errors import (
     SchemaError,
 )
 
-from conftest import path_graph, random_dataset, random_graph
+from conftest import CORRUPT_ENTRIES, path_graph, random_dataset, random_graph
 
 
 def write_tu(tmp_path, name="DS", edges=((1, 2), (2, 1)), indicator=(1, 1, 2),
@@ -154,6 +154,22 @@ class TestJsonLoader:
             io.load_dataset_json(write_json_dataset(tmp_path / "ds.json", label=7))
 
     @pytest.mark.parametrize("field, value, named", [
+        ("label", 2 ** 64, "graph 0: label"),
+        ("label_set", [0, 1, -2 ** 63 - 1], "label_set entry"),
+    ], ids=["label-2^64", "label-set-below-int64"])
+    def test_labels_beyond_int64_are_schema_errors(self, tmp_path, field, value, named):
+        path = write_json_dataset(tmp_path / "ds.json")
+        payload = json.loads(path.read_text())
+        if field == "label_set":
+            payload["label_set"] = value
+        else:
+            payload["graphs"][0][field] = value
+            payload["label_set"].append(value)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=f"{named} must fit in int64"):
+            io.load_dataset_json(path)
+
+    @pytest.mark.parametrize("field, value, named", [
         ("label", 0.9, "graph 0: label"),
         ("label", "1", "graph 0: label"),
         ("label", True, "graph 0: label"),
@@ -269,18 +285,22 @@ def constructor_calls(monkeypatch):
     return calls
 
 
+# The entries of small JSON datasets, one for each feature layout the reader takes.
+LAYOUTS = {
+    "attributed": [entry(3, [(0, 1), (1, 2)], [[0.5, -1.0], [2.0, 0.0], [1.5, 3.25]]),
+                   entry(1, [], [[0.0, 1.0]], label=1),
+                   entry(4, [(3, 0), (2, 2), (0, 3)], [[1, 2], [3, 4], [5, 6], [7, 8]])],
+    "featureless": [entry(2, [(0, 1)], []), entry(1, [], [], label=1),
+                    entry(5, [(0, 4), (1, 3)], [])],
+    "empty-rows": [entry(2, [(0, 1)], [[], []]), entry(1, [], [[]])],
+    "one-d-features": [entry(2, [(0, 1)], [0.5, 1.5]), entry(1, [], [2.0], label=1)],
+    "column-beside-rows": [entry(2, [(0, 1)], [0.5, 1.5]), entry(1, [], [[2.0]], label=1)],
+    "empty-beside-empty-rows": [entry(1, [], []), entry(2, [(0, 1)], [[], []], label=1)],
+}
+
+
 class TestOnePassLoad:
-    @pytest.mark.parametrize("entries", [
-        [entry(3, [(0, 1), (1, 2)], [[0.5, -1.0], [2.0, 0.0], [1.5, 3.25]]),
-         entry(1, [], [[0.0, 1.0]], label=1),
-         entry(4, [(3, 0), (2, 2), (0, 3)], [[1, 2], [3, 4], [5, 6], [7, 8]])],
-        [entry(2, [(0, 1)], []), entry(1, [], [], label=1), entry(5, [(0, 4), (1, 3)], [])],
-        [entry(2, [(0, 1)], [[], []]), entry(1, [], [[]])],
-        [entry(2, [(0, 1)], [0.5, 1.5]), entry(1, [], [2.0], label=1)],
-        [entry(2, [(0, 1)], [0.5, 1.5]), entry(1, [], [[2.0]], label=1)],
-        [entry(1, [], []), entry(2, [(0, 1)], [[], []], label=1)],
-    ], ids=["attributed", "featureless", "empty-rows", "one-d-features", "column-beside-rows",
-            "empty-beside-empty-rows"])
+    @pytest.mark.parametrize("entries", list(LAYOUTS.values()), ids=list(LAYOUTS))
     def test_graphs_equal_those_built_one_by_one(self, tmp_path, entries):
         reference = LabeledGraphDataset(
             [AttributedGraph.from_edges(e["n"], e["edges"],
@@ -382,6 +402,93 @@ class TestOnePassLoad:
             io.load_dataset_json(path)
         except GradateError:
             pass
+
+    @given(mutated_payloads())
+    @example({"graphs": [entry(2, [(0, 1)], [[0.5], [1.0]], label=2 ** 64), entry(1, [], [[2.0]])],
+              "label_set": [0, 2 ** 64]})
+    @settings(max_examples=100, deadline=None)
+    def test_a_mutated_file_loads_alike_cold_and_warm(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(json.dumps(payload))
+        cache = tmp_path_factory.mktemp("cache")
+        cold, warm = (load_outcome(path, cache) for _ in range(2))
+        assert cold == warm == load_outcome(path)
+        assert len(list(cache.glob("DS-*.gdd"))) == (not isinstance(cold, tuple))
+
+
+def load_outcome(path, cache_dir=None):
+    """The dataset hash of a load, or the type and message of the GradateError it raised."""
+    try:
+        return io.dataset_hash(io.load_dataset(path, cache_dir))
+    except GradateError as exc:
+        return type(exc), str(exc)
+
+
+class TestDatasetEntry:
+    @pytest.mark.parametrize("layout", ["attributed", "featureless", "column-beside-rows",
+                                        "empty-beside-empty-rows"])
+    def test_a_hit_rebuilds_the_cold_load_without_parsing(self, tmp_path, monkeypatch, layout):
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"graphs": LAYOUTS[layout], "label_set": [0, 1]}))
+        cold = io.load_dataset(path, tmp_path)
+        assert len(list(tmp_path.glob("DS-*.gdd"))) == 1
+        monkeypatch.setattr(io, "_json_graphs",
+                            lambda *a: pytest.fail("a hit ran the JSON reader"))
+        warm = io.load_dataset(path, tmp_path)
+        assert_same_graphs(warm, cold)
+        assert (warm.labels, warm.label_set) == (cold.labels, cold.label_set)
+        assert all(type(y) is int for y in warm.labels + warm.label_set)
+
+    def test_an_edited_file_misses_and_writes_a_second_entry(self, tmp_path):
+        path = write_json_dataset(tmp_path / "ds.json")
+        io.load_dataset(path, tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"0.5", b"0.6"))
+        assert io.load_dataset(path, tmp_path).graphs[0].features[0, 0] == 0.6
+        assert len(list(tmp_path.glob("DS-*.gdd"))) == 2
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_a_failing_file_writes_no_entry_and_raises_alike(self, tmp_path, fault):
+        ds = LabeledGraphDataset([path_graph(3, feature_dim=1)] * 5, [0] * 5)
+        path = tmp_path / "ds.json"
+        io.save_dataset_json(ds, path)
+        payload = json.loads(path.read_text())
+        FAULTS[fault][0](payload["graphs"][1])
+        path.write_text(json.dumps(payload))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        outcomes = [load_outcome(path, cache) for _ in range(2)] + [load_outcome(path)]
+        assert outcomes[0][0] is FAULTS[fault][1]
+        assert outcomes == outcomes[:1] * 3
+        assert list(cache.iterdir()) == []
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPT_ENTRIES))
+    def test_a_malformed_entry_is_rejected(self, tmp_path, corruption):
+        path = write_json_dataset(tmp_path / "ds.json")
+        io.load_dataset(path, tmp_path)
+        (entry_path,) = tmp_path.glob("DS-*.gdd")
+        edit, error, message = CORRUPT_ENTRIES[corruption]
+        entry_path.write_bytes(edit(entry_path.read_bytes()))
+        with pytest.raises(error, match=message):
+            io.load_dataset(path, tmp_path)
+
+    def test_an_entry_the_builder_rejects_is_a_schema_error(self, tmp_path):
+        path = write_json_dataset(tmp_path / "ds.json", edges=((0, 1), (1, 2)))
+        io.load_dataset(path, tmp_path)
+        (entry_path,) = tmp_path.glob("DS-*.gdd")
+        blob = bytearray(entry_path.read_bytes())
+        # Payload: size, label, 2 edge graphs, then the first endpoint pair.
+        start = 8 + int.from_bytes(blob[4:8], "little") + 8 * 4
+        blob[start + 8:start + 16] = (7).to_bytes(8, "little")
+        entry_path.write_bytes(bytes(blob))
+        with pytest.raises(SchemaError, match=r"malformed dataset cache entry \(edge \(0, 7\)"):
+            io.load_dataset(path, tmp_path)
+
+    def test_a_tu_directory_is_read_directly(self, tmp_path):
+        d = write_tu(tmp_path, attributes=["0.5, 1.0", "2.0, 3.0", "4.0, 5.0"])
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        assert_same_graphs(io.load_dataset(d, cache), io.load_tudataset(d))
+        assert list(cache.iterdir()) == []
 
 
 class TestCovariateSplit:
