@@ -7,14 +7,8 @@ solve the linear OT subproblem exactly, and take the closed-form line-search
 step of the quadratic objective. The barycenter solver alternates coupling
 solves with closed-form feature/structure updates.
 
-The linear subproblem has two solve paths. With uniform node weights and a
-small lcm(n, m) it is an assignment problem, and the assignment's coupling
-is used when it is certified to be the unique optimum: its support is a
-forest, and it stays optimal when its support cells are raised by a margin
-above the LP's dual tolerance. Otherwise, ties included, one full
-transportation LP solves it (`solve_exact_ot`'s LP path, never its
-grown-support path), so its vertex is `linprog`'s. At a unique optimum the
-two paths agree to rounding, so the choice does not change the result.
+The linear subproblem is solved by `ot._lp_vertex`; the `ot` module
+docstring describes its paths, which agree to rounding wherever both answer.
 
 Both terms use the squared loss, the only one for which the barycenter
 updates and the LinearFGW embeddings built on these couplings are closed
@@ -34,7 +28,7 @@ import numpy.random  # noqa: F401
 
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from .graphs import AttributedGraph
-from .ot import _exact_ot, _scipy_extension, _unique_uniform_vertex
+from .ot import _lp_vertex, _scipy_extension
 
 # `scipy.spatial.distance.cdist(X, Y)` dispatches to this compiled function
 # for its default "euclidean" metric, so results keep cdist's bits.
@@ -127,27 +121,6 @@ class _QuadObjective:
         if a > 0:
             return float(np.clip(-b / (2.0 * a), 0.0, 1.0))
         return 1.0 if a + b < 0 else 0.0
-
-
-def _lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Optimal vertex of the linear OT subproblem; cost may be signed.
-
-    Uniform weights with a small lcm(n, m) are solved as an assignment
-    problem, whose coupling is kept only when it is certified to be the
-    unique optimum (a forest support that stays optimal when raised by a
-    margin above the LP's tolerance). Every other case, ties included, is
-    solved by one full transportation LP, whose vertex on a tie is its own
-    pick.
-    Where the assignment path returns a coupling, the LP returns the same
-    one to rounding.
-    """
-    vertex = _unique_uniform_vertex(cost, p, q)
-    if vertex is not None:
-        return vertex
-    lo = cost.min()
-    if lo < 0:
-        cost = cost - lo
-    return _exact_ot(cost, p, q, certified_path=False).coupling
 
 
 def _check_coupling(T, p, q):

@@ -17,6 +17,12 @@ from .errors import AsymmetryError, DanglingEdge, DimensionMismatch, SchemaError
 from .ot import _check_marginal
 
 SYMMETRY_TOL = 1e-9
+# Most float64 cells the dense adjacency buffer of one build may hold: 2**30,
+# 8 GiB, above the memory of the machines this package targets, so no
+# dataset that fits in memory is refused. A file that declares a huge n
+# is then a named input error before anything of size n or n**2 is
+# allocated, not a MemoryError from numpy.
+MAX_ADJACENCY_CELLS = 2 ** 30
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -82,7 +88,18 @@ class AttributedGraph:
     @classmethod
     def from_edges(cls, n_nodes: int, edges: Iterable[tuple[int, int]],
                    features=None, node_weights=None) -> "AttributedGraph":
-        """Build a 0/1 graph from an undirected edge list over nodes 0..n-1."""
+        """Build a 0/1 graph from an undirected edge list over nodes 0..n-1.
+
+        A graph of more than `MAX_ADJACENCY_CELLS` adjacency cells is refused
+        before it is allocated, with a DimensionMismatch: for feature rows
+        other than n the constructor's, else one naming n.
+        """
+        cells = int(n_nodes) ** 2
+        if cells > MAX_ADJACENCY_CELLS:
+            if features is not None and np.ndim(features) in (1, 2) and len(features) != n_nodes:
+                raise DimensionMismatch(f"features has {len(features)} rows for {n_nodes} nodes")
+            raise DimensionMismatch(f"a graph of {n_nodes} nodes needs {cells} adjacency cells, "
+                                    f"above MAX_ADJACENCY_CELLS = {MAX_ADJACENCY_CELLS}")
         adj = np.zeros((n_nodes, n_nodes))
         edges = list(edges)
         ends = np.array(edges)
@@ -115,13 +132,19 @@ class AttributedGraph:
         return np.count_nonzero(self.adjacency, axis=1)
 
 
-def _graphs_from_arrays(sizes, edge_graph, ends, features) -> list[AttributedGraph]:
+def _graphs_from_arrays(sizes, edge_graph, ends, features,
+                        first: int = 0) -> list[AttributedGraph]:
     """The 0/1 graphs of a whole dataset, built in one pass from flat arrays.
 
     sizes : (G,) node count of each graph.
     edge_graph, ends : (E,) graph of each edge and (E, 2) integer endpoints,
         local to that graph (0..n-1).
     features : (sum(sizes), d) feature rows, stacked in graph order.
+    first : the number of the first graph, for error messages.
+
+    Graphs whose adjacencies need more than `MAX_ADJACENCY_CELLS` cells in
+    all are a DimensionMismatch that names the graph passing the bound and
+    its n, raised before anything of their size is allocated.
 
     The whole dataset is checked at once for what `from_edges` and the
     constructor check per graph. If a check fails, the first failing graph
@@ -143,6 +166,14 @@ def _graphs_from_arrays(sizes, edge_graph, ends, features) -> list[AttributedGra
             AttributedGraph.from_edges(sizes[0], given, features=features)
         raise DimensionMismatch(f"edges or features do not stack for {sum(sizes)} nodes")
     sizes = np.asarray(sizes, dtype=np.int64)
+    # In float64, so no square overflows; the sums are exact far past the bound.
+    cells = np.cumsum(np.square(sizes, dtype=np.float64))
+    if len(cells) and cells[-1] > MAX_ADJACENCY_CELLS:
+        k = int(np.argmax(cells > MAX_ADJACENCY_CELLS))
+        raise DimensionMismatch(
+            f"graph {first + k}: n = {sizes[k]} brings the dense adjacencies to "
+            f"{sum(int(n) ** 2 for n in sizes[:k + 1])} cells, above MAX_ADJACENCY_CELLS = "
+            f"{MAX_ADJACENCY_CELLS}")
     edge_graph = np.asarray(edge_graph, dtype=np.int64)
     node_start = np.concatenate(([0], np.cumsum(sizes)))
 

@@ -241,18 +241,21 @@ def save_dataset_json(dataset: LabeledGraphDataset, path) -> None:
     """Write the native JSON graph format.
 
     Schema: {"graphs": [{"n", "edges", "features", "label"}], "label_set"}.
-    Edges are the 0-indexed strictly-upper-triangle support of the
-    adjacency, so only 0/1 graphs round-trip exactly.
+    Edges are `_dataset_edges`'s: the 0-indexed upper-triangle support of
+    the adjacency, diagonal included, so every 0/1 graph, self-loops too,
+    round-trips exactly.
     """
+    _, edge_graph, ends = _dataset_edges(dataset.graphs)
+    edges = np.split(ends, np.cumsum(np.bincount(edge_graph, minlength=len(dataset)))[:-1])
     payload = {
         "graphs": [
             {
                 "n": g.n_nodes,
-                "edges": [[int(i), int(j)] for i, j in zip(*np.nonzero(np.triu(g.adjacency, k=1)))],
+                "edges": e.tolist(),
                 "features": [list(map(float, row)) for row in g.features],
                 "label": int(y),
             }
-            for g, y in zip(dataset.graphs, dataset.labels)
+            for g, e, y in zip(dataset.graphs, edges, dataset.labels)
         ],
         "label_set": list(dataset.label_set),
     }
@@ -341,7 +344,7 @@ def _json_graphs(entries, first: int):
         with suppress(OverflowError):  # the flat list converts faster than the nested one
             ends = np.array(endpoints, dtype=np.int64).reshape(-1, 2)
     edge_graph = np.repeat(np.arange(len(entries)), list(map(len, edges)))
-    graphs = _graphs_from_arrays(sizes, edge_graph, ends, features)
+    graphs = _graphs_from_arrays(sizes, edge_graph, ends, features, first)
     labels = [entry["label"] for entry in entries]
     _require_json_labels(labels, f"graph {first}: label")
     return graphs, labels
@@ -606,26 +609,35 @@ DATASET_ENTRY = "json-dataset-arrays"
 _DATASET_SIZES = ("graphs", "edges", "rows", "cols", "classes")
 
 
-def _save_dataset_entry(path, dataset: LabeledGraphDataset, key: dict) -> None:
-    """Write the flat arrays that `graphs._graphs_from_arrays` rebuilds `dataset` from.
+def _dataset_edges(graphs):
+    """The node count of each graph, and the graph and endpoint pair of each edge.
 
-    Payload, int64 then float64: the graph sizes, the labels, each edge's
-    graph and its endpoint pair (the upper-triangle support, diagonal
-    included, of each 0/1 adjacency), the label set, then the stacked
-    feature rows.
+    Edges are the upper-triangle support of each adjacency, diagonal
+    included, in row-major order: the flat arrays `graphs._graphs_from_arrays`
+    rebuilds 0/1 graphs from, as int64 arrays of shapes (G,), (E,), (E, 2).
     """
-    graphs = dataset.graphs
     sizes = np.array([g.n_nodes for g in graphs], dtype=np.int64)
     adj_start = np.concatenate(([0], np.cumsum(sizes * sizes)))
     cells = np.flatnonzero(np.concatenate([np.zeros(0)] + [g.adjacency.ravel() for g in graphs]))
     edge_graph = np.searchsorted(adj_start, cells, side="right") - 1
     i, j = np.divmod(cells - adj_start[edge_graph], sizes[edge_graph])
     upper = i <= j
+    return sizes, edge_graph[upper], np.stack([i[upper], j[upper]], axis=1)
+
+
+def _save_dataset_entry(path, dataset: LabeledGraphDataset, key: dict) -> None:
+    """Write the flat arrays that `graphs._graphs_from_arrays` rebuilds `dataset` from.
+
+    Payload, int64 then float64: the graph sizes, the labels, each edge's
+    graph and its endpoint pair (`_dataset_edges`), the label set, then the
+    stacked feature rows.
+    """
+    graphs = dataset.graphs
+    sizes, edge_graph, ends = _dataset_edges(graphs)
     features = np.concatenate([g.features for g in graphs] or [np.zeros((0, 0))])
-    counts = dict(zip(_DATASET_SIZES, (len(graphs), int(upper.sum()), *features.shape,
+    counts = dict(zip(_DATASET_SIZES, (len(graphs), len(edge_graph), *features.shape,
                                        len(dataset.label_set))))
-    ints = [sizes, dataset.labels, edge_graph[upper],
-            np.stack([i[upper], j[upper]], axis=1), dataset.label_set]
+    ints = [sizes, dataset.labels, edge_graph, ends, dataset.label_set]
     ints = np.concatenate([np.asarray(a, dtype=np.int64).ravel() for a in ints])
     _save_entry(path, counts, key,
                 ints.astype("<i8").tobytes() + features.astype("<f8").tobytes())

@@ -1,29 +1,38 @@
 """Discrete optimal transport between weighted point sets.
 
+This module decides how every transport problem of the package is solved.
 Two solvers share one result type: an exact transportation-LP solver that
 also returns optimal dual potentials, and an entropic (Sinkhorn) solver with
 log-domain potentials. The exact duals are the gradient carrier used by the
 selection loop, so their feasibility and strong duality are part of the
-contract here, not an afterthought. Every exact LP runs HiGHS's dual simplex,
-called directly through scipy's private bindings with the options of
-`linprog(method="highs-ds")` and the model as NumPy buffers, without
-`linprog`'s per-call Python overhead. It takes one of two paths:
+contract here, not an afterthought.
 
-- the LP path: one run on the full model `linprog` would pass, which returns
-  `linprog`'s bits;
-- the certified path, `_certified_grown_lp`: for `solve_exact_ot`'s LPs
-  above a measured size, runs on a support grown by violated reduced costs,
-  whose result is kept only when it is certified to be the unique optimum,
-  and so equals the LP path's vertex, calibrated duals and value to
-  rounding. The FGW inner step solves through `_exact_ot` with this path
-  off, so its couplings, and so D, keep `linprog`'s bits at every size.
+Every solve checks its cost and marginals in one place, `_checked_problem`,
+solves on the atoms of positive mass only, and `_scatter`s the result back
+to full length. There are three solve paths:
 
-Sinkhorn's log-sum-exp is `_logsumexp`, scipy 1.17's arithmetic in plain
-NumPy, so its bits no longer depend on the installed scipy.
+- The FGW linear step, `_lp_vertex`, reads only a coupling. For uniform
+  weights with lcm(n, m) <= `_ASSIGNMENT_MAX_LCM` it is an assignment
+  problem, whose coupling is used only when `_unique_uniform_vertex`
+  certifies it to be the unique optimum, and so the LP's vertex. Otherwise,
+  ties included, it is one full HiGHS LP (`_solve_transport_lp`) and never a
+  grown support, so its couplings, and so D, keep `linprog`'s bits at every
+  size.
+- The outer, `gdd` and label-table solves, `solve_exact_ot`, return the
+  coupling and duals. From `_GROWN_MIN_CELLS` cells on they first try a
+  support grown by violated reduced costs, `_certified_grown_lp`, whose
+  result is kept only when it is certified to be the unique optimum, and so
+  equals the full LP's vertex, calibrated duals and value to rounding.
+  Otherwise the full LP runs.
+- `solve_sinkhorn` runs log-domain Sinkhorn sweeps. Its log-sum-exp is
+  `_logsumexp`, scipy 1.17's arithmetic in plain NumPy, so its bits do not
+  depend on the installed scipy.
 
-The FGW linear step also has a private assignment path for uniform weights,
-`_unique_uniform_vertex`, which returns a coupling only when it is certified
-to be the unique optimum and so the LP's vertex.
+Every exact LP runs HiGHS's dual simplex, called directly through scipy's
+private bindings with the options of `linprog(method="highs-ds")` and the
+model as NumPy buffers, without `linprog`'s per-call Python overhead. Both
+uniqueness certificates use one margin, `_CERTIFICATE_MARGIN`, 10x HiGHS's
+feasibility tolerances.
 
 The package calls three compiled scipy functions, and `_scipy_extension`
 loads their extension modules straight from scipy's directory:
@@ -136,54 +145,55 @@ def _check_marginal(v, size: int, name: str) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
+def _checked_problem(cost, p, q):
+    """The checked cost and marginals of a solve, and the indices of their positive atoms.
+
+    Returns (cost, p, q, keep_i, keep_j): `as_cost_matrix(cost)`, p and q
+    as `_check_marginal` returns them, and `flatnonzero(p > 0)`,
+    `flatnonzero(q > 0)`. Every solve and the OT cache run these checks
+    here, so each raises the same error for the same input.
+    """
+    cost = as_cost_matrix(cost)
+    n, m = cost.shape
+    p = _check_marginal(p, n, "source marginal p")
+    q = _check_marginal(q, m, "target marginal q")
+    return cost, p, q, np.flatnonzero(p > 0), np.flatnonzero(q > 0)
+
+
+def _scatter(values: np.ndarray, index: tuple, shape) -> np.ndarray:
+    """A solve on the positive atoms at full length: `values` at `np.ix_(*index)`, 0 elsewhere."""
+    full = np.zeros(shape)
+    full[np.ix_(*index)] = values
+    return full
+
+
 def solve_exact_ot(cost, p, q) -> TransportSolution:
     """Exact OT(p, q, cost) via the transportation linear program.
 
     Returns an optimal basic solution together with optimal dual potentials.
-    On the LP path these are the vertex and row duals of HiGHS's dual
+    On the full-LP path these are the vertex and row duals of HiGHS's dual
     simplex, the same bits as `linprog(method="highs-ds")` gives. The
     certified path (`_certified_grown_lp`) answers only where the optimum is
     unique, and returns it to rounding: the coupling, value and calibrated
-    duals agree with the LP path's, the raw duals up to their additive
-    constant. Any HiGHS outcome other than optimal on the LP path raises
+    duals agree with the full LP's, the raw duals up to their additive
+    constant. Any HiGHS outcome other than optimal on the full LP raises
     NumericalFailure. Zero-mass atoms are dropped before the solve and
     re-inserted afterwards: their coupling rows/columns are zero and their
     duals are set to the tightest reduced-cost-feasible value, so a
     sparsified training measure still yields a full-length, feasible dual
     vector.
     """
-    return _exact_ot(cost, p, q, certified_path=True)
-
-
-def _exact_ot(cost, p, q, certified_path: bool) -> TransportSolution:
-    """`solve_exact_ot`, trying the certified path only when `certified_path` is set.
-
-    The FGW inner step sets it False. Its gradient costs are often exactly
-    tied, and a tie never certifies, so a grown attempt there would mostly
-    be paid for and then thrown away; on the LP path alone its couplings
-    keep `linprog`'s bits at every graph size.
-    """
-    cost = as_cost_matrix(cost)
-    n, m = cost.shape
-    p = _check_marginal(p, n, "source marginal p")
-    q = _check_marginal(q, m, "target marginal q")
-
-    keep_i = np.flatnonzero(p > 0)
-    keep_j = np.flatnonzero(q > 0)
+    cost, p, q, keep_i, keep_j = _checked_problem(cost, p, q)
     sub = cost[np.ix_(keep_i, keep_j)]
     ps, qs = p[keep_i], q[keep_j]
-    ns, ms = len(keep_i), len(keep_j)
-
-    solved = _certified_grown_lp(sub, ps, qs) if certified_path else None
+    ns, ms = sub.shape
+    solved = _certified_grown_lp(sub, ps, qs)
     if solved is None:
         solved = _solve_transport_lp(sub.ravel(), np.concatenate([ps, qs]), ns, ms)
     x, duals, value = solved
-    coupling = np.zeros((n, m))
-    coupling[np.ix_(keep_i, keep_j)] = x.reshape(ns, ms)
-    beta = np.empty(n)
-    psi = np.empty(m)
-    beta[keep_i] = duals[:ns]
-    psi[keep_j] = duals[ns:]
+    coupling = _scatter(x.reshape(ns, ms), (keep_i, keep_j), cost.shape)
+    beta = _scatter(duals[:ns], (keep_i,), len(p))
+    psi = _scatter(duals[ns:], (keep_j,), len(q))
     # Extend duals to zero-mass atoms: columns first against the kept rows,
     # then rows against all columns, so feasibility holds for every pair.
     drop_j = np.flatnonzero(q <= 0)
@@ -194,6 +204,27 @@ def _exact_ot(cost, p, q, certified_path: bool) -> TransportSolution:
         beta[drop_i] = np.min(cost[drop_i] - psi[None, :], axis=1)
 
     return TransportSolution(value, coupling, beta, psi)
+
+
+def _lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """An optimal vertex of the FGW linear step's OT problem; `cost` may be signed.
+
+    The certified assignment (`_unique_uniform_vertex`) when it answers,
+    otherwise one full HiGHS LP on the positive atoms, whose vertex on a tie
+    is its own pick; never the grown support. Where the assignment answers,
+    the LP gives the same coupling to rounding. The step reads only the
+    coupling, so no duals are built.
+    """
+    vertex = _unique_uniform_vertex(cost, p, q)
+    if vertex is not None:
+        return vertex
+    lo = cost.min()
+    if lo < 0:
+        cost = cost - lo
+    cost, p, q, keep_i, keep_j = _checked_problem(cost, p, q)
+    x, _, _ = _solve_transport_lp(cost[np.ix_(keep_i, keep_j)].ravel(),
+                                  np.concatenate([p[keep_i], q[keep_j]]), len(keep_i), len(keep_j))
+    return _scatter(x.reshape(len(keep_i), len(keep_j)), (keep_i, keep_j), cost.shape)
 
 
 # The HiGHS options `linprog(method="highs-ds")` passes: presolve on, dual
@@ -272,14 +303,14 @@ _GROWN_ADDED_PER_ROW = 2  # the most violated cells a violated row adds per roun
 # shifted_labeled benchmark corpus and 3-9 on shifted-style costs up to
 # 1200 x 400; random costs took 1-2.
 _GROWN_MAX_ROUNDS = 30
-# Certificate margins, 10x HiGHS's absolute 1e-7 primal and dual feasibility
-# tolerances. A basis adjacent to a certified one has a basic mass below
-# -_CERTIFIED_MIN_MASS or a reduced cost below -_CERTIFIED_MIN_REDUCED_COST,
-# so no run of the full LP within those tolerances stops at it. GREAT's
-# certified outer LPs on shifted_labeled had a smallest tree mass of 1.9e-6
-# and a smallest off-support reduced cost of 2.4e-5, with max|cost| = 55.
-_CERTIFIED_MIN_MASS = 1e-6
-_CERTIFIED_MIN_REDUCED_COST = 1e-6
+# Margin of both uniqueness certificates, 10x HiGHS's absolute 1e-7 primal
+# and dual feasibility tolerances. A basis adjacent to a certified grown one
+# has a basic mass or a reduced cost below -_CERTIFICATE_MARGIN, so no run of
+# the full LP within those tolerances stops at it; the assignment path's
+# margin is this one relative to max(1, max|cost|). GREAT's certified outer
+# LPs on shifted_labeled had a smallest tree mass of 1.9e-6 and a smallest
+# off-support reduced cost of 2.4e-5, with max|cost| = 55.
+_CERTIFICATE_MARGIN = 1e-6
 
 
 def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
@@ -294,10 +325,10 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     optimum is accepted only under a certificate:
 
     - its positive cells number n + m - 1 and form a spanning tree, each
-      with mass above `_CERTIFIED_MIN_MASS`, so the vertex is nondegenerate
+      with mass above `_CERTIFICATE_MARGIN`, so the vertex is nondegenerate
       and the duals (up to their additive constant) are unique;
     - every other cell's reduced cost is above
-      `_CERTIFIED_MIN_REDUCED_COST`, so the vertex is the unique optimum.
+      `_CERTIFICATE_MARGIN`, so the vertex is the unique optimum.
 
     It then equals the full LP's vertex, calibrated duals and value to
     rounding. Returns None (the caller solves the full LP) below
@@ -347,8 +378,8 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     x[np.concatenate(model_cells)] = highs.getSolution().col_value
     support = x > 0
     if (np.count_nonzero(support) != n + m - 1
-            or x[support].min() <= _CERTIFIED_MIN_MASS
-            or reduced.ravel()[~support].min(initial=np.inf) <= _CERTIFIED_MIN_REDUCED_COST
+            or x[support].min() <= _CERTIFICATE_MARGIN
+            or reduced.ravel()[~support].min(initial=np.inf) <= _CERTIFICATE_MARGIN
             or not _is_forest(support.reshape(n, m))):
         return None
     return x, duals, highs.getInfo().objective_function_value
@@ -385,14 +416,15 @@ def _unique_uniform_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     each row L/n times and each column L/m times (L = lcm(n, m)) turns the
     transportation LP into an L x L assignment whose block counts / L are an
     optimal vertex. That vertex is returned only when it is certified to be
-    the unique LP optimum, so that it agrees with `solve_exact_ot`'s vertex
-    to rounding:
+    the unique LP optimum, so that it agrees with the full LP's vertex to
+    rounding:
 
     - its support is a forest, so no other plan lives on the same support;
-    - raising every support cell by delta = 1e-6 * max(1, max|cost|) leaves
-      it optimal, so every other plan costs at least delta more per unit of
-      mass moved off the support. delta sits above HiGHS's 1e-7 dual
-      tolerance, so near-ties are left to the LP as well.
+    - raising every support cell by delta = `_CERTIFICATE_MARGIN` *
+      max(1, max|cost|) leaves it optimal, so every other plan costs at
+      least delta more per unit of mass moved off the support. delta sits
+      above HiGHS's 1e-7 dual tolerance, so near-ties are left to the LP as
+      well.
 
     Returns None (the caller solves the LP) for non-uniform weights, an lcm
     above `_ASSIGNMENT_MAX_LCM`, a support with a cycle, or a (near-)tie,
@@ -418,7 +450,7 @@ def _unique_uniform_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     support = counts > 0
     if not _is_forest(support):
         return None
-    delta = 1e-6 * max(1.0, float(np.abs(cost).max()))
+    delta = _CERTIFICATE_MARGIN * max(1.0, float(np.abs(cost).max()))
     raised = expanded + delta * support[np.ix_(row_of, col_of)]
     _, rival = linear_sum_assignment(raised)
     # Any other plan leaves >= 1 of the L unit masses off the support and so
@@ -465,13 +497,7 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    cost = as_cost_matrix(cost)
-    n, m = cost.shape
-    p = _check_marginal(p, n, "source marginal p")
-    q = _check_marginal(q, m, "target marginal q")
-
-    keep_i = np.flatnonzero(p > 0)
-    keep_j = np.flatnonzero(q > 0)
+    cost, p, q, keep_i, keep_j = _checked_problem(cost, p, q)
     sub = cost[np.ix_(keep_i, keep_j)]
     ps, qs = p[keep_i], q[keep_j]
     logp, logq = np.log(ps), np.log(qs)
@@ -498,12 +524,9 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
         )
 
     pi = np.exp((f[:, None] + g[None, :] - sub) / epsilon + logp[:, None] + logq[None, :])
-    coupling = np.zeros((n, m))
-    coupling[np.ix_(keep_i, keep_j)] = pi
-    beta = np.empty(n)
-    psi = np.empty(m)
-    beta[keep_i] = f
-    psi[keep_j] = g
+    coupling = _scatter(pi, (keep_i, keep_j), cost.shape)
+    beta = _scatter(f, (keep_i,), len(p))
+    psi = _scatter(g, (keep_j,), len(q))
     drop_j = np.flatnonzero(q <= 0)
     if drop_j.size:
         # Soft-min extension of the potentials to unused atoms.

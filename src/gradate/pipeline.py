@@ -22,8 +22,7 @@ from .gdd import LabelInformedCost, cross_linear_fgw, label_informed_cost
 from .graphs import LabeledGraphDataset, concat_datasets
 from .great import GreatTrace, floor_budget, gdd_gradient, great_select
 from .io import dataset_hash
-from .ot import (TransportSolution, _check_marginal, as_cost_matrix, solve_exact_ot,
-                 solve_sinkhorn)
+from .ot import TransportSolution, _checked_problem, solve_exact_ot, solve_sinkhorn
 
 
 @dataclass(frozen=True)
@@ -170,12 +169,11 @@ def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolut
     `"entry"` field names that layout, so entries that also stored the
     coupling have other file names and miss once.
     """
-    cost = as_cost_matrix(cost)
+    cost, checked_p, checked_q, keep_i, keep_j = _checked_problem(cost, p, q)
     n, m = cost.shape
     key = {**solver_key, "entry": "value+duals", "shape": [n, m],
            "cost": hashlib.sha256(np.ascontiguousarray(cost, dtype="<f8")).hexdigest(),
-           "p": _positive_digest(_check_marginal(p, n, "source marginal p")),
-           "q": _positive_digest(_check_marginal(q, m, "target marginal q"))}
+           "p": _positive_digest(checked_p, keep_i), "q": _positive_digest(checked_q, keep_j)}
 
     def compute():
         sol = solve(cost, p, q)
@@ -187,9 +185,8 @@ def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolut
     return TransportSolution(float(column[0]), None, column[1:1 + n], column[1 + n:])
 
 
-def _positive_digest(v: np.ndarray) -> str:
-    """sha256 of the indices and float64 values of the positive entries of `v`."""
-    keep = np.flatnonzero(v > 0)
+def _positive_digest(v: np.ndarray, keep: np.ndarray) -> str:
+    """sha256 of the indices `keep` of the positive entries of `v`, and of their float64 values."""
     h = hashlib.sha256(keep.astype("<i8").tobytes())
     h.update(v[keep].astype("<f8").tobytes())
     return h.hexdigest()

@@ -87,6 +87,22 @@ class TestSplit:
         assert (f"error: copies.json: malformed dataset JSON ({named} must fit in int64, "
                 f"got {2 ** 64})") in err
 
+    @pytest.mark.parametrize("graph, message", [
+        ({"n": 2 ** 40, "edges": [], "features": []},
+         f"graph 3: n = {2 ** 40} brings the dense adjacencies to {2 ** 80} cells"),
+        ({"n": 2 ** 20, "edges": [], "features": [[0.5], [1.0]]},
+         f"features has 2 rows for {2 ** 20} nodes"),
+    ], ids=["n-2^40", "n-2^20-two-rows"])
+    def test_huge_n_exits_2_before_allocating(self, workdir, capsys, graph, message):
+        write_copies_json(workdir / "copies.json")
+        payload = json.loads((workdir / "copies.json").read_text())
+        payload["graphs"][3].update(graph)
+        (workdir / "copies.json").write_text(json.dumps(payload))
+        code, out, err = run(capsys, "split", "copies.json", "--out", "split.json")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_too_small_dataset_exits_2(self, workdir, capsys):
         write_copies_json(workdir / "tiny.json", n=3)
         code, out, err = run(capsys, "split", "tiny.json", "--out", "s.json")

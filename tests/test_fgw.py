@@ -128,16 +128,16 @@ class TestLinearStepPaths:
     @staticmethod
     def _both_paths(monkeypatch, g1, g2):
         used = []
-        unique = fgw._unique_uniform_vertex
+        unique = ot._unique_uniform_vertex
 
         def counted(cost, p, q):
             vertex = unique(cost, p, q)
             used.append(vertex is not None)
             return vertex
 
-        monkeypatch.setattr(fgw, "_unique_uniform_vertex", counted)
+        monkeypatch.setattr(ot, "_unique_uniform_vertex", counted)
         fast = fgw_distance(g1, g2, FGWConfig(alpha=0.5))
-        monkeypatch.setattr(fgw, "_unique_uniform_vertex", lambda cost, p, q: None)
+        monkeypatch.setattr(ot, "_unique_uniform_vertex", lambda cost, p, q: None)
         slow = fgw_distance(g1, g2, FGWConfig(alpha=0.5))
         return fast, slow, used
 
@@ -162,6 +162,21 @@ class TestLinearStepPaths:
         assert fast.distance == slow.distance
         assert np.array_equal(fast.coupling, slow.coupling)
         assert np.array_equal(fast.objective_curve, slow.objective_curve)
+
+    def test_zero_weight_nodes_leave_the_lp_and_change_no_result(self, rng, monkeypatch):
+        g, other = random_graph(rng, n_nodes=6), random_graph(rng, n_nodes=5)
+        w = np.array([0.25, 0.25, 0.0, 0.25, 0.25, 0.0])
+        keep = np.flatnonzero(w)
+        padded = AttributedGraph(g.adjacency, g.features, w)
+        trimmed = AttributedGraph(g.adjacency[np.ix_(keep, keep)], g.features[keep])
+        full = count_full_lps(monkeypatch)
+        res = fgw_distance(padded, other, FGWConfig(alpha=0.5))
+        assert full and set(full) == {(4, 5)}  # every step: one LP on the positive atoms
+        ref = fgw_distance(trimmed, other, FGWConfig(alpha=0.5))
+        assert np.all(res.coupling[w == 0] == 0.0)
+        assert res.iterations == ref.iterations
+        assert res.distance == pytest.approx(ref.distance, rel=1e-12, abs=1e-12)
+        assert np.abs(res.coupling[keep] - ref.coupling).max() <= 1e-12
 
     @pytest.mark.parametrize("floor", [None, 1])
     def test_lp_steps_never_take_the_grown_support_path(self, rng, monkeypatch, floor):

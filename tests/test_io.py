@@ -104,6 +104,13 @@ class TestTuLoader:
         io.save_dataset_json(again, tmp_path / "ds2.json")
         assert (tmp_path / "ds.json").read_bytes() == (tmp_path / "ds2.json").read_bytes()
 
+    def test_self_loop_round_trips_through_native_json(self, tmp_path):
+        d = write_tu(tmp_path, edges=((1, 1), (1, 2), (2, 1)))
+        ds = io.load_tudataset(d)
+        assert ds.graphs[0].adjacency[0, 0] == 1.0
+        io.save_dataset_json(ds, tmp_path / "ds.json")
+        assert io.dataset_hash(io.load_dataset_json(tmp_path / "ds.json")) == io.dataset_hash(ds)
+
     def test_load_dataset_dispatch(self, tmp_path):
         d = write_tu(tmp_path)
         ds = io.load_dataset(d)
@@ -142,6 +149,17 @@ class TestJsonLoader:
         path = write_json_dataset(tmp_path / "ds.json", features=((0.5,), (bad,), (2.0,)))
         with pytest.raises(SchemaError, match="finite"):
             io.load_dataset_json(path)
+
+    def test_self_loop_round_trips(self, tmp_path):
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"graphs": [entry(2, [(0, 0), (0, 1)], [])],
+                                    "label_set": [0]}))
+        ds = io.load_dataset_json(path)
+        io.save_dataset_json(ds, tmp_path / "again.json")
+        assert json.loads((tmp_path / "again.json").read_text())["graphs"][0]["edges"] \
+            == [[0, 0], [0, 1]]
+        assert io.dataset_hash(io.load_dataset_json(tmp_path / "again.json")) \
+            == io.dataset_hash(ds)
 
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
         path = write_json_dataset(tmp_path / "ds.json")
@@ -227,6 +245,12 @@ FAULTS = {
                       SchemaError, "each edge must be a pair of node indices"),
     "label-outside-set": (lambda g: g.update(label=7),
                           SchemaError, r"labels \[7\] not in label_set"),
+    # Too large to allocate: refused before any buffer of size n or n**2.
+    "huge-n": (lambda g: g.update(n=2 ** 40, edges=[], features=[]),
+               DimensionMismatch, f"graph {{k}}: n = {2 ** 40} brings the dense adjacencies "
+                                  f"to {2 ** 80} cells, above MAX_ADJACENCY_CELLS"),
+    "huge-n-two-rows": (lambda g: g.update(n=2 ** 20, edges=[], features=g["features"][:2]),
+                        DimensionMismatch, f"features has 2 rows for {2 ** 20} nodes"),
 }
 
 # JSON values of each kind, beside the valid one they replace.

@@ -13,8 +13,8 @@ import gradate.ot as ot
 from gradate import (AttributedGraph, LabeledGraphDataset, calibrate_duals,
                      degree_one_hot_features, solve_exact_ot, solve_sinkhorn)
 from gradate.errors import InfeasibleMarginals, NonConvergence, NumericalFailure
-from gradate.fgw import FGWConfig, _lp_vertex, _QuadObjective
-from gradate.ot import _logsumexp, _unique_uniform_vertex, as_cost_matrix
+from gradate.fgw import FGWConfig, _QuadObjective
+from gradate.ot import _logsumexp, _lp_vertex, _unique_uniform_vertex, as_cost_matrix
 
 from conftest import count_full_lps, count_lps, shifted_style_dtilde
 from oracles import (

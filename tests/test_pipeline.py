@@ -280,6 +280,35 @@ class TestOtCache:
         with pytest.raises(ValueError, match="finite"):
             solve(np.where(cost > 0.5, np.inf, cost), p, q)
 
+    @pytest.mark.parametrize("bad", ["non-finite-cost", "negative-cost", "1-d-cost",
+                                     "p-of-wrong-shape", "p-sums-to-2", "nan-in-q"])
+    def test_every_solve_entry_rejects_an_input_alike(self, tmp_path, bad):
+        cost = np.random.default_rng(5).random((4, 3))
+        p, q = np.array([0.5, 0.5, 0.0, 0.0]), np.full(3, 1 / 3)
+        args = {"non-finite-cost": (np.where(cost > 0.5, np.inf, cost), p, q),
+                "negative-cost": (cost - 0.5, p, q),
+                "1-d-cost": (cost[0], p, q),
+                "p-of-wrong-shape": (cost, np.full(3, 1 / 3), q),
+                "p-sums-to-2": (cost, 2 * p, q),
+                "nan-in-q": (cost, p, np.array([0.5, 0.5, np.nan]))}[bad]
+
+        def outcome(solve):
+            with pytest.raises((ValueError, InfeasibleMarginals)) as info:
+                solve(*args)
+            return type(info.value), str(info.value)
+
+        outcomes = [outcome(ot.solve_exact_ot),
+                    outcome(lambda *a: ot.solve_sinkhorn(*a, epsilon=0.5))]
+        for solver in ("exact", "sinkhorn"):
+            (tmp_path / solver).mkdir()
+            solve = SelectionConfig(tau=0.5, solver=solver, epsilon=0.5).ot_solver(
+                tmp_path / solver)
+            outcomes.append(outcome(solve))  # cold
+            solve(cost, p, q)
+            outcomes.append(outcome(solve))  # warm
+            assert len(list((tmp_path / solver).glob("OT-*.gdd"))) == 1
+        assert outcomes == outcomes[:1] * 6
+
     def test_ot_keys_hold_exactly_the_inputs_of_a_solve(self, tmp_path):
         rng = np.random.default_rng(18)
         train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
