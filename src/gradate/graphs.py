@@ -17,12 +17,47 @@ from .errors import AsymmetryError, DanglingEdge, DimensionMismatch, SchemaError
 from .ot import _check_marginal
 
 SYMMETRY_TOL = 1e-9
-# Most float64 cells the dense adjacency buffer of one build may hold: 2**30,
-# 8 GiB, above the memory of the machines this package targets, so no
-# dataset that fits in memory is refused. A file that declares a huge n
-# is then a named input error before anything of size n or n**2 is
-# allocated, not a MemoryError from numpy.
+# Most float64 cells the dense adjacency of one graph may hold: 2**30, 8 GiB.
+# So a graph of more than 32,768 nodes is refused; the graphs this package
+# targets have a few hundred. A file that declares a larger n is then a
+# named input error before anything of size n or n**2 is allocated, not a
+# MemoryError from numpy. The bound is per graph: a dataset of many graphs
+# under it is not refused, whatever their total.
 MAX_ADJACENCY_CELLS = 2 ** 30
+
+
+def _check_adjacency_cells(sizes, first: int | None = None) -> None:
+    """Refuse the first graph whose dense adjacency passes `MAX_ADJACENCY_CELLS`.
+
+    sizes : node count of each graph, numbered from `first` in the message;
+        without `first` the graph is unnumbered.
+    """
+    # In float64, so that no square overflows.
+    over = np.square(np.asarray(sizes, dtype=np.float64)) > MAX_ADJACENCY_CELLS
+    if over.any():
+        k = int(np.argmax(over))
+        n = int(sizes[k])
+        graph = "a graph" if first is None else f"graph {first + k}"
+        raise DimensionMismatch(f"{graph} of {n} nodes needs {n * n} adjacency cells, "
+                                f"above MAX_ADJACENCY_CELLS = {MAX_ADJACENCY_CELLS}")
+
+
+def _checked_features(features, n: int) -> np.ndarray:
+    """The (n, d) float64 feature matrix of a graph of n nodes; None is d = 0."""
+    if features is None:
+        return np.zeros((n, 0))
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim == 1:
+        features = features[:, None]
+    if features.ndim != 2:
+        raise DimensionMismatch(f"features must be an (n, d) matrix, got shape {features.shape}")
+    if features.shape[0] != n:
+        raise DimensionMismatch(
+            f"features has {features.shape[0]} rows for {n} nodes"
+        )
+    if not np.isfinite(features).all():
+        raise ValueError("feature entries must be finite")
+    return features
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -60,19 +95,7 @@ class AttributedGraph:
                 and np.abs(adjacency - adjacency.T).max() > SYMMETRY_TOL):
             raise AsymmetryError("adjacency is not symmetric; directed graphs are out of scope")
 
-        if features is None:
-            features = np.zeros((n, 0))
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features[:, None]
-        if features.ndim != 2:
-            raise DimensionMismatch(f"features must be an (n, d) matrix, got shape {features.shape}")
-        if features.shape[0] != n:
-            raise DimensionMismatch(
-                f"features has {features.shape[0]} rows for {n} nodes"
-            )
-        if not np.isfinite(features).all():
-            raise ValueError("feature entries must be finite")
+        features = _checked_features(features, n)
 
         if node_weights is None:
             node_weights = np.full(n, 1.0 / n)
@@ -90,16 +113,11 @@ class AttributedGraph:
                    features=None, node_weights=None) -> "AttributedGraph":
         """Build a 0/1 graph from an undirected edge list over nodes 0..n-1.
 
-        A graph of more than `MAX_ADJACENCY_CELLS` adjacency cells is refused
-        before it is allocated, with a DimensionMismatch: for feature rows
-        other than n the constructor's, else one naming n.
+        The features are checked first, then the adjacency's size against
+        `MAX_ADJACENCY_CELLS`, before the adjacency is allocated.
         """
-        cells = int(n_nodes) ** 2
-        if cells > MAX_ADJACENCY_CELLS:
-            if features is not None and np.ndim(features) in (1, 2) and len(features) != n_nodes:
-                raise DimensionMismatch(f"features has {len(features)} rows for {n_nodes} nodes")
-            raise DimensionMismatch(f"a graph of {n_nodes} nodes needs {cells} adjacency cells, "
-                                    f"above MAX_ADJACENCY_CELLS = {MAX_ADJACENCY_CELLS}")
+        features = _checked_features(features, n_nodes)
+        _check_adjacency_cells([n_nodes])
         adj = np.zeros((n_nodes, n_nodes))
         edges = list(edges)
         ends = np.array(edges)
@@ -142,9 +160,9 @@ def _graphs_from_arrays(sizes, edge_graph, ends, features,
     features : (sum(sizes), d) feature rows, stacked in graph order.
     first : the number of the first graph, for error messages.
 
-    Graphs whose adjacencies need more than `MAX_ADJACENCY_CELLS` cells in
-    all are a DimensionMismatch that names the graph passing the bound and
-    its n, raised before anything of their size is allocated.
+    A graph whose adjacency needs more than `MAX_ADJACENCY_CELLS` cells is
+    a DimensionMismatch that names it and its n, raised before anything of
+    its size is allocated.
 
     The whole dataset is checked at once for what `from_edges` and the
     constructor check per graph. If a check fails, the first failing graph
@@ -166,14 +184,7 @@ def _graphs_from_arrays(sizes, edge_graph, ends, features,
             AttributedGraph.from_edges(sizes[0], given, features=features)
         raise DimensionMismatch(f"edges or features do not stack for {sum(sizes)} nodes")
     sizes = np.asarray(sizes, dtype=np.int64)
-    # In float64, so no square overflows; the sums are exact far past the bound.
-    cells = np.cumsum(np.square(sizes, dtype=np.float64))
-    if len(cells) and cells[-1] > MAX_ADJACENCY_CELLS:
-        k = int(np.argmax(cells > MAX_ADJACENCY_CELLS))
-        raise DimensionMismatch(
-            f"graph {first + k}: n = {sizes[k]} brings the dense adjacencies to "
-            f"{sum(int(n) ** 2 for n in sizes[:k + 1])} cells, above MAX_ADJACENCY_CELLS = "
-            f"{MAX_ADJACENCY_CELLS}")
+    _check_adjacency_cells(sizes, first)
     edge_graph = np.asarray(edge_graph, dtype=np.int64)
     node_start = np.concatenate(([0], np.cumsum(sizes)))
 

@@ -38,6 +38,7 @@ from .errors import (
     ConfigInvalid,
     DanglingEdge,
     DatasetTooSmall,
+    DimensionMismatch,
     GradateError,
     HashMismatch,
     ParseError,
@@ -223,8 +224,8 @@ def load_tudataset(dir_path) -> LabeledGraphDataset:
     label_names = sorted(set(raw_labels))
     remap = {orig: i for i, orig in enumerate(label_names)}
     try:
-        graphs = _graphs_from_arrays(sizes, edge_graph, ends, features)
-    except ValueError as exc:
+        graphs = _graphs_from_arrays(sizes, edge_graph, ends, features, first=1)
+    except (DimensionMismatch, ValueError) as exc:
         raise SchemaError(f"{root}: {exc}") from None
     return LabeledGraphDataset(
         graphs,

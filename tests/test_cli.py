@@ -89,7 +89,7 @@ class TestSplit:
 
     @pytest.mark.parametrize("graph, message", [
         ({"n": 2 ** 40, "edges": [], "features": []},
-         f"graph 3: n = {2 ** 40} brings the dense adjacencies to {2 ** 80} cells"),
+         f"graph 3 of {2 ** 40} nodes needs {2 ** 80} adjacency cells"),
         ({"n": 2 ** 20, "edges": [], "features": [[0.5], [1.0]]},
          f"features has 2 rows for {2 ** 20} nodes"),
     ], ids=["n-2^40", "n-2^20-two-rows"])

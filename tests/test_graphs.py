@@ -74,7 +74,7 @@ class TestAttributedGraph:
     def test_from_edges_refuses_a_graph_too_large_to_allocate(self):
         n = 2 ** 20  # n * n is 1,024 times MAX_ADJACENCY_CELLS
         with pytest.raises(DimensionMismatch, match=f"a graph of {n} nodes needs {n * n} "):
-            AttributedGraph.from_edges(n, [(0, 1)], features=np.zeros((n, 1, 1)))
+            AttributedGraph.from_edges(n, [(0, 1)])
         with pytest.raises(DimensionMismatch, match=f"features has 2 rows for {n} nodes"):
             AttributedGraph.from_edges(n, [(0, 1)], features=np.zeros((2, 1)))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -247,8 +248,8 @@ FAULTS = {
                           SchemaError, r"labels \[7\] not in label_set"),
     # Too large to allocate: refused before any buffer of size n or n**2.
     "huge-n": (lambda g: g.update(n=2 ** 40, edges=[], features=[]),
-               DimensionMismatch, f"graph {{k}}: n = {2 ** 40} brings the dense adjacencies "
-                                  f"to {2 ** 80} cells, above MAX_ADJACENCY_CELLS"),
+               DimensionMismatch, f"graph {{k}} of {2 ** 40} nodes needs {2 ** 80} adjacency "
+                                  f"cells, above MAX_ADJACENCY_CELLS"),
     "huge-n-two-rows": (lambda g: g.update(n=2 ** 20, edges=[], features=g["features"][:2]),
                         DimensionMismatch, f"features has 2 rows for {2 ** 20} nodes"),
 }
@@ -397,6 +398,13 @@ class TestOnePassLoad:
         with pytest.raises(ParseError, match=r"DS_graph_indicator.txt:0: graph id 2 has no nodes"):
             io.load_tudataset(d)
 
+    def test_a_tu_graph_over_the_size_bound_is_named_by_its_id(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("gradate.graphs.MAX_ADJACENCY_CELLS", 64)
+        d = write_tu(tmp_path, indicator=(1, 1) + (2,) * 9 + (3,), labels=(1, 2, 1))
+        message = f"{d}: graph 2 of 9 nodes needs 81 adjacency cells, above MAX_ADJACENCY_CELLS"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            io.load_tudataset(d)
+
     @pytest.mark.parametrize("second", sorted(FAULTS))
     @pytest.mark.parametrize("first", sorted(FAULTS))
     def test_of_two_faulty_graphs_the_earlier_is_reported(self, tmp_path, first, second):
@@ -484,6 +492,28 @@ class TestDatasetEntry:
         assert outcomes[0][0] is FAULTS[fault][1]
         assert outcomes == outcomes[:1] * 3
         assert list(cache.iterdir()) == []
+
+    @pytest.mark.parametrize("big", [None, 2], ids=["all-under", "graph-2-over"])
+    def test_the_size_bound_is_per_graph_cold_warm_and_uncached(self, tmp_path, monkeypatch,
+                                                                 big):
+        # Five graphs of 25 cells each pass a bound of 64 cells; 125 in all must not matter.
+        monkeypatch.setattr("gradate.graphs.MAX_ADJACENCY_CELLS", 64)
+        entries = [entry(5, [(0, 1), (3, 4)], [[float(i)] for i in range(5)]) for _ in range(5)]
+        if big is not None:
+            entries[big] = entry(9, [(0, 8)], [[0.5]] * 9)
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"graphs": entries, "label_set": [0]}))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        outcomes = [load_outcome(path, cache) for _ in range(2)] + [load_outcome(path)]
+        assert outcomes == outcomes[:1] * 3
+        if big is None:
+            assert isinstance(outcomes[0], str)
+            assert len(list(cache.glob("DS-*.gdd"))) == 1
+        else:
+            assert outcomes[0] == (DimensionMismatch, "graph 2 of 9 nodes needs 81 adjacency "
+                                                      "cells, above MAX_ADJACENCY_CELLS = 64")
+            assert list(cache.iterdir()) == []
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPT_ENTRIES))
     def test_a_malformed_entry_is_rejected(self, tmp_path, corruption):
