@@ -156,19 +156,9 @@ def _log_config(resolved: dict) -> None:
     print("resolved config: " + json.dumps(resolved, sort_keys=True), file=sys.stderr)
 
 
-def _selection_config(resolved: dict, tau: float | None = None) -> SelectionConfig:
+def _selection_config(resolved: dict) -> SelectionConfig:
     # T and eta are select-only; gdd leaves them at SelectionConfig's defaults.
-    steps = {key: resolved[key] for key in ("T", "eta") if key in resolved}
-    cfg = SelectionConfig(
-        tau=resolved.get("tau") if tau is None else tau,
-        alpha=resolved["alpha"],
-        c=resolved["c"],
-        seed=resolved["seed"],
-        solver=resolved["solver"],
-        epsilon=resolved["epsilon"],
-        nbar=resolved["nbar"],
-        **steps,
-    )
+    cfg = SelectionConfig(**{key: resolved[key] for key in _CONFIG_DEFAULTS if key in resolved})
     # The given c is checked above even when no validation labels are read.
     return cfg if resolved["val_labels"] else replace(cfg, c=0.0)
 
@@ -239,7 +229,7 @@ def cmd_split(args) -> int:
 def cmd_gdd(args) -> int:
     resolved = _resolve(args, _COMMON_DEFAULTS)
     _log_config(resolved)
-    cfg = _selection_config(resolved, tau=1.0)
+    cfg = _selection_config({**resolved, "tau": 1.0})
     cache = _cache_dir(args)
     digest, train, val = _load_splits(args, cache)
     dtilde = build_cost(train, val, cfg, cache)

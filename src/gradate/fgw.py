@@ -18,6 +18,7 @@ constC - A1 @ T @ (2 A2), which costs O(n^2 m + n m^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +28,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
+from . import graphs as _graphs
 from .graphs import AttributedGraph
 from .ot import _lp_vertex, _scipy_extension
 
@@ -45,7 +47,7 @@ class FGWConfig:
     """Solver settings shared by the distance and barycenter routines.
 
     alpha : trade-off in [0, 1] between features (0) and structure (1).
-    seed : controls barycenter initialization.
+    seed : controls barycenter initialization; a nonnegative integer.
     """
 
     alpha: float = 0.5
@@ -54,6 +56,28 @@ class FGWConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigInvalid(f"alpha must be in [0, 1], got {self.alpha}")
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
+
+
+def _checked_seed(seed) -> int:
+    """`seed` as an int, or ConfigInvalid if `np.random.default_rng` would refuse it.
+
+    Only nonnegative integers pass; a numpy integer becomes the equal int, so
+    it enters cache keys and selection files as that int does.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigInvalid(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
+def _check_nbar(nbar) -> None:
+    """Refuse a reference size below 1, or one whose dense adjacency would pass
+    `graphs.MAX_ADJACENCY_CELLS` (so above its integer square root, 32,768)."""
+    if nbar < 1:
+        raise ConfigInvalid(f"nbar must be >= 1, got {nbar}")
+    largest = math.isqrt(_graphs.MAX_ADJACENCY_CELLS)
+    if nbar > largest:
+        raise ConfigInvalid(f"nbar must be <= {largest}, got {nbar}")
 
 
 @dataclass(frozen=True)
@@ -198,6 +222,8 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
     solves of a round run serially, each warm-started from that graph's
     coupling of the previous round, for at most BARYCENTER_ROUNDS rounds,
     fewer once a round stops lowering the summed objective.
+
+    nbar is checked by `_check_nbar` before anything of its size is allocated.
     """
     graphs = list(graphs)
     if not graphs:
@@ -205,8 +231,7 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
     cfg = cfg or FGWConfig()
     if nbar is None:
         nbar = default_reference_size(graphs)
-    if nbar < 1:
-        raise ConfigInvalid(f"nbar must be >= 1, got {nbar}")
+    _check_nbar(nbar)
     d = graphs[0].feature_dim
     for g in graphs:
         if g.feature_dim != d:

@@ -39,11 +39,21 @@ class LabelDistanceTable:
 
 @dataclass(frozen=True)
 class LabelInformedCost:
-    """Cross cost D-tilde = base LinearFGW block + c * label offsets."""
+    """Cross cost D-tilde = base LinearFGW block + c * label offsets.
+
+    As an array (`np.asarray(cost)`, `np.shape(cost)`) it is `values`, so
+    every consumer of a cost takes this object and a plain matrix alike.
+    """
 
     values: np.ndarray
     base: np.ndarray
     c: float
+
+    def __array__(self, dtype=None, copy=None):
+        # numpy 2 passes `copy`; numpy 1.x passes none and its np.array has no copy=None mode.
+        if copy is None:
+            return np.asarray(self.values, dtype=dtype)
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 def cross_linear_fgw(train: LabeledGraphDataset, val: LabeledGraphDataset,
@@ -137,7 +147,7 @@ def gdd_from_cost(dtilde, w: np.ndarray | None = None,
     loop; the cost itself is built once.
     """
     solver = solver or solve_exact_ot
-    values = dtilde.values if isinstance(dtilde, LabelInformedCost) else np.asarray(dtilde)
+    values = np.asarray(dtilde)
     n, m = values.shape
     if w is None:
         w = np.full(n, 1.0 / n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid
-from .gdd import LabelInformedCost, OTSolver, gdd_from_cost
+from .gdd import OTSolver, gdd_from_cost
 from .ot import calibrate_duals
 
 _SNAP_EPS = 1e-9
@@ -29,6 +29,16 @@ def _snap(x: float) -> float:
 def floor_budget(n: int, tau: float) -> int:
     """The sparsity budget floor(n * tau)."""
     return int(math.floor(_snap(n * tau)))
+
+
+def _selection_budget(n: int, tau: float) -> int:
+    """floor(n * tau) for a tau in (0, 1]; a budget of zero is a ConfigInvalid."""
+    if not 0.0 < tau <= 1.0:
+        raise ConfigInvalid(f"tau must be in (0, 1], got {tau}")
+    budget = floor_budget(n, tau)
+    if budget < 1:
+        raise ConfigInvalid(f"floor({n} * {tau}) = 0; nothing would be selected")
+    return budget
 
 
 def validate_weights(w: np.ndarray, budget: int | None = None) -> np.ndarray:
@@ -127,17 +137,13 @@ def great_select(dtilde, tau: float, T: int, eta: float,
     to their top-k support are restored and the event is recorded on the
     trace.
     """
-    values = dtilde.values if isinstance(dtilde, LabelInformedCost) else np.asarray(dtilde)
+    values = np.asarray(dtilde)
     n = values.shape[0]
-    if not 0.0 < tau <= 1.0:
-        raise ConfigInvalid(f"tau must be in (0, 1], got {tau}")
+    budget = _selection_budget(n, tau)
     if T < 2:
         raise ConfigInvalid(f"T must be >= 2, got {T}")
     if not (math.isfinite(eta) and eta >= 0):
         raise ConfigInvalid(f"eta must be finite and >= 0, got {eta}")
-    budget = floor_budget(n, tau)
-    if budget < 1:
-        raise ConfigInvalid(f"floor(n * tau) = {budget}; nothing would be selected")
 
     w = np.full(n, 1.0 / n)
     records: list[GreatIteration] = []

@@ -371,12 +371,8 @@ def load_dataset(path, cache_dir=None) -> LabeledGraphDataset:
         return load_dataset_json(path)
     data = path.read_bytes()
     key = {"entry": DATASET_ENTRY, "sha256": hashlib.sha256(data).hexdigest()}
-    entry = Path(cache_dir) / cache_file_name("DS", key)
-    if entry.exists():
-        return _load_dataset_entry(entry, key)
-    dataset = _dataset_from_json(path, data)
-    _save_dataset_entry(entry, dataset, key)
-    return dataset
+    return _cached(cache_dir, "DS", key, lambda: _dataset_from_json(path, data),
+                   _load_dataset_entry, _save_dataset_entry)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +548,24 @@ def load_selection(path, expected_hash: str | None = None, force: bool = False):
 
 def cache_file_name(kind: str, key: dict) -> str:
     return f"{kind}-{config_hash(key)[:20]}.gdd"
+
+
+def _cached(cache_dir, kind: str, key: dict, compute, load=None, save=None):
+    """`compute()`, read from or written to the `kind` entry of `key` under `cache_dir`.
+
+    Without `cache_dir` this is `compute()`. An entry that exists is read
+    with `load(path, key)`; otherwise `compute()` runs and `save(path, value,
+    key)` writes its result. Both default to the matrix entry functions,
+    looked up on this module at call time.
+    """
+    if cache_dir is None:
+        return compute()
+    path = Path(cache_dir) / cache_file_name(kind, key)
+    if path.exists():
+        return (load or load_matrix_cache)(path, key)
+    value = compute()
+    (save or save_matrix_cache)(path, value, key)
+    return value
 
 
 def _save_entry(path, sizes: dict, key: dict, payload: bytes) -> None:

@@ -493,7 +493,8 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
     Zero-mass atoms are dropped before the sweeps and re-inserted after.
     Raises ValueError unless epsilon is positive and finite, and
     NonConvergence when the marginal violation still exceeds `tol` after
-    `max_iter` sweeps.
+    `max_iter` sweeps, or when the returned plan's column sums miss q by
+    more than `tol` (a small epsilon can saturate the sweeps' stopping test).
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -524,6 +525,14 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
         )
 
     pi = np.exp((f[:, None] + g[None, :] - sub) / epsilon + logp[:, None] + logq[None, :])
+    # The stopping test reads only the row sums. Once (g - C) / eps
+    # saturates `_logsumexp`, f stops moving and the test reads 0 while the
+    # columns are still off, so they are checked once, here.
+    column_err = np.abs(pi.sum(axis=0) - qs).max()
+    if column_err > tol:
+        raise NonConvergence(
+            f"sinkhorn plan misses the target marginal by {column_err:.3e} > {tol:.3e}"
+        )
     coupling = _scatter(pi, (keep_i, keep_j), cost.shape)
     beta = _scatter(f, (keep_i,), len(p))
     psi = _scatter(g, (keep_j,), len(q))

@@ -11,16 +11,15 @@ import hashlib
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from . import io
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset, SchemaError
-from .fgw import FGWConfig, default_reference_size
+from .fgw import FGWConfig, _check_nbar, _checked_seed, default_reference_size
 from .gdd import LabelInformedCost, cross_linear_fgw, label_informed_cost
 from .graphs import LabeledGraphDataset, concat_datasets
-from .great import GreatTrace, floor_budget, gdd_gradient, great_select
+from .great import GreatTrace, _selection_budget, gdd_gradient, great_select
 from .io import dataset_hash
 from .ot import TransportSolution, _checked_problem, solve_exact_ot, solve_sinkhorn
 
@@ -38,6 +37,9 @@ class SelectionConfig:
 
     Without validation labels, use c = 0: the cost then reads no label.
     The FGW solves stop at the `fgw` module's FW_MAX_ITER and FW_TOL.
+    seed must be a nonnegative integer, and nbar, when given, at least 1 and
+    small enough that the reference's dense adjacency stays within
+    `graphs.MAX_ADJACENCY_CELLS`.
     """
 
     tau: float
@@ -53,11 +55,12 @@ class SelectionConfig:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise ConfigInvalid(f"tau must be in (0, 1], got {self.tau}")
-        self.fgw_config()  # checks alpha
+        # Checks alpha and seed, and stores a numpy integer seed as its int.
+        object.__setattr__(self, "seed", self.fgw_config().seed)
         if not (math.isfinite(self.c) and self.c >= 0):
             raise ConfigInvalid(f"c must be finite and >= 0, got {self.c}")
-        if self.nbar is not None and self.nbar < 1:
-            raise ConfigInvalid(f"nbar must be >= 1, got {self.nbar}")
+        if self.nbar is not None:
+            _check_nbar(self.nbar)
         if self.T < 2:
             raise ConfigInvalid(f"T must be >= 2, got {self.T}")
         if not (math.isfinite(self.eta) and self.eta >= 0):
@@ -72,23 +75,31 @@ class SelectionConfig:
     def fgw_config(self) -> FGWConfig:
         return FGWConfig(alpha=self.alpha, seed=self.seed)
 
+    def _solver(self):
+        """The OT solve this config names, and the fields that name it in the OT and D-tilde cache keys.
+
+        Exact solves are `{"solver": "exact"}`. Sinkhorn adds epsilon and
+        `"plan_check"`, which names the check of the returned plan's column
+        sums, so a Sinkhorn entry written without that check is never read.
+        """
+        if self.solver == "sinkhorn":
+            return (partial(solve_sinkhorn, epsilon=self.epsilon),
+                    {"solver": "sinkhorn", "epsilon": self.epsilon, "plan_check": "column-sums"})
+        return solve_exact_ot, {"solver": "exact"}
+
     def ot_solver(self, cache_dir=None):
         """The OT solver this config names, cached under `cache_dir` if one is given.
 
         Without `cache_dir` this is `solve_exact_ot`, or `solve_sinkhorn` at
         `epsilon`. With it, each solve first runs the solver's own input
-        checks, then reads an "OT" cache entry keyed on the solver (and, for
-        Sinkhorn only, epsilon), the entry layout, the cost's shape and
-        float64 bytes, and the indices and values of the positive entries of
-        p and q; a miss solves and writes the entry. The cache keeps no
-        coupling: a miss and a hit alike return the solve's value and duals
-        bit for bit, with `coupling` None.
+        checks, then reads an "OT" cache entry keyed on `_solver`'s fields, the
+        entry layout, the cost's shape and float64 bytes, and the indices
+        and values of the positive entries of p and q; a miss solves and
+        writes the entry. The cache keeps no coupling: a miss and a hit
+        alike return the solve's value and duals bit for bit, with
+        `coupling` None.
         """
-        if self.solver == "sinkhorn":
-            solve = partial(solve_sinkhorn, epsilon=self.epsilon)
-            solver_key = {"solver": "sinkhorn", "epsilon": self.epsilon}
-        else:
-            solve, solver_key = solve_exact_ot, {"solver": "exact"}
+        solve, solver_key = self._solver()
         if cache_dir is None:
             return solve
         return partial(_cached_ot, cache_dir, solver_key, solve)
@@ -118,8 +129,8 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     written to a content-addressed file keyed on exactly the inputs of the
     call that computes it: D on the joint dataset before featurization (the
     featurization is a pure function of it), the train/val shape, the
-    resolved reference size and the FGW config; D-tilde on that key plus c,
-    the OT solver and, for Sinkhorn only, epsilon. At c = 0, D-tilde is D,
+    resolved reference size and the FGW config; D-tilde on that key plus c
+    and the solver fields of `SelectionConfig._solver`. At c = 0, D-tilde is D,
     so only D is cached. The label-table solves of a D-tilde build go
     through the OT cache of `SelectionConfig.ot_solver`, so two values of c
     share them.
@@ -135,27 +146,14 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     nbar = cfg.nbar if cfg.nbar is not None else default_reference_size(joint.graphs)
     key = {"dataset_hash": dataset_hash(joint), "shape": [len(train), len(val)],
            "nbar": nbar, **asdict(fgw_cfg)}
-    D = _cached(cache_dir, "D", key, lambda: cross_linear_fgw(
+    D = io._cached(cache_dir, "D", key, lambda: cross_linear_fgw(
         train, val, cfg=fgw_cfg, nbar=nbar))
     if cfg.c == 0:
         return label_informed_cost(train, val, D, cfg.c)
-    key = {**key, "c": cfg.c, "solver": cfg.solver}
-    if cfg.solver == "sinkhorn":
-        key["epsilon"] = cfg.epsilon
-    values = _cached(cache_dir, "Dtilde", key, lambda: label_informed_cost(
+    key = {**key, "c": cfg.c, **cfg._solver()[1]}
+    values = io._cached(cache_dir, "Dtilde", key, lambda: label_informed_cost(
         train, val, D, cfg.c, cfg.ot_solver(cache_dir)).values)
     return LabelInformedCost(values=values, base=D, c=float(cfg.c))
-
-
-def _cached(cache_dir, kind: str, key: dict, compute) -> np.ndarray:
-    if cache_dir is None:
-        return compute()
-    path = Path(cache_dir) / io.cache_file_name(kind, key)
-    if path.exists():
-        return io.load_matrix_cache(path, key)
-    matrix = compute()
-    io.save_matrix_cache(path, matrix, key)
-    return matrix
 
 
 def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolution:
@@ -179,7 +177,7 @@ def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolut
         sol = solve(cost, p, q)
         return np.concatenate([[sol.value], sol.dual_source, sol.dual_target])[:, None]
 
-    column = _cached(cache_dir, "OT", key, compute).ravel()
+    column = io._cached(cache_dir, "OT", key, compute).ravel()
     if column.size != 1 + n + m:
         raise SchemaError(f"{io.cache_file_name('OT', key)}: malformed OT cache entry")
     return TransportSolution(float(column[0]), None, column[1:1 + n], column[1 + n:])
@@ -192,23 +190,14 @@ def _positive_digest(v: np.ndarray, keep: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _check_budget(n: int, tau: float) -> int:
-    if not 0.0 < tau <= 1.0:
-        raise ConfigInvalid(f"tau must be in (0, 1], got {tau}")
-    budget = floor_budget(n, tau)
-    if budget < 1:
-        raise ConfigInvalid(f"floor({n} * {tau}) = 0; nothing would be selected")
-    return budget
-
-
 def _budget_and_cost(train, val, cfg: SelectionConfig, dtilde, cache_dir):
     """The selection budget, and `dtilde` checked against the splits or built."""
     if len(train) == 0 or len(val) == 0:
         raise EmptyDataset("train and val must both be nonempty")
-    budget = _check_budget(len(train), cfg.tau)
+    budget = _selection_budget(len(train), cfg.tau)
     if dtilde is None:
         return budget, build_cost(train, val, cfg, cache_dir)
-    shape = np.shape(dtilde.values if isinstance(dtilde, LabelInformedCost) else dtilde)
+    shape = np.shape(dtilde)
     if shape != (len(train), len(val)):
         raise DimensionMismatch(f"dtilde has shape {shape}, expected {(len(train), len(val))}")
     return budget, dtilde
@@ -262,11 +251,12 @@ def lava_select(train: LabeledGraphDataset, val: LabeledGraphDataset,
 
 
 def random_select(train: LabeledGraphDataset, tau: float, seed: int) -> SelectionResult:
-    """Uniform sample without replacement of floor(n * tau) indices."""
+    """Uniform sample without replacement of floor(n * tau) indices; seed as for `FGWConfig`."""
     n = len(train)
     if n == 0:
         raise EmptyDataset("train must be nonempty")
-    budget = _check_budget(n, tau)
+    budget = _selection_budget(n, tau)
+    seed = _checked_seed(seed)
     rng = np.random.default_rng(seed)
     indices = sorted(int(i) for i in rng.choice(n, size=budget, replace=False))
     return SelectionResult(

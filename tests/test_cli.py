@@ -103,6 +103,15 @@ class TestSplit:
         assert out == ""
         assert message in err
 
+    def test_tu_directory_missing_a_required_file_exits_2(self, workdir, capsys):
+        (workdir / "tu").mkdir()
+        (workdir / "tu" / "DS_A.txt").write_text("1, 2\n")
+        (workdir / "tu" / "DS_graph_indicator.txt").write_text("1\n1\n")
+        code, out, err = run(capsys, "split", "tu", "--out", "split.json")
+        assert code == 2
+        assert out == ""
+        assert f"error: {Path('tu', 'DS_graph_labels.txt')}:0: required file missing" in err
+
     def test_too_small_dataset_exits_2(self, workdir, capsys):
         write_copies_json(workdir / "tiny.json", n=3)
         code, out, err = run(capsys, "split", "tiny.json", "--out", "s.json")
@@ -477,6 +486,31 @@ class TestGdd:
         assert "nbar must be >= 1, got 0" in err
         assert not (workdir / ".gradate_cache").exists()
 
+    def test_reference_size_over_the_adjacency_bound_exits_2_before_any_work(
+            self, workdir, capsys, monkeypatch):
+        # The bound is made small so that no run asks for the memory of a huge nbar.
+        monkeypatch.setattr("gradate.graphs.MAX_ADJACENCY_CELLS", 64)
+        write_copies_json(workdir / "copies.json")
+        run(capsys, "split", "copies.json", "--out", "split.json")
+        code, out, err = run(capsys, "gdd", "copies.json", "split.json", "--nbar", "9")
+        assert code == 2
+        assert out == ""
+        assert "error: nbar must be <= 8, got 9" in err
+        assert not (workdir / ".gradate_cache").exists()
+
+    def test_unsorted_selection_as_weights_exits_2(self, workdir, capsys):
+        write_two_domain_json(workdir / "ds.json", seed=15)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        run(capsys, "select", "ds.json", "split.json", "--method", "random",
+            "--tau", "0.5", "--seed", "2", "--out", "sel.json")
+        payload = json.loads((workdir / "sel.json").read_text())
+        payload["indices"].reverse()
+        (workdir / "sel.json").write_text(json.dumps(payload))
+        code, out, err = run(capsys, "gdd", "ds.json", "split.json", "--weights", "sel.json")
+        assert code == 2
+        assert out == ""
+        assert "error: selection indices must be sorted ascending" in err
+
     def test_split_of_another_dataset_exits_2(self, workdir, capsys):
         write_two_domain_json(workdir / "ds.json", seed=0)
         write_two_domain_json(workdir / "other.json", seed=99)
@@ -621,6 +655,22 @@ class TestSelect:
         assert out == ""
         assert f"tau must be in (0, 1], got {float(tau)}" in err
         assert not (workdir / "x.json").exists()
+
+    @pytest.mark.parametrize("command", [["select", "--method", "random"],
+                                         ["select", "--method", "gradate"],
+                                         ["select", "--method", "lava"], ["gdd"]],
+                             ids=["random", "gradate", "lava", "gdd"])
+    def test_negative_seed_exits_2_before_any_work(self, workdir, capsys, command):
+        write_two_domain_json(workdir / "ds.json")
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        extra = ["--tau", "0.5", "--out", "x.json"] if command[0] == "select" else []
+        code, out, err = run(capsys, command[0], "ds.json", "split.json", *command[1:],
+                             "--seed", "-1", *extra)
+        assert code == 2
+        assert out == ""
+        assert "error: seed must be a nonnegative integer, got -1" in err
+        assert not (workdir / "x.json").exists()
+        assert not (workdir / ".gradate_cache").exists()
 
     def test_remark_one_alignment_when_val_labels_unavailable(self, workdir, capsys):
         # Without validation labels the run is the label-free one, c = 0.

@@ -5,7 +5,7 @@ from scipy.spatial.distance import cdist
 import gradate.fgw as fgw
 import gradate.ot as ot
 from gradate import AttributedGraph, fgw_barycenter, fgw_distance, solve_exact_ot
-from gradate.errors import DimensionMismatch, EmptyDataset
+from gradate.errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from gradate.fgw import FGWConfig, default_reference_size
 from gradate.graphs import _graphs_from_arrays
 
@@ -267,6 +267,15 @@ class TestBarycenter:
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDataset):
             fgw_barycenter([], nbar=3)
+
+    def test_a_reference_size_out_of_bounds_is_refused_before_any_work(self, rng, monkeypatch):
+        monkeypatch.setattr("gradate.graphs.MAX_ADJACENCY_CELLS", 64)
+        monkeypatch.setattr(fgw.np.random, "default_rng", None)  # any work would fail on this
+        graphs = [random_graph(rng, n_nodes=4)]
+        with pytest.raises(ConfigInvalid, match="nbar must be >= 1, got 0"):
+            fgw_barycenter(graphs, nbar=0)
+        with pytest.raises(ConfigInvalid, match="nbar must be <= 8, got 9"):
+            fgw_barycenter(graphs, nbar=9)
 
     def test_default_reference_size_is_median_rounded_up(self, rng):
         sizes = [3, 5, 9]

@@ -66,6 +66,33 @@ class TestLabelInformedCost:
         assert np.array_equal(dtilde.values, D)
         assert np.array_equal(dtilde.base, D)
 
+    def test_as_an_array_it_is_its_values(self, rng):
+        train = labeled(rng, [0, 1, 0])
+        val = labeled(rng, [1, 0])
+        dtilde = label_informed_cost(train, val, rng.random((3, 2)), c=1.0)
+        assert np.asarray(dtilde) is dtilde.values
+        assert np.shape(dtilde) == (3, 2)
+        as_float32 = np.asarray(dtilde, dtype=np.float32)
+        assert as_float32.dtype == np.float32
+        assert np.array_equal(as_float32, dtilde.values.astype(np.float32))
+        copied = np.array(dtilde, copy=True)
+        assert copied is not dtilde.values and np.array_equal(copied, dtilde.values)
+        # numpy 1.x calls the protocol without `copy`.
+        assert dtilde.__array__() is dtilde.values
+        assert dtilde.__array__(np.float32).dtype == np.float32
+        # Every solve takes the object and its values alike.
+        assert gdd_from_cost(dtilde)[0] == gdd_from_cost(dtilde.values)[0]
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy passes `copy` to `__array__` from 2.0 on")
+    def test_a_copy_it_cannot_avoid_is_refused(self, rng):
+        train = labeled(rng, [0, 1, 0])
+        val = labeled(rng, [1, 0])
+        dtilde = label_informed_cost(train, val, rng.random((3, 2)), c=1.0)
+        assert np.asarray(dtilde, copy=False) is dtilde.values
+        with pytest.raises(ValueError):
+            np.asarray(dtilde, dtype=np.float32, copy=False)
+
     @pytest.mark.parametrize("c", [np.nan, np.inf])
     def test_non_finite_c_is_rejected(self, rng, c):
         train = labeled(rng, [0, 1, 0])

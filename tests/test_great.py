@@ -175,6 +175,11 @@ class TestGreatSelect:
         with pytest.raises(ConfigInvalid):
             great_select(rng.random((3, 2)), tau=0.2, T=5, eta=0.1)
 
+    def test_a_zero_budget_names_n_and_tau(self, rng):
+        # The message every selector gives, great_select called directly too.
+        with pytest.raises(ConfigInvalid, match=r"floor\(3 \* 0\.2\) = 0; nothing would be selected"):
+            great_select(rng.random((3, 2)), tau=0.2, T=5, eta=0.1)
+
     def test_validate_weights_rejects_nan(self):
         with pytest.raises(ConfigInvalid, match="finite"):
             validate_weights([np.nan, 0.5, 0.5])

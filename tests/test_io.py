@@ -112,6 +112,32 @@ class TestTuLoader:
         io.save_dataset_json(ds, tmp_path / "ds.json")
         assert io.dataset_hash(io.load_dataset_json(tmp_path / "ds.json")) == io.dataset_hash(ds)
 
+    @pytest.mark.parametrize("files, fault, where, message", [
+        ({"indicator": ("1", "x", "2")}, None, ("graph_indicator", 2), "bad graph id 'x'"),
+        ({}, "no-edge-file", (None, 0), "no *_A.txt edge file found"),
+        ({}, "no-indicator", ("graph_indicator", 0), "required file missing"),
+        ({"indicator": (), "labels": ()}, None, ("graph_indicator", 0), "no nodes"),
+        ({"edges": (("1", "x"),)}, None, ("A", 1), "non-integer endpoint in '1, x'"),
+        ({"labels": (1,)}, None, ("graph_labels", 1), "1 labels for 2 graphs"),
+        ({"attributes": ["0.5", "2.0"]}, None, ("node_attributes", 2),
+         "2 attribute rows for 3 nodes"),
+        ({"attributes": ["0.5, 1.0", "2.0", "4.0, 5.0"]}, None, ("node_attributes", 0),
+         "ragged attribute rows: widths [1, 2]"),
+    ], ids=["bad-line", "no-edge-file", "required-file-missing", "no-nodes",
+            "non-integer-endpoint", "label-count", "attribute-row-count", "ragged-attributes"])
+    def test_input_errors_name_the_file_and_line(self, tmp_path, files, fault, where, message):
+        d = write_tu(tmp_path, **files)
+        if fault == "no-edge-file":
+            (d / "DS_A.txt").unlink()
+        elif fault == "no-indicator":
+            (d / "DS_graph_indicator.txt").unlink()
+        suffix, line = where
+        path = d if suffix is None else d / f"DS_{suffix}.txt"
+        with pytest.raises(ParseError) as info:
+            io.load_tudataset(d)
+        assert (info.value.path, info.value.line) == (str(path), line)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
     def test_load_dataset_dispatch(self, tmp_path):
         d = write_tu(tmp_path)
         ds = io.load_dataset(d)
@@ -706,6 +732,29 @@ class TestSelectionPersistence:
             path.write_text(json.dumps({**payload, field: None}))
             with pytest.raises(SchemaError, match=f"{field} must be a list"):
                 io.load_selection(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda payload: payload.pop("created_at"),
+         "selection JSON missing fields ['created_at']"),
+        (lambda payload: payload.update(indices=[-1, 0, 1, 2]),
+         "selection indices must be nonnegative"),
+        (lambda payload: payload["indices"].reverse(), "selection indices must be sorted ascending"),
+        (lambda payload: payload["weights"].pop(), "weights and indices differ in length"),
+    ], ids=["missing-field", "negative-index", "unsorted", "length-mismatch"])
+    def test_malformed_selection_names_its_fault(self, tmp_path, result, edit, message):
+        path = tmp_path / "sel.json"
+        io.save_selection(result, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            io.load_selection(path)
+
+    def test_selection_that_is_no_object_names_the_file(self, tmp_path):
+        path = tmp_path / "sel.json"
+        path.write_text("[0.5, 0.5]")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: selection JSON must be an object")):
+            io.load_selection(path)
 
     def test_hash_mismatch_without_force(self, tmp_path, result):
         path = tmp_path / "sel.json"

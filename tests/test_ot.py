@@ -534,6 +534,15 @@ class TestSinkhorn:
         assert np.array_equal(sol.dual_target[cols], reduced.dual_target)
         assert np.isfinite(sol.dual_source).all() and np.isfinite(sol.dual_target).all()
 
+    @pytest.mark.parametrize("epsilon", [1e-30, 1e-17, 1e-13])
+    def test_a_plan_whose_columns_miss_q_raises(self, epsilon):
+        # The exact optimum is 5.25. At these epsilons (g - C) / eps saturates
+        # the f-update, so the row-sum stopping test reads 0 while the columns
+        # miss q. Unchecked, the plan at 1e-17 is infeasible and its value 4.25.
+        cost = np.array([[6.7, 6.5], [6.2, 3.8]])
+        with pytest.raises(NonConvergence, match="misses the target marginal"):
+            solve_sinkhorn(cost, _uniform(2), _uniform(2), epsilon)
+
 
 class TestLogsumexp:
     """Sinkhorn's log-sum-exp against `scipy.special.logsumexp`, bit for bit."""

@@ -67,6 +67,35 @@ class TestSelectionConfig:
             with pytest.raises(ConfigInvalid, match="epsilon must be finite"):
                 SelectionConfig(tau=0.5, solver=solver, epsilon=bad)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", True, None])
+    def test_a_seed_that_is_no_nonnegative_integer_is_rejected(self, seed):
+        # numpy's default_rng refuses these; the config refuses them first.
+        with pytest.raises(ConfigInvalid, match="seed must be a nonnegative integer"):
+            FGWConfig(seed=seed)
+        with pytest.raises(ConfigInvalid, match="seed must be a nonnegative integer"):
+            SelectionConfig(tau=0.5, seed=seed)
+
+    def test_a_numpy_integer_seed_is_its_int(self, tmp_path):
+        cfg = SelectionConfig(tau=0.5, c=1.0, seed=np.int64(3))
+        assert type(cfg.seed) is int and type(cfg.fgw_config().seed) is int
+        assert cfg == SelectionConfig(tau=0.5, c=1.0, seed=3)
+        # It enters the cache keys as the int does.
+        rng = np.random.default_rng(17)
+        train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
+        build_cost(train, val, SelectionConfig(tau=0.5, c=1.0, seed=3), cache_dir=tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        build_cost(train, val, cfg, cache_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        seeded = random_select(train, 0.5, np.int64(3))
+        assert type(seeded.provenance["config"]["seed"]) is int
+        assert seeded == random_select(train, 0.5, 3)
+
+    def test_a_reference_size_over_the_adjacency_bound_is_rejected(self, monkeypatch):
+        monkeypatch.setattr("gradate.graphs.MAX_ADJACENCY_CELLS", 64)
+        SelectionConfig(tau=0.5, nbar=8)
+        with pytest.raises(ConfigInvalid, match="nbar must be <= 8, got 9"):
+            SelectionConfig(tau=0.5, nbar=9)
+
 
 class TestBuildCost:
     def test_cached_cost_is_bit_identical_to_a_cold_build(self, tmp_path, monkeypatch):
@@ -139,7 +168,8 @@ class TestBuildCost:
         d_key = ("alpha", "dataset_hash", "nbar", "seed", "shape")
         assert key_fields("D") == {d_key}
         assert key_fields("Dtilde") == {tuple(sorted(d_key + ("c", "solver"))),
-                                        tuple(sorted(d_key + ("c", "solver", "epsilon")))}
+                                        tuple(sorted(d_key + ("c", "solver", "epsilon",
+                                                              "plan_check")))}
 
     def test_exact_dtilde_is_shared_across_epsilons(self, tmp_path, monkeypatch):
         # The exact solver never reads epsilon, so it is not in the key.
@@ -255,6 +285,27 @@ class TestOtCache:
         assert bits(cached(cost, p, q)) == bits(sol)
         assert len(list(tmp_path.glob("OT-*.gdd"))) == 2
 
+    @pytest.mark.parametrize("kind", ["OT", "Dtilde"])
+    def test_a_sinkhorn_entry_written_before_the_column_check_is_never_read(self, tmp_path,
+                                                                           kind):
+        # Such an entry's key had no "plan_check" field. Its bytes may hold a
+        # plan that missed q, so it must miss; here it holds a marked value.
+        rng = np.random.default_rng(20)
+        train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
+        cfg = SelectionConfig(tau=0.5, c=1.0, solver="sinkhorn", epsilon=2.0)
+        (tmp_path / "cold").mkdir()
+        cold = build_cost(train, val, cfg, cache_dir=tmp_path / "cold")
+        lava_select(train, val, cfg, dtilde=cold, cache_dir=tmp_path / "cold")
+        for path in (tmp_path / "cold").glob(f"{kind}-*.gdd"):
+            key, payload = entry(path)
+            key.pop("plan_check", None)
+            old = np.full_like(payload, 7.0).reshape(-1, 1 if kind == "OT" else len(val))
+            io.save_matrix_cache(tmp_path / io.cache_file_name(kind, key), old, key)
+        warm = build_cost(train, val, cfg, cache_dir=tmp_path)
+        assert np.array_equal(warm.values, cold.values)
+        assert lava_select(train, val, cfg, dtilde=warm, cache_dir=tmp_path) \
+            == lava_select(train, val, cfg, dtilde=cold)
+
     @pytest.mark.parametrize("tail", [[0.0], [2.5, 0.5], [12.0, 0.5], [np.nan, 0.5]],
                              ids=["odd-length", "fractional-cell", "cell-outside", "nan-cell"])
     def test_an_entry_that_is_no_solution_is_a_schema_error(self, tmp_path, tail):
@@ -317,7 +368,7 @@ class TestOtCache:
                         cache_dir=tmp_path)
         keys = {tuple(sorted(entry(path)[0])) for path in tmp_path.glob("OT-*.gdd")}
         base = ("cost", "entry", "p", "q", "shape", "solver")
-        assert keys == {base, tuple(sorted(base + ("epsilon",)))}
+        assert keys == {base, tuple(sorted(base + ("epsilon", "plan_check")))}
 
     def test_two_values_of_c_share_the_label_table_solves(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(19)
@@ -505,6 +556,12 @@ class TestRandom:
         train = LabeledGraphDataset([random_graph(rng) for _ in range(9)], [0] * 9)
         with pytest.raises(ConfigInvalid, match=r"tau must be in \(0, 1\]"):
             random_select(train, tau, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, None])
+    def test_a_seed_that_is_no_nonnegative_integer_is_rejected(self, rng, seed):
+        train = LabeledGraphDataset([random_graph(rng) for _ in range(9)], [0] * 9)
+        with pytest.raises(ConfigInvalid, match="seed must be a nonnegative integer"):
+            random_select(train, 0.5, seed)
 
 
 class TestResultSchema:
