@@ -7,13 +7,16 @@ solve the linear OT subproblem exactly, and take the closed-form line-search
 step of the quadratic objective. The barycenter solver alternates coupling
 solves with closed-form feature/structure updates.
 
-The linear subproblem is solved by `ot._lp_vertex`; the `ot` module
-docstring describes its paths, which agree to rounding wherever both answer.
+The linear subproblem is solved by the step `ot._linear_step` plans once
+per solve; the `ot` module docstring describes its paths, which agree to
+rounding wherever both answer.
 
 Both terms use the squared loss, the only one for which the barycenter
 updates and the LinearFGW embeddings built on these couplings are closed
 forms. The structure gradient is then the factored contraction
-constC - A1 @ T @ (2 A2), which costs O(n^2 m + n m^2).
+constC - A1 @ T @ (2 A2), which costs O(n^2 m + n m^2). Each iterate's
+contraction is computed once and serves both its objective value and the
+next gradient.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy.random  # noqa: F401
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from . import graphs as _graphs
 from .graphs import AttributedGraph
-from .ot import _lp_vertex, _scipy_extension
+from .ot import _linear_step, _scipy_extension
 
 # `scipy.spatial.distance.cdist(X, Y)` dispatches to this compiled function
 # for its default "euclidean" metric, so results keep cdist's bits.
@@ -101,7 +104,7 @@ class _QuadObjective:
 
     F holds (1 - alpha) times the squared feature distances and
     L[i, j, k, l] = (A1[i, k] - A2[j, l])**2; L is only ever applied in
-    the factored form of `_contract`.
+    the factored form of `contract`.
     """
 
     def __init__(self, g1: AttributedGraph, g2: AttributedGraph, cfg: FGWConfig):
@@ -113,25 +116,23 @@ class _QuadObjective:
         self.q = g2.node_weights
         A1, A2 = g1.adjacency, g2.adjacency
         # Featureless graphs carry no Wasserstein term; alpha degenerates to 1.
-        alpha = 1.0 if g1.feature_dim == 0 else cfg.alpha
-        self.alpha = alpha
-        if g1.feature_dim:
-            self.F = (1.0 - alpha) * _cdist(g1.features, g2.features) ** 2
-        else:
-            self.F = np.zeros((g1.n_nodes, g2.n_nodes))
+        self.alpha = alpha = 1.0 if g1.feature_dim == 0 else cfg.alpha
+        self.F = ((1.0 - alpha) * _cdist(g1.features, g2.features) ** 2 if g1.feature_dim
+                  else np.zeros((g1.n_nodes, g2.n_nodes)))
         self.constC = np.add.outer((A1 ** 2) @ self.p, (A2 ** 2) @ self.q)
-        self.hC1 = A1
-        self.hC2 = 2.0 * A2
+        self.hC1, self.hC2 = A1, 2.0 * A2
 
-    def _contract(self, T: np.ndarray) -> np.ndarray:
+    def contract(self, T: np.ndarray) -> np.ndarray:
         """(L x T)[i, j] = sum_kl L[i, j, k, l] T[k, l] for a true coupling T."""
         return self.constC - self.hC1 @ T @ self.hC2
 
-    def value(self, T: np.ndarray) -> float:
-        return float(np.sum(self.F * T) + self.alpha * np.sum(self._contract(T) * T))
+    def value(self, T: np.ndarray, LT: np.ndarray) -> float:
+        """E(T), given its contraction LT = `contract(T)`."""
+        return float((self.F * T).sum() + self.alpha * (LT * T).sum())
 
-    def gradient(self, T: np.ndarray) -> np.ndarray:
-        return self.F + 2.0 * self.alpha * self._contract(T)
+    def gradient(self, LT: np.ndarray) -> np.ndarray:
+        """The gradient of E at T, given its contraction LT = `contract(T)`."""
+        return self.F + 2.0 * self.alpha * LT
 
     def line_search(self, delta: np.ndarray, grad: np.ndarray) -> float:
         """Exact minimizer of s -> E(T + s * delta) over [0, 1].
@@ -140,10 +141,10 @@ class _QuadObjective:
         quadratic coefficient needs only the cross term of the structure
         tensor.
         """
-        b = float(np.sum(grad * delta))
-        a = -self.alpha * float(np.sum((self.hC1 @ delta @ self.hC2) * delta))
+        b = float((grad * delta).sum())
+        a = -self.alpha * float(((self.hC1 @ delta @ self.hC2) * delta).sum())
         if a > 0:
-            return float(np.clip(-b / (2.0 * a), 0.0, 1.0))
+            return min(max(-b / (2.0 * a), 0.0), 1.0)
         return 1.0 if a + b < 0 else 0.0
 
 
@@ -158,17 +159,18 @@ def _check_coupling(T, p, q):
 
 
 def _frank_wolfe(obj: _QuadObjective, T: np.ndarray):
-    curve = [obj.value(T)]
+    linear_step = _linear_step(obj.p, obj.q)
+    LT = obj.contract(T)
+    curve = [obj.value(T, LT)]
     for _ in range(FW_MAX_ITER):
-        grad = obj.gradient(T)
-        vertex = _lp_vertex(grad, obj.p, obj.q)
-        delta = vertex - T
+        grad = obj.gradient(LT)
+        delta = linear_step(grad) - T
         step = obj.line_search(delta, grad)
         if step > 0.0:
             T = T + step * delta
-        curve.append(obj.value(T))
-        drop = curve[-2] - curve[-1]
-        if step == 0.0 or drop <= FW_TOL * max(abs(curve[-2]), 1e-16):
+            LT = obj.contract(T)
+        curve.append(obj.value(T, LT))
+        if step == 0.0 or curve[-2] - curve[-1] <= FW_TOL * max(abs(curve[-2]), 1e-16):
             return T, curve, True
     return T, curve, False
 

@@ -516,7 +516,10 @@ def load_selection(path, expected_hash: str | None = None, force: bool = False):
     payload = _read_json(path)
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: selection JSON must be an object")
-    _validate_selection_payload(payload)
+    try:
+        _validate_selection_payload(payload)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     stored = payload["dataset_hash"]
     if expected_hash is not None and stored != expected_hash:
         if not force:

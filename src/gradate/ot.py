@@ -11,13 +11,14 @@ Every solve checks its cost and marginals in one place, `_checked_problem`,
 solves on the atoms of positive mass only, and `_scatter`s the result back
 to full length. There are three solve paths:
 
-- The FGW linear step, `_lp_vertex`, reads only a coupling. For uniform
-  weights with lcm(n, m) <= `_ASSIGNMENT_MAX_LCM` it is an assignment
-  problem, whose coupling is used only when `_unique_uniform_vertex`
+- The FGW linear step reads only a coupling. `_linear_step(p, q)` plans it
+  once per FGW solve and returns the function each iterate calls. For
+  uniform weights with lcm(n, m) <= `_ASSIGNMENT_MAX_LCM` it is an
+  assignment problem, whose coupling is used only when the planned step
   certifies it to be the unique optimum, and so the LP's vertex. Otherwise,
-  ties included, it is one full HiGHS LP (`_solve_transport_lp`) and never a
+  ties included, it is one full HiGHS LP (`_full_lp_vertex`) and never a
   grown support, so its couplings, and so D, keep `linprog`'s bits at every
-  size.
+  size. `_lp_vertex(cost, p, q)` is one such step.
 - The outer, `gdd` and label-table solves, `solve_exact_ot`, return the
   coupling and duals. From `_GROWN_MIN_CELLS` cells on they first try a
   support grown by violated reduced costs, `_certified_grown_lp`, whose
@@ -207,17 +208,16 @@ def solve_exact_ot(cost, p, q) -> TransportSolution:
 
 
 def _lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """An optimal vertex of the FGW linear step's OT problem; `cost` may be signed.
+    """An optimal vertex of the FGW linear step's OT problem: `_linear_step(p, q)(cost)`."""
+    return _linear_step(p, q)(cost)
 
-    The certified assignment (`_unique_uniform_vertex`) when it answers,
-    otherwise one full HiGHS LP on the positive atoms, whose vertex on a tie
-    is its own pick; never the grown support. Where the assignment answers,
-    the LP gives the same coupling to rounding. The step reads only the
-    coupling, so no duals are built.
+
+def _full_lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The vertex of one full HiGHS LP on the positive atoms; `cost` may be signed.
+
+    On a tie the vertex is HiGHS's own pick; never the grown support. The
+    step reads only the coupling, so no duals are built.
     """
-    vertex = _unique_uniform_vertex(cost, p, q)
-    if vertex is not None:
-        return vertex
     lo = cost.min()
     if lo < 0:
         cost = cost - lo
@@ -380,7 +380,7 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     if (np.count_nonzero(support) != n + m - 1
             or x[support].min() <= _CERTIFICATE_MARGIN
             or reduced.ravel()[~support].min(initial=np.inf) <= _CERTIFICATE_MARGIN
-            or not _is_forest(support.reshape(n, m))):
+            or not _is_forest(np.flatnonzero(support), n, m)):
         return None
     return x, duals, highs.getInfo().objective_function_value
 
@@ -409,15 +409,14 @@ def _north_west_corner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 _ASSIGNMENT_MAX_LCM = 126
 
 
-def _unique_uniform_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """The optimal coupling of uniform OT by assignment, if provably unique.
+def _linear_step(p: np.ndarray, q: np.ndarray):
+    """The FGW linear step for weights p, q: maps a signed float64 cost to an optimal vertex.
 
-    `cost` may be signed. With uniform p (n atoms) and q (m atoms), repeating
-    each row L/n times and each column L/m times (L = lcm(n, m)) turns the
-    transportation LP into an L x L assignment whose block counts / L are an
-    optimal vertex. That vertex is returned only when it is certified to be
-    the unique LP optimum, so that it agrees with the full LP's vertex to
-    rounding:
+    With uniform p (n atoms) and q (m atoms), repeating each row L/n times
+    and each column L/m times (L = lcm(n, m)) turns the transportation LP
+    into an L x L assignment whose block counts / L are an optimal vertex.
+    That vertex is returned only when it is certified to be the unique LP
+    optimum, so that it agrees with the full LP's vertex to rounding:
 
     - its support is a forest, so no other plan lives on the same support;
     - raising every support cell by delta = `_CERTIFICATE_MARGIN` *
@@ -426,57 +425,61 @@ def _unique_uniform_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
       above HiGHS's 1e-7 dual tolerance, so near-ties are left to the LP as
       well.
 
-    Returns None (the caller solves the LP) for non-uniform weights, an lcm
-    above `_ASSIGNMENT_MAX_LCM`, a support with a cycle, or a (near-)tie,
-    such as two equal rows or columns.
+    Every other cost goes to `_full_lp_vertex`: non-uniform weights or an
+    lcm above `_ASSIGNMENT_MAX_LCM` (decided here, once), a support with a
+    cycle, or a (near-)tie, such as two equal rows or columns. What depends
+    only on p and q is computed here, once per FGW solve: the expansion as
+    one flat gather index into the cost, the flat index of each expanded
+    row's first cell, and which equal-row checks can find a tie.
     """
-    n, m = cost.shape
-    if np.any(p != p[0]) or np.any(q != q[0]):
-        return None
+    n, m = len(p), len(q)
     L = math.lcm(n, m)
-    if L > _ASSIGNMENT_MAX_LCM:
-        return None
+    if L > _ASSIGNMENT_MAX_LCM or not ((p == p[0]).all() and (q == q[0]).all()):
+        return lambda cost: _full_lp_vertex(cost, p, q)
+    row_base = np.arange(L) // (L // n) * m  # flat cell (i, 0) of expanded row r
+    col_of = np.arange(L) // (L // m)  # column j of expanded column c
+    index = row_base[:, None] + col_of
+    row_start = np.arange(0, L * L, L)  # flat index of each expanded row's first cell
     # Two equal rows of a uniform problem can trade their mass, so a unique
     # optimum must send both to one column alone, which needs 1/m >= 2/n:
     # a tie in every other case, found without an assignment. Same for
-    # columns.
-    if (2 * m > n and _has_equal_rows(cost)) or (2 * n > m and _has_equal_rows(cost.T)):
-        return None
-    row_of = np.arange(L) // (L // n)
-    col_of = np.arange(L) // (L // m)
-    expanded = cost[np.ix_(row_of, col_of)]
-    rows, cols = linear_sum_assignment(expanded)
-    counts = np.bincount(row_of * m + col_of[cols], minlength=n * m).reshape(n, m)
-    support = counts > 0
-    if not _is_forest(support):
-        return None
-    delta = _CERTIFICATE_MARGIN * max(1.0, float(np.abs(cost).max()))
-    raised = expanded + delta * support[np.ix_(row_of, col_of)]
-    _, rival = linear_sum_assignment(raised)
-    # Any other plan leaves >= 1 of the L unit masses off the support and so
-    # drops by >= delta when it ties; half of delta is far above the rounding
-    # of an L-term sum.
-    if raised[rows, rival].sum() < raised[rows, cols].sum() - 0.5 * delta:
-        return None
-    return counts / L
+    # columns. Each check is (transposed, bytes per float64 row, rows).
+    tie_checks = [(False, 8 * m, n)] * (2 * m > n) + [(True, 8 * n, m)] * (2 * n > m)
+
+    def step(cost: np.ndarray) -> np.ndarray:
+        for transposed, size, rows in tie_checks:
+            b = (cost.T if transposed else cost).tobytes()
+            if len({b[k:k + size] for k in range(0, len(b), size)}) < rows:
+                return _full_lp_vertex(cost, p, q)
+        expanded = cost.take(index)
+        _, cols = linear_sum_assignment(expanded)
+        assigned = row_start + cols  # flat cells of the expansion
+        counts = np.bincount(index.take(assigned), minlength=n * m)
+        support = counts > 0
+        if not _is_forest(support.nonzero()[0], n, m):
+            return _full_lp_vertex(cost, p, q)
+        delta = _CERTIFICATE_MARGIN * max(1.0, float(np.abs(cost).max()))
+        raised = expanded + delta * support.take(index)
+        _, rival = linear_sum_assignment(raised)
+        # Any other plan leaves >= 1 of the L unit masses off the support
+        # and so drops by >= delta when it ties; half of delta is far above
+        # the rounding of an L-term sum.
+        if raised.take(row_start + rival).sum() < raised.take(assigned).sum() - 0.5 * delta:
+            return _full_lp_vertex(cost, p, q)
+        return counts.reshape(n, m) / L
+
+    return step
 
 
-def _has_equal_rows(a: np.ndarray) -> bool:
-    return len({row.tobytes() for row in a}) < len(a)
-
-
-def _is_forest(support: np.ndarray) -> bool:
-    """Whether the bipartite row-column graph of a boolean matrix is acyclic."""
-    n, m = support.shape
+def _is_forest(cells: np.ndarray, n: int, m: int) -> bool:
+    """Whether the flat cells i * m + j of an (n, m) matrix form an acyclic row-column graph."""
     parent = list(range(n + m))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for i, j in np.argwhere(support).tolist():
-        a, b = root(i), root(n + j)
+    for cell in cells.tolist():
+        a, b = cell // m, n + cell % m
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a == b:
             return False
         parent[a] = b

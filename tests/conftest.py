@@ -84,6 +84,21 @@ def count_full_lps(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def lp_fallbacks(monkeypatch) -> list:
+    """Each cost the planned FGW linear step hands to the full LP, in order.
+
+    The step calls `ot._full_lp_vertex` for every cost its assignment does
+    not certify, so a step that leaves this list as it was answered by the
+    assignment.
+    """
+    costs = []
+    original = ot._full_lp_vertex
+    monkeypatch.setattr(ot, "_full_lp_vertex",
+                        lambda cost, p, q: costs.append(cost) or original(cost, p, q))
+    return costs
+
+
 def shifted_style_dtilde(seed, n=300, m=100, n_classes=3):
     """A label-informed cost shaped like a covariate-shifted split's D-tilde.
 

@@ -1,16 +1,22 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here is deliberately naive: enumeration, finite differences and
-a Sinkhorn loop that tests the coupling it builds, no shared code with the
-solvers under test.
+Everything here is deliberately naive: enumeration, finite differences, a
+Sinkhorn loop that tests the coupling it builds, and the FGW linear step's
+assignment certificate written straight through. They share no code with the
+solvers under test; the certificate reads only the two constants of `ot`
+that define it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
+
+from gradate.ot import _ASSIGNMENT_MAX_LCM, _CERTIFICATE_MARGIN
 
 
 def enumerate_transport_tables(supplies, demands):
@@ -117,3 +123,60 @@ def sinkhorn_coupling_per_sweep(cost, p, q, epsilon, max_iter=10_000, tol=1e-9):
         if err <= tol:
             return f, g, pi, sweep
     return None
+
+
+def unique_uniform_vertex(cost, p, q):
+    """The optimal coupling of uniform OT by assignment, if certified unique; else None.
+
+    The FGW linear step's assignment path written straight through, one
+    fresh expansion per call, as `ot` ran it before the step was planned
+    once per pair: the equal-row and equal-column precheck, the L x L
+    assignment on the lcm expansion, the forest check, and the second
+    assignment with the support raised by delta, which must not find a plan
+    cheaper by 0.5 delta. Returns None where the step must solve the full
+    LP: non-uniform weights, lcm(n, m) above the cap, a tie or a cycle.
+    """
+    n, m = cost.shape
+    if np.any(p != p[0]) or np.any(q != q[0]):
+        return None
+    L = math.lcm(n, m)
+    if L > _ASSIGNMENT_MAX_LCM:
+        return None
+    if (2 * m > n and _has_equal_rows(cost)) or (2 * n > m and _has_equal_rows(cost.T)):
+        return None
+    row_of = np.arange(L) // (L // n)
+    col_of = np.arange(L) // (L // m)
+    expanded = cost[np.ix_(row_of, col_of)]
+    rows, cols = linear_sum_assignment(expanded)
+    counts = np.bincount(row_of * m + col_of[cols], minlength=n * m).reshape(n, m)
+    support = counts > 0
+    if not _is_forest(support):
+        return None
+    delta = _CERTIFICATE_MARGIN * max(1.0, float(np.abs(cost).max()))
+    raised = expanded + delta * support[np.ix_(row_of, col_of)]
+    _, rival = linear_sum_assignment(raised)
+    if raised[rows, rival].sum() < raised[rows, cols].sum() - 0.5 * delta:
+        return None
+    return counts / L
+
+
+def _has_equal_rows(a):
+    return len({row.tobytes() for row in a}) < len(a)
+
+
+def _is_forest(support):
+    """Whether the bipartite row-column graph of a boolean matrix is acyclic."""
+    n, m = support.shape
+    parent = list(range(n + m))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for i, j in np.argwhere(support).tolist():
+        a, b = root(i), root(n + j)
+        if a == b:
+            return False
+        parent[a] = b
+    return True

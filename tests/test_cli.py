@@ -509,7 +509,7 @@ class TestGdd:
         code, out, err = run(capsys, "gdd", "ds.json", "split.json", "--weights", "sel.json")
         assert code == 2
         assert out == ""
-        assert "error: selection indices must be sorted ascending" in err
+        assert "error: sel.json: selection indices must be sorted ascending" in err
 
     def test_split_of_another_dataset_exits_2(self, workdir, capsys):
         write_two_domain_json(workdir / "ds.json", seed=0)

@@ -10,6 +10,7 @@ from gradate.fgw import FGWConfig, default_reference_size
 from gradate.graphs import _graphs_from_arrays
 
 from conftest import count_full_lps, random_graph
+from oracles import unique_uniform_vertex
 
 
 def naive_objective(g1, g2, T, alpha):
@@ -126,42 +127,67 @@ class TestLinearStepPaths:
     """The assignment path of the linear step changes no FGW result."""
 
     @staticmethod
-    def _both_paths(monkeypatch, g1, g2):
-        used = []
-        unique = ot._unique_uniform_vertex
-
-        def counted(cost, p, q):
-            vertex = unique(cost, p, q)
-            used.append(vertex is not None)
-            return vertex
-
-        monkeypatch.setattr(ot, "_unique_uniform_vertex", counted)
+    def _both_paths(monkeypatch, lp_fallbacks, g1, g2):
+        """The run as planned, the run with every step a full LP, and the assigned step count."""
+        lp_fallbacks.clear()
         fast = fgw_distance(g1, g2, FGWConfig(alpha=0.5))
-        monkeypatch.setattr(ot, "_unique_uniform_vertex", lambda cost, p, q: None)
-        slow = fgw_distance(g1, g2, FGWConfig(alpha=0.5))
-        return fast, slow, used
+        assigned = fast.iterations - len(lp_fallbacks)
+        lp_fallbacks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ot, "_ASSIGNMENT_MAX_LCM", 0)  # no lcm qualifies: the LP-only run
+            slow = fgw_distance(g1, g2, FGWConfig(alpha=0.5))
+        assert len(lp_fallbacks) == slow.iterations
+        return fast, slow, assigned
 
-    def test_attributed_pairs_match_the_lp_only_run(self, rng, monkeypatch):
+    def test_attributed_pairs_match_the_lp_only_run(self, rng, monkeypatch, lp_fallbacks):
         assignments = 0
         for _ in range(8):
             g1 = random_graph(rng, n_nodes=int(rng.integers(4, 10)))
             g2 = random_graph(rng, n_nodes=int(rng.integers(4, 10)))
-            fast, slow, used = self._both_paths(monkeypatch, g1, g2)
-            assignments += sum(used)
+            fast, slow, assigned = self._both_paths(monkeypatch, lp_fallbacks, g1, g2)
+            assignments += assigned
             assert fast.iterations == slow.iterations
             assert fast.distance == pytest.approx(slow.distance, rel=1e-12, abs=1e-12)
             assert np.abs(fast.coupling - slow.coupling).max() <= 1e-12
         assert assignments > 0
 
-    def test_tied_featureless_pair_is_bit_identical(self, monkeypatch):
+    def test_tied_featureless_pair_is_bit_identical(self, monkeypatch, lp_fallbacks):
         path = AttributedGraph.from_edges(5, [(i, i + 1) for i in range(4)])
         cycle = AttributedGraph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
-        fast, slow, used = self._both_paths(monkeypatch, path, cycle)
-        assert used and not any(used)
+        fast, slow, assigned = self._both_paths(monkeypatch, lp_fallbacks, path, cycle)
+        assert fast.iterations > 0 and assigned == 0
         assert fast.iterations == slow.iterations
         assert fast.distance == slow.distance
         assert np.array_equal(fast.coupling, slow.coupling)
         assert np.array_equal(fast.objective_curve, slow.objective_curve)
+
+    def test_the_straight_line_reference_gives_the_same_bits(self, rng, monkeypatch,
+                                                             lp_fallbacks):
+        # The step as it ran before it was planned once per pair: the
+        # reference certificate on every iterate, else the full LP.
+        def reference_step(p, q):
+            def step(cost):
+                vertex = unique_uniform_vertex(cost, p, q)
+                return ot._full_lp_vertex(cost, p, q) if vertex is None else vertex
+            return step
+
+        path = AttributedGraph.from_edges(5, [(i, i + 1) for i in range(4)])
+        cycle = AttributedGraph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
+        pairs = [(path, cycle)] + [
+            (random_graph(rng, n_nodes=int(rng.integers(3, 11)), feature_dim=d),
+             random_graph(rng, n_nodes=int(rng.integers(3, 11)), feature_dim=d))
+            for d in (0, 3) for _ in range(6)]
+        steps = 0
+        for g1, g2 in pairs:
+            lp_fallbacks.clear()
+            planned = fgw_distance(g1, g2, FGWConfig(alpha=0.5))
+            steps += planned.iterations - len(lp_fallbacks)
+            with monkeypatch.context() as patch:
+                patch.setattr(fgw, "_linear_step", reference_step)
+                reference = fgw_distance(g1, g2, FGWConfig(alpha=0.5))
+            assert np.array_equal(planned.objective_curve, reference.objective_curve)
+            assert np.array_equal(planned.coupling, reference.coupling)
+        assert steps > 0  # some steps were certified by the assignment
 
     def test_zero_weight_nodes_leave_the_lp_and_change_no_result(self, rng, monkeypatch):
         g, other = random_graph(rng, n_nodes=6), random_graph(rng, n_nodes=5)

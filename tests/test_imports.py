@@ -3,14 +3,17 @@
 gradate calls three compiled scipy functions, and `gradate.ot` loads their
 extension modules without scipy's package `__init__`s, whose imports cost
 most of a process's start-up. Each check runs in a fresh interpreter, since
-this one has scipy's packages loaded already.
+this one has scipy's packages loaded already. The declared version floors
+are checked against what the installed scipy requires.
 """
 
+import importlib.metadata
 import os
 import re
 import subprocess
 import sys
 import textwrap
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -140,3 +143,38 @@ class TestLoaderFailure:
                 print(e.name, "scipy.optimize" in sys.modules)
         """)
         assert out.split() == ["scipy.optimize._linprog", "False"]
+
+
+def _floor(specifier: str) -> tuple[int, ...]:
+    """The version of the `>=` clause of a specifier such as "<2.7,>=1.26.4", as ints."""
+    match = re.search(r">=\s*([0-9][0-9.]*)", specifier)
+    assert match, f"no >= floor in {specifier!r}"
+    return tuple(int(part) for part in match.group(1).rstrip(".").split("."))
+
+
+class TestDeclaredFloors:
+    """pyproject.toml's floors can be installed with the scipy it pins.
+
+    A floor below scipy's own lets pip pick a Python or numpy that the
+    pinned scipy refuses, so no install at that floor exists.
+    """
+
+    @staticmethod
+    def _project() -> dict:
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+            return tomllib.load(f)["project"]
+
+    def test_python_floor_is_not_below_scipys(self):
+        scipy_python = importlib.metadata.metadata("scipy")["Requires-Python"]
+        assert _floor(self._project()["requires-python"]) >= _floor(scipy_python)
+
+    def test_numpy_floor_is_not_below_scipys(self):
+        def numpy_clause(requirements):
+            clauses = [r for r in requirements
+                       if re.match(r"numpy\b", r) and "extra ==" not in r]
+            assert len(clauses) == 1, requirements
+            return clauses[0]
+
+        ours = numpy_clause(self._project()["dependencies"])
+        scipys = numpy_clause(importlib.metadata.requires("scipy"))
+        assert _floor(ours) >= _floor(scipys)

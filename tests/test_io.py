@@ -747,7 +747,7 @@ class TestSelectionPersistence:
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError, match=re.escape(message)):
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
             io.load_selection(path)
 
     def test_selection_that_is_no_object_names_the_file(self, tmp_path):

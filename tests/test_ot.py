@@ -14,14 +14,16 @@ from gradate import (AttributedGraph, LabeledGraphDataset, calibrate_duals,
                      degree_one_hot_features, solve_exact_ot, solve_sinkhorn)
 from gradate.errors import InfeasibleMarginals, NonConvergence, NumericalFailure
 from gradate.fgw import FGWConfig, _QuadObjective
-from gradate.ot import _logsumexp, _lp_vertex, _unique_uniform_vertex, as_cost_matrix
+from gradate.ot import _linear_step, _logsumexp, _lp_vertex, as_cost_matrix
 
+import oracles
 from conftest import count_full_lps, count_lps, shifted_style_dtilde
 from oracles import (
     brute_force_assignment,
     brute_force_ot,
     random_rational_marginal,
     sinkhorn_coupling_per_sweep,
+    unique_uniform_vertex,
 )
 
 
@@ -337,20 +339,27 @@ def _degree_feature_gradient():
     cycle = AttributedGraph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
     g1, g2 = degree_one_hot_features(LabeledGraphDataset([path, cycle], [0, 0])).graphs
     obj = _QuadObjective(g1, g2, FGWConfig())
-    return obj.gradient(np.outer(obj.p, obj.q))
+    return obj.gradient(obj.contract(np.outer(obj.p, obj.q)))
+
+
+def _certified_vertex(lp_fallbacks, cost, p, q):
+    """The planned linear step's vertex of `cost` if its assignment certified it, else None."""
+    lp_fallbacks.clear()
+    vertex = _lp_vertex(cost, p, q)
+    return None if lp_fallbacks else vertex
 
 
 class TestUniformAssignmentVertex:
     """The FGW step's assignment path against the LP and the brute-force oracle."""
 
-    def test_certified_coupling_matches_the_lp_and_the_oracle(self):
+    def test_certified_coupling_matches_the_lp_and_the_oracle(self, lp_fallbacks):
         rng = np.random.default_rng(8)
         certified = oracle_checked = 0
         for _ in range(300):
             n, m = (int(x) for x in rng.integers(1, 13, size=2))
             cost = rng.standard_normal((n, m))  # FW gradients can be negative
             p, q = _uniform(n), _uniform(m)
-            T = _unique_uniform_vertex(cost, p, q)
+            T = _certified_vertex(lp_fallbacks, cost, p, q)
             if T is None:
                 continue
             certified += 1
@@ -363,7 +372,7 @@ class TestUniformAssignmentVertex:
         assert certified >= 290 and oracle_checked >= 10
 
     @pytest.mark.parametrize("name", ["constant", "duplicated_rows", "degree_features"])
-    def test_ties_fall_back_to_the_lp_vertex_bit_for_bit(self, name):
+    def test_ties_fall_back_to_the_lp_vertex_bit_for_bit(self, name, lp_fallbacks):
         rng = np.random.default_rng(3)
         cost = {
             "constant": np.full((4, 6), 0.7),
@@ -371,52 +380,128 @@ class TestUniformAssignmentVertex:
             "degree_features": _degree_feature_gradient(),
         }[name]
         p, q = _uniform(cost.shape[0]), _uniform(cost.shape[1])
-        assert _unique_uniform_vertex(cost, p, q) is None
+        assert _certified_vertex(lp_fallbacks, cost, p, q) is None
         assert np.array_equal(_lp_vertex(cost, p, q), _lp_coupling(cost, p, q))
 
-    def test_integer_costs_take_either_path_with_the_lp_coupling(self, monkeypatch):
+    def test_integer_costs_take_either_path_with_the_lp_coupling(self, monkeypatch,
+                                                                 lp_fallbacks):
         # Small integer costs tie often and in every way: equal rows, a
         # support with a cycle, and tied vertices only the second assignment
-        # finds.
-        forest_checks = []
-        is_forest = ot._is_forest
-
-        def recorded(support):
-            forest_checks.append(is_forest(support))
-            return forest_checks[-1]
-
-        monkeypatch.setattr(ot, "_is_forest", recorded)
+        # finds. Which check refused a cost shows in how many assignments
+        # the step ran before it fell back.
+        assignments = []
+        lsap = ot.linear_sum_assignment
+        monkeypatch.setattr(ot, "linear_sum_assignment",
+                            lambda cost: assignments.append(cost.shape) or lsap(cost))
         rng = np.random.default_rng(5)
         outcomes = set()
         for _ in range(300):
             n, m = (int(x) for x in rng.integers(2, 10, size=2))
             cost = rng.integers(-2, 3, size=(n, m)).astype(float)
             p, q = _uniform(n), _uniform(m)
-            forest_checks.clear()
-            T = _unique_uniform_vertex(cost, p, q)
-            outcomes.add((T is not None, tuple(forest_checks)))
+            assignments.clear()
+            T = _certified_vertex(lp_fallbacks, cost, p, q)
+            outcomes.add((T is not None, len(assignments)))
             ref = _lp_coupling(cost, p, q)
             if T is None:
                 assert np.array_equal(_lp_vertex(cost, p, q), ref)
             else:
                 assert np.abs(T - ref).max() <= 1e-14
         # Accepted; equal rows or columns; a cycle; a tie.
-        assert outcomes == {(True, (True,)), (False, ()), (False, (False,)),
-                            (False, (True,))}
+        assert outcomes == {(True, 2), (False, 0), (False, 1), (False, 2)}
 
-    def test_non_uniform_weights_and_large_lcm_fall_back(self):
+    def test_non_uniform_weights_and_large_lcm_fall_back(self, lp_fallbacks):
         rng = np.random.default_rng(4)
         cost = rng.standard_normal((4, 5))
         p = np.array([0.1, 0.2, 0.3, 0.4])
-        assert _unique_uniform_vertex(cost, p, _uniform(5)) is None
+        assert _certified_vertex(lp_fallbacks, cost, p, _uniform(5)) is None
         assert np.array_equal(_lp_vertex(cost, p, _uniform(5)),
                               _lp_coupling(cost, p, _uniform(5)))
         n, m = 16, 9  # lcm 144
         assert np.lcm(n, m) > ot._ASSIGNMENT_MAX_LCM
         cost = rng.standard_normal((n, m))
-        assert _unique_uniform_vertex(cost, _uniform(n), _uniform(m)) is None
+        assert _certified_vertex(lp_fallbacks, cost, _uniform(n), _uniform(m)) is None
         assert np.lcm(14, m) <= ot._ASSIGNMENT_MAX_LCM  # lcm 126
-        assert _unique_uniform_vertex(cost[:14], _uniform(14), _uniform(m)) is not None
+        assert _certified_vertex(lp_fallbacks, cost[:14], _uniform(14), _uniform(m)) is not None
+
+
+class TestPlannedStepMatchesTheReference:
+    """The linear step planned once per pair against the straight-line `unique_uniform_vertex`.
+
+    Each planned step must return the reference's vertex, bit for bit, and
+    fall back to the full LP exactly where the reference returns None, after
+    as many assignments, so the same check refused the cost.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _spies(self, monkeypatch, lp_fallbacks):
+        self.fallbacks = lp_fallbacks
+        self.assignments = {ot: 0, oracles: 0}
+        for module in self.assignments:
+            def counted(cost, module=module, lsap=module.linear_sum_assignment):
+                self.assignments[module] += 1
+                return lsap(cost)
+            monkeypatch.setattr(module, "linear_sum_assignment", counted)
+
+    def assert_same_decisions(self, costs, p, q) -> int:
+        """Check each cost; return how many of them the assignment certified."""
+        step = _linear_step(p, q)
+        certified = 0
+        for cost in costs:
+            self.fallbacks.clear()
+            self.assignments.update({ot: 0, oracles: 0})
+            vertex = step(cost)
+            expected = unique_uniform_vertex(cost, p, q)
+            assert (expected is None) == bool(self.fallbacks)
+            assert self.assignments[ot] == self.assignments[oracles]
+            if expected is not None:
+                assert np.array_equal(vertex, expected)
+                certified += 1
+        return certified
+
+    def test_random_normal_costs(self):
+        rng = np.random.default_rng(61)
+        certified = 0
+        for _ in range(150):
+            n, m = (int(x) for x in rng.integers(1, 13, size=2))
+            costs = [rng.standard_normal((n, m)) for _ in range(2)]
+            certified += self.assert_same_decisions(costs, _uniform(n), _uniform(m))
+        assert certified >= 280
+
+    def test_small_integer_costs(self):
+        rng = np.random.default_rng(62)
+        certified = 0
+        for _ in range(150):
+            n, m = (int(x) for x in rng.integers(2, 10, size=2))
+            costs = [rng.integers(-2, 3, size=(n, m)).astype(float) for _ in range(2)]
+            certified += self.assert_same_decisions(costs, _uniform(n), _uniform(m))
+        assert 0 < certified < 300
+
+    def test_degree_feature_gradient(self):
+        cost = _degree_feature_gradient()
+        p, q = _uniform(cost.shape[0]), _uniform(cost.shape[1])
+        assert self.assert_same_decisions([cost, -cost, 2.0 * cost], p, q) == 0
+
+    def test_shapes_up_to_the_lcm_cap(self):
+        # Every lcm L from 1 to 126 as (1, L) and as the smallest n < m of
+        # lcm L, both ways round; some squares; then shapes above the cap.
+        rng = np.random.default_rng(63)
+        shapes = {(6, 6), (42, 42), (126, 126), (16, 9), (9, 16), (127, 1), (1, 127)}
+        for L in range(1, ot._ASSIGNMENT_MAX_LCM + 1):
+            smallest = next(((n, m) for m in range(2, L + 1) for n in range(1, m)
+                             if math.lcm(n, m) == L), (1, L))
+            shapes |= {(1, L), (L, 1), smallest, smallest[::-1]}
+        certified = 0
+        for n, m in sorted(shapes):
+            costs = [rng.standard_normal((n, m)), rng.integers(0, 3, size=(n, m)).astype(float)]
+            certified += self.assert_same_decisions(costs, _uniform(n), _uniform(m))
+        assert certified >= len(shapes)  # of 2 * len(shapes) costs
+
+    def test_non_uniform_weights(self):
+        rng = np.random.default_rng(64)
+        p, q = _random_marginal(rng, 5), _uniform(4)
+        costs = [rng.standard_normal((5, 4)) for _ in range(3)]
+        assert self.assert_same_decisions(costs, p, q) == 0
 
 
 class TestSinkhorn:
