@@ -22,6 +22,7 @@ next gradient.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,7 +50,8 @@ BARYCENTER_TOL = 1e-9  # relative decrease of the summed objective that ends the
 class FGWConfig:
     """Solver settings shared by the distance and barycenter routines.
 
-    alpha : trade-off in [0, 1] between features (0) and structure (1).
+    alpha : trade-off in [0, 1] between features (0) and structure (1),
+        stored as a float.
     seed : controls barycenter initialization; a nonnegative integer.
     """
 
@@ -57,6 +59,7 @@ class FGWConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _as_number("alpha", self.alpha, float))
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigInvalid(f"alpha must be in [0, 1], got {self.alpha}")
         object.__setattr__(self, "seed", _checked_seed(self.seed))
@@ -73,14 +76,31 @@ def _checked_seed(seed) -> int:
     return int(seed)
 
 
-def _check_nbar(nbar) -> None:
-    """Refuse a reference size below 1, or one whose dense adjacency would pass
-    `graphs.MAX_ADJACENCY_CELLS` (so above its integer square root, 32,768)."""
+def _as_number(name: str, value, kind: type):
+    """`value` as a Python `kind`, float or int, or ConfigInvalid.
+
+    A float takes any real number, an int only an integer (so not 4.0);
+    neither takes a bool. A numpy scalar becomes the equal Python number, so
+    it enters cache keys and provenance as that number does.
+    """
+    abstract, noun = ((numbers.Integral, "an integer") if kind is int
+                      else (numbers.Real, "a real number"))
+    if isinstance(value, bool) or not isinstance(value, abstract):
+        raise ConfigInvalid(f"{name} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def _checked_nbar(nbar) -> int:
+    """`nbar` as an int; ConfigInvalid unless it is an integer of at least 1 whose dense
+    adjacency stays within `graphs.MAX_ADJACENCY_CELLS` (so at most its integer square
+    root, 32,768)."""
+    nbar = _as_number("nbar", nbar, int)
     if nbar < 1:
         raise ConfigInvalid(f"nbar must be >= 1, got {nbar}")
     largest = math.isqrt(_graphs.MAX_ADJACENCY_CELLS)
     if nbar > largest:
         raise ConfigInvalid(f"nbar must be <= {largest}, got {nbar}")
+    return nbar
 
 
 @dataclass(frozen=True)
@@ -225,7 +245,7 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
     coupling of the previous round, for at most BARYCENTER_ROUNDS rounds,
     fewer once a round stops lowering the summed objective.
 
-    nbar is checked by `_check_nbar` before anything of its size is allocated.
+    nbar is checked by `_checked_nbar` before anything of its size is allocated.
     """
     graphs = list(graphs)
     if not graphs:
@@ -233,7 +253,7 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
     cfg = cfg or FGWConfig()
     if nbar is None:
         nbar = default_reference_size(graphs)
-    _check_nbar(nbar)
+    nbar = _checked_nbar(nbar)
     d = graphs[0].feature_dim
     for g in graphs:
         if g.feature_dim != d:

@@ -7,9 +7,11 @@ log-domain potentials. The exact duals are the gradient carrier used by the
 selection loop, so their feasibility and strong duality are part of the
 contract here, not an afterthought.
 
-Every solve checks its cost and marginals in one place, `_checked_problem`,
-solves on the atoms of positive mass only, and `_scatter`s the result back
-to full length. There are three solve paths:
+Every solve, and the key of the OT cache, starts from one checked problem,
+`_Restricted(cost, p, q)`: it runs the input checks, solves only on the atoms
+of positive mass, lifts the plan back to full length and extends the duals
+to the zero-mass atoms by the solver's own min rule. There are three solve
+paths:
 
 - The FGW linear step reads only a coupling. `_linear_step(p, q)` plans it
   once per FGW solve and returns the function each iterate calls. For
@@ -18,7 +20,7 @@ to full length. There are three solve paths:
   certifies it to be the unique optimum, and so the LP's vertex. Otherwise,
   ties included, it is one full HiGHS LP (`_full_lp_vertex`) and never a
   grown support, so its couplings, and so D, keep `linprog`'s bits at every
-  size. `_lp_vertex(cost, p, q)` is one such step.
+  size.
 - The outer, `gdd` and label-table solves, `solve_exact_ot`, return the
   coupling and duals. From `_GROWN_MIN_CELLS` cells on they first try a
   support grown by violated reduced costs, `_certified_grown_lp`, whose
@@ -55,6 +57,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib.machinery import ExtensionFileLoader, PathFinder
 from importlib.util import module_from_spec
 
@@ -146,26 +149,59 @@ def _check_marginal(v, size: int, name: str) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
-def _checked_problem(cost, p, q):
-    """The checked cost and marginals of a solve, and the indices of their positive atoms.
+class _Restricted:
+    """A checked transport problem, restricted to its atoms of positive mass.
 
-    Returns (cost, p, q, keep_i, keep_j): `as_cost_matrix(cost)`, p and q
-    as `_check_marginal` returns them, and `flatnonzero(p > 0)`,
-    `flatnonzero(q > 0)`. Every solve and the OT cache run these checks
-    here, so each raises the same error for the same input.
+    `cost` is `as_cost_matrix(cost)`, `p` and `q` are as `_check_marginal`
+    returns them, `keep_i` and `keep_j` index their positive atoms and `ps`,
+    `qs` are those masses. Every solve and the OT cache build one, so each
+    raises the same error for the same input. A solve runs on `block`, the
+    cost of the kept rows and columns, which is built on first use, so an
+    OT-cache hit indexes none; `lift` and `extend_duals` return its result
+    at full length.
     """
-    cost = as_cost_matrix(cost)
-    n, m = cost.shape
-    p = _check_marginal(p, n, "source marginal p")
-    q = _check_marginal(q, m, "target marginal q")
-    return cost, p, q, np.flatnonzero(p > 0), np.flatnonzero(q > 0)
 
+    def __init__(self, cost, p, q):
+        self.cost = as_cost_matrix(cost)
+        n, m = self.cost.shape
+        self.p = _check_marginal(p, n, "source marginal p")
+        self.q = _check_marginal(q, m, "target marginal q")
+        self.keep_i, self.keep_j = np.flatnonzero(self.p > 0), np.flatnonzero(self.q > 0)
+        self.ps, self.qs = self.p[self.keep_i], self.q[self.keep_j]
 
-def _scatter(values: np.ndarray, index: tuple, shape) -> np.ndarray:
-    """A solve on the positive atoms at full length: `values` at `np.ix_(*index)`, 0 elsewhere."""
-    full = np.zeros(shape)
-    full[np.ix_(*index)] = values
-    return full
+    @cached_property
+    def block(self) -> np.ndarray:
+        return self.cost[np.ix_(self.keep_i, self.keep_j)]
+
+    def full_lp(self):
+        """`_solve_transport_lp` on the block: its x, row duals and objective."""
+        return _solve_transport_lp(self.block.ravel(), np.concatenate([self.ps, self.qs]),
+                                   *self.block.shape)
+
+    def lift(self, plan: np.ndarray) -> np.ndarray:
+        """A plan on the block, 2-D or flat, at full length: 0 on the zero-mass rows and columns."""
+        full = np.zeros(self.cost.shape)
+        full[np.ix_(self.keep_i, self.keep_j)] = plan.reshape(len(self.ps), len(self.qs))
+        return full
+
+    def extend_duals(self, f: np.ndarray, g: np.ndarray, least):
+        """Full-length duals: f and g on the kept atoms, and each zero-mass atom's tightest value.
+
+        `least(reduced, axis)` is the solver's min rule over the reduced costs
+        `cost - dual` along `axis`: a hard min for the exact LP, the
+        epsilon-soft-min for Sinkhorn. Zero-mass columns are extended first,
+        against the kept rows, then zero-mass rows against all columns, so
+        for the exact LP feasibility holds for every pair.
+        """
+        beta, psi = np.zeros(len(self.p)), np.zeros(len(self.q))
+        beta[self.keep_i], psi[self.keep_j] = f, g
+        drop_j = np.flatnonzero(self.q <= 0)
+        if drop_j.size:
+            psi[drop_j] = least(self.cost[np.ix_(self.keep_i, drop_j)] - beta[self.keep_i, None], 0)
+        drop_i = np.flatnonzero(self.p <= 0)
+        if drop_i.size:
+            beta[drop_i] = least(self.cost[drop_i] - psi, 1)
+        return beta, psi
 
 
 def solve_exact_ot(cost, p, q) -> TransportSolution:
@@ -184,32 +220,11 @@ def solve_exact_ot(cost, p, q) -> TransportSolution:
     sparsified training measure still yields a full-length, feasible dual
     vector.
     """
-    cost, p, q, keep_i, keep_j = _checked_problem(cost, p, q)
-    sub = cost[np.ix_(keep_i, keep_j)]
-    ps, qs = p[keep_i], q[keep_j]
-    ns, ms = sub.shape
-    solved = _certified_grown_lp(sub, ps, qs)
-    if solved is None:
-        solved = _solve_transport_lp(sub.ravel(), np.concatenate([ps, qs]), ns, ms)
-    x, duals, value = solved
-    coupling = _scatter(x.reshape(ns, ms), (keep_i, keep_j), cost.shape)
-    beta = _scatter(duals[:ns], (keep_i,), len(p))
-    psi = _scatter(duals[ns:], (keep_j,), len(q))
-    # Extend duals to zero-mass atoms: columns first against the kept rows,
-    # then rows against all columns, so feasibility holds for every pair.
-    drop_j = np.flatnonzero(q <= 0)
-    if drop_j.size:
-        psi[drop_j] = np.min(cost[np.ix_(keep_i, drop_j)] - beta[keep_i, None], axis=0)
-    drop_i = np.flatnonzero(p <= 0)
-    if drop_i.size:
-        beta[drop_i] = np.min(cost[drop_i] - psi[None, :], axis=1)
-
-    return TransportSolution(value, coupling, beta, psi)
-
-
-def _lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """An optimal vertex of the FGW linear step's OT problem: `_linear_step(p, q)(cost)`."""
-    return _linear_step(p, q)(cost)
+    problem = _Restricted(cost, p, q)
+    solved = _certified_grown_lp(problem.block, problem.ps, problem.qs)
+    x, duals, value = problem.full_lp() if solved is None else solved
+    beta, psi = problem.extend_duals(*np.split(duals, [len(problem.ps)]), np.min)
+    return TransportSolution(value, problem.lift(x), beta, psi)
 
 
 def _full_lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -221,10 +236,8 @@ def _full_lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarra
     lo = cost.min()
     if lo < 0:
         cost = cost - lo
-    cost, p, q, keep_i, keep_j = _checked_problem(cost, p, q)
-    x, _, _ = _solve_transport_lp(cost[np.ix_(keep_i, keep_j)].ravel(),
-                                  np.concatenate([p[keep_i], q[keep_j]]), len(keep_i), len(keep_j))
-    return _scatter(x.reshape(len(keep_i), len(keep_j)), (keep_i, keep_j), cost.shape)
+    problem = _Restricted(cost, p, q)
+    return problem.lift(problem.full_lp()[0])
 
 
 # The HiGHS options `linprog(method="highs-ds")` passes: presolve on, dual
@@ -501,9 +514,8 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    cost, p, q, keep_i, keep_j = _checked_problem(cost, p, q)
-    sub = cost[np.ix_(keep_i, keep_j)]
-    ps, qs = p[keep_i], q[keep_j]
+    problem = _Restricted(cost, p, q)
+    sub, ps, qs = problem.block, problem.ps, problem.qs
     logp, logq = np.log(ps), np.log(qs)
 
     def f_update(g):
@@ -513,7 +525,7 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
     # f_next the next f-update, and after the g-update its column sums are qs
     # to rounding. So the stopping test needs no coupling, and f_next is
     # carried into the next sweep.
-    f_next = f_update(np.zeros(len(keep_j)))
+    f_next = f_update(np.zeros(len(qs)))
     err = np.inf
     for _ in range(max_iter):
         f = f_next
@@ -536,23 +548,15 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
         raise NonConvergence(
             f"sinkhorn plan misses the target marginal by {column_err:.3e} > {tol:.3e}"
         )
-    coupling = _scatter(pi, (keep_i, keep_j), cost.shape)
-    beta = _scatter(f, (keep_i,), len(p))
-    psi = _scatter(g, (keep_j,), len(q))
-    drop_j = np.flatnonzero(q <= 0)
-    if drop_j.size:
-        # Soft-min extension of the potentials to unused atoms.
-        psi[drop_j] = -epsilon * _logsumexp(
-            (beta[keep_i, None] - cost[np.ix_(keep_i, drop_j)]) / epsilon
-            + logp[:, None], axis=0)
-    drop_i = np.flatnonzero(p <= 0)
-    if drop_i.size:
-        beta[drop_i] = -epsilon * _logsumexp(
-            (psi[None, :] - cost[drop_i]) / epsilon
-            + np.log(np.maximum(q[None, :], 1e-300)), axis=1)
 
-    value = float(np.sum(coupling * cost))
-    return TransportSolution(value, coupling, beta, psi)
+    def soft_min(reduced, axis):
+        # Columns weigh the kept rows by p; rows weigh every column by q, 0 as 1e-300.
+        log_w = logp[:, None] if axis == 0 else np.log(np.maximum(problem.q, 1e-300))
+        return -epsilon * _logsumexp(-reduced / epsilon + log_w, axis=axis)
+
+    coupling = problem.lift(pi)
+    beta, psi = problem.extend_duals(f, g, soft_min)
+    return TransportSolution(float(np.sum(coupling * problem.cost)), coupling, beta, psi)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

@@ -16,12 +16,12 @@ import numpy as np
 
 from . import io
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset, SchemaError
-from .fgw import FGWConfig, _check_nbar, _checked_seed, default_reference_size
+from .fgw import FGWConfig, _as_number, _checked_nbar, _checked_seed, default_reference_size
 from .gdd import LabelInformedCost, cross_linear_fgw, label_informed_cost
 from .graphs import LabeledGraphDataset, concat_datasets
 from .great import GreatTrace, _selection_budget, gdd_gradient, great_select
 from .io import dataset_hash
-from .ot import TransportSolution, _checked_problem, solve_exact_ot, solve_sinkhorn
+from .ot import TransportSolution, _Restricted, solve_exact_ot, solve_sinkhorn
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,11 @@ class SelectionConfig:
 
     Without validation labels, use c = 0: the cost then reads no label.
     The FGW solves stop at the `fgw` module's FW_MAX_ITER and FW_TOL.
-    seed must be a nonnegative integer, and nbar, when given, at least 1 and
-    small enough that the reference's dense adjacency stays within
+    T, seed and nbar must be integers and the other numbers real, none a
+    bool; each is stored as a Python int or float, so a numpy scalar or an
+    int c enters cache keys and provenance as the equal Python number. seed
+    must be nonnegative, and nbar, when given, at least 1 and small enough
+    that the reference's dense adjacency stays within
     `graphs.MAX_ADJACENCY_CELLS`.
     """
 
@@ -53,14 +56,18 @@ class SelectionConfig:
     nbar: int | None = None
 
     def __post_init__(self):
+        for name, kind in (("tau", float), ("c", float), ("T", int), ("eta", float),
+                           ("epsilon", float)):
+            object.__setattr__(self, name, _as_number(name, getattr(self, name), kind))
         if not 0.0 < self.tau <= 1.0:
             raise ConfigInvalid(f"tau must be in (0, 1], got {self.tau}")
-        # Checks alpha and seed, and stores a numpy integer seed as its int.
-        object.__setattr__(self, "seed", self.fgw_config().seed)
+        # Checks alpha and seed, and stores them as FGWConfig does.
+        for name, value in asdict(self.fgw_config()).items():
+            object.__setattr__(self, name, value)
         if not (math.isfinite(self.c) and self.c >= 0):
             raise ConfigInvalid(f"c must be finite and >= 0, got {self.c}")
         if self.nbar is not None:
-            _check_nbar(self.nbar)
+            object.__setattr__(self, "nbar", _checked_nbar(self.nbar))
         if self.T < 2:
             raise ConfigInvalid(f"T must be >= 2, got {self.T}")
         if not (math.isfinite(self.eta) and self.eta >= 0):
@@ -167,14 +174,15 @@ def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolut
     `"entry"` field names that layout, so entries that also stored the
     coupling have other file names and miss once.
     """
-    cost, checked_p, checked_q, keep_i, keep_j = _checked_problem(cost, p, q)
-    n, m = cost.shape
+    problem = _Restricted(cost, p, q)
+    n, m = problem.cost.shape
     key = {**solver_key, "entry": "value+duals", "shape": [n, m],
-           "cost": hashlib.sha256(np.ascontiguousarray(cost, dtype="<f8")).hexdigest(),
-           "p": _positive_digest(checked_p, keep_i), "q": _positive_digest(checked_q, keep_j)}
+           "cost": hashlib.sha256(np.ascontiguousarray(problem.cost, dtype="<f8")).hexdigest(),
+           "p": _positive_digest(problem.keep_i, problem.ps),
+           "q": _positive_digest(problem.keep_j, problem.qs)}
 
     def compute():
-        sol = solve(cost, p, q)
+        sol = solve(problem.cost, p, q)
         return np.concatenate([[sol.value], sol.dual_source, sol.dual_target])[:, None]
 
     column = io._cached(cache_dir, "OT", key, compute).ravel()
@@ -183,10 +191,10 @@ def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolut
     return TransportSolution(float(column[0]), None, column[1:1 + n], column[1 + n:])
 
 
-def _positive_digest(v: np.ndarray, keep: np.ndarray) -> str:
-    """sha256 of the indices `keep` of the positive entries of `v`, and of their float64 values."""
+def _positive_digest(keep: np.ndarray, values: np.ndarray) -> str:
+    """sha256 of a marginal's positive-entry indices `keep` and of their float64 `values`."""
     h = hashlib.sha256(keep.astype("<i8").tobytes())
-    h.update(v[keep].astype("<f8").tobytes())
+    h.update(values.astype("<f8").tobytes())
     return h.hexdigest()
 
 
@@ -255,6 +263,7 @@ def random_select(train: LabeledGraphDataset, tau: float, seed: int) -> Selectio
     n = len(train)
     if n == 0:
         raise EmptyDataset("train must be nonempty")
+    tau = _as_number("tau", tau, float)
     budget = _selection_budget(n, tau)
     seed = _checked_seed(seed)
     rng = np.random.default_rng(seed)

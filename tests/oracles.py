@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is deliberately naive: enumeration, finite differences, a
-Sinkhorn loop that tests the coupling it builds, and the FGW linear step's
-assignment certificate written straight through. They share no code with the
+Sinkhorn loop that tests the coupling it builds, the extension of a solve to
+zero-mass atoms, and the FGW linear step's assignment certificate written
+straight through. They share no code with the
 solvers under test; the certificate reads only the two constants of `ot`
 that define it.
 """
@@ -123,6 +124,43 @@ def sinkhorn_coupling_per_sweep(cost, p, q, epsilon, max_iter=10_000, tol=1e-9):
         if err <= tol:
             return f, g, pi, sweep
     return None
+
+
+def zero_mass_extension(cost, p, q, restricted, epsilon=None):
+    """A solve with zero-mass atoms, built from `restricted`, the solve on the positive atoms alone.
+
+    The extension written straight through, as each solver of `ot` carried
+    it before one routine did it for both. The coupling is `restricted`'s at
+    the positive atoms and 0 elsewhere. Each zero-mass column's dual is the
+    min over the positive rows of cost - beta, then each zero-mass row's the
+    min over all columns of cost - psi. For the exact LP (`epsilon` None)
+    these are hard mins. For Sinkhorn they are epsilon-soft-mins by scipy's
+    `logsumexp`, weighted by p for the columns and by q, with 0 as 1e-300,
+    for the rows, and the value is <coupling, cost>. Returns (value,
+    coupling, dual_source, dual_target); p and q must be nonnegative.
+    """
+    cost, p, q = (np.asarray(a, dtype=np.float64) for a in (cost, p, q))
+    keep_i, keep_j = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
+    drop_i, drop_j = np.flatnonzero(p <= 0), np.flatnonzero(q <= 0)
+    coupling = np.zeros(cost.shape)
+    coupling[np.ix_(keep_i, keep_j)] = restricted.coupling
+    beta, psi = np.zeros(len(p)), np.zeros(len(q))
+    beta[keep_i], psi[keep_j] = restricted.dual_source, restricted.dual_target
+    if epsilon is None:
+        if drop_j.size:
+            psi[drop_j] = np.min(cost[np.ix_(keep_i, drop_j)] - beta[keep_i, None], axis=0)
+        if drop_i.size:
+            beta[drop_i] = np.min(cost[drop_i] - psi[None, :], axis=1)
+        return restricted.value, coupling, beta, psi
+    if drop_j.size:
+        psi[drop_j] = -epsilon * logsumexp(
+            (beta[keep_i, None] - cost[np.ix_(keep_i, drop_j)]) / epsilon
+            + np.log(p[keep_i])[:, None], axis=0)
+    if drop_i.size:
+        beta[drop_i] = -epsilon * logsumexp(
+            (psi[None, :] - cost[drop_i]) / epsilon
+            + np.log(np.maximum(q[None, :], 1e-300)), axis=1)
+    return float(np.sum(coupling * cost)), coupling, beta, psi
 
 
 def unique_uniform_vertex(cost, p, q):

@@ -14,7 +14,8 @@ from gradate import (AttributedGraph, LabeledGraphDataset, calibrate_duals,
                      degree_one_hot_features, solve_exact_ot, solve_sinkhorn)
 from gradate.errors import InfeasibleMarginals, NonConvergence, NumericalFailure
 from gradate.fgw import FGWConfig, _QuadObjective
-from gradate.ot import _linear_step, _logsumexp, _lp_vertex, as_cost_matrix
+from gradate.pipeline import SelectionConfig
+from gradate.ot import _linear_step, _logsumexp, as_cost_matrix
 
 import oracles
 from conftest import count_full_lps, count_lps, shifted_style_dtilde
@@ -24,6 +25,7 @@ from oracles import (
     random_rational_marginal,
     sinkhorn_coupling_per_sweep,
     unique_uniform_vertex,
+    zero_mass_extension,
 )
 
 
@@ -345,7 +347,7 @@ def _degree_feature_gradient():
 def _certified_vertex(lp_fallbacks, cost, p, q):
     """The planned linear step's vertex of `cost` if its assignment certified it, else None."""
     lp_fallbacks.clear()
-    vertex = _lp_vertex(cost, p, q)
+    vertex = _linear_step(p, q)(cost)
     return None if lp_fallbacks else vertex
 
 
@@ -381,7 +383,7 @@ class TestUniformAssignmentVertex:
         }[name]
         p, q = _uniform(cost.shape[0]), _uniform(cost.shape[1])
         assert _certified_vertex(lp_fallbacks, cost, p, q) is None
-        assert np.array_equal(_lp_vertex(cost, p, q), _lp_coupling(cost, p, q))
+        assert np.array_equal(_linear_step(p, q)(cost), _lp_coupling(cost, p, q))
 
     def test_integer_costs_take_either_path_with_the_lp_coupling(self, monkeypatch,
                                                                  lp_fallbacks):
@@ -404,7 +406,7 @@ class TestUniformAssignmentVertex:
             outcomes.add((T is not None, len(assignments)))
             ref = _lp_coupling(cost, p, q)
             if T is None:
-                assert np.array_equal(_lp_vertex(cost, p, q), ref)
+                assert np.array_equal(_linear_step(p, q)(cost), ref)
             else:
                 assert np.abs(T - ref).max() <= 1e-14
         # Accepted; equal rows or columns; a cycle; a tie.
@@ -415,7 +417,7 @@ class TestUniformAssignmentVertex:
         cost = rng.standard_normal((4, 5))
         p = np.array([0.1, 0.2, 0.3, 0.4])
         assert _certified_vertex(lp_fallbacks, cost, p, _uniform(5)) is None
-        assert np.array_equal(_lp_vertex(cost, p, _uniform(5)),
+        assert np.array_equal(_linear_step(p, _uniform(5))(cost),
                               _lp_coupling(cost, p, _uniform(5)))
         n, m = 16, 9  # lcm 144
         assert np.lcm(n, m) > ot._ASSIGNMENT_MAX_LCM
@@ -627,6 +629,69 @@ class TestSinkhorn:
         cost = np.array([[6.7, 6.5], [6.2, 3.8]])
         with pytest.raises(NonConvergence, match="misses the target marginal"):
             solve_sinkhorn(cost, _uniform(2), _uniform(2), epsilon)
+
+
+def _zero_mass_problem(case, seed):
+    """A cost with zero-mass rows, columns or both, and its restriction to the positive atoms.
+
+    "grown" has 1,200 positive cells and non-uniform p, so its exact solve
+    takes the grown-support path; the others take the full LP.
+    """
+    rng = np.random.default_rng(seed)
+    n, m = (48, 30) if case == "grown" else (9, 7)
+    cost = rng.random((n, m)) * 3.0
+    p, q = _random_marginal(rng, n), _random_marginal(rng, m)
+    if case in ("rows", "both", "grown"):
+        p[rng.choice(n, size=n // 6 + 1, replace=False)] = 0.0
+    if case in ("columns", "both", "grown"):
+        q[rng.choice(m, size=m // 5 + 1, replace=False)] = 0.0
+    p, q = p / p.sum(), q / q.sum()
+    rows, cols = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
+    return cost, p, q, (cost[np.ix_(rows, cols)], p[rows], q[cols])
+
+
+def _solution_bits(value, coupling, dual_source, dual_target):
+    return tuple(np.asarray(x, dtype=np.float64).tobytes()
+                 for x in (value, coupling, dual_source, dual_target))
+
+
+class TestZeroMassExtension:
+    """Both solvers against the straight-line extension of `oracles`, bit for bit."""
+
+    CASES = ["rows", "columns", "both", "grown"]
+    SOLVERS = {"exact": (solve_exact_ot, None),
+               "sinkhorn": (lambda c, a, b: solve_sinkhorn(c, a, b, 0.3), 0.3)}
+
+    @pytest.mark.parametrize("solver", ["exact", "sinkhorn"])
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_value_coupling_and_duals_match_the_oracle(self, solver, case, seed):
+        solve, epsilon = self.SOLVERS[solver]
+        cost, p, q, restricted = _zero_mass_problem(case, seed)
+        want = zero_mass_extension(cost, p, q, solve(*restricted), epsilon)
+        sol = solve(cost, p, q)
+        assert _solution_bits(sol.value, sol.coupling, sol.dual_source,
+                              sol.dual_target) == _solution_bits(*want)
+
+    def test_the_grown_case_takes_the_grown_path(self, monkeypatch):
+        cost, p, q, _ = _zero_mass_problem("grown", 0)
+        full = count_full_lps(monkeypatch)
+        solve_exact_ot(cost, p, q)
+        assert full == []
+
+    @pytest.mark.parametrize("solver", ["exact", "sinkhorn"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_cache_hit_matches_the_oracle(self, tmp_path, monkeypatch, solver, case):
+        solve, epsilon = self.SOLVERS[solver]
+        cost, p, q, restricted = _zero_mass_problem(case, 3)
+        value, _, beta, psi = zero_mass_extension(cost, p, q, solve(*restricted), epsilon)
+        cached = SelectionConfig(tau=0.5, solver=solver, epsilon=0.3).ot_solver(tmp_path)
+        cached(cost, p, q)
+        runs = count_lps(monkeypatch)
+        hit = cached(cost, p, q)
+        assert runs == [] and hit.coupling is None
+        assert (_solution_bits(hit.value, 0.0, hit.dual_source, hit.dual_target)
+                == _solution_bits(value, 0.0, beta, psi))
 
 
 class TestLogsumexp:

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -95,6 +95,46 @@ class TestSelectionConfig:
         SelectionConfig(tau=0.5, nbar=8)
         with pytest.raises(ConfigInvalid, match="nbar must be <= 8, got 9"):
             SelectionConfig(tau=0.5, nbar=9)
+
+    @pytest.mark.parametrize("name, value, kind", [
+        ("tau", np.float32(0.5), float), ("tau", 1, float), ("alpha", np.float32(0.5), float),
+        ("alpha", 1, float), ("c", np.float32(1), float), ("c", 1, float),
+        ("eta", np.float64(1e-4), float), ("epsilon", np.float32(0.5), float),
+        ("T", np.int64(3), int), ("nbar", np.int64(4), int)])
+    def test_numeric_fields_are_stored_as_python_numbers(self, name, value, kind):
+        cfg = SelectionConfig(**{"tau": 0.5, "solver": "sinkhorn", name: value})
+        assert type(getattr(cfg, name)) is kind and getattr(cfg, name) == value
+        assert json.loads(json.dumps(asdict(cfg)))[name] == value
+        if name == "alpha":
+            assert type(cfg.fgw_config().alpha) is float
+
+    @pytest.mark.parametrize("name, value", [
+        ("tau", True), ("alpha", False), ("c", True), ("eta", True), ("epsilon", True),
+        ("T", True), ("nbar", True), ("T", 2.5), ("T", 3.0), ("nbar", 4.0),
+        ("nbar", np.float64(4)), ("tau", "0.5"), ("c", None), ("eta", np.True_)])
+    def test_a_bool_or_a_number_of_the_wrong_kind_is_rejected(self, name, value):
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be an? "):
+            SelectionConfig(**{"tau": 0.5, name: value})
+        if name == "alpha":
+            with pytest.raises(ConfigInvalid, match="^alpha must be a real number"):
+                FGWConfig(alpha=value)
+
+    @pytest.mark.parametrize("written, read", [
+        ({}, {"c": 1}), ({}, {"c": np.float32(1)}), ({}, {"alpha": np.float32(0.5)}),
+        ({"nbar": 4}, {"nbar": np.int64(4)}),
+        ({"solver": "sinkhorn", "epsilon": 0.5},
+         {"solver": "sinkhorn", "epsilon": np.float32(0.5)})])
+    def test_numpy_and_int_values_read_the_python_float_entries(self, tmp_path, written, read):
+        rng = np.random.default_rng(17)
+        train, val = two_domain(rng, n_dense=3, n_sparse=3, n_val=2)
+        reference = SelectionConfig(**{"tau": 0.5, "c": 1.0, **written})
+        cold = build_cost(train, val, reference, cache_dir=tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        cfg = SelectionConfig(**{"tau": 0.5, "c": 1.0, **written, **read})
+        assert cfg == reference
+        warm = build_cost(train, val, cfg, cache_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert np.array_equal(np.asarray(warm), np.asarray(cold))
 
 
 class TestBuildCost:
@@ -243,6 +283,29 @@ class TestOtCache:
         assert bits(hit) == bits(direct)
         assert calls == []
         assert len(list(tmp_path.glob("OT-*.gdd"))) == 1
+
+    def test_a_hit_indexes_no_restricted_block(self, tmp_path, monkeypatch):
+        # A warm CLI pass makes about 40 hits; each checks its input and
+        # hashes it, and builds no positive-atom block.
+        cost = np.random.default_rng(8).random((6, 4))
+        p, q = np.array([0.5, 0.0, 0.25, 0.0, 0.25, 0.0]), np.full(4, 0.25)
+        cached = SelectionConfig(tau=0.5).ot_solver(tmp_path)
+        miss = cached(cost, p, q)
+        monkeypatch.setattr(ot._Restricted, "block", property(
+            lambda self: pytest.fail("an OT-cache hit built the restricted block")))
+        assert bits(cached(cost, p, q)) == bits(miss)
+        with pytest.raises(pytest.fail.Exception):
+            cached(cost, np.full(6, 1 / 6), q)
+
+    @pytest.mark.parametrize("solver, name", [("exact", "OT-89f7dd88f4576bdff1a2.gdd"),
+                                              ("sinkhorn", "OT-b1bb0142499132c9d2fb.gdd")])
+    def test_the_entry_name_of_a_fixed_problem_is_pinned(self, tmp_path, solver, name):
+        # A refactor of the key, or of the checks that feed it, must not move
+        # an entry: a moved name misses every entry written before it.
+        cost = np.arange(12.0).reshape(3, 4) / 8
+        p, q = np.array([0.5, 0.0, 0.5]), np.array([0.25, 0.25, 0.0, 0.5])
+        SelectionConfig(tau=0.5, solver=solver, epsilon=0.5).ot_solver(tmp_path)(cost, p, q)
+        assert [path.name for path in tmp_path.iterdir()] == [name]
 
     @pytest.mark.parametrize("solver", ["exact", "sinkhorn"])
     def test_an_entry_is_the_value_and_the_duals(self, tmp_path, solver):
@@ -556,6 +619,15 @@ class TestRandom:
         train = LabeledGraphDataset([random_graph(rng) for _ in range(9)], [0] * 9)
         with pytest.raises(ConfigInvalid, match=r"tau must be in \(0, 1\]"):
             random_select(train, tau, 0)
+
+    def test_tau_is_recorded_as_a_float(self, rng):
+        train = LabeledGraphDataset([random_graph(rng) for _ in range(9)], [0] * 9)
+        res = random_select(train, np.float32(0.5), 0)
+        assert type(res.provenance["config"]["tau"]) is float
+        assert res == random_select(train, 0.5, 0)
+        assert json.loads(json.dumps(res.provenance)) == {"config": {"tau": 0.5, "seed": 0}}
+        with pytest.raises(ConfigInvalid, match="^tau must be a real number"):
+            random_select(train, True, 0)
 
     @pytest.mark.parametrize("seed", [-1, 2.0, None])
     def test_a_seed_that_is_no_nonnegative_integer_is_rejected(self, rng, seed):
