@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("split", help="sort by a graph property and split 60/20/20")
     sp.add_argument("dataset", help="TUDataset directory or native .json file")
-    sp.add_argument("--by", choices=("density", "size"), default="density")
+    sp.add_argument("--by", choices=tuple(io._SHIFT_PROPERTIES), default="density")
     sp.add_argument("--out", required=True, help="where to write the split JSON")
     sp.set_defaults(func=cmd_split)
 

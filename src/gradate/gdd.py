@@ -9,16 +9,16 @@ block as cost. With label weight c=0 the label structure drops out exactly.
 
 from __future__ import annotations
 
-import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import AllZeroWeights, DimensionMismatch, EmptyClass, EmptyDataset, ConfigInvalid
-from .fgw import FGWConfig, fgw_barycenter
+from .errors import AllZeroWeights, DimensionMismatch, EmptyClass, EmptyDataset
+from .fgw import FGWConfig, _checked_nonnegative
 from .graphs import LabeledGraphDataset, concat_datasets, degree_one_hot_features
-from .linear_fgw import _linear_fgw_block, embed_all
+from .linear_fgw import _linear_fgw_block, _reference_embeddings
 from .ot import TransportSolution, solve_exact_ot
 
 OTSolver = Callable[[np.ndarray, np.ndarray, np.ndarray], TransportSolution]
@@ -70,8 +70,7 @@ def cross_linear_fgw(train: LabeledGraphDataset, val: LabeledGraphDataset,
         raise EmptyDataset("both datasets must be nonempty")
     cfg = cfg or FGWConfig()
     joint = degree_one_hot_features(concat_datasets(train, val))
-    reference = fgw_barycenter(joint.graphs, nbar=nbar, cfg=cfg)
-    embeddings = embed_all(joint.graphs, reference, cfg)
+    embeddings = _reference_embeddings(joint.graphs, cfg, nbar)
     n = len(train)
     return _linear_fgw_block(embeddings[:n], embeddings[n:], cfg.alpha)
 
@@ -96,17 +95,18 @@ def graph_label_distance(train: LabeledGraphDataset, val: LabeledGraphDataset,
 def label_distance_table(train: LabeledGraphDataset, val: LabeledGraphDataset,
                          D: np.ndarray,
                          solver: OTSolver | None = None) -> LabelDistanceTable:
-    """All label-pair distances, computed once and reused across cost builds."""
+    """All label-pair distances, computed once and reused across cost builds.
+
+    A pair with an empty class on either side, which `graph_label_distance`
+    refuses with EmptyClass, stays NaN.
+    """
     labels = tuple(sorted(set(train.label_set) | set(val.label_set)))
     k = len(labels)
     values = np.full((k, k), np.nan)
     for a, y in enumerate(labels):
-        if not train.indices_with_label(y):
-            continue
         for b, y_prime in enumerate(labels):
-            if not val.indices_with_label(y_prime):
-                continue
-            values[a, b] = graph_label_distance(train, val, D, y, y_prime, solver)
+            with suppress(EmptyClass):
+                values[a, b] = graph_label_distance(train, val, D, y, y_prime, solver)
     return LabelDistanceTable(values=values, labels=labels)
 
 
@@ -119,8 +119,7 @@ def label_informed_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     bit-identical to D and no label distance is ever computed, so unlabeled
     validation data degrades gracefully.
     """
-    if not (math.isfinite(c) and c >= 0):
-        raise ConfigInvalid(f"label weight c must be finite and >= 0, got {c}")
+    c = _checked_nonnegative("label weight c", c)
     D = np.asarray(D, dtype=np.float64)
     if D.shape != (len(train), len(val)):
         raise DimensionMismatch(
@@ -135,7 +134,7 @@ def label_informed_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     train_pos = [position[y] for y in train.labels]
     val_pos = [position[y] for y in val.labels]
     offsets = c * table.values[np.ix_(train_pos, val_pos)]
-    return LabelInformedCost(values=D + offsets, base=D.copy(), c=float(c))
+    return LabelInformedCost(values=D + offsets, base=D.copy(), c=c)
 
 
 def gdd_from_cost(dtilde, w: np.ndarray | None = None,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid
+from .fgw import _as_number, _checked_nonnegative
 from .gdd import OTSolver, gdd_from_cost
 from .ot import calibrate_duals
 
@@ -31,10 +32,25 @@ def floor_budget(n: int, tau: float) -> int:
     return int(math.floor(_snap(n * tau)))
 
 
-def _selection_budget(n: int, tau: float) -> int:
-    """floor(n * tau) for a tau in (0, 1]; a budget of zero is a ConfigInvalid."""
+def _checked_tau(tau) -> float:
+    """`tau` as a Python float in (0, 1], or a ConfigInvalid naming tau."""
+    tau = _as_number("tau", tau, float)
     if not 0.0 < tau <= 1.0:
         raise ConfigInvalid(f"tau must be in (0, 1], got {tau}")
+    return tau
+
+
+def _checked_T(T) -> int:
+    """`T` as a Python int of at least 2, or a ConfigInvalid naming T."""
+    T = _as_number("T", T, int)
+    if T < 2:
+        raise ConfigInvalid(f"T must be >= 2, got {T}")
+    return T
+
+
+def _selection_budget(n: int, tau: float) -> int:
+    """floor(n * tau) for a tau in (0, 1]; a budget of zero is a ConfigInvalid."""
+    tau = _checked_tau(tau)
     budget = floor_budget(n, tau)
     if budget < 1:
         raise ConfigInvalid(f"floor({n} * {tau}) = 0; nothing would be selected")
@@ -103,10 +119,7 @@ def sparsity_schedule(n: int, tau: float, T: int, t: int) -> int:
     The raw value exceeds n for small t; it is clamped to [ceil(n*tau), n]
     and rounded down. Non-increasing in t.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ConfigInvalid(f"tau must be in (0, 1], got {tau}")
-    if T < 2:
-        raise ConfigInvalid(f"T must be >= 2, got {T}")
+    tau, T, t = _checked_tau(tau), _checked_T(T), _as_number("t", t, int)
     if not 1 <= t <= T - 1:
         raise ConfigInvalid(f"iteration t={t} outside [1, {T - 1}]")
     raw = n * max(tau, (T - t + 1) / (T - 1) + tau * t / (T - 1))
@@ -114,13 +127,14 @@ def sparsity_schedule(n: int, tau: float, T: int, t: int) -> int:
     return int(math.floor(_snap(min(max(raw, lo), n))))
 
 
-def _topk_mask(w: np.ndarray, k: int) -> np.ndarray:
+def _keep_top(w: np.ndarray, k: int) -> np.ndarray:
+    """A copy of `w` with all but its k largest entries zeroed, renormalized to sum 1."""
     # Stable sort on -w: ties keep the lower index, as required for
     # reproducible selections.
-    order = np.argsort(-w, kind="stable")
-    mask = np.zeros(len(w), dtype=bool)
-    mask[order[:k]] = True
-    return mask
+    top = np.argsort(-w, kind="stable")[:k]
+    kept = np.zeros_like(w)
+    kept[top] = w[top]
+    return kept / kept.sum()
 
 
 def great_select(dtilde, tau: float, T: int, eta: float,
@@ -136,14 +150,14 @@ def great_select(dtilde, tau: float, T: int, eta: float,
     gradients, but handled defensively), the pre-update weights restricted
     to their top-k support are restored and the event is recorded on the
     trace.
+
+    tau, T and eta are checked, and refused with a ConfigInvalid that names
+    them, by the rules `SelectionConfig` applies.
     """
     values = np.asarray(dtilde)
     n = values.shape[0]
     budget = _selection_budget(n, tau)
-    if T < 2:
-        raise ConfigInvalid(f"T must be >= 2, got {T}")
-    if not (math.isfinite(eta) and eta >= 0):
-        raise ConfigInvalid(f"eta must be finite and >= 0, got {eta}")
+    T, eta = _checked_T(T), _checked_nonnegative("eta", eta)
 
     w = np.full(n, 1.0 / n)
     records: list[GreatIteration] = []
@@ -153,12 +167,8 @@ def great_select(dtilde, tau: float, T: int, eta: float,
         k = sparsity_schedule(n, tau, T, t)
 
         updated = np.maximum(w - eta * grad, 0.0)
-        recovered = False
-        if updated.max() <= 0.0:
-            updated = np.where(_topk_mask(w, k), w, 0.0)
-            recovered = True
-        updated[~_topk_mask(updated, k)] = 0.0
-        updated /= updated.sum()
+        recovered = bool(updated.max() <= 0.0)
+        updated = _keep_top(w if recovered else updated, k)
 
         records.append(GreatIteration(
             t=t,
@@ -170,8 +180,7 @@ def great_select(dtilde, tau: float, T: int, eta: float,
         w = updated
 
     if np.count_nonzero(w) > budget:
-        w = np.where(_topk_mask(w, budget), w, 0.0)
-        w /= w.sum()
+        w = _keep_top(w, budget)
 
     final_value, _ = gdd_from_cost(values, w, solver)
     trace = GreatTrace(iterations=tuple(records), final_weights=w, final_gdd=final_value)

@@ -378,6 +378,10 @@ def load_dataset(path, cache_dir=None) -> LabeledGraphDataset:
 # ---------------------------------------------------------------------------
 # covariate-shift splitting
 
+# The graph properties a covariate split can sort by, each with its sort key.
+_SHIFT_PROPERTIES = {"density": graph_density, "size": lambda g: g.n_nodes}
+
+
 @dataclass(frozen=True)
 class DomainSplit:
     """Disjoint train/val/test index lists covering a dataset."""
@@ -402,12 +406,10 @@ def covariate_split(dataset: LabeledGraphDataset, property_name: str) -> DomainS
     the (property, index) pairs. Train gets floor(0.6 N), val floor(0.2 N),
     test the remainder.
     """
-    if property_name == "density":
-        keys = [graph_density(g) for g in dataset.graphs]
-    elif property_name == "size":
-        keys = [g.n_nodes for g in dataset.graphs]
-    else:
+    # Membership in a tuple, so an unhashable name is refused like any other.
+    if property_name not in tuple(_SHIFT_PROPERTIES):
         raise ConfigInvalid(f"unknown shift property {property_name!r}")
+    keys = [_SHIFT_PROPERTIES[property_name](g) for g in dataset.graphs]
     n = len(dataset)
     if n < 5:
         raise DatasetTooSmall(f"need at least 5 graphs to split, got {n}")
@@ -441,8 +443,9 @@ def load_split(path, expected_hash: str | None = None) -> DomainSplit:
         for name in ("train", "val", "test"):
             _require_json_ints(payload[name], f"{name} index")
         by = payload.get("by", "density")
-        if by not in ("density", "size"):
-            raise ValueError(f'by must be "density" or "size", got {json.dumps(by)}')
+        if by not in tuple(_SHIFT_PROPERTIES):
+            names = " or ".join(map(json.dumps, _SHIFT_PROPERTIES))
+            raise ValueError(f"by must be {names}, got {json.dumps(by)}")
         split = DomainSplit(
             train_idx=tuple(payload["train"]),
             val_idx=tuple(payload["val"]),

@@ -69,9 +69,7 @@ def linear_fgw_distance(e1: BarycentricEmbedding, e2: BarycentricEmbedding,
         raise ReferenceMismatch(
             f"embeddings disagree on reference: {e1.t_node.shape} vs {e2.t_node.shape}"
         )
-    dn = e1.t_node - e2.t_node
-    de = e1.t_edge - e2.t_edge
-    return float((1.0 - alpha) * np.sum(dn * dn) + alpha * np.sum(de * de))
+    return float(_linear_fgw_block([e1], [e2], alpha)[0, 0])
 
 
 def embed_all(graphs: Sequence[AttributedGraph], reference: AttributedGraph,
@@ -79,6 +77,18 @@ def embed_all(graphs: Sequence[AttributedGraph], reference: AttributedGraph,
     """Embed graphs against one reference, serially; embedding i is graph i's."""
     cfg = cfg or FGWConfig()
     return [barycentric_embed(g, reference, cfg) for g in graphs]
+
+
+def _reference_embeddings(graphs: Sequence[AttributedGraph], cfg: FGWConfig,
+                          nbar: int | None) -> list[BarycentricEmbedding]:
+    """Embed every graph against the FGW barycenter of all of them.
+
+    The one reference-embedding stage of every LinearFGW matrix: the
+    barycenter (`nbar` nodes, the median size when None) and one coupling
+    solve per graph. Embedding i is graph i's.
+    """
+    reference = fgw_barycenter(graphs, nbar=nbar, cfg=cfg)
+    return embed_all(graphs, reference, cfg)
 
 
 def pairwise_linear_fgw(dataset: LabeledGraphDataset,
@@ -95,8 +105,7 @@ def pairwise_linear_fgw(dataset: LabeledGraphDataset,
     if len(dataset) == 0:
         raise EmptyDataset("cannot compute pairwise distances on an empty dataset")
     cfg = cfg or FGWConfig()
-    reference = fgw_barycenter(dataset.graphs, nbar=nbar, cfg=cfg)
-    embeddings = embed_all(dataset.graphs, reference, cfg)
+    embeddings = _reference_embeddings(dataset.graphs, cfg, nbar)
     return _linear_fgw_block(embeddings, embeddings, cfg.alpha)
 
 

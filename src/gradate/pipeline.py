@@ -16,10 +16,12 @@ import numpy as np
 
 from . import io
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset, SchemaError
-from .fgw import FGWConfig, _as_number, _checked_nbar, _checked_seed, default_reference_size
+from .fgw import (FGWConfig, _as_number, _checked_nbar, _checked_nonnegative, _checked_seed,
+                  default_reference_size)
 from .gdd import LabelInformedCost, cross_linear_fgw, label_informed_cost
 from .graphs import LabeledGraphDataset, concat_datasets
-from .great import GreatTrace, _selection_budget, gdd_gradient, great_select
+from .great import (GreatTrace, _checked_T, _checked_tau, _selection_budget, gdd_gradient,
+                    great_select)
 from .io import dataset_hash
 from .ot import TransportSolution, _Restricted, solve_exact_ot, solve_sinkhorn
 
@@ -56,22 +58,16 @@ class SelectionConfig:
     nbar: int | None = None
 
     def __post_init__(self):
-        for name, kind in (("tau", float), ("c", float), ("T", int), ("eta", float),
-                           ("epsilon", float)):
-            object.__setattr__(self, name, _as_number(name, getattr(self, name), kind))
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigInvalid(f"tau must be in (0, 1], got {self.tau}")
+        object.__setattr__(self, "tau", _checked_tau(self.tau))
         # Checks alpha and seed, and stores them as FGWConfig does.
         for name, value in asdict(self.fgw_config()).items():
             object.__setattr__(self, name, value)
-        if not (math.isfinite(self.c) and self.c >= 0):
-            raise ConfigInvalid(f"c must be finite and >= 0, got {self.c}")
+        object.__setattr__(self, "c", _checked_nonnegative("c", self.c))
         if self.nbar is not None:
             object.__setattr__(self, "nbar", _checked_nbar(self.nbar))
-        if self.T < 2:
-            raise ConfigInvalid(f"T must be >= 2, got {self.T}")
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ConfigInvalid(f"eta must be finite and >= 0, got {self.eta}")
+        object.__setattr__(self, "T", _checked_T(self.T))
+        object.__setattr__(self, "eta", _checked_nonnegative("eta", self.eta))
+        object.__setattr__(self, "epsilon", _as_number("epsilon", self.epsilon, float))
         if self.solver not in ("exact", "sinkhorn"):
             raise ConfigInvalid(f"solver must be 'exact' or 'sinkhorn', got {self.solver!r}")
         if not math.isfinite(self.epsilon):
@@ -248,14 +244,7 @@ def lava_select(train: LabeledGraphDataset, val: LabeledGraphDataset,
     """
     budget, dtilde = _budget_and_cost(train, val, cfg, dtilde, cache_dir)
     ranking = np.argsort(gdd_gradient(dtilde, None, cfg.ot_solver(cache_dir)), kind="stable")
-    indices = sorted(int(i) for i in ranking[:budget])
-    return SelectionResult(
-        indices=tuple(indices),
-        weights=tuple(1.0 / budget for _ in indices),
-        method="lava",
-        trace=None,
-        provenance={"config": asdict(cfg)},
-    )
+    return _uniform_result(ranking[:budget], "lava", asdict(cfg))
 
 
 def random_select(train: LabeledGraphDataset, tau: float, seed: int) -> SelectionResult:
@@ -263,15 +252,16 @@ def random_select(train: LabeledGraphDataset, tau: float, seed: int) -> Selectio
     n = len(train)
     if n == 0:
         raise EmptyDataset("train must be nonempty")
-    tau = _as_number("tau", tau, float)
+    tau = _checked_tau(tau)
     budget = _selection_budget(n, tau)
     seed = _checked_seed(seed)
     rng = np.random.default_rng(seed)
-    indices = sorted(int(i) for i in rng.choice(n, size=budget, replace=False))
-    return SelectionResult(
-        indices=tuple(indices),
-        weights=tuple(1.0 / budget for _ in indices),
-        method="random",
-        trace=None,
-        provenance={"config": {"tau": tau, "seed": seed}},
-    )
+    return _uniform_result(rng.choice(n, size=budget, replace=False), "random",
+                           {"tau": tau, "seed": seed})
+
+
+def _uniform_result(chosen, method: str, config: dict) -> SelectionResult:
+    """The one-shot result of a method that keeps `chosen` at equal weights."""
+    indices = tuple(sorted(int(i) for i in chosen))
+    return SelectionResult(indices=indices, weights=tuple(1.0 / len(indices) for _ in indices),
+                           method=method, provenance={"config": config})

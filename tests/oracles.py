@@ -2,22 +2,24 @@
 
 Everything here is deliberately naive: enumeration, finite differences, a
 Sinkhorn loop that tests the coupling it builds, the extension of a solve to
-zero-mass atoms, and the FGW linear step's assignment certificate written
-straight through. They share no code with the
+zero-mass atoms, the FGW linear step's assignment certificate and the GREAT
+selection loop written straight through. They share no code with the
 solvers under test; the certificate reads only the two constants of `ot`
-that define it.
+that define it, and the GREAT loop calls only the outer OT solve and its
+dual calibration.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
-from gradate.ot import _ASSIGNMENT_MAX_LCM, _CERTIFICATE_MARGIN
+from gradate.ot import _ASSIGNMENT_MAX_LCM, _CERTIFICATE_MARGIN, calibrate_duals, solve_exact_ot
 
 
 def enumerate_transport_tables(supplies, demands):
@@ -218,3 +220,43 @@ def _is_forest(support):
             return False
         parent[a] = b
     return True
+
+
+def great_loop(dtilde, tau, T, eta, calibrate=calibrate_duals):
+    """GREAT selection written straight through, from uniform weights.
+
+    Returns one (weights, gdd value, recovered) triple per iteration, then
+    the final weights and the final gdd value. The budgets are computed in
+    exact rational arithmetic on the decimal reading of tau:
+    k(t) = floor(min(n, max(ceil(n tau), n max(tau, (T-t+1)/(T-1) + tau t/(T-1))))),
+    and floor(n tau) at the end. The top k is a Python sort on (-w_i, i),
+    so ties go to the lower index. The float arithmetic that defines the
+    weights' bits is the algorithm's own: the step max(w - eta g, 0) and a
+    division of the kept full-length vector by its numpy sum.
+    """
+    values = np.asarray(dtilde, dtype=np.float64)
+    n, m = values.shape
+    q = np.full(m, 1.0 / m)
+    rate = Fraction(repr(float(tau)))
+
+    def schedule(t):
+        raw = n * max(rate, Fraction(T - t + 1, T - 1) + rate * Fraction(t, T - 1))
+        return math.floor(min(n, max(math.ceil(n * rate), raw)))
+
+    def keep_top(v, k):
+        kept = np.zeros(n)
+        for i in sorted(range(n), key=lambda i: (-v[i], i))[:k]:
+            kept[i] = v[i]
+        return kept / kept.sum()
+
+    w = np.full(n, 1.0 / n)
+    steps = []
+    for t in range(1, T):
+        sol = solve_exact_ot(values, w, q)
+        stepped = np.maximum(w - eta * calibrate(sol).dual_source, 0.0)
+        recovered = not (stepped > 0).any()
+        w = keep_top(w if recovered else stepped, schedule(t))
+        steps.append((w, sol.value, recovered))
+    if np.count_nonzero(w) > math.floor(n * rate):
+        w = keep_top(w, math.floor(n * rate))
+    return steps, w, solve_exact_ot(values, w, q).value

@@ -309,3 +309,19 @@ class TestBarycenter:
         assert default_reference_size(graphs) == 5
         graphs = [random_graph(rng, n_nodes=s) for s in (3, 4)]
         assert default_reference_size(graphs) == 4
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda g, h: fgw_distance(g, h, coupling_init=np.full((2, 2), 0.25)),
+         DimensionMismatch, r"initial coupling has shape \(2, 2\)"),
+        (lambda g, h: fgw_distance(
+            g, h, coupling_init=2.0 * np.outer(g.node_weights, h.node_weights)),
+         ConfigInvalid, "initial coupling does not match the node weights"),
+        (lambda g, h: fgw_barycenter([g, AttributedGraph(h.adjacency, np.ones((h.n_nodes, 2)))]),
+         DimensionMismatch, "barycenter inputs disagree on feature dimension"),
+    ], ids=["coupling-shape", "coupling-marginals", "barycenter-feature-dims"])
+    def test_each_fault_raises_its_typed_error(self, rng, call, error, message):
+        g, h = random_graph(rng, n_nodes=4), random_graph(rng, n_nodes=5)
+        with pytest.raises(error, match=message):
+            call(g, h)

@@ -10,7 +10,8 @@ from gradate import (
     label_informed_cost,
     linear_fgw_distance,
 )
-from gradate.errors import AllZeroWeights, ConfigInvalid, EmptyClass, EmptyDataset
+from gradate.errors import (AllZeroWeights, ConfigInvalid, DimensionMismatch, EmptyClass,
+                            EmptyDataset)
 from gradate.fgw import FGWConfig
 from gradate.linear_fgw import BarycentricEmbedding
 
@@ -261,3 +262,20 @@ class TestGeneralizationGapDiagnostic:
         print(f"generalization-gap diagnostic: sign agreement {agreements}/{comparable}"
               f" = {rate:.2f}")
         assert comparable > 0
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda train, val: label_informed_cost(train, val, np.ones((3, 2)), 1.0),
+         DimensionMismatch, r"D has shape \(3, 2\), expected \(2, 3\)"),
+        (lambda train, val: gdd_from_cost(np.ones((2, 3)), np.full(3, 1.0 / 3.0)),
+         DimensionMismatch, r"weights have shape \(3,\), expected \(2,\)"),
+        (lambda train, val: label_informed_cost(train, val, np.ones((2, 3)), True),
+         ConfigInvalid, "^label weight c must be a real number, got True"),
+        (lambda train, val: label_informed_cost(train, val, np.ones((2, 3)), None),
+         ConfigInvalid, "^label weight c must be a real number, got None"),
+    ], ids=["cost-shape", "weights-shape", "c-bool", "c-none"])
+    def test_each_fault_raises_its_typed_error(self, rng, call, error, message):
+        train, val = labeled(rng, [0, 1]), labeled(rng, [0, 1, 0])
+        with pytest.raises(error, match=message):
+            call(train, val)

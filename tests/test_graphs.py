@@ -204,3 +204,17 @@ class TestGraphDensity:
         rng = np.random.default_rng(seed)
         g = random_graph(rng, n_nodes=n, edge_prob=rng.random())
         assert 0.0 <= graph_density(g) <= 1.0
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: AttributedGraph(np.zeros((2, 3))), r"adjacency must be square, got \(2, 3\)"),
+        (lambda: AttributedGraph(np.zeros((0, 0))), "a graph needs at least one node"),
+        (lambda: AttributedGraph(np.zeros((3, 3)), node_weights=[0.5, 0.5]),
+         "node_weights length must equal node count"),
+        (lambda: LabeledGraphDataset([path_graph(2), path_graph(3)], [0]),
+         "graphs and labels must have equal length"),
+    ], ids=["non-square", "no-nodes", "weights-length", "more-graphs-than-labels"])
+    def test_shape_faults_are_dimension_mismatches(self, make, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            make()

@@ -11,7 +11,7 @@ from gradate.great import floor_budget, validate_weights
 from gradate.ot import TransportSolution
 
 from conftest import count_full_lps, shifted_style_dtilde
-from oracles import simplex_central_difference
+from oracles import great_loop, simplex_central_difference
 
 
 def random_weights(rng, n):
@@ -46,6 +46,16 @@ class TestSparsitySchedule:
             sparsity_schedule(10, 0.5, 1, 1)
         with pytest.raises(ConfigInvalid):
             sparsity_schedule(10, 0.5, 10, 10)
+
+    @pytest.mark.parametrize("args, message", [
+        ((10, 0.5, 2.5, 1), "^T must be an integer"),
+        ((10, 0.5, 3.0, 1), "^T must be an integer"),
+        ((10, 0.5, 10, 1.5), "^t must be an integer"),
+        ((10, True, 10, 1), "^tau must be a real number"),
+    ], ids=["T-float", "T-integral-float", "t-float", "tau-bool"])
+    def test_settings_of_the_wrong_type_are_rejected(self, args, message):
+        with pytest.raises(ConfigInvalid, match=message):
+            sparsity_schedule(*args)
 
     def test_float_dust_does_not_shift_the_budget(self):
         assert floor_budget(100, 0.2) == 20
@@ -175,6 +185,30 @@ class TestGreatSelect:
         with pytest.raises(ConfigInvalid):
             great_select(rng.random((3, 2)), tau=0.2, T=5, eta=0.1)
 
+    @pytest.mark.parametrize("tau, T, eta, message", [
+        (0.5, 2.5, 1e-4, "^T must be an integer"),
+        (0.5, 3.0, 1e-4, "^T must be an integer"),
+        (0.5, True, 1e-4, "^T must be an integer"),
+        (True, 5, 1e-4, "^tau must be a real number"),
+        ("0.5", 5, 1e-4, "^tau must be a real number"),
+        (0.5, 5, True, "^eta must be a real number"),
+        (0.5, 5, None, "^eta must be a real number"),
+    ], ids=["T-float", "T-integral-float", "T-bool", "tau-bool", "tau-string", "eta-bool",
+            "eta-none"])
+    def test_settings_of_the_wrong_type_are_rejected(self, rng, tau, T, eta, message):
+        # The rule SelectionConfig applies: a ConfigInvalid that names the field.
+        with pytest.raises(ConfigInvalid, match=message):
+            great_select(rng.random((6, 3)), tau, T, eta)
+
+    @pytest.mark.parametrize("w, budget, message", [
+        ([0.6, 0.6, -0.2], None, "nonnegative"),
+        ([0.5, 0.4, 0.0], None, "sum to"),
+        ([0.5, 0.25, 0.25], 2, "support 3 exceeds budget 2"),
+    ], ids=["negative", "sum", "budget"])
+    def test_validate_weights_names_each_fault(self, w, budget, message):
+        with pytest.raises(ConfigInvalid, match=message):
+            validate_weights(w, budget)
+
     def test_a_zero_budget_names_n_and_tau(self, rng):
         # The message every selector gives, great_select called directly too.
         with pytest.raises(ConfigInvalid, match=r"floor\(3 \* 0\.2\) = 0; nothing would be selected"):
@@ -207,6 +241,53 @@ class TestGreatSelect:
         rows = trace.rows()
         assert [r[0] for r in rows] == [1, 2, 3]
         assert all(len(r) == 3 for r in rows)
+
+
+class TestStraightLineReference:
+    """great_select against `oracles.great_loop`, which shares no code with it, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(dtilde, tau, T, eta, calibrate=ot.calibrate_duals):
+        selected, trace = great_select(dtilde, tau, T, eta)
+        steps, final_weights, final_gdd = great_loop(dtilde, tau, T, eta, calibrate)
+        assert len(trace.iterations) == len(steps)
+        for it, (weights, value, recovered) in zip(trace.iterations, steps):
+            assert it.weights.tobytes() == weights.tobytes()
+            assert repr(it.gdd_value) == repr(value)
+            assert it.recovered is recovered
+        assert trace.final_weights.tobytes() == final_weights.tobytes()
+        assert repr(trace.final_gdd) == repr(final_gdd)
+        assert np.array_equal(selected, np.flatnonzero(final_weights))
+        return trace
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_costs(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(10, 40)), int(rng.integers(2, 12))
+        tau = (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.7, 1.0)[seed]
+        T = int(rng.integers(2, 12))
+        eta = float(10.0 ** rng.uniform(-4, 0))
+        self.assert_same_bits(rng.random((n, m)), tau, T, eta)
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-3, 0.5])
+    def test_weights_with_ties(self, rng, eta):
+        # Repeated rows of small integer costs give equal weights, which the
+        # top-k step must break by index; eta = 0 keeps every weight tied.
+        dtilde = np.repeat(rng.integers(0, 3, size=(12, 5)).astype(float), 4, axis=0)
+        trace = self.assert_same_bits(dtilde, 0.3, 8, eta)
+        assert any(len(np.unique(it.weights[it.weights > 0])) < it.support_size
+                   for it in trace.iterations)
+
+    def test_the_forced_recovery(self, rng, monkeypatch):
+        # The stub of test_annihilating_update_recovers_and_is_recorded.
+        def fake_calibrate(sol):
+            return TransportSolution(sol.value, sol.coupling,
+                                     np.full(len(sol.dual_source), 1e9),
+                                     sol.dual_target)
+
+        monkeypatch.setattr(great_module, "calibrate_duals", fake_calibrate)
+        trace = self.assert_same_bits(rng.random((6, 4)), 0.5, 4, 1.0, fake_calibrate)
+        assert any(it.recovered for it in trace.iterations)
 
 
 class TestCertifiedOuterSolves:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gradate import AttributedGraph, LabeledGraphDataset, io, random_select
 from gradate.errors import (
+    ConfigInvalid,
     DanglingEdge,
     DatasetTooSmall,
     DimensionMismatch,
@@ -660,6 +661,13 @@ class TestCovariateSplit:
         with pytest.raises(SchemaError, match='by must be "density" or "size"'):
             io.load_split(path)
 
+    @pytest.mark.parametrize("name", ["degree", "Density", ["size"]],
+                             ids=["other-name", "capitalized", "list"])
+    def test_unknown_property_rejected(self, rng, name):
+        ds = LabeledGraphDataset([random_graph(rng) for _ in range(6)], [0] * 6)
+        with pytest.raises(ConfigInvalid, match="unknown shift property"):
+            io.covariate_split(ds, name)
+
     def test_overlapping_split_rejected(self):
         with pytest.raises(SchemaError):
             io.DomainSplit(train_idx=(0, 1), val_idx=(1,), test_idx=(2,))
@@ -818,6 +826,17 @@ class TestMatrixCache:
                          + b"\x00" * 48)
         with pytest.raises(SchemaError):
             io.load_matrix_cache(path, {"x": 1})
+
+    @pytest.mark.parametrize("rows", ["3", -1, 2.5, True, None])
+    def test_header_sizes_that_are_not_counts_rejected(self, tmp_path, rows):
+        key = {"x": 1}
+        header = json.dumps({"cols": 2, "config_hash": io.config_hash(key), "key": key,
+                             "rows": rows}).encode()
+        path = tmp_path / "m.gdd"
+        path.write_bytes(io.CACHE_MAGIC + len(header).to_bytes(4, "little") + header
+                         + b"\x00" * 48)
+        with pytest.raises(SchemaError, match="cache header sizes .* are not counts"):
+            io.load_matrix_cache(path, key)
 
     def test_write_is_atomic(self, tmp_path, rng):
         key = {"x": 1}

@@ -12,7 +12,7 @@ from gradate import (
     linear_fgw_distance,
     pairwise_linear_fgw,
 )
-from gradate.errors import ReferenceMismatch
+from gradate.errors import EmptyDataset, ReferenceMismatch
 from gradate.fgw import FGWConfig
 from gradate.graphs import concat_datasets, degree_one_hot_features
 from gradate.linear_fgw import BarycentricEmbedding, embed_all
@@ -167,3 +167,9 @@ class TestBlockKernel:
         cfg = FGWConfig(alpha=alpha, seed=6)
         expected = self.reference_block(range(5), range(5), ds.graphs, cfg)
         assert np.array_equal(pairwise_linear_fgw(ds, cfg), expected)
+
+
+class TestTypedErrors:
+    def test_pairwise_on_an_empty_dataset_is_empty_dataset(self):
+        with pytest.raises(EmptyDataset, match="cannot compute pairwise distances"):
+            pairwise_linear_fgw(LabeledGraphDataset([], []))

@@ -17,7 +17,8 @@ from gradate import (
     lava_select,
     random_select,
 )
-from gradate.errors import ConfigInvalid, DimensionMismatch, InfeasibleMarginals, SchemaError
+from gradate.errors import (ConfigInvalid, DimensionMismatch, EmptyDataset, InfeasibleMarginals,
+                            SchemaError)
 from gradate.fgw import FGWConfig
 from gradate.pipeline import SelectionConfig
 
@@ -652,3 +653,22 @@ class TestResultSchema:
             assert all(x >= 0 for x in res.weights)
             assert set(res.provenance) == {"config"}
         assert {r.method for r in results} == {"gradate", "lava", "random"}
+
+
+class TestTypedErrors:
+    def test_sinkhorn_needs_a_positive_epsilon(self):
+        with pytest.raises(ConfigInvalid, match="sinkhorn epsilon must be > 0, got 0.0"):
+            SelectionConfig(tau=0.5, solver="sinkhorn", epsilon=0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda train, val, empty: build_cost(empty, val, SelectionConfig(tau=0.5)),
+         "train and val must both be nonempty"),
+        (lambda train, val, empty: gradate(train, empty, SelectionConfig(tau=0.5),
+                                           dtilde=np.ones((len(train), 0))),
+         "train and val must both be nonempty"),
+        (lambda train, val, empty: random_select(empty, 0.5, 0), "train must be nonempty"),
+    ], ids=["build_cost", "gradate-with-dtilde", "random_select"])
+    def test_an_empty_split_is_empty_dataset(self, rng, call, message):
+        train, val = two_domain(rng, n_dense=2, n_sparse=2, n_val=2)
+        with pytest.raises(EmptyDataset, match=message):
+            call(train, val, LabeledGraphDataset([], []))
