@@ -59,10 +59,16 @@ class FGWConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _as_number("alpha", self.alpha, float))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigInvalid(f"alpha must be in [0, 1], got {self.alpha}")
+        object.__setattr__(self, "alpha", _checked_alpha(self.alpha))
         object.__setattr__(self, "seed", _checked_seed(self.seed))
+
+
+def _checked_alpha(alpha) -> float:
+    """`alpha` as a Python float in [0, 1], or a ConfigInvalid naming alpha."""
+    alpha = _as_number("alpha", alpha, float)
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigInvalid(f"alpha must be in [0, 1], got {alpha}")
+    return alpha
 
 
 def _checked_seed(seed) -> int:

@@ -142,12 +142,15 @@ def gdd_from_cost(dtilde, w: np.ndarray | None = None,
     """Dataset distance given a prebuilt label-informed cost.
 
     Solves OT(p(w), uniform, D-tilde) where w defaults to uniform over the
-    training rows. This is the only piece re-solved inside the selection
-    loop; the cost itself is built once.
+    training rows; a cost without rows or columns is an EmptyDataset. This
+    is the only piece re-solved inside the selection loop; the cost itself
+    is built once.
     """
     solver = solver or solve_exact_ot
     values = np.asarray(dtilde)
     n, m = values.shape
+    if n == 0 or m == 0:
+        raise EmptyDataset(f"cost of shape {values.shape} has no train rows or no val columns")
     if w is None:
         w = np.full(n, 1.0 / n)
     w = np.asarray(w, dtype=np.float64)

@@ -489,6 +489,11 @@ def _validate_selection_payload(payload) -> None:
     missing = required - set(payload)
     if missing:
         raise SchemaError(f"selection JSON missing fields {sorted(missing)}")
+    for name in ("method", "dataset_hash", "created_at"):
+        if not isinstance(payload[name], str):
+            raise SchemaError(f"selection {name} must be a string")
+    if not isinstance(payload["config"], dict):
+        raise SchemaError("selection config must be an object")
     indices = payload["indices"]
     weights = payload["weights"]
     if not isinstance(indices, list) or any(type(i) is not int for i in indices):

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDataset, ReferenceMismatch
-from .fgw import FGWConfig, _symmetrize, fgw_barycenter, fgw_distance
+from .fgw import FGWConfig, _checked_alpha, _symmetrize, fgw_barycenter, fgw_distance
 from .graphs import AttributedGraph, LabeledGraphDataset
 
 
@@ -62,8 +62,10 @@ def linear_fgw_distance(e1: BarycentricEmbedding, e2: BarycentricEmbedding,
     """Squared-form LinearFGW distance between two embeddings.
 
     Returns (1 - alpha) * ||dT_node||_F^2 + alpha * ||dT_edge||_F^2. This is
-    a squared distance; its square root is a metric on embeddings.
+    a squared distance; its square root is a metric on embeddings. alpha is
+    checked as `FGWConfig` checks it.
     """
+    alpha = _checked_alpha(alpha)
     if (e1.reference_size != e2.reference_size
             or e1.t_node.shape != e2.t_node.shape):
         raise ReferenceMismatch(

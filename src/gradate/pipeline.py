@@ -16,14 +16,31 @@ import numpy as np
 
 from . import io
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset, SchemaError
-from .fgw import (FGWConfig, _as_number, _checked_nbar, _checked_nonnegative, _checked_seed,
-                  default_reference_size)
+from .fgw import (BARYCENTER_ROUNDS, BARYCENTER_TOL, FW_MAX_ITER, FW_TOL, FGWConfig, _as_number,
+                  _checked_nbar, _checked_nonnegative, _checked_seed, default_reference_size)
 from .gdd import LabelInformedCost, cross_linear_fgw, label_informed_cost
 from .graphs import LabeledGraphDataset, concat_datasets
 from .great import (GreatTrace, _checked_T, _checked_tau, _selection_budget, gdd_gradient,
                     great_select)
 from .io import dataset_hash
 from .ot import TransportSolution, _Restricted, solve_exact_ot, solve_sinkhorn
+
+
+# Every rule that decides a cached value without being an input to it, with
+# its value today, grouped by the stage that applies it. D's key holds the
+# "D" group, and `SelectionConfig._solver`'s key fields hold the solver's
+# group; D-tilde's key extends D's with those fields, and an OT key holds
+# them. A change to what a rule computes edits its value here, so every
+# entry that depends on it is renamed, misses once and is rewritten.
+_RESULT_RULES = {
+    "D": {"barycenter_stop": "first-round", "graph_order": "input-order",
+          "inner_tie": "highs-vertex", "reference": "all-graphs",
+          "fw_max_iter": FW_MAX_ITER, "fw_tol": FW_TOL,
+          "barycenter_rounds": BARYCENTER_ROUNDS, "barycenter_tol": BARYCENTER_TOL},
+    "exact": {"outer_duals": "highs-duals"},
+    # plan_check: the returned plan's column sums are checked against q.
+    "sinkhorn": {"iteration": "plain", "plan_check": "column-sums"},
+}
 
 
 @dataclass(frozen=True)
@@ -81,14 +98,13 @@ class SelectionConfig:
     def _solver(self):
         """The OT solve this config names, and the fields that name it in the OT and D-tilde cache keys.
 
-        Exact solves are `{"solver": "exact"}`. Sinkhorn adds epsilon and
-        `"plan_check"`, which names the check of the returned plan's column
-        sums, so a Sinkhorn entry written without that check is never read.
+        The fields are the solver's name, epsilon for Sinkhorn, and the
+        solver's group of `_RESULT_RULES`.
         """
         if self.solver == "sinkhorn":
             return (partial(solve_sinkhorn, epsilon=self.epsilon),
-                    {"solver": "sinkhorn", "epsilon": self.epsilon, "plan_check": "column-sums"})
-        return solve_exact_ot, {"solver": "exact"}
+                    {"solver": "sinkhorn", "epsilon": self.epsilon, **_RESULT_RULES["sinkhorn"]})
+        return solve_exact_ot, {"solver": "exact", **_RESULT_RULES["exact"]}
 
     def ot_solver(self, cache_dir=None):
         """The OT solver this config names, cached under `cache_dir` if one is given.
@@ -132,11 +148,11 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     written to a content-addressed file keyed on exactly the inputs of the
     call that computes it: D on the joint dataset before featurization (the
     featurization is a pure function of it), the train/val shape, the
-    resolved reference size and the FGW config; D-tilde on that key plus c
-    and the solver fields of `SelectionConfig._solver`. At c = 0, D-tilde is D,
-    so only D is cached. The label-table solves of a D-tilde build go
-    through the OT cache of `SelectionConfig.ot_solver`, so two values of c
-    share them.
+    resolved reference size, the FGW config and the "D" group of
+    `_RESULT_RULES`; D-tilde on that key plus c and the solver fields of
+    `SelectionConfig._solver`. At c = 0, D-tilde is D, so only D is cached.
+    The label-table solves of a D-tilde build go through the OT cache of
+    `SelectionConfig.ot_solver`, so two values of c share them.
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyDataset("train and val must both be nonempty")
@@ -148,7 +164,7 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     joint = concat_datasets(train, val)
     nbar = cfg.nbar if cfg.nbar is not None else default_reference_size(joint.graphs)
     key = {"dataset_hash": dataset_hash(joint), "shape": [len(train), len(val)],
-           "nbar": nbar, **asdict(fgw_cfg)}
+           "nbar": nbar, **asdict(fgw_cfg), **_RESULT_RULES["D"]}
     D = io._cached(cache_dir, "D", key, lambda: cross_linear_fgw(
         train, val, cfg=fgw_cfg, nbar=nbar))
     if cfg.c == 0:

@@ -386,6 +386,19 @@ class TestGdd:
         assert out == ""
         assert "selection weights must be a list of numbers" in err
 
+    def test_selection_without_a_dataset_hash_exits_2(self, workdir, capsys):
+        write_two_domain_json(workdir / "ds.json", seed=15)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        run(capsys, "select", "ds.json", "split.json", "--method", "random",
+            "--tau", "0.5", "--seed", "2", "--out", "sel.json")
+        payload = json.loads((workdir / "sel.json").read_text())
+        payload["dataset_hash"] = None
+        (workdir / "sel.json").write_text(json.dumps(payload))
+        code, out, err = run(capsys, "gdd", "ds.json", "split.json", "--weights", "sel.json")
+        assert code == 2
+        assert out == ""
+        assert "error: sel.json: selection dataset_hash must be a string" in err
+
     def test_dataset_that_is_not_utf8_exits_2(self, workdir, capsys):
         write_copies_json(workdir / "copies.json")
         run(capsys, "split", "copies.json", "--out", "split.json")

@@ -274,7 +274,12 @@ class TestTypedErrors:
          ConfigInvalid, "^label weight c must be a real number, got True"),
         (lambda train, val: label_informed_cost(train, val, np.ones((2, 3)), None),
          ConfigInvalid, "^label weight c must be a real number, got None"),
-    ], ids=["cost-shape", "weights-shape", "c-bool", "c-none"])
+        (lambda train, val: gdd_from_cost(np.zeros((4, 0))),
+         EmptyDataset, r"cost of shape \(4, 0\) has no train rows or no val columns"),
+        (lambda train, val: gdd_from_cost(np.zeros((0, 3))),
+         EmptyDataset, r"cost of shape \(0, 3\) has no train rows or no val columns"),
+    ], ids=["cost-shape", "weights-shape", "c-bool", "c-none", "cost-without-columns",
+            "cost-without-rows"])
     def test_each_fault_raises_its_typed_error(self, rng, call, error, message):
         train, val = labeled(rng, [0, 1]), labeled(rng, [0, 1, 0])
         with pytest.raises(error, match=message):

@@ -6,7 +6,7 @@ import pytest
 import gradate.great as great_module
 import gradate.ot as ot
 from gradate import gdd_from_cost, gdd_gradient, great_select, sparsity_schedule
-from gradate.errors import ConfigInvalid
+from gradate.errors import ConfigInvalid, EmptyDataset
 from gradate.great import floor_budget, validate_weights
 from gradate.ot import TransportSolution
 
@@ -208,6 +208,13 @@ class TestGreatSelect:
     def test_validate_weights_names_each_fault(self, w, budget, message):
         with pytest.raises(ConfigInvalid, match=message):
             validate_weights(w, budget)
+
+    @pytest.mark.parametrize("call", [lambda d: great_select(d, 0.5, 3, 1e-4),
+                                      lambda d: gdd_gradient(d, None)],
+                             ids=["great_select", "gdd_gradient"])
+    def test_a_cost_without_columns_is_empty_dataset(self, call):
+        with pytest.raises(EmptyDataset, match=r"cost of shape \(4, 0\) has no train rows"):
+            call(np.zeros((4, 0)))
 
     def test_a_zero_budget_names_n_and_tau(self, rng):
         # The message every selector gives, great_select called directly too.

@@ -14,7 +14,9 @@ import subprocess
 import sys
 import textwrap
 import tomllib
+from importlib.machinery import ExtensionFileLoader, ModuleSpec
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import scipy
@@ -129,6 +131,26 @@ class TestLoaderFailure:
             ot._scipy_extension(name)
         assert name in str(info.value)
         assert info.value.name == name
+        assert name not in sys.modules
+
+    def test_a_module_whose_init_raises_is_not_left_registered(self, monkeypatch):
+        # A module stays in sys.modules only once it has run, so a later
+        # lookup never returns a half-initialized one.
+        name = "scipy.optimize._failing_extension"
+        monkeypatch.delitem(sys.modules, name, raising=False)  # restored on teardown
+
+        class FailingLoader(ExtensionFileLoader):
+            def create_module(self, spec):
+                return None  # a plain module object
+
+            def exec_module(self, module):
+                assert sys.modules[name] is module
+                raise RuntimeError("module init failed")
+
+        spec = ModuleSpec(name, FailingLoader(name, "_failing_extension.so"))
+        monkeypatch.setattr(ot, "PathFinder", SimpleNamespace(find_spec=lambda *args: spec))
+        with pytest.raises(RuntimeError, match="module init failed"):
+            ot._scipy_extension(name)
         assert name not in sys.modules
 
     def test_a_python_module_is_not_loaded_in_its_place(self):

@@ -748,7 +748,14 @@ class TestSelectionPersistence:
          "selection indices must be nonnegative"),
         (lambda payload: payload["indices"].reverse(), "selection indices must be sorted ascending"),
         (lambda payload: payload["weights"].pop(), "weights and indices differ in length"),
-    ], ids=["missing-field", "negative-index", "unsorted", "length-mismatch"])
+        (lambda payload: payload.update(dataset_hash=None),
+         "selection dataset_hash must be a string"),
+        (lambda payload: payload.update(dataset_hash=12), "selection dataset_hash must be a string"),
+        (lambda payload: payload.update(method=["random"]), "selection method must be a string"),
+        (lambda payload: payload.update(created_at=0), "selection created_at must be a string"),
+        (lambda payload: payload.update(config=[]), "selection config must be an object"),
+    ], ids=["missing-field", "negative-index", "unsorted", "length-mismatch", "null-hash",
+            "numeric-hash", "list-method", "numeric-created-at", "list-config"])
     def test_malformed_selection_names_its_fault(self, tmp_path, result, edit, message):
         path = tmp_path / "sel.json"
         io.save_selection(result, path)
@@ -757,6 +764,18 @@ class TestSelectionPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
             io.load_selection(path)
+
+    @pytest.mark.parametrize("provenance, message", [
+        ({"dataset_hash": None}, "selection dataset_hash must be a string"),
+        ({"config": None}, "selection config must be an object"),
+    ], ids=["null-hash", "null-config"])
+    def test_a_selection_that_would_not_load_is_not_written(self, tmp_path, result, provenance,
+                                                           message):
+        result.provenance.update(provenance)
+        path = tmp_path / "sel.json"
+        with pytest.raises(SchemaError, match=message):
+            io.save_selection(result, path)
+        assert not path.exists()
 
     def test_selection_that_is_no_object_names_the_file(self, tmp_path):
         path = tmp_path / "sel.json"

@@ -12,7 +12,7 @@ from gradate import (
     linear_fgw_distance,
     pairwise_linear_fgw,
 )
-from gradate.errors import EmptyDataset, ReferenceMismatch
+from gradate.errors import ConfigInvalid, EmptyDataset, ReferenceMismatch
 from gradate.fgw import FGWConfig
 from gradate.graphs import concat_datasets, degree_one_hot_features
 from gradate.linear_fgw import BarycentricEmbedding, embed_all
@@ -82,6 +82,22 @@ class TestLinearFgwDistance:
         expected = ((1 - alpha) * np.linalg.norm(e1.t_node - e2.t_node, "fro") ** 2
                     + alpha * np.linalg.norm(e1.t_edge - e2.t_edge, "fro") ** 2)
         assert linear_fgw_distance(e1, e2, alpha) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, message", [
+        (2.0, r"alpha must be in \[0, 1\], got 2.0"),
+        (-0.5, r"alpha must be in \[0, 1\], got -0.5"),
+        (float("nan"), r"alpha must be in \[0, 1\], got nan"),
+        (True, "alpha must be a real number, got True"),
+        ("0.5", "alpha must be a real number, got '0.5'"),
+    ], ids=["above-one", "negative", "nan", "bool", "string"])
+    def test_alpha_outside_the_unit_interval_is_rejected(self, alpha, message):
+        # FGWConfig's rule: outside [0, 1] the "squared distance" can be negative.
+        e1 = BarycentricEmbedding(np.zeros((2, 1)), np.zeros((2, 2)))
+        e2 = BarycentricEmbedding(np.ones((2, 1)), np.zeros((2, 2)))
+        with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+            linear_fgw_distance(e1, e2, alpha)
+        with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+            FGWConfig(alpha=alpha)
 
     def test_reference_mismatch_raises(self, rng):
         e1 = BarycentricEmbedding(np.zeros((3, 2)), np.zeros((3, 3)))

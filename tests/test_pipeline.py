@@ -20,6 +20,7 @@ from gradate import (
 from gradate.errors import (ConfigInvalid, DimensionMismatch, EmptyDataset, InfeasibleMarginals,
                             SchemaError)
 from gradate.fgw import FGWConfig
+from gradate.graphs import concat_datasets
 from gradate.pipeline import SelectionConfig
 
 from conftest import count_lps, random_graph, shifted_style_dtilde
@@ -206,11 +207,13 @@ class TestBuildCost:
                 found.add(tuple(sorted(json.loads(blob[8:8 + header_len])["key"])))
             return found
 
-        d_key = ("alpha", "dataset_hash", "nbar", "seed", "shape")
-        assert key_fields("D") == {d_key}
-        assert key_fields("Dtilde") == {tuple(sorted(d_key + ("c", "solver"))),
+        d_key = ("alpha", "dataset_hash", "nbar", "seed", "shape", "barycenter_stop",
+                 "graph_order", "inner_tie", "reference", "fw_max_iter", "fw_tol",
+                 "barycenter_rounds", "barycenter_tol")
+        assert key_fields("D") == {tuple(sorted(d_key))}
+        assert key_fields("Dtilde") == {tuple(sorted(d_key + ("c", "solver", "outer_duals"))),
                                         tuple(sorted(d_key + ("c", "solver", "epsilon",
-                                                              "plan_check")))}
+                                                              "iteration", "plan_check")))}
 
     def test_exact_dtilde_is_shared_across_epsilons(self, tmp_path, monkeypatch):
         # The exact solver never reads epsilon, so it is not in the key.
@@ -298,8 +301,9 @@ class TestOtCache:
         with pytest.raises(pytest.fail.Exception):
             cached(cost, np.full(6, 1 / 6), q)
 
-    @pytest.mark.parametrize("solver, name", [("exact", "OT-89f7dd88f4576bdff1a2.gdd"),
-                                              ("sinkhorn", "OT-b1bb0142499132c9d2fb.gdd")])
+    @pytest.mark.parametrize("solver, name", [("exact", "OT-605e4927992097b402cc.gdd"),
+                                              ("sinkhorn", "OT-6389caebe567d2ed6c21.gdd")],
+                             ids=["exact", "sinkhorn"])
     def test_the_entry_name_of_a_fixed_problem_is_pinned(self, tmp_path, solver, name):
         # A refactor of the key, or of the checks that feed it, must not move
         # an entry: a moved name misses every entry written before it.
@@ -432,7 +436,8 @@ class TestOtCache:
                         cache_dir=tmp_path)
         keys = {tuple(sorted(entry(path)[0])) for path in tmp_path.glob("OT-*.gdd")}
         base = ("cost", "entry", "p", "q", "shape", "solver")
-        assert keys == {base, tuple(sorted(base + ("epsilon", "plan_check")))}
+        assert keys == {tuple(sorted(base + ("outer_duals",))),
+                        tuple(sorted(base + ("epsilon", "iteration", "plan_check")))}
 
     def test_two_values_of_c_share_the_label_table_solves(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(19)
@@ -479,6 +484,89 @@ class TestOtCache:
         assert calls == []
         assert warm == cold
         assert warm.trace.final_weights.tobytes() == cold.trace.final_weights.tobytes()
+
+
+def entry_names(cache_dir, dataset_path, train, val):
+    """The entry names one pass writes to an empty `cache_dir`, by kind and solver.
+
+    The pass loads the JSON dataset through the cache (a "DS" entry), then,
+    for each solver, builds D-tilde at c = 1, selects with `lava_select` and
+    solves `gdd_from_cost` at non-uniform weights.
+    """
+    io.load_dataset(dataset_path, cache_dir=cache_dir)
+    w = np.arange(len(train), dtype=float) / sum(range(len(train)))
+    for solver in ("exact", "sinkhorn"):
+        cfg = SelectionConfig(tau=0.5, c=1.0, solver=solver, epsilon=2.0)
+        cost = build_cost(train, val, cfg, cache_dir=cache_dir)
+        lava_select(train, val, cfg, dtilde=cost, cache_dir=cache_dir)
+        gdd_from_cost(cost, w, cfg.ot_solver(cache_dir))
+    names = {}
+    for path in cache_dir.glob("*.gdd"):
+        names.setdefault((path.name.split("-")[0], entry(path)[0].get("solver")),
+                         set()).add(path.name)
+    return names
+
+
+class TestResultRules:
+    """Each cache kind is keyed on exactly the rules of `pipeline._RESULT_RULES` behind it."""
+
+    @pytest.mark.parametrize("group, renamed", [
+        ("D", {("D", None), ("Dtilde", "exact"), ("Dtilde", "sinkhorn")}),
+        ("exact", {("Dtilde", "exact"), ("OT", "exact")}),
+        ("sinkhorn", {("Dtilde", "sinkhorn"), ("OT", "sinkhorn")}),
+    ], ids=["D", "exact", "sinkhorn"])
+    def test_a_new_rule_value_renames_exactly_the_entries_it_decides(
+            self, tmp_path, monkeypatch, group, renamed):
+        train, val = two_domain(np.random.default_rng(21), n_dense=3, n_sparse=3, n_val=2)
+        dataset_path = tmp_path / "ds.json"
+        io.save_dataset_json(concat_datasets(train, val), dataset_path)
+        (tmp_path / "before").mkdir()
+        before = entry_names(tmp_path / "before", dataset_path, train, val)
+        assert set(before) == {("DS", None), ("D", None), ("Dtilde", "exact"),
+                               ("Dtilde", "sinkhorn"), ("OT", "exact"), ("OT", "sinkhorn")}
+        for rule, value in pipeline._RESULT_RULES[group].items():
+            with monkeypatch.context() as patch:
+                patch.setitem(pipeline._RESULT_RULES[group], rule, value * 2)  # a new value
+                (tmp_path / rule).mkdir()
+                after = entry_names(tmp_path / rule, dataset_path, train, val)
+            assert set(after) == set(before)
+            for kind, names in before.items():
+                if kind in renamed:
+                    assert names.isdisjoint(after[kind]), (rule, kind)
+                else:
+                    assert after[kind] == names, (rule, kind)
+
+    def test_a_cache_filled_before_the_rule_fields_misses_once(self, tmp_path):
+        # Such an entry's key holds no rule field but "plan_check", which
+        # Sinkhorn keys held already. Its bytes may come from other rules, so
+        # it must miss and be rewritten; here it holds a marked payload.
+        train, val = two_domain(np.random.default_rng(22), n_dense=3, n_sparse=3, n_val=2)
+        rules = {rule for group in pipeline._RESULT_RULES.values() for rule in group}
+        configs = [SelectionConfig(tau=0.5, c=1.0, solver=solver, epsilon=2.0)
+                   for solver in ("exact", "sinkhorn")]
+        (tmp_path / "cold").mkdir()
+        costs = [build_cost(train, val, cfg, cache_dir=tmp_path / "cold") for cfg in configs]
+        for cfg, cost in zip(configs, costs):
+            lava_select(train, val, cfg, dtilde=cost, cache_dir=tmp_path / "cold")
+        cold = list((tmp_path / "cold").iterdir())
+        for path in cold:
+            kind = path.name.split("-")[0]
+            key, payload = entry(path)
+            key = {field: value for field, value in key.items()
+                   if field not in rules or field == "plan_check"}
+            old = np.full_like(payload, 7.0).reshape(-1, 1 if kind == "OT" else len(val))
+            io.save_matrix_cache(tmp_path / io.cache_file_name(kind, key), old, key)
+        for cfg, cost in zip(configs, costs):
+            warm = build_cost(train, val, cfg, cache_dir=tmp_path)
+            assert np.array_equal(warm.base, cost.base)
+            assert np.array_equal(warm.values, cost.values)
+            assert gdd_from_cost(warm, None, cfg.ot_solver(tmp_path))[0] \
+                == gdd_from_cost(cost, None, cfg.ot_solver())[0]
+            assert lava_select(train, val, cfg, dtilde=warm, cache_dir=tmp_path) \
+                == lava_select(train, val, cfg, dtilde=cost)
+        names = {path.name for path in tmp_path.glob("*.gdd")}
+        assert len(names) == 2 * len(cold)
+        assert {path.name for path in cold} < names
 
 
 class TestGradate:
