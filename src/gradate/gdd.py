@@ -21,7 +21,9 @@ from .graphs import LabeledGraphDataset, concat_datasets, degree_one_hot_feature
 from .linear_fgw import _linear_fgw_block, _reference_embeddings
 from .ot import TransportSolution, solve_exact_ot
 
-OTSolver = Callable[[np.ndarray, np.ndarray, np.ndarray], TransportSolution]
+# Called as solver(cost, p, q, start=None), `start` an earlier solution of the
+# same cost that may speed the solve up but must not change its answer.
+OTSolver = Callable[..., TransportSolution]
 
 
 @dataclass(frozen=True)
@@ -137,20 +139,29 @@ def label_informed_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     return LabelInformedCost(values=D + offsets, base=D.copy(), c=c)
 
 
-def gdd_from_cost(dtilde, w: np.ndarray | None = None,
-                  solver: OTSolver | None = None) -> tuple[float, TransportSolution]:
+def _outer_cost(dtilde) -> np.ndarray:
+    """`dtilde` as an array, checked: not 2-D is a DimensionMismatch, empty an EmptyDataset."""
+    values = np.asarray(dtilde)
+    if values.ndim != 2:
+        raise DimensionMismatch(f"cost must be 2-D, got shape {values.shape}")
+    if 0 in values.shape:
+        raise EmptyDataset(f"cost of shape {values.shape} has no train rows or no val columns")
+    return values
+
+
+def gdd_from_cost(dtilde, w: np.ndarray | None = None, solver: OTSolver | None = None,
+                  start: TransportSolution | None = None) -> tuple[float, TransportSolution]:
     """Dataset distance given a prebuilt label-informed cost.
 
     Solves OT(p(w), uniform, D-tilde) where w defaults to uniform over the
-    training rows; a cost without rows or columns is an EmptyDataset. This
-    is the only piece re-solved inside the selection loop; the cost itself
-    is built once.
+    training rows; a cost that is not 2-D is a DimensionMismatch, one
+    without rows or columns an EmptyDataset. This is the only piece
+    re-solved inside the selection loop; the cost itself is built once.
+    `start`, an earlier solution on this cost, is passed to the solver.
     """
     solver = solver or solve_exact_ot
-    values = np.asarray(dtilde)
+    values = _outer_cost(dtilde)
     n, m = values.shape
-    if n == 0 or m == 0:
-        raise EmptyDataset(f"cost of shape {values.shape} has no train rows or no val columns")
     if w is None:
         w = np.full(n, 1.0 / n)
     w = np.asarray(w, dtype=np.float64)
@@ -159,7 +170,7 @@ def gdd_from_cost(dtilde, w: np.ndarray | None = None,
     if np.max(w, initial=0.0) <= 0.0:
         raise AllZeroWeights("the training weight vector carries no mass")
     q = np.full(m, 1.0 / m)
-    sol = solver(values, w, q)
+    sol = solver(values, w, q, start=start)
     return sol.value, sol
 
 

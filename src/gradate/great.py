@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigInvalid
 from .fgw import _as_number, _checked_nonnegative
-from .gdd import OTSolver, gdd_from_cost
+from .gdd import OTSolver, _outer_cost, gdd_from_cost
 from .ot import calibrate_duals
 
 _SNAP_EPS = 1e-9
@@ -151,18 +151,22 @@ def great_select(dtilde, tau: float, T: int, eta: float,
     to their top-k support are restored and the event is recorded on the
     trace.
 
-    tau, T and eta are checked, and refused with a ConfigInvalid that names
-    them, by the rules `SelectionConfig` applies.
+    Each outer solve after the first passes the previous one as the
+    solver's `start`. The cost is checked as `gdd_from_cost` checks it,
+    before tau: not 2-D is a DimensionMismatch, without rows or columns an
+    EmptyDataset. tau, T and eta are checked, and refused with a
+    ConfigInvalid that names them, by the rules `SelectionConfig` applies.
     """
-    values = np.asarray(dtilde)
+    values = _outer_cost(dtilde)
     n = values.shape[0]
     budget = _selection_budget(n, tau)
     T, eta = _checked_T(T), _checked_nonnegative("eta", eta)
 
     w = np.full(n, 1.0 / n)
     records: list[GreatIteration] = []
+    sol = None
     for t in range(1, T):
-        value, sol = gdd_from_cost(values, w, solver)
+        value, sol = gdd_from_cost(values, w, solver, start=sol)
         grad = calibrate_duals(sol).dual_source
         k = sparsity_schedule(n, tau, T, t)
 
@@ -182,6 +186,6 @@ def great_select(dtilde, tau: float, T: int, eta: float,
     if np.count_nonzero(w) > budget:
         w = _keep_top(w, budget)
 
-    final_value, _ = gdd_from_cost(values, w, solver)
+    final_value, _ = gdd_from_cost(values, w, solver, start=sol)
     trace = GreatTrace(iterations=tuple(records), final_weights=w, final_gdd=final_value)
     return np.flatnonzero(w), trace

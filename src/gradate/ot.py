@@ -24,17 +24,23 @@ paths:
 - The outer, `gdd` and label-table solves, `solve_exact_ot`, return the
   coupling and duals. From `_GROWN_MIN_CELLS` cells on they first try a
   support grown by violated reduced costs, `_certified_grown_lp`, whose
-  result is kept only when it is certified to be the unique optimum, and so
-  equals the full LP's vertex, calibrated duals and value to rounding.
-  Otherwise the full LP runs.
+  result is kept only when it is certified to be the unique optimum. Its
+  rounds may start from the duals of an earlier solve of the same cost
+  (`start`, which GREAT passes from one step to the next): they pick the
+  first cells and a starting basis. The answer is read from a model of the
+  certified tree alone, so it depends on the problem alone and equals the
+  full LP's vertex, calibrated duals and value to rounding. Otherwise the
+  full LP runs.
 - `solve_sinkhorn` runs log-domain Sinkhorn sweeps. Its log-sum-exp is
   `_logsumexp`, scipy 1.17's arithmetic in plain NumPy, so its bits do not
   depend on the installed scipy.
 
 Every exact LP runs HiGHS's dual simplex, called directly through scipy's
-private bindings with the options of `linprog(method="highs-ds")` and the
-model as NumPy buffers, without `linprog`'s per-call Python overhead. Both
-uniqueness certificates use one margin, `_CERTIFICATE_MARGIN`, 10x HiGHS's
+private bindings with the model as NumPy buffers, without `linprog`'s
+per-call Python overhead. Every LP whose answer is returned runs with the
+options of `linprog(method="highs-ds")`; the rounds of a grown support,
+whose answer is never returned, run with presolve off. Both uniqueness
+certificates use one margin, `_CERTIFICATE_MARGIN`, 10x HiGHS's
 feasibility tolerances.
 
 The package calls three compiled scipy functions, and `_scipy_extension`
@@ -60,6 +66,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib.machinery import ExtensionFileLoader, PathFinder
 from importlib.util import module_from_spec
+from itertools import compress, islice
 
 import numpy as np
 # np.unique imports numpy.ma on its first call: load it with the package,
@@ -67,7 +74,7 @@ import numpy as np
 import numpy.ma  # noqa: F401
 import scipy
 
-from .errors import InfeasibleMarginals, NonConvergence, NumericalFailure
+from .errors import DimensionMismatch, InfeasibleMarginals, NonConvergence, NumericalFailure
 
 
 def _scipy_extension(name: str):
@@ -103,6 +110,7 @@ _highspy = _scipy_extension("scipy.optimize._highspy._core")
 HighsModelStatus, HighsOptions, _Highs, kHighsInf = (
     _highspy.HighsModelStatus, _highspy.HighsOptions, _highspy._Highs, _highspy.kHighsInf
 )
+HighsBasis, _BASIS = _highspy.HighsBasis, _highspy.HighsBasisStatus
 
 SIMPLEX_TOL = 1e-9
 
@@ -204,24 +212,37 @@ class _Restricted:
         return beta, psi
 
 
-def solve_exact_ot(cost, p, q) -> TransportSolution:
+def solve_exact_ot(cost, p, q, start: TransportSolution | None = None) -> TransportSolution:
     """Exact OT(p, q, cost) via the transportation linear program.
 
     Returns an optimal basic solution together with optimal dual potentials.
     On the full-LP path these are the vertex and row duals of HiGHS's dual
     simplex, the same bits as `linprog(method="highs-ds")` gives. The
     certified path (`_certified_grown_lp`) answers only where the optimum is
-    unique, and returns it to rounding: the coupling, value and calibrated
-    duals agree with the full LP's, the raw duals up to their additive
-    constant. Any HiGHS outcome other than optimal on the full LP raises
-    NumericalFailure. Zero-mass atoms are dropped before the solve and
-    re-inserted afterwards: their coupling rows/columns are zero and their
-    duals are set to the tightest reduced-cost-feasible value, so a
-    sparsified training measure still yields a full-length, feasible dual
-    vector.
+    unique, and reads it from a HiGHS model of the certified tree alone: the
+    coupling, value and calibrated duals agree with the full LP's to
+    rounding, the raw duals up to their additive constant. Any HiGHS outcome
+    other than optimal on the full LP raises NumericalFailure. Zero-mass
+    atoms are dropped before the solve and re-inserted afterwards: their
+    coupling rows/columns are zero and their duals are set to the tightest
+    reduced-cost-feasible value, so a sparsified training measure still
+    yields a full-length, feasible dual vector.
+
+    `start` is an earlier solution of the same cost, such as the previous
+    step of the selection loop; only its full-length duals are read, to
+    pick the grown support's first cells and starting basis. The answer
+    depends on (cost, p, q) alone, with or without it. Duals of another
+    shape than the cost's are a DimensionMismatch.
     """
     problem = _Restricted(cost, p, q)
-    solved = _certified_grown_lp(problem.block, problem.ps, problem.qs)
+    duals = None
+    if start is not None:
+        f, g = np.asarray(start.dual_source), np.asarray(start.dual_target)
+        if (f.shape, g.shape) != (problem.p.shape, problem.q.shape):
+            raise DimensionMismatch(f"start duals have shapes {f.shape} and {g.shape}, "
+                                    f"expected {problem.p.shape} and {problem.q.shape}")
+        duals = (f[problem.keep_i], g[problem.keep_j])
+    solved = _certified_grown_lp(problem.block, problem.ps, problem.qs, duals)
     x, duals, value = problem.full_lp() if solved is None else solved
     beta, psi = problem.extend_duals(*np.split(duals, [len(problem.ps)]), np.min)
     return TransportSolution(value, problem.lift(x), beta, psi)
@@ -240,22 +261,34 @@ def _full_lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarra
     return problem.lift(problem.full_lp()[0])
 
 
+def _dual_simplex_options(presolve: str) -> HighsOptions:
+    """HiGHS options for a quiet dual-simplex run with `presolve` "on" or "off"."""
+    options = HighsOptions()
+    options.presolve = presolve
+    options.solver = "simplex"
+    options.simplex_strategy = 1  # dual
+    options.highs_debug_level = 0
+    options.output_flag = False
+    options.log_to_console = False
+    return options
+
+
 # The HiGHS options `linprog(method="highs-ds")` passes: presolve on, dual
-# simplex, no debug checks, no output. Changing any of them can change the
-# vertex HiGHS picks on a tie, and so the selections.
-_HIGHS_OPTIONS = HighsOptions()
-_HIGHS_OPTIONS.presolve = "on"
-_HIGHS_OPTIONS.solver = "simplex"
-_HIGHS_OPTIONS.simplex_strategy = 1  # dual
-_HIGHS_OPTIONS.highs_debug_level = 0
-_HIGHS_OPTIONS.output_flag = False
-_HIGHS_OPTIONS.log_to_console = False
+# simplex, no debug checks, no output. Every LP whose answer is returned runs
+# with them: changing any of them can change the vertex HiGHS picks on a tie,
+# and so the selections.
+_HIGHS_OPTIONS = _dual_simplex_options("on")
+# The rounds of a grown support, whose answer is never returned, run without
+# presolve. With it, grown solves from cost-ranked cells took 1.4x as long
+# on GREAT's 300 x 100 and 600 x 200 shifted-style costs (2-vCPU VM); those
+# started from a `start`'s basis took the same time either way.
+_GROWN_OPTIONS = _dual_simplex_options("off")
 
 
-def _transport_model(b: np.ndarray) -> _Highs:
+def _transport_model(b: np.ndarray, options: HighsOptions = _HIGHS_OPTIONS) -> _Highs:
     """A fresh HiGHS instance holding the equality rows A x = b of a transportation LP."""
     highs = _Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs.passOptions(options)
     no_entries = np.empty(0, dtype=np.int32)
     highs.addRows(b.size, b, b, 0, no_entries, no_entries, np.empty(0))
     return highs
@@ -304,17 +337,22 @@ def _solve_transport_lp(c: np.ndarray, b: np.ndarray, n: int, m: int):
             highs.getInfo().objective_function_value)
 
 
-# Smallest n * m the grown-support path is tried on, at the measured
-# crossover. On a 2-vCPU VM (20 random costs with non-uniform p per shape,
-# the best of five timings of each) it broke even with the full LP at
-# 400-450 cells (median time ratios 0.95-0.99), won 19-20 of 20 from 576
-# cells on, and took 0.5x the time at 1,600 cells and 0.06x at 600 x 200.
+# Smallest n * m the grown-support path is tried on. On a 2-vCPU VM (20
+# costs with non-uniform p per shape, the best of five timings of each, no
+# start, the tree model included) its median time against the full LP's
+# was, at 200, 300, 576 and 1,600 cells, 1.08, 0.89, 0.67 and 0.39 on
+# uniform random costs and 1.06, 0.92, 0.88 and 0.61 on shifted-style ones:
+# it breaks even near 250 cells. The floor stays above that: the smallest
+# outer or label-table LP of the benchmark workloads has 1,026 cells, and a
+# lower floor would move the bits of the small LPs it reroutes from the
+# full LP to the tree model.
 _GROWN_MIN_CELLS = 576
-_GROWN_START_CELLS = 8   # each row's and each column's cheapest cells start the model
+_GROWN_START_CELLS = 8   # each row's and each column's best cells start the model
 _GROWN_ADDED_PER_ROW = 2  # the most violated cells a violated row adds per round
-# Cap on HiGHS runs per grown solve. GREAT's outer LPs took 3-5 on the
-# shifted_labeled benchmark corpus and 3-9 on shifted-style costs up to
-# 1200 x 400; random costs took 1-2.
+# Cap on HiGHS runs per grown solve. From cost-ranked starts GREAT's outer
+# LPs took 3-5 on the shifted_labeled benchmark corpus and 3-9 on
+# shifted-style costs up to 1200 x 400; started from the previous step's
+# duals, they took 1-4 at 300 x 100 and 600 x 200. Random costs took 1-2.
 _GROWN_MAX_ROUNDS = 30
 # Margin of both uniqueness certificates, 10x HiGHS's absolute 1e-7 primal
 # and dual feasibility tolerances. A basis adjacent to a certified grown one
@@ -326,16 +364,20 @@ _GROWN_MAX_ROUNDS = 30
 _CERTIFICATE_MARGIN = 1e-6
 
 
-def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
+def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, start=None):
     """`_solve_transport_lp`'s result on a grown support, if provably the unique optimum.
 
     `p` and `q` are positive. The model starts on each row's and each
-    column's `_GROWN_START_CELLS` cheapest cells and the north-west-corner
-    plan, so it is feasible. After each HiGHS run, every row with a cell of
-    negative reduced cost outside the model adds its
+    column's `_GROWN_START_CELLS` best cells and the north-west-corner plan,
+    so it is feasible. The best cells are the cheapest, or, with `start` (a
+    pair of row and column duals of an earlier solve of this cost), those of
+    least reduced cost `cost - f - g`, and the first run then starts from
+    the basis `_set_tree_basis` picks. After each HiGHS run, every row with
+    a cell of negative reduced cost outside the model adds its
     `_GROWN_ADDED_PER_ROW` most negative ones, and HiGHS runs again on the
-    same instance from its last basis. When no cell is violated, the
-    optimum is accepted only under a certificate:
+    same instance from its last basis. The rounds run with `_GROWN_OPTIONS`.
+    When no cell is violated, the optimum is accepted only under a
+    certificate:
 
     - its positive cells number n + m - 1 and form a spanning tree, each
       with mass above `_CERTIFICATE_MARGIN`, so the vertex is nondegenerate
@@ -343,8 +385,11 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     - every other cell's reduced cost is above
       `_CERTIFICATE_MARGIN`, so the vertex is the unique optimum.
 
-    It then equals the full LP's vertex, calibrated duals and value to
-    rounding. Returns None (the caller solves the full LP) below
+    The coupling, duals and value are then read from a fresh HiGHS model,
+    with `_HIGHS_OPTIONS`, that holds the tree's cells alone in flat order.
+    So they depend on (cost, p, q) alone, never on `start`, the rounds or
+    their options, and they equal the full LP's vertex, calibrated duals and
+    value to rounding. Returns None (the caller solves the full LP) below
     `_GROWN_MIN_CELLS` cells, for uniform marginals with gcd(n, m) > 1, after
     `_GROWN_MAX_ROUNDS` runs, on a non-optimal status, or when the
     certificate fails. Uniform marginals with g = gcd(n, m) > 1 balance n/g
@@ -358,18 +403,22 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     if np.all(p == p[0]) and np.all(q == q[0]) and math.gcd(n, m) > 1:
         return None
     kr, kc = min(_GROWN_START_CELLS, m), min(_GROWN_START_CELLS, n)
-    by_row = np.argpartition(cost, kr - 1, axis=1)[:, :kr]
-    by_col = np.argpartition(cost, kc - 1, axis=0)[:kc]
+    ranked = cost if start is None else cost - start[0][:, None] - start[1][None, :]
+    by_row = np.argpartition(ranked, kr - 1, axis=1)[:, :kr]
+    by_col = np.argpartition(ranked, kc - 1, axis=0)[:kc]
     cells = np.unique(np.concatenate([
         (np.arange(n)[:, None] * m + by_row).ravel(),
         (by_col * m + np.arange(m)).ravel(),
         _north_west_corner(p, q)])).astype(np.int32)
     c = cost.ravel()
     in_model = np.zeros(n * m, dtype=bool)
-    highs = _transport_model(np.concatenate([p, q]))
+    b = np.concatenate([p, q])
+    highs = _transport_model(b, _GROWN_OPTIONS)
     model_cells = []
     for _ in range(_GROWN_MAX_ROUNDS):
         _add_cells(highs, c, cells, n, m)
+        if start is not None and not model_cells:
+            _set_tree_basis(highs, cells, ranked.ravel()[cells], n, m)
         in_model[cells] = True
         model_cells.append(cells)
         if not _run_highs(highs):
@@ -390,12 +439,41 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     x = np.zeros(n * m)
     x[np.concatenate(model_cells)] = highs.getSolution().col_value
     support = x > 0
-    if (np.count_nonzero(support) != n + m - 1
-            or x[support].min() <= _CERTIFICATE_MARGIN
+    tree = np.flatnonzero(support).astype(np.int32)
+    if (tree.size != n + m - 1
+            or x[tree].min() <= _CERTIFICATE_MARGIN
             or reduced.ravel()[~support].min(initial=np.inf) <= _CERTIFICATE_MARGIN
-            or not _is_forest(np.flatnonzero(support), n, m)):
+            or not _is_forest(tree, n, m)):
         return None
-    return x, duals, highs.getInfo().objective_function_value
+    highs = _transport_model(b)
+    _add_cells(highs, c, tree, n, m)
+    if not _run_highs(highs):
+        return None
+    solution = highs.getSolution()
+    x = np.zeros(n * m)
+    x[tree] = solution.col_value
+    return x, np.array(solution.row_dual), highs.getInfo().objective_function_value
+
+
+def _set_tree_basis(highs: _Highs, cells: np.ndarray, reduced: np.ndarray, n: int, m: int) -> None:
+    """Start HiGHS on the spanning tree of the model's `cells` of least `reduced` cost.
+
+    The tree is grown in order of reduced cost (Kruskal's rule), so under
+    duals for which its cells are tight, as an earlier optimum's are, the
+    basis is dual feasible and the dual simplex only repairs the masses
+    that changed. Row 0's logical completes the n + m basic variables; its
+    equation is the one the others imply. The north-west-corner cells in
+    the model make it connected.
+    """
+    order = np.argsort(reduced, kind="stable")
+    col = [_BASIS.kLower] * cells.size
+    for k in islice(compress(order.tolist(), _joins(cells[order], n, m)), n + m - 1):
+        col[k] = _BASIS.kBasic
+    basis = HighsBasis()
+    basis.col_status = col
+    basis.row_status = [_BASIS.kBasic] + [_BASIS.kLower] * (n + m - 1)
+    basis.valid = True
+    highs.setBasis(basis)
 
 
 def _north_west_corner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -486,6 +564,15 @@ def _linear_step(p: np.ndarray, q: np.ndarray):
 
 def _is_forest(cells: np.ndarray, n: int, m: int) -> bool:
     """Whether the flat cells i * m + j of an (n, m) matrix form an acyclic row-column graph."""
+    return all(_joins(cells, n, m))
+
+
+def _joins(cells: np.ndarray, n: int, m: int):
+    """For each flat cell i * m + j in turn, whether it joins two trees of the cells before it.
+
+    A union-find over the n rows and m columns; a lazy generator, so a
+    caller can stop at the first cycle or the last tree edge it needs.
+    """
     parent = list(range(n + m))
     for cell in cells.tolist():
         a, b = cell // m, n + cell % m
@@ -493,20 +580,20 @@ def _is_forest(cells: np.ndarray, n: int, m: int) -> bool:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
-        if a == b:
-            return False
+        yield a != b
         parent[a] = b
-    return True
 
 
 def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
-                   tol: float = 1e-9) -> TransportSolution:
+                   tol: float = 1e-9, start: TransportSolution | None = None) -> TransportSolution:
     """Entropic OT via log-domain Sinkhorn iterations.
 
     The reported value is <coupling, cost> without the regularization term;
     dual_source/dual_target are the converged potentials. Each half-sweep is
     one `_logsumexp`, which gives the bits of scipy 1.17's `logsumexp`.
     Zero-mass atoms are dropped before the sweeps and re-inserted after.
+    `start` is taken for the solver interface `solve_exact_ot` defines and
+    ignored: the sweeps always start from zero potentials.
     Raises ValueError unless epsilon is positive and finite, and
     NonConvergence when the marginal violation still exceeds `tol` after
     `max_iter` sweeps, or when the returned plan's column sums miss q by

@@ -37,7 +37,8 @@ _RESULT_RULES = {
           "inner_tie": "highs-vertex", "reference": "all-graphs",
           "fw_max_iter": FW_MAX_ITER, "fw_tol": FW_TOL,
           "barycenter_rounds": BARYCENTER_ROUNDS, "barycenter_tol": BARYCENTER_TOL},
-    "exact": {"outer_duals": "highs-duals"},
+    # outer_duals: a certified solve's answer is read from its tree's model.
+    "exact": {"outer_duals": "highs-tree-duals"},
     # plan_check: the returned plan's column sums are checked against q.
     "sinkhorn": {"iteration": "plain", "plan_check": "column-sums"},
 }
@@ -175,8 +176,9 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     return LabelInformedCost(values=values, base=D, c=float(cfg.c))
 
 
-def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolution:
-    """`solve(cost, p, q)` through an "OT" cache entry; see `SelectionConfig.ot_solver`.
+def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q,
+               start: TransportSolution | None = None) -> TransportSolution:
+    """`solve(cost, p, q, start=start)` through an "OT" cache entry; see `ot_solver`.
 
     The solver's checks run before the lookup, so a hit accepts no input that
     a solve rejects. Zero-mass atoms are dropped by both solvers, so only the
@@ -184,7 +186,8 @@ def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolut
     The entry is one column of 1 + n + m floats: the value, the n source
     duals, then the m target duals, zero-mass atoms included. The key's
     `"entry"` field names that layout, so entries that also stored the
-    coupling have other file names and miss once.
+    coupling have other file names and miss once. `start` is passed on to
+    a miss's solve and is not in the key: it never changes the answer.
     """
     problem = _Restricted(cost, p, q)
     n, m = problem.cost.shape
@@ -194,7 +197,7 @@ def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q) -> TransportSolut
            "q": _positive_digest(problem.keep_j, problem.qs)}
 
     def compute():
-        sol = solve(problem.cost, p, q)
+        sol = solve(problem.cost, p, q, start=start)
         return np.concatenate([[sol.value], sol.dual_source, sol.dual_target])[:, None]
 
     column = io._cached(cache_dir, "OT", key, compute).ravel()

@@ -62,8 +62,9 @@ def path_graph(n, feature_dim=0):
 def count_lps(monkeypatch) -> list:
     """Patch the HiGHS entry point so that each HiGHS run appends to the returned list.
 
-    A full LP and each round of a grown-support solve are one run each; the
-    list holds the (rows, columns) of the model each run solved.
+    A full LP, each round of a grown-support solve and the tree model of a
+    certified one are one run each; the list holds the (rows, columns) of
+    the model each run solved.
     """
     calls = []
     original = ot._run_highs

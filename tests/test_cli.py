@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gradate.cli as cli
+import gradate.ot as ot
 import gradate.pipeline as pipeline
 from gradate import LabeledGraphDataset, build_cost, io
 from gradate.cli import main
@@ -835,6 +836,24 @@ class TestOtCache:
             assert run(capsys, *select, "--tau", "0.4", "--cache-dir", cache)[0] == 0
             counts[cache] = len(calls)
         assert counts == {"shared": 7, "fresh": 10}  # T - 1 iterations and the final solve
+
+    def test_gdd_after_select_prints_what_an_empty_cache_does(self, workdir, capsys,
+                                                              monkeypatch):
+        # GREAT's final solve starts from the previous one and writes the
+        # entry `gdd --weights` then reads; a cold solve must give its bytes.
+        # Floor and starting support lowered, so that these small LPs grow.
+        monkeypatch.setattr(ot, "_GROWN_MIN_CELLS", 1)
+        monkeypatch.setattr(ot, "_GROWN_START_CELLS", 1)
+        write_two_domain_json(workdir / "ds.json", seed=26, n_dense=12, n_sparse=12)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        assert run(capsys, *self.SELECT, "--method", "gradate", "--tau", "0.25",
+                   "--out", "a.json", "--cache-dir", "shared")[0] == 0
+        gdd = ["gdd", "ds.json", "split.json", "--c", "1", "--weights", "a.json"]
+        code, warm, _ = run(capsys, *gdd, "--cache-dir", "shared")
+        assert code == 0
+        code, cold, _ = run(capsys, *gdd, "--cache-dir", "empty")
+        assert code == 0
+        assert warm == cold
 
     def test_negative_weight_on_a_warm_cache_exits_2(self, workdir, capsys):
         write_two_domain_json(workdir / "ds.json", seed=23)

@@ -278,8 +278,10 @@ class TestTypedErrors:
          EmptyDataset, r"cost of shape \(4, 0\) has no train rows or no val columns"),
         (lambda train, val: gdd_from_cost(np.zeros((0, 3))),
          EmptyDataset, r"cost of shape \(0, 3\) has no train rows or no val columns"),
+        (lambda train, val: gdd_from_cost(np.zeros(3)),
+         DimensionMismatch, r"cost must be 2-D, got shape \(3,\)"),
     ], ids=["cost-shape", "weights-shape", "c-bool", "c-none", "cost-without-columns",
-            "cost-without-rows"])
+            "cost-without-rows", "cost-not-2d"])
     def test_each_fault_raises_its_typed_error(self, rng, call, error, message):
         train, val = labeled(rng, [0, 1]), labeled(rng, [0, 1, 0])
         with pytest.raises(error, match=message):

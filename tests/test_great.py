@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import gradate.great as great_module
 import gradate.ot as ot
 from gradate import gdd_from_cost, gdd_gradient, great_select, sparsity_schedule
-from gradate.errors import ConfigInvalid, EmptyDataset
+from gradate.errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from gradate.great import floor_budget, validate_weights
 from gradate.ot import TransportSolution
 
@@ -216,6 +217,18 @@ class TestGreatSelect:
         with pytest.raises(EmptyDataset, match=r"cost of shape \(4, 0\) has no train rows"):
             call(np.zeros((4, 0)))
 
+    @pytest.mark.parametrize("call", [lambda d: great_select(d, 0.5, 3, 1e-4),
+                                      lambda d: gdd_gradient(d, None)],
+                             ids=["great_select", "gdd_gradient"])
+    def test_a_cost_that_is_not_2d_is_a_dimension_mismatch(self, call):
+        with pytest.raises(DimensionMismatch, match=r"cost must be 2-D, got shape \(3,\)"):
+            call(np.zeros(3))
+
+    def test_a_cost_without_rows_is_empty_dataset_before_tau_is_read(self):
+        # floor(0 * tau) = 0 would otherwise blame tau for an empty cost.
+        with pytest.raises(EmptyDataset, match=r"cost of shape \(0, 3\) has no train rows"):
+            great_select(np.zeros((0, 3)), 0.5, 3, 1e-4)
+
     def test_a_zero_budget_names_n_and_tau(self, rng):
         # The message every selector gives, great_select called directly too.
         with pytest.raises(ConfigInvalid, match=r"floor\(3 \* 0\.2\) = 0; nothing would be selected"):
@@ -295,6 +308,20 @@ class TestStraightLineReference:
         monkeypatch.setattr(great_module, "calibrate_duals", fake_calibrate)
         trace = self.assert_same_bits(rng.random((6, 4)), 0.5, 4, 1.0, fake_calibrate)
         assert any(it.recovered for it in trace.iterations)
+
+    def test_warm_started_certified_solves(self, monkeypatch):
+        # 60 x 30 is above the grown path's floor: every solve after the
+        # uniform first one is certified and started from the one before.
+        starts = []
+        # `gradate.gdd` as a module: the package attribute is the `gdd` function.
+        monkeypatch.setattr(importlib.import_module("gradate.gdd"), "solve_exact_ot",
+                            lambda cost, p, q, start=None: starts.append(start is not None)
+                            or ot.solve_exact_ot(cost, p, q, start))
+        full = count_full_lps(monkeypatch)
+        self.assert_same_bits(shifted_style_dtilde(0, 60, 30), 0.5, 6, 1e-3)
+        assert 60 * 30 >= ot._GROWN_MIN_CELLS
+        assert starts == [False] + [True] * 5
+        assert full == [(60, 30)] * 2  # great_select's first solve and the oracle's
 
 
 class TestCertifiedOuterSolves:

@@ -11,11 +11,11 @@ from scipy.special import logsumexp
 
 import gradate.ot as ot
 from gradate import (AttributedGraph, LabeledGraphDataset, calibrate_duals,
-                     degree_one_hot_features, solve_exact_ot, solve_sinkhorn)
-from gradate.errors import InfeasibleMarginals, NonConvergence, NumericalFailure
+                     degree_one_hot_features, great_select, solve_exact_ot, solve_sinkhorn)
+from gradate.errors import DimensionMismatch, InfeasibleMarginals, NonConvergence, NumericalFailure
 from gradate.fgw import FGWConfig, _QuadObjective
 from gradate.pipeline import SelectionConfig
-from gradate.ot import _linear_step, _logsumexp, as_cost_matrix
+from gradate.ot import TransportSolution, _linear_step, _logsumexp, as_cost_matrix
 
 import oracles
 from conftest import count_full_lps, count_lps, shifted_style_dtilde
@@ -327,6 +327,76 @@ class TestCertifiedGrownLp:
         assert len(full) == 1
         # The full LP runs after at least one grown run, unless none was attempted.
         assert (len(runs) == 1) == (case == "uniform-gcd")
+
+
+def _next_great_solve(seed, n, m):
+    """A cost, the weights of two consecutive GREAT steps on it, and the solution at the first.
+
+    That solution is the `start` GREAT passes to its solve at the second.
+    """
+    cost, q = shifted_style_dtilde(seed, n, m), _uniform(m)
+    before, p = (it.weights for it in great_select(cost, 0.5, 4, 1e-3)[1].iterations[:2])
+    return cost, p, q, solve_exact_ot(cost, before, q)
+
+
+class TestAnswerDependsOnTheProblemAlone:
+    """A certified solve's bytes against every start and starting support."""
+
+    @pytest.mark.parametrize("seed, n, m", [(0, 60, 30), (1, 45, 20), (2, 100, 33)])
+    def test_any_start_gives_the_same_bytes(self, monkeypatch, seed, n, m):
+        cost, p, q, previous = _next_great_solve(seed, n, m)
+        assert cost.size >= ot._GROWN_MIN_CELLS
+        full = count_full_lps(monkeypatch)
+        runs = count_lps(monkeypatch)
+        answers, models = [], []
+        starts = {"none": None, "previous": previous,
+                  "zero duals": TransportSolution(0.0, None, np.zeros(n), np.zeros(m)),
+                  "4 start cells": None}
+        for name, start in starts.items():
+            if name == "4 start cells":
+                monkeypatch.setattr(ot, "_GROWN_START_CELLS", 4)
+            sol = solve_exact_ot(cost, p, q, start)
+            answers.append(_solution_bits(sol.value, sol.coupling, sol.dual_source,
+                                          sol.dual_target))
+            models.append(runs[:])
+            runs.clear()
+        assert full == []  # every solve certified
+        assert answers == [answers[0]] * 4
+        assert len({tuple(model) for model in models}) > 1  # with different rounds
+
+    def test_a_start_from_the_previous_step_cuts_the_first_runs_iterations(self, monkeypatch):
+        # The tree of least reduced cost under the previous duals is a dual
+        # feasible basis, so the first run repairs only the moved masses.
+        cost, p, q, previous = _next_great_solve(0, 60, 30)
+        iterations = []
+        run_highs = ot._run_highs
+
+        def counted(highs):
+            optimal = run_highs(highs)
+            iterations.append(highs.getInfo().simplex_iteration_count)
+            return optimal
+
+        monkeypatch.setattr(ot, "_run_highs", counted)
+        first = []
+        for start in (None, previous):
+            iterations.clear()
+            solve_exact_ot(cost, p, q, start)
+            first.append(iterations[0])
+        assert first[1] * 3 < first[0]
+
+    def test_start_duals_of_another_shape_are_a_dimension_mismatch(self):
+        cost = shifted_style_dtilde(0, 30, 20)
+        start = TransportSolution(0.0, None, np.zeros(30), np.zeros(19))
+        with pytest.raises(DimensionMismatch, match=r"start duals have shapes \(30,\) and \(19,\)"):
+            solve_exact_ot(cost, _uniform(30), _uniform(20), start)
+
+    def test_sinkhorn_ignores_start(self):
+        cost, p, q = shifted_style_dtilde(0, 30, 20), _uniform(30), _uniform(20)
+        sol = solve_sinkhorn(cost, p, q, 0.5)
+        hinted = solve_sinkhorn(cost, p, q, 0.5, start=sol)
+        assert (_solution_bits(hinted.value, hinted.coupling, hinted.dual_source,
+                               hinted.dual_target)
+                == _solution_bits(sol.value, sol.coupling, sol.dual_source, sol.dual_target))
 
 
 def _lp_coupling(cost, p, q):

@@ -301,7 +301,7 @@ class TestOtCache:
         with pytest.raises(pytest.fail.Exception):
             cached(cost, np.full(6, 1 / 6), q)
 
-    @pytest.mark.parametrize("solver, name", [("exact", "OT-605e4927992097b402cc.gdd"),
+    @pytest.mark.parametrize("solver, name", [("exact", "OT-4bea2959efb9b200e9ed.gdd"),
                                               ("sinkhorn", "OT-6389caebe567d2ed6c21.gdd")],
                              ids=["exact", "sinkhorn"])
     def test_the_entry_name_of_a_fixed_problem_is_pinned(self, tmp_path, solver, name):
