@@ -105,9 +105,11 @@ def gdd_gradient(dtilde, w: np.ndarray | None,
     """Gradient of the dataset distance in the training weights.
 
     Solves the outer OT at w (uniform when None) and returns the calibrated
-    (zero-sum) source dual vector. Zero-weight atoms keep their
-    reduced-cost-feasible dual value from the solver, so pruned samples can
-    still be ranked.
+    (zero-sum) source dual vector. Where the optimal duals are not unique,
+    as at uniform weights with gcd(n, m) > 1, the exact solver returns their
+    canonical point, so the gradient does not depend on the order of the
+    rows or columns. Zero-weight atoms keep their reduced-cost-feasible dual
+    value from the solver, so pruned samples can still be ranked.
     """
     _, sol = gdd_from_cost(dtilde, w, solver)
     return calibrate_duals(sol).dual_source

@@ -22,15 +22,21 @@ paths:
   grown support, so its couplings, and so D, keep `linprog`'s bits at every
   size.
 - The outer, `gdd` and label-table solves, `solve_exact_ot`, return the
-  coupling and duals. From `_GROWN_MIN_CELLS` cells on they first try a
-  support grown by violated reduced costs, `_certified_grown_lp`, whose
-  result is kept only when it is certified to be the unique optimum. Its
-  rounds may start from the duals of an earlier solve of the same cost
-  (`start`, which GREAT passes from one step to the next): they pick the
-  first cells and a starting basis. The answer is read from a model of the
-  certified tree alone, so it depends on the problem alone and equals the
-  full LP's vertex, calibrated duals and value to rounding. Otherwise the
-  full LP runs.
+  coupling and duals. Uniform weights with gcd(n, m) > 1 make the LP
+  degenerate; up to an expansion factor nm / gcd(n, m)^2 of
+  `_OUTER_ASSIGNMENT_MAX_EXPANSION` such a solve is the assignment on the
+  lcm expansion, with no LP. Every other solve of `_GROWN_MIN_CELLS` cells
+  or more first tries a support grown by violated reduced costs,
+  `_certified_grown_lp`, whose result is kept only when it is certified to
+  be the unique optimum. Its rounds may start from the duals of an earlier
+  solve of the same cost (`start`, which GREAT passes from one step to the
+  next): they pick the first cells and a starting basis. The answer is read
+  from a model of the certified tree alone, so it equals the full LP's
+  vertex, calibrated duals and value to rounding. Otherwise the full LP
+  runs. On every path the duals are `_canonical_duals` of the plan found:
+  one point of the optimal dual set, chosen by a rule of the problem alone.
+  Where that set is one point up to a constant (a connected support: every
+  certified tree and every nondegenerate vertex) they are the solver's own.
 - `solve_sinkhorn` runs log-domain Sinkhorn sweeps. Its log-sum-exp is
   `_logsumexp`, scipy 1.17's arithmetic in plain NumPy, so its bits do not
   depend on the installed scipy.
@@ -215,14 +221,21 @@ class _Restricted:
 def solve_exact_ot(cost, p, q, start: TransportSolution | None = None) -> TransportSolution:
     """Exact OT(p, q, cost) via the transportation linear program.
 
-    Returns an optimal basic solution together with optimal dual potentials.
-    On the full-LP path these are the vertex and row duals of HiGHS's dual
-    simplex, the same bits as `linprog(method="highs-ds")` gives. The
-    certified path (`_certified_grown_lp`) answers only where the optimum is
-    unique, and reads it from a HiGHS model of the certified tree alone: the
-    coupling, value and calibrated duals agree with the full LP's to
-    rounding, the raw duals up to their additive constant. Any HiGHS outcome
-    other than optimal on the full LP raises NumericalFailure. Zero-mass
+    Returns an optimal plan, its value and the canonical optimal duals of
+    `_canonical_duals`, which depend on (cost, p, q) alone, up to rounding
+    and the additive constant that `calibrate_duals` removes. Uniform
+    weights with g = gcd(n, m) > 1 and nm / g^2 at most
+    `_OUTER_ASSIGNMENT_MAX_EXPANSION` take the assignment on the lcm
+    expansion: the plan is its counts / L, which is not a vertex when the
+    assignment is tied. Otherwise the plan is a vertex. On the full-LP path
+    it is HiGHS's dual-simplex vertex, the same bits as
+    `linprog(method="highs-ds")` gives, and so are the duals where its
+    support is connected. The certified path (`_certified_grown_lp`) answers
+    only where the optimum is unique, and reads it from a HiGHS model of the
+    certified tree alone: the coupling, value and calibrated duals agree
+    with the full LP's to rounding, the raw duals up to their additive
+    constant. Any HiGHS outcome other than optimal on the full LP raises
+    NumericalFailure. Zero-mass
     atoms are dropped before the solve and re-inserted afterwards: their
     coupling rows/columns are zero and their duals are set to the tightest
     reduced-cost-feasible value, so a sparsified training measure still
@@ -242,10 +255,107 @@ def solve_exact_ot(cost, p, q, start: TransportSolution | None = None) -> Transp
             raise DimensionMismatch(f"start duals have shapes {f.shape} and {g.shape}, "
                                     f"expected {problem.p.shape} and {problem.q.shape}")
         duals = (f[problem.keep_i], g[problem.keep_j])
-    solved = _certified_grown_lp(problem.block, problem.ps, problem.qs, duals)
-    x, duals, value = problem.full_lp() if solved is None else solved
-    beta, psi = problem.extend_duals(*np.split(duals, [len(problem.ps)]), np.min)
+    block, ps, qs = problem.block, problem.ps, problem.qs
+    n, m = block.shape
+    divisor = math.gcd(n, m)
+    if (divisor > 1 and n * m <= _OUTER_ASSIGNMENT_MAX_EXPANSION * divisor**2
+            and _is_uniform(ps, qs)):
+        x = _assign(block, _expansion(n, m))[2] / math.lcm(n, m)
+        duals, value = None, float(block.ravel() @ x)
+    else:
+        solved = _certified_grown_lp(block, ps, qs, duals)
+        x, duals, value = problem.full_lp() if solved is None else solved
+    beta, psi = problem.extend_duals(*_canonical_duals(block, x, duals), np.min)
     return TransportSolution(value, problem.lift(x), beta, psi)
+
+
+# Largest expansion factor (L/n)(L/m) = n m / gcd(n, m)^2 at which a uniform
+# outer solve with gcd(n, m) > 1 runs as the L x L assignment of
+# `_expansion` rather than as a full LP. The assignment grows as L^3 =
+# (g a b)^3 for n = g a, m = g b, the LP with n m. On a 2-vCPU VM (shifted-
+# style costs, 3 per shape, the best of five timings of each, canonical
+# duals included on both routes) its median time against the full LP's was,
+# at g = 5, 10, 20 and 40: 0.08-0.19 for factors 2-6; 0.34-0.74 at 20;
+# 0.37-0.81 at 24; 0.52-1.23 at 28, which lost at g >= 20; 0.57-1.45 at 30;
+# and 1.5-3.0 at 63.
+_OUTER_ASSIGNMENT_MAX_EXPANSION = 24
+
+
+def _canonical_duals(cost: np.ndarray, x: np.ndarray, duals: np.ndarray | None = None):
+    """The canonical optimal duals (f, g) of the LP on `cost` that the flat plan `x` solves.
+
+    The optimal duals are those that are feasible, f[i] + g[j] <= cost[i, j],
+    and tight on the support of any one optimal plan. Within a connected
+    component of that support's row-column graph they are fixed up to one
+    shift t (f + t on its rows, g - t on its columns), so the set is the
+    shifts, one per component, with t[a] - t[b] <= W[a, b], the least reduced
+    cost from a row of component a to a column of component b. Holding one
+    atom's potential fixed, the optimal duals pointwise largest on that
+    atom's side (f for a row, g for a column) shift each component a by
+    +D[a, k] or -D[k, a], D the min-plus closure of W (Floyd-Warshall over
+    the K components) and k the atom's component. The canonical point is the
+    mean of those duals over all n + m atoms. It depends on the problem
+    alone, not on the plan or the potentials it starts from, up to rounding
+    and the additive constant that `calibrate_duals` removes. Transposing
+    the problem swaps f and g, and a symmetric cost with a zero diagonal
+    gets zero duals at uniform weights.
+
+    With a connected support (K = 1) the duals are unique up to that
+    constant, and `duals`, the solver's row duals when it has them, are
+    returned as they are. A plan that leaves a positive atom without mass is
+    a NumericalFailure.
+    """
+    n, m = cost.shape
+    label, f, g = _support_potentials(cost, np.flatnonzero(x > 0))
+    sizes = np.bincount(label)
+    if sizes.size == 1:
+        return (f, g) if duals is None else (duals[:n], duals[n:])
+    if sizes.min() < 2:
+        raise NumericalFailure("transportation plan leaves an atom of positive mass empty")
+    rows, cols = label[:n], label[n:]
+    by_row, by_col = np.argsort(rows, kind="stable"), np.argsort(cols, kind="stable")
+    components = np.arange(sizes.size)
+    closure = np.minimum.reduceat((cost - f[:, None] - g[None, :])[by_row],
+                                  np.searchsorted(rows[by_row], components), axis=0)
+    closure = np.minimum.reduceat(closure[:, by_col],
+                                  np.searchsorted(cols[by_col], components), axis=1)
+    np.fill_diagonal(closure, 0.0)
+    for k in components:
+        np.minimum(closure, closure[:, k, None] + closure[k], out=closure)
+    # Summed term by term, so that a symmetric closure cancels exactly.
+    shift = (closure * np.bincount(rows) - closure.T * np.bincount(cols)).sum(axis=1) / (n + m)
+    return f + shift[rows], g - shift[cols]
+
+
+def _support_potentials(cost: np.ndarray, cells: np.ndarray):
+    """Components and potentials of the row-column graph of the flat cells i * m + j of `cost`.
+
+    Returns each of the n + m atoms' component label (rows, then columns),
+    numbered in order of each component's first atom, and potentials f, g
+    that are 0 at that atom and satisfy f[i] + g[j] == cost[i, j] along a
+    spanning tree of each component.
+    """
+    n, m = cost.shape
+    neighbours = [[] for _ in range(n + m)]
+    for cell, c in zip(cells.tolist(), cost.ravel()[cells].tolist()):
+        i, j = divmod(cell, m)
+        neighbours[i].append((n + j, c))
+        neighbours[n + j].append((i, c))
+    label, potential = [-1] * (n + m), [0.0] * (n + m)
+    count = 0
+    for root in range(n + m):
+        if label[root] >= 0:
+            continue
+        label[root], stack = count, [root]
+        while stack:
+            a = stack.pop()
+            for b, c in neighbours[a]:
+                if label[b] < 0:
+                    label[b], potential[b] = count, c - potential[a]
+                    stack.append(b)
+        count += 1
+    potential = np.array(potential)
+    return np.array(label), potential[:n], potential[n:]
 
 
 def _full_lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -393,14 +503,15 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, start=No
     `_GROWN_MIN_CELLS` cells, for uniform marginals with gcd(n, m) > 1, after
     `_GROWN_MAX_ROUNDS` runs, on a non-optimal status, or when the
     certificate fails. Uniform marginals with g = gcd(n, m) > 1 balance n/g
-    rows against m/g columns at mass 1/g each, so the LP has degenerate
-    vertices; at the shapes where m divides n, as in GREAT's first solve and
-    LAVA's, no optimum measured had a tree support.
+    rows against m/g columns at mass 1/g each, so every vertex is
+    degenerate and never a tree. `solve_exact_ot` takes most of them, such
+    as GREAT's first solve and LAVA's, to an assignment; the rest run the
+    full LP.
     """
     n, m = cost.shape
     if n * m < _GROWN_MIN_CELLS:
         return None
-    if np.all(p == p[0]) and np.all(q == q[0]) and math.gcd(n, m) > 1:
+    if _is_uniform(p, q) and math.gcd(n, m) > 1:
         return None
     kr, kc = min(_GROWN_START_CELLS, m), min(_GROWN_START_CELLS, n)
     ranked = cost if start is None else cost - start[0][:, None] - start[1][None, :]
@@ -525,12 +636,10 @@ def _linear_step(p: np.ndarray, q: np.ndarray):
     """
     n, m = len(p), len(q)
     L = math.lcm(n, m)
-    if L > _ASSIGNMENT_MAX_LCM or not ((p == p[0]).all() and (q == q[0]).all()):
+    if L > _ASSIGNMENT_MAX_LCM or not _is_uniform(p, q):
         return lambda cost: _full_lp_vertex(cost, p, q)
-    row_base = np.arange(L) // (L // n) * m  # flat cell (i, 0) of expanded row r
-    col_of = np.arange(L) // (L // m)  # column j of expanded column c
-    index = row_base[:, None] + col_of
-    row_start = np.arange(0, L * L, L)  # flat index of each expanded row's first cell
+    expansion = _expansion(n, m)
+    index, row_start = expansion
     # Two equal rows of a uniform problem can trade their mass, so a unique
     # optimum must send both to one column alone, which needs 1/m >= 2/n:
     # a tie in every other case, found without an assignment. Same for
@@ -542,10 +651,7 @@ def _linear_step(p: np.ndarray, q: np.ndarray):
             b = (cost.T if transposed else cost).tobytes()
             if len({b[k:k + size] for k in range(0, len(b), size)}) < rows:
                 return _full_lp_vertex(cost, p, q)
-        expanded = cost.take(index)
-        _, cols = linear_sum_assignment(expanded)
-        assigned = row_start + cols  # flat cells of the expansion
-        counts = np.bincount(index.take(assigned), minlength=n * m)
+        expanded, assigned, counts = _assign(cost, expansion)
         support = counts > 0
         if not _is_forest(support.nonzero()[0], n, m):
             return _full_lp_vertex(cost, p, q)
@@ -560,6 +666,38 @@ def _linear_step(p: np.ndarray, q: np.ndarray):
         return counts.reshape(n, m) / L
 
     return step
+
+
+def _is_uniform(p: np.ndarray, q: np.ndarray) -> bool:
+    """Whether both marginals are uniform."""
+    return bool((p == p[0]).all() and (q == q[0]).all())
+
+
+def _expansion(n: int, m: int):
+    """The L x L assignment of a uniform (n, m) problem, L = lcm(n, m), as flat indices.
+
+    Expanded row r is row r // (L/n) and expanded column c is column
+    c // (L/m). Returns the flat gather index of the expanded cost into the
+    (n, m) cost, and the flat index of each expanded row's first cell.
+    """
+    L = math.lcm(n, m)
+    row_base = np.arange(L) // (L // n) * m  # flat cell (i, 0) of expanded row r
+    col_of = np.arange(L) // (L // m)  # column j of expanded column c
+    return row_base[:, None] + col_of, np.arange(0, L * L, L)
+
+
+def _assign(cost: np.ndarray, expansion):
+    """One assignment on the `_expansion` of `cost`.
+
+    Returns the expanded cost, the flat expanded cells assigned, and how
+    many of them fall on each flat cell of `cost`: counts / L is an optimal
+    plan of the uniform transportation LP.
+    """
+    index, row_start = expansion
+    expanded = cost.take(index)
+    _, cols = linear_sum_assignment(expanded)
+    assigned = row_start + cols
+    return expanded, assigned, np.bincount(index.take(assigned), minlength=cost.size)
 
 
 def _is_forest(cells: np.ndarray, n: int, m: int) -> bool:

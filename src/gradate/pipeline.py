@@ -37,8 +37,9 @@ _RESULT_RULES = {
           "inner_tie": "highs-vertex", "reference": "all-graphs",
           "fw_max_iter": FW_MAX_ITER, "fw_tol": FW_TOL,
           "barycenter_rounds": BARYCENTER_ROUNDS, "barycenter_tol": BARYCENTER_TOL},
-    # outer_duals: a certified solve's answer is read from its tree's model.
-    "exact": {"outer_duals": "highs-tree-duals"},
+    # outer_duals: the canonical point of the optimal dual set
+    # (`ot._canonical_duals`), whichever optimal plan the solve finds.
+    "exact": {"outer_duals": "canonical-duals"},
     # plan_check: the returned plan's column sums are checked against q.
     "sinkhorn": {"iteration": "plain", "plan_check": "column-sums"},
 }
@@ -257,7 +258,10 @@ def lava_select(train: LabeledGraphDataset, val: LabeledGraphDataset,
 
     Solves a single OT between the uniform train and val measures, ranks
     training samples by calibrated dual ascending (ties to the lower index)
-    and keeps the floor(n * tau) smallest. No iteration. `dtilde` is as for
+    and keeps the floor(n * tau) smallest. With the exact solver the duals
+    are the canonical point of the optimal set, so they, and the ranking up
+    to exact ties, do not depend on the order of the rows or columns of the
+    cost. No iteration. `dtilde` is as for
     `gradate`; with `cache_dir` the cost and the solve are cached as there,
     and the solve is the one `gradate`'s first iteration makes.
     """

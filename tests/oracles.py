@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: enumeration, finite differences, a
 Sinkhorn loop that tests the coupling it builds, the extension of a solve to
-zero-mass atoms, the FGW linear step's assignment certificate and the GREAT
-selection loop written straight through. They share no code with the
+zero-mass atoms, the FGW linear step's assignment certificate, the canonical
+outer duals by shortest paths and the GREAT selection loop written straight
+through. They share no code with the
 solvers under test; the certificate reads only the two constants of `ot`
 that define it, and the GREAT loop calls only the outer OT solve and its
 dual calibration.
@@ -220,6 +221,66 @@ def _is_forest(support):
             return False
         parent[a] = b
     return True
+
+
+def canonical_duals(cost, plan):
+    """The canonical optimal duals of an exact OT problem, from one optimal `plan`, by Bellman-Ford.
+
+    The rule `solve_exact_ot` documents, written straight through on the
+    positive atoms (rows and columns of `plan` with mass) in plain Python.
+    With u = f on the rows and v = -g on the columns, each cell (i, j) gives
+    the constraint u_i - v_j <= cost[i, j], an arc from column j to row i
+    of that length, and each cell of the plan's support also gives
+    v_j - u_i <= -cost[i, j], an arc back. Holding a row's u at 0, the
+    optimal duals with every f largest are the shortest-path distances from
+    that row; holding a column's v at 0, those with every g largest are
+    minus the distances to that column, found on the reversed arcs. One
+    Bellman-Ford run over every arc per atom. Returns (f, g) on the positive
+    atoms: the mean over all atoms of those duals, shifted so that f sums to
+    zero.
+    """
+    cost, plan = np.asarray(cost, dtype=np.float64), np.asarray(plan, dtype=np.float64)
+    rows = [i for i in range(plan.shape[0]) if plan[i].sum() > 0]
+    cols = [j for j in range(plan.shape[1]) if plan[:, j].sum() > 0]
+    n, m = len(rows), len(cols)
+    arcs = []
+    for a, i in enumerate(rows):
+        for b, j in enumerate(cols):
+            c = float(cost[i, j])
+            arcs.append((n + b, a, c))
+            if plan[i, j] > 0:
+                arcs.append((a, n + b, -c))
+    total = [0.0] * (n + m)
+    for anchor in range(n + m):
+        # From a row anchor along the arcs, to a column anchor against them.
+        sign = 1.0 if anchor < n else -1.0
+        directed = arcs if anchor < n else [(head, tail, c) for tail, head, c in arcs]
+        dist = [math.inf] * (n + m)
+        dist[anchor] = 0.0
+        for _ in range(n + m):
+            changed = False
+            for tail, head, length in directed:
+                if dist[tail] + length < dist[head]:
+                    dist[head] = dist[tail] + length
+                    changed = True
+            if not changed:
+                break
+        total = [t + sign * d for t, d in zip(total, dist)]
+    f = [t / (n + m) for t in total[:n]]
+    g = [-t / (n + m) for t in total[n:]]
+    shift = sum(f) / n
+    return np.array([x - shift for x in f]), np.array([y + shift for y in g])
+
+
+def is_optimal_dual(cost, plan, f, g, tol):
+    """Whether (f, g) is feasible to `tol` and tight to `tol` on the support of the optimal `plan`.
+
+    Such duals and the plan satisfy complementary slackness, so both are
+    optimal: this is the exact test of an optimal dual, given one optimal
+    plan.
+    """
+    slack = np.asarray(cost, dtype=np.float64) - np.add.outer(f, g)
+    return bool(slack.min() >= -tol and np.abs(slack[np.asarray(plan) > 0]).max() <= tol)
 
 
 def great_loop(dtilde, tau, T, eta, calibrate=calibrate_duals):

@@ -830,9 +830,12 @@ class TestOtCache:
         (workdir / "fresh").mkdir()
         for path in (workdir / "shared").glob("D*.gdd"):
             (workdir / "fresh" / path.name).write_bytes(path.read_bytes())
+        # Solves, not HiGHS runs: the first, uniform one is an assignment.
         counts = {}
         for cache in ("shared", "fresh"):
-            calls = count_lps(monkeypatch)
+            calls = []
+            monkeypatch.setattr(pipeline, "solve_exact_ot", lambda *args, **kwargs: calls.append(
+                1) or ot.solve_exact_ot(*args, **kwargs))
             assert run(capsys, *select, "--tau", "0.4", "--cache-dir", cache)[0] == 0
             counts[cache] = len(calls)
         assert counts == {"shared": 7, "fresh": 10}  # T - 1 iterations and the final solve

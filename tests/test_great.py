@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import gradate.great as great_module
 import gradate.ot as ot
-from gradate import gdd_from_cost, gdd_gradient, great_select, sparsity_schedule
+from gradate import (LabeledGraphDataset, gdd_from_cost, gdd_gradient, great_select,
+                     lava_select, sparsity_schedule)
 from gradate.errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from gradate.great import floor_budget, validate_weights
+from gradate.pipeline import SelectionConfig
 from gradate.ot import TransportSolution
 
-from conftest import count_full_lps, shifted_style_dtilde
+from conftest import count_full_lps, path_graph, shifted_style_dtilde
 from oracles import great_loop, simplex_central_difference
 
 
@@ -321,7 +324,9 @@ class TestStraightLineReference:
         self.assert_same_bits(shifted_style_dtilde(0, 60, 30), 0.5, 6, 1e-3)
         assert 60 * 30 >= ot._GROWN_MIN_CELLS
         assert starts == [False] + [True] * 5
-        assert full == [(60, 30)] * 2  # great_select's first solve and the oracle's
+        # great_select's first solve and the oracle's are uniform with gcd 30:
+        # assignments, not full LPs.
+        assert full == []
 
 
 class TestCertifiedOuterSolves:
@@ -331,15 +336,74 @@ class TestCertifiedOuterSolves:
         dtilde = shifted_style_dtilde(0)
         full = count_full_lps(monkeypatch)
         selected, trace = great_select(dtilde, tau=0.2, T=10, eta=1e-4)
-        # The first solve has uniform weights (gcd(300, 100) > 1); solves
-        # 2..T and the final one are certified.
-        assert full == [(300, 100)]
+        # The first solve has uniform weights (gcd(300, 100) > 1) and is an
+        # assignment. Solves 2..T and the final one are certified, except
+        # the one at 233 rows, whose tree has a mass of 4.5e-7, below
+        # `_CERTIFICATE_MARGIN`.
+        assert full == [(233, 100)]
         monkeypatch.setattr(ot, "_GROWN_MIN_CELLS", math.inf)
         ref_selected, ref = great_select(dtilde, tau=0.2, T=10, eta=1e-4)
-        assert len(full) == 1 + 10
+        assert len(full) == 1 + 9
         assert np.array_equal(selected, ref_selected)
         for it, ref_it in zip(trace.iterations, ref.iterations):
             assert np.abs(it.weights - ref_it.weights).max() <= 1e-12
             assert it.gdd_value == pytest.approx(ref_it.gdd_value, rel=1e-12, abs=0)
         assert np.abs(trace.final_weights - ref.final_weights).max() <= 1e-12
         assert trace.final_gdd == pytest.approx(ref.final_gdd, rel=1e-12, abs=0)
+
+
+def _two_domain_style_dtilde(seed):
+    """A 120 x 20 cost shaped like two_domain's: 60 train points near the val points, 60 away."""
+    rng = np.random.default_rng(seed)
+    train = np.concatenate([rng.standard_normal((60, 3)), rng.standard_normal((60, 3)) + 1.5])
+    return cdist(train, rng.standard_normal((20, 3)), "sqeuclidean")
+
+
+def _lava_indices(cost):
+    """`lava_select`'s indices on a given cost; the splits only give it their sizes."""
+    n, m = cost.shape
+    train, val = (LabeledGraphDataset([path_graph(2)] * k, [0] * k) for k in (n, m))
+    return lava_select(train, val, SelectionConfig(tau=0.2), dtilde=cost).indices
+
+
+class TestTheOrderOfTheOuterAtoms:
+    """Permuting the val columns or the train rows of the outer cost changes no selection.
+
+    The uniform outer solve of both costs is degenerate (gcd(n, m) > 1), so
+    its optimal duals are not unique; the canonical point does not depend on
+    which optimal plan a solver finds for one order or the other.
+    """
+
+    COSTS = {"shifted": lambda: shifted_style_dtilde(0),
+             "two_domain": lambda: _two_domain_style_dtilde(0)}
+
+    @pytest.mark.parametrize("axis", ["val", "train"])
+    @pytest.mark.parametrize("name", ["shifted", "two_domain"])
+    def test_a_permutation_changes_no_gradient_and_no_selection(self, name, axis):
+        cost = self.COSTS[name]()
+        n, m = cost.shape
+        order = np.random.default_rng(5).permutation(n if axis == "train" else m)
+        permuted = cost[order] if axis == "train" else cost[:, order]
+        rows = order if axis == "train" else np.arange(n)  # row r of `permuted` is rows[r]
+
+        grad, permuted_grad = gdd_gradient(cost, None), np.empty(n)
+        permuted_grad[rows] = gdd_gradient(permuted, None)
+        assert np.abs(permuted_grad - grad).max() <= 1e-12 * np.abs(cost).max()
+        ranking = np.argsort(grad, kind="stable")
+        assert np.array_equal(rows[np.argsort(gdd_gradient(permuted, None), kind="stable")],
+                              ranking)
+        assert sorted(rows[list(_lava_indices(permuted))]) == list(_lava_indices(cost))
+        selected = great_select(cost, tau=0.2, T=10, eta=1e-4)[0]
+        permuted_selected = great_select(permuted, tau=0.2, T=10, eta=1e-4)[0]
+        assert np.array_equal(np.sort(rows[permuted_selected]), selected)
+
+    def test_no_uniform_solve_is_a_full_lp_at_600_by_200(self, monkeypatch):
+        # The uniform first solve is an assignment. Full LPs of this shape
+        # still run for reweighted solves that keep all 600 rows and fail
+        # the certificate.
+        uniform = []
+        solve = ot._solve_transport_lp
+        monkeypatch.setattr(ot, "_solve_transport_lp", lambda c, b, n, m: uniform.append(
+            bool(np.all(b[:n] == b[0]))) or solve(c, b, n, m))
+        great_select(shifted_style_dtilde(0, 600, 200), tau=0.2, T=10, eta=1e-4)
+        assert not any(uniform)

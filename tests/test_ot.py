@@ -22,6 +22,8 @@ from conftest import count_full_lps, count_lps, shifted_style_dtilde
 from oracles import (
     brute_force_assignment,
     brute_force_ot,
+    canonical_duals,
+    is_optimal_dual,
     random_rational_marginal,
     sinkhorn_coupling_per_sweep,
     unique_uniform_vertex,
@@ -192,10 +194,12 @@ class TestDirectHighs:
         p[kept] = _random_marginal(rng, 200)
         self.assert_linprog_bits(rng.random((300, 100)), p, _uniform(100))
 
-    @pytest.mark.parametrize("shape", [(100, 33), (60, 20), (7, 2)])
+    @pytest.mark.parametrize("shape", [(100, 33), (7, 2)])
     def test_label_table_shapes(self, shape, monkeypatch):
         # The class-pair LPs: uniform weights over the graphs of one class.
         # (100, 33) has gcd 1 and is certified otherwise; pinned to the full LP.
+        # A shape with gcd > 1, such as (60, 20), is an assignment with
+        # canonical duals: `TestCanonicalDuals`.
         monkeypatch.setattr(ot, "_GROWN_MIN_CELLS", math.inf)
         rng = np.random.default_rng(shape[0])
         cost = rng.random(shape) ** 2
@@ -203,11 +207,14 @@ class TestDirectHighs:
 
     def test_tied_integer_inner_lps(self):
         # Integer FW gradients tie often, so the vertex is HiGHS's choice.
+        # The FGW step's full LP keeps linprog's vertex on every tie.
         rng = np.random.default_rng(13)
         for _ in range(60):
             n, m = (int(x) for x in rng.integers(2, 10, size=2))
             cost = rng.integers(0, 3, size=(n, m)).astype(float)
-            self.assert_linprog_bits(cost, _uniform(n), _uniform(m))
+            p, q = _uniform(n), _uniform(m)
+            assert np.array_equal(ot._full_lp_vertex(cost, p, q).ravel(),
+                                  _linprog(cost, p, q)[0].x)
 
     def test_seeded_sweep_of_shapes_weights_and_ties(self):
         # Wide and tall LPs, zero-weight rows and columns, and integer costs
@@ -237,6 +244,153 @@ class TestDirectHighs:
         monkeypatch.setattr(ot, "_Highs", Infeasible)
         with pytest.raises(NumericalFailure, match="transportation LP failed: Infeasible"):
             solve_exact_ot(np.ones((2, 3)), _uniform(2), _uniform(3))
+
+
+def assert_canonical_duals(sol, cost, plan=None):
+    """`sol` meets the exact dual contract and its duals are the oracle's canonical point.
+
+    `plan` is an optimal plan of the problem, `linprog`'s when None; the
+    oracle reads it, and any optimal plan gives the same point. Every check
+    holds to 1e-12 of max|cost|: feasibility, strong duality, tightness on
+    the plan's support, and the calibrated duals of the positive atoms.
+    """
+    cost = np.asarray(cost, dtype=float)
+    tol = 1e-12 * np.abs(cost).max()
+    p, q = sol.coupling.sum(axis=1), sol.coupling.sum(axis=0)
+    if plan is None:
+        res, keep_i, keep_j = _linprog(cost, p, q)
+        plan = np.zeros(cost.shape)
+        plan[np.ix_(keep_i, keep_j)] = res.x.reshape(len(keep_i), len(keep_j))
+    assert abs(p @ sol.dual_source + q @ sol.dual_target - sol.value) <= tol
+    assert is_optimal_dual(cost, plan, sol.dual_source, sol.dual_target, tol)
+    f, g = canonical_duals(cost, plan)
+    keep_i, keep_j = p > 0, q > 0
+    shift = sol.dual_source[keep_i].mean()
+    assert np.abs(sol.dual_source[keep_i] - shift - f).max() <= tol
+    assert np.abs(sol.dual_target[keep_j] + shift - g).max() <= tol
+
+
+def _balanced_supplies(rng, n, m, half):
+    """Integer supplies and demands, each summing to 2 * half, with equal first halves.
+
+    The first n // 2 rows carry exactly the mass of the first m // 2
+    columns. Equal partial sums make the transportation LP degenerate, so
+    its optimal duals need not be unique.
+    """
+    parts = [random_rational_marginal(rng, k, half) for k in (n // 2, n - n // 2,
+                                                              m // 2, m - m // 2)]
+    return np.concatenate(parts[:2]), np.concatenate(parts[2:])
+
+
+class TestCanonicalDuals:
+    """The exact duals are the canonical optimal point, whatever plan the solver finds."""
+
+    def test_seeded_uniform_problems_with_a_common_divisor(self):
+        # Assignments and full LPs, with the plan checked against enumeration
+        # where the problem is small.
+        rng = np.random.default_rng(71)
+        checked = 0
+        for t in range(40):
+            g, a, b = (int(x) for x in rng.integers(1, 5, size=3))
+            n, m = g * a, g * b
+            cost = rng.random((n, m)) if t % 2 else rng.integers(0, 3, size=(n, m)).astype(float)
+            sol = solve_exact_ot(cost, _uniform(n), _uniform(m))
+            assert_canonical_duals(sol, cost)
+            L = math.lcm(n, m)
+            if n * m <= 12:
+                expected = brute_force_ot(cost, [L // n] * n, [L // m] * m)
+                assert sol.value == pytest.approx(expected, abs=1e-12)
+                checked += 1
+        assert checked >= 5
+
+    def test_label_table_shape_with_a_common_divisor(self, monkeypatch):
+        # (60, 20) of `TestDirectHighs.test_label_table_shapes`: an assignment
+        # on the 60 x 60 expansion; its value is linprog's to rounding.
+        rng = np.random.default_rng(60)
+        cost = rng.random((60, 20)) ** 2
+        full = count_full_lps(monkeypatch)
+        sol = solve_exact_ot(cost, _uniform(60), _uniform(20))
+        res = _linprog(cost, _uniform(60), _uniform(20))[0]
+        assert sol.value == pytest.approx(res.fun, abs=1e-15)
+        assert np.array_equal(np.unique(sol.coupling), [0.0, 1 / 60])  # counts / L
+        assert_canonical_duals(sol, cost)
+        assert full == []
+
+    def test_zero_mass_atoms(self):
+        # Uniform on the positive atoms, so the restricted problem is an
+        # assignment; the zero-mass atoms are extended from its duals.
+        rng = np.random.default_rng(72)
+        cost = rng.random((14, 9))
+        p, q = np.zeros(14), np.zeros(9)
+        p[rng.choice(14, size=8, replace=False)] = 1 / 8
+        q[rng.choice(9, size=4, replace=False)] = 1 / 4
+        sol = solve_exact_ot(cost, p, q)
+        assert_canonical_duals(sol, cost)
+        keep_i, keep_j = p > 0, q > 0
+        want = zero_mass_extension(cost, p, q, solve_exact_ot(cost[np.ix_(keep_i, keep_j)],
+                                                              p[keep_i], q[keep_j]))
+        assert _solution_bits(sol.value, sol.coupling, sol.dual_source,
+                              sol.dual_target) == _solution_bits(*want)
+
+    def test_non_uniform_degenerate_problems(self, monkeypatch):
+        # Equal partial sums: HiGHS's vertex may have a disconnected support.
+        # The 40 x 30 ones fail the grown path's certificate first.
+        rng = np.random.default_rng(73)
+        full = count_full_lps(monkeypatch)
+        for t in range(30):
+            n, m = (40, 30) if t % 10 == 0 else (int(x) for x in rng.integers(2, 6, size=2))
+            half = 60 if n == 40 else 4
+            supplies, demands = _balanced_supplies(rng, n, m, half)
+            cost = rng.random((n, m)) if t % 2 else rng.integers(0, 3, size=(n, m)).astype(float)
+            sol = solve_exact_ot(cost, supplies / (2 * half), demands / (2 * half))
+            assert_canonical_duals(sol, cost)
+            if n * m <= 12:
+                expected = brute_force_ot(cost, supplies, demands)
+                assert sol.value == pytest.approx(expected, abs=1e-12)
+        assert (40, 30) in full
+
+    def test_the_assignment_and_the_full_lp_give_the_same_duals(self, monkeypatch):
+        rng = np.random.default_rng(74)
+        problems = []
+        for _ in range(30):
+            g, a, b = (int(x) for x in rng.integers(2, 6, size=3))
+            cost = rng.random((g * a, g * b))
+            problems.append((cost, _uniform(g * a), _uniform(g * b)))
+        problems.append((shifted_style_dtilde(0), _uniform(300), _uniform(100)))
+        assignments = [solve_exact_ot(*problem) for problem in problems]
+        full = count_full_lps(monkeypatch)
+        monkeypatch.setattr(ot, "_OUTER_ASSIGNMENT_MAX_EXPANSION", 0)
+        for (cost, p, q), sol in zip(problems, assignments):
+            lp = solve_exact_ot(cost, p, q)
+            tol = 1e-12 * np.abs(cost).max()
+            assert abs(lp.value - sol.value) <= tol
+            a, b = calibrate_duals(sol), calibrate_duals(lp)
+            assert np.abs(a.dual_source - b.dual_source).max() <= tol
+            assert np.abs(a.dual_target - b.dual_target).max() <= tol
+        assert len(full) == len(problems)
+
+    def test_transposing_the_problem_swaps_the_duals(self):
+        rng = np.random.default_rng(76)
+        for n, m in [(6, 4), (30, 10), (8, 12)]:
+            cost = rng.random((n, m))
+            a = calibrate_duals(solve_exact_ot(cost, _uniform(n), _uniform(m)))
+            b = solve_exact_ot(cost.T, _uniform(m), _uniform(n))
+            shift = b.dual_target.mean()
+            assert np.abs(a.dual_source - (b.dual_target - shift)).max() <= 1e-12
+            assert np.abs(a.dual_target - (b.dual_source + shift)).max() <= 1e-12
+
+    def test_a_plan_with_an_empty_atom_is_a_numerical_failure(self, monkeypatch):
+        solve = ot._solve_transport_lp
+
+        def emptied(c, b, n, m):
+            x, duals, value = solve(c, b, n, m)
+            x[:m] = 0.0  # row 0 sends nothing
+            return x, duals, value
+
+        monkeypatch.setattr(ot, "_solve_transport_lp", emptied)
+        rng = np.random.default_rng(77)
+        with pytest.raises(NumericalFailure, match="leaves an atom of positive mass empty"):
+            solve_exact_ot(rng.random((4, 3)), _random_marginal(rng, 4), _uniform(3))
 
 
 def _near_tie(rng):
@@ -323,7 +477,15 @@ class TestCertifiedGrownLp:
                                 lambda highs: highs.getNumCol() == 60 * 30 and run_highs(highs))
         full = count_full_lps(monkeypatch)
         runs = count_lps(monkeypatch)
-        TestDirectHighs.assert_linprog_bits(cost, p, q)
+        if case == "uniform-gcd":
+            # Taken off the assignment route; the plan and value are the full
+            # LP's, the duals the canonical point of its disconnected support.
+            monkeypatch.setattr(ot, "_OUTER_ASSIGNMENT_MAX_EXPANSION", 0)
+            sol, (res, _, _) = solve_exact_ot(cost, p, q), _linprog(cost, p, q)
+            assert np.array_equal(sol.coupling.ravel(), res.x) and sol.value == res.fun
+            assert_canonical_duals(sol, cost)
+        else:
+            TestDirectHighs.assert_linprog_bits(cost, p, q)
         assert len(full) == 1
         # The full LP runs after at least one grown run, unless none was attempted.
         assert (len(runs) == 1) == (case == "uniform-gcd")
@@ -400,8 +562,11 @@ class TestAnswerDependsOnTheProblemAlone:
 
 
 def _lp_coupling(cost, p, q):
-    """The LP vertex of a signed cost, shifted as the FGW step does."""
-    return solve_exact_ot(cost - min(cost.min(), 0.0), p, q).coupling
+    """`linprog`'s vertex of a signed cost, shifted as the FGW step does, at full length."""
+    res, keep_i, keep_j = _linprog(cost - min(cost.min(), 0.0), p, q)
+    coupling = np.zeros(cost.shape)
+    coupling[np.ix_(keep_i, keep_j)] = res.x.reshape(len(keep_i), len(keep_j))
+    return coupling
 
 
 def _degree_feature_gradient():

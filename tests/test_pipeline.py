@@ -301,7 +301,7 @@ class TestOtCache:
         with pytest.raises(pytest.fail.Exception):
             cached(cost, np.full(6, 1 / 6), q)
 
-    @pytest.mark.parametrize("solver, name", [("exact", "OT-4bea2959efb9b200e9ed.gdd"),
+    @pytest.mark.parametrize("solver, name", [("exact", "OT-cdfe04dd675b0ddc6930.gdd"),
                                               ("sinkhorn", "OT-6389caebe567d2ed6c21.gdd")],
                              ids=["exact", "sinkhorn"])
     def test_the_entry_name_of_a_fixed_problem_is_pinned(self, tmp_path, solver, name):
@@ -535,6 +535,25 @@ class TestResultRules:
                     assert names.isdisjoint(after[kind]), (rule, kind)
                 else:
                     assert after[kind] == names, (rule, kind)
+
+    def test_the_canonical_outer_duals_rename_the_exact_entries_and_keep_d(self, tmp_path,
+                                                                             monkeypatch):
+        # A cache filled while the exact duals were HiGHS's keeps its D and
+        # Sinkhorn entries, and misses its exact OT and D-tilde entries once.
+        train, val = two_domain(np.random.default_rng(23), n_dense=3, n_sparse=3, n_val=2)
+        dataset_path = tmp_path / "ds.json"
+        io.save_dataset_json(concat_datasets(train, val), dataset_path)
+        assert pipeline._RESULT_RULES["exact"]["outer_duals"] == "canonical-duals"
+        names = {}
+        for value in ("canonical-duals", "highs-tree-duals"):
+            monkeypatch.setitem(pipeline._RESULT_RULES["exact"], "outer_duals", value)
+            (tmp_path / value).mkdir()
+            names[value] = entry_names(tmp_path / value, dataset_path, train, val)
+        now, before = names["canonical-duals"], names["highs-tree-duals"]
+        for kind in [("DS", None), ("D", None), ("Dtilde", "sinkhorn"), ("OT", "sinkhorn")]:
+            assert now[kind] == before[kind]
+        for kind in [("Dtilde", "exact"), ("OT", "exact")]:
+            assert now[kind].isdisjoint(before[kind])
 
     def test_a_cache_filled_before_the_rule_fields_misses_once(self, tmp_path):
         # Such an entry's key holds no rule field but "plan_check", which
