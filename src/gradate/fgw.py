@@ -7,9 +7,15 @@ solve the linear OT subproblem exactly, and take the closed-form line-search
 step of the quadratic objective. The barycenter solver alternates coupling
 solves with closed-form feature/structure updates.
 
-The linear subproblem is solved by the step `ot._linear_step` plans once
-per solve; the `ot` module docstring describes its paths, which agree to
-rounding wherever both answer.
+The solves of a stage (a barycenter round, the embeddings) run in
+lockstep, one stack per group of graphs that share their node weights, so
+their size: the gradient, contraction, line search and objective value are
+each one NumPy call on the (B, n, m) stack, and a pair leaves the stack
+when it stops. Every operation treats each pair on its own, so a pair gets
+the bits it gets alone, and `fgw_distance` is the stack of one. The linear
+subproblem is solved by the step `ot._LinearStep` plans once per group; the
+`ot` module docstring describes its paths, which agree to rounding
+wherever both answer.
 
 Both terms use the squared loss, the only one for which the barycenter
 updates and the LinearFGW embeddings built on these couplings are closed
@@ -21,6 +27,7 @@ next gradient.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -34,7 +41,7 @@ import numpy.random  # noqa: F401
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from . import graphs as _graphs
 from .graphs import AttributedGraph
-from .ot import _linear_step, _scipy_extension
+from .ot import _LinearStep, _scipy_extension
 
 # `scipy.spatial.distance.cdist(X, Y)` dispatches to this compiled function
 # for its default "euclidean" metric, so results keep cdist's bits.
@@ -134,52 +141,66 @@ class FGWResult:
 
 
 class _QuadObjective:
-    """Squared-loss FGW objective E(T) = <F, T> + alpha * <L x T, T> for one pair.
+    """Squared-loss FGW objectives E_b(T) = <F_b, T> + alpha * <L_b x T, T> of a stack of pairs.
 
-    F holds (1 - alpha) times the squared feature distances and
-    L[i, j, k, l] = (A1[i, k] - A2[j, l])**2; L is only ever applied in
-    the factored form of `contract`.
+    Pair b couples `graphs[b]` with `target`; every graph of `graphs` has
+    the node weights p, so each array is a (B, n, m) or (B, n, n) stack, and
+    one pair is a stack of one. F holds (1 - alpha) times the squared
+    feature distances and L_b[i, j, k, l] = (A1_b[i, k] - A2[j, l])**2; L is
+    only ever applied in the factored form of `contract`. Every method works
+    on each pair of the stack independently, so pair b gets the bits it
+    gets alone.
     """
 
-    def __init__(self, g1: AttributedGraph, g2: AttributedGraph, cfg: FGWConfig):
-        if g1.feature_dim != g2.feature_dim:
-            raise DimensionMismatch(
-                f"feature dimensions differ: {g1.feature_dim} vs {g2.feature_dim}"
-            )
-        self.p = g1.node_weights
-        self.q = g2.node_weights
-        A1, A2 = g1.adjacency, g2.adjacency
+    def __init__(self, graphs: Sequence[AttributedGraph], target: AttributedGraph,
+                 cfg: FGWConfig):
+        for g in graphs:
+            if g.feature_dim != target.feature_dim:
+                raise DimensionMismatch(
+                    f"feature dimensions differ: {g.feature_dim} vs {target.feature_dim}"
+                )
+        self.p, self.q = graphs[0].node_weights, target.node_weights
+        shape = (len(graphs), len(self.p), len(self.q))
+        A1, A2 = np.stack([g.adjacency for g in graphs]), target.adjacency
         # Featureless graphs carry no Wasserstein term; alpha degenerates to 1.
-        self.alpha = alpha = 1.0 if g1.feature_dim == 0 else cfg.alpha
-        self.F = ((1.0 - alpha) * _cdist(g1.features, g2.features) ** 2 if g1.feature_dim
-                  else np.zeros((g1.n_nodes, g2.n_nodes)))
-        self.constC = np.add.outer((A1 ** 2) @ self.p, (A2 ** 2) @ self.q)
+        self.alpha = alpha = 1.0 if target.feature_dim == 0 else cfg.alpha
+        # One cdist over the stacked rows: it computes each pair of rows on its own.
+        self.F = (((1.0 - alpha) * _cdist(np.vstack([g.features for g in graphs]),
+                                          target.features) ** 2).reshape(shape)
+                  if target.feature_dim else np.zeros(shape))
+        self.constC = ((A1 ** 2) @ self.p)[:, :, None] + (A2 ** 2) @ self.q
         self.hC1, self.hC2 = A1, 2.0 * A2
 
+    def take(self, keep: np.ndarray) -> _QuadObjective:
+        """The objective of the pairs `keep` selects."""
+        sub = copy.copy(self)
+        sub.F, sub.constC, sub.hC1 = self.F[keep], self.constC[keep], self.hC1[keep]
+        return sub
+
     def contract(self, T: np.ndarray) -> np.ndarray:
-        """(L x T)[i, j] = sum_kl L[i, j, k, l] T[k, l] for a true coupling T."""
+        """(L_b x T_b)[i, j] = sum_kl L_b[i, j, k, l] T_b[k, l] for true couplings T_b."""
         return self.constC - self.hC1 @ T @ self.hC2
 
-    def value(self, T: np.ndarray, LT: np.ndarray) -> float:
-        """E(T), given its contraction LT = `contract(T)`."""
-        return float((self.F * T).sum() + self.alpha * (LT * T).sum())
+    def value(self, T: np.ndarray, LT: np.ndarray) -> np.ndarray:
+        """E_b(T_b) of each pair, given the contractions LT = `contract(T)`."""
+        return (self.F * T).sum(axis=(1, 2)) + self.alpha * (LT * T).sum(axis=(1, 2))
 
     def gradient(self, LT: np.ndarray) -> np.ndarray:
-        """The gradient of E at T, given its contraction LT = `contract(T)`."""
+        """The gradient of each E_b at T_b, given the contractions LT = `contract(T)`."""
         return self.F + 2.0 * self.alpha * LT
 
-    def line_search(self, delta: np.ndarray, grad: np.ndarray) -> float:
-        """Exact minimizer of s -> E(T + s * delta) over [0, 1].
+    def line_search(self, delta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Exact minimizer of s -> E_b(T_b + s * delta_b) over [0, 1], for each pair.
 
         delta is a difference of couplings, so its marginals vanish and the
         quadratic coefficient needs only the cross term of the structure
         tensor.
         """
-        b = float((grad * delta).sum())
-        a = -self.alpha * float(((self.hC1 @ delta @ self.hC2) * delta).sum())
-        if a > 0:
-            return min(max(-b / (2.0 * a), 0.0), 1.0)
-        return 1.0 if a + b < 0 else 0.0
+        b = (grad * delta).sum(axis=(1, 2))
+        a = -self.alpha * ((self.hC1 @ delta @ self.hC2) * delta).sum(axis=(1, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = np.minimum(np.maximum(-b / (2.0 * a), 0.0), 1.0)
+        return np.where(a > 0, vertex, np.where(a + b < 0, 1.0, 0.0))
 
 
 def _check_coupling(T, p, q):
@@ -192,21 +213,67 @@ def _check_coupling(T, p, q):
     return T
 
 
-def _frank_wolfe(obj: _QuadObjective, T: np.ndarray):
-    linear_step = _linear_step(obj.p, obj.q)
+def _frank_wolfe(obj: _QuadObjective, T: np.ndarray, linear_step: _LinearStep):
+    """Conditional gradient on every pair of `obj` in lockstep, from the stack of couplings T.
+
+    A pair stops once its step is 0 or its objective's relative decrease
+    is at most FW_TOL, and leaves the stack. Returns the final couplings,
+    each pair's objective curve as a list of floats (index 0 is the initial
+    coupling) and whether it converged.
+    """
+    final = np.empty_like(T)
+    converged = np.zeros(len(T), dtype=bool)
+    live = np.arange(len(T))
     LT = obj.contract(T)
-    curve = [obj.value(T, LT)]
+    value = obj.value(T, LT)
+    curves = [[v] for v in value.tolist()]
     for _ in range(FW_MAX_ITER):
         grad = obj.gradient(LT)
         delta = linear_step(grad) - T
         step = obj.line_search(delta, grad)
-        if step > 0.0:
-            T = T + step * delta
-            LT = obj.contract(T)
-        curve.append(obj.value(T, LT))
-        if step == 0.0 or curve[-2] - curve[-1] <= FW_TOL * max(abs(curve[-2]), 1e-16):
-            return T, curve, True
-    return T, curve, False
+        # A pair whose step is 0 keeps its T and stops here.
+        T = T + step[:, None, None] * delta
+        LT = obj.contract(T)
+        prev, value = value, obj.value(T, LT)
+        for i, v in zip(live.tolist(), value.tolist()):
+            curves[i].append(v)
+        stop = (step == 0.0) | (prev - value <= FW_TOL * np.maximum(np.abs(prev), 1e-16))
+        if stop.any():
+            final[live[stop]], converged[live[stop]] = T[stop], True
+            keep = ~stop
+            live, T, LT, value, obj = live[keep], T[keep], LT[keep], value[keep], obj.take(keep)
+            if not live.size:
+                break
+    final[live] = T
+    return final, curves, converged
+
+
+def _fgw_solves(graphs: Sequence[AttributedGraph], target: AttributedGraph, cfg: FGWConfig,
+                couplings_init: Sequence[np.ndarray | None] | None = None) -> list[FGWResult]:
+    """One FGW solve of each graph against `target`; result i is graph i's.
+
+    The graphs are grouped by their node weights (so by size), in order of
+    each group's first graph, and each group's solves run as one lockstep
+    `_frank_wolfe` with one `ot._LinearStep` of its weights. Couplings start
+    at the product measure p q^T, or at `couplings_init[i]` where that is
+    not None.
+    """
+    if couplings_init is None:
+        couplings_init = [None] * len(graphs)
+    groups: dict[bytes, list[int]] = {}
+    for i, g in enumerate(graphs):
+        groups.setdefault(g.node_weights.tobytes(), []).append(i)
+    results: list[FGWResult | None] = [None] * len(graphs)
+    for members in groups.values():
+        obj = _QuadObjective([graphs[i] for i in members], target, cfg)
+        T0 = np.stack([np.outer(obj.p, obj.q) if couplings_init[i] is None
+                       else _check_coupling(couplings_init[i], obj.p, obj.q) for i in members])
+        T, curves, converged = _frank_wolfe(obj, T0, _LinearStep(obj.p, obj.q))
+        for b, i in enumerate(members):
+            results[i] = FGWResult(distance=max(curves[b][-1], 0.0) ** 0.5, coupling=T[b],
+                                   converged=bool(converged[b]), iterations=len(curves[b]) - 1,
+                                   objective_curve=np.array(curves[b]))
+    return results
 
 
 def fgw_distance(g1: AttributedGraph, g2: AttributedGraph,
@@ -219,23 +286,10 @@ def fgw_distance(g1: AttributedGraph, g2: AttributedGraph,
     starts at the product measure p q^T unless `coupling_init` is given. The
     exact line search makes the iterates monotone, so the last iterate is
     the best one; a non-converged run returns it with converged=False rather
-    than raising.
+    than raising. It is the stack of one of the lockstep solves that the
+    barycenter and the embeddings run.
     """
-    cfg = cfg or FGWConfig()
-    obj = _QuadObjective(g1, g2, cfg)
-    if coupling_init is not None:
-        T0 = _check_coupling(coupling_init, obj.p, obj.q)
-    else:
-        T0 = np.outer(obj.p, obj.q)
-    T, curve, converged = _frank_wolfe(obj, T0)
-    value = max(curve[-1], 0.0)
-    return FGWResult(
-        distance=float(value ** 0.5),
-        coupling=T,
-        converged=converged,
-        iterations=len(curve) - 1,
-        objective_curve=np.asarray(curve),
-    )
+    return _fgw_solves([g1], g2, cfg or FGWConfig(), [coupling_init])[0]
 
 
 def default_reference_size(graphs: Sequence[AttributedGraph]) -> int:
@@ -303,8 +357,7 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
     prev_obj = np.inf
 
     for _ in range(BARYCENTER_ROUNDS):
-        results = [fgw_distance(g, reference, cfg, coupling_init=warm)
-                   for g, warm in zip(graphs, couplings)]
+        results = _fgw_solves(graphs, reference, cfg, couplings)
         couplings = [res.coupling for res in results]
         obj = sum(res.objective_curve[-1] for res in results)
 

@@ -4,7 +4,8 @@ Every graph is coupled once against a shared reference graph; the coupling
 projects its features and structure onto the reference support. Pairs of
 graphs are then compared by a closed-form weighted squared Frobenius
 distance between projections, so an N-graph dataset costs N coupling solves
-instead of N^2.
+instead of N^2. Those solves run in lockstep per group of graphs with equal
+node weights (`fgw._fgw_solves`), each with the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDataset, ReferenceMismatch
-from .fgw import FGWConfig, _checked_alpha, _symmetrize, fgw_barycenter, fgw_distance
+from .fgw import (FGWConfig, FGWResult, _checked_alpha, _fgw_solves, _symmetrize, fgw_barycenter,
+                  fgw_distance)
 from .graphs import AttributedGraph, LabeledGraphDataset
 
 
@@ -43,14 +45,23 @@ def barycentric_embed(g: AttributedGraph, reference: AttributedGraph,
 
     Solves the FGW coupling between `g` and `reference`, then projects. The
     final conditional-gradient coupling is used even when it did not
-    converge; the flag is carried on the embedding.
+    converge; the flag is carried on the embedding. This is the stack of one
+    of `embed_all`.
     """
-    cfg = cfg or FGWConfig()
-    nbar = reference.n_nodes
-    if np.abs(reference.node_weights - 1.0 / nbar).max() > 1e-9:
+    _check_reference(reference)
+    return _projection(g, fgw_distance(g, reference, cfg or FGWConfig()))
+
+
+def _check_reference(reference: AttributedGraph) -> None:
+    """ReferenceMismatch unless the reference carries uniform node weights."""
+    if np.abs(reference.node_weights - 1.0 / reference.n_nodes).max() > 1e-9:
         raise ReferenceMismatch("reference graph must carry uniform node weights")
-    res = fgw_distance(g, reference, cfg)
+
+
+def _projection(g: AttributedGraph, res: FGWResult) -> BarycentricEmbedding:
+    """The embedding of `g` by its solve `res` against the reference."""
     pi = res.coupling.T  # (nbar, n): reference rows, graph columns
+    nbar = pi.shape[0]
     t_node = nbar * (pi @ g.features)
     t_edge = nbar ** 2 * (pi @ g.adjacency @ pi.T)
     return BarycentricEmbedding(t_node=t_node, t_edge=_symmetrize(t_edge),
@@ -76,9 +87,15 @@ def linear_fgw_distance(e1: BarycentricEmbedding, e2: BarycentricEmbedding,
 
 def embed_all(graphs: Sequence[AttributedGraph], reference: AttributedGraph,
               cfg: FGWConfig | None = None) -> list[BarycentricEmbedding]:
-    """Embed graphs against one reference, serially; embedding i is graph i's."""
-    cfg = cfg or FGWConfig()
-    return [barycentric_embed(g, reference, cfg) for g in graphs]
+    """Embed graphs against one reference; embedding i is graph i's.
+
+    The coupling solves run in lockstep, one stack per group of graphs with
+    equal node weights (`fgw._fgw_solves`), and each embedding equals
+    `barycentric_embed`'s bit for bit.
+    """
+    _check_reference(reference)
+    results = _fgw_solves(graphs, reference, cfg or FGWConfig())
+    return [_projection(g, res) for g, res in zip(graphs, results)]
 
 
 def _reference_embeddings(graphs: Sequence[AttributedGraph], cfg: FGWConfig,

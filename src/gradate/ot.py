@@ -13,14 +13,15 @@ of positive mass, lifts the plan back to full length and extends the duals
 to the zero-mass atoms by the solver's own min rule. There are three solve
 paths:
 
-- The FGW linear step reads only a coupling. `_linear_step(p, q)` plans it
-  once per FGW solve and returns the function each iterate calls. For
-  uniform weights with lcm(n, m) <= `_ASSIGNMENT_MAX_LCM` it is an
-  assignment problem, whose coupling is used only when the planned step
-  certifies it to be the unique optimum, and so the LP's vertex. Otherwise,
-  ties included, it is one full HiGHS LP (`_full_lp_vertex`) and never a
-  grown support, so its couplings, and so D, keep `linprog`'s bits at every
-  size.
+- The FGW linear step reads only a coupling. `_LinearStep(p, q)` plans it
+  once per group of FGW solves that share the weights p, q, and each
+  lockstep iterate calls it on the stack of the group's costs. For uniform
+  weights with lcm(n, m) <= `_ASSIGNMENT_MAX_LCM` each cost is one
+  assignment problem, whose coupling is used only when `_unique_optimum`,
+  run on the whole stack at once, certifies it to be the unique optimum,
+  and so the LP's vertex. Otherwise, ties included, it is one full HiGHS LP
+  (`_full_lp_vertex`) and never a grown support, so its couplings, and so
+  D, keep `linprog`'s bits at every size.
 - The outer, `gdd` and label-table solves, `solve_exact_ot`, return the
   coupling and duals. Uniform weights with gcd(n, m) > 1 make the LP
   degenerate; up to an expansion factor nm / gcd(n, m)^2 of
@@ -45,9 +46,9 @@ Every exact LP runs HiGHS's dual simplex, called directly through scipy's
 private bindings with the model as NumPy buffers, without `linprog`'s
 per-call Python overhead. Every LP whose answer is returned runs with the
 options of `linprog(method="highs-ds")`; the rounds of a grown support,
-whose answer is never returned, run with presolve off. Both uniqueness
-certificates use one margin, `_CERTIFICATE_MARGIN`, 10x HiGHS's
-feasibility tolerances.
+whose answer is never returned, run with presolve off and Devex pricing.
+Both uniqueness certificates use one margin, `_CERTIFICATE_MARGIN`, 10x
+HiGHS's feasibility tolerances.
 
 The package calls three compiled scipy functions, and `_scipy_extension`
 loads their extension modules straight from scipy's directory:
@@ -260,7 +261,7 @@ def solve_exact_ot(cost, p, q, start: TransportSolution | None = None) -> Transp
     divisor = math.gcd(n, m)
     if (divisor > 1 and n * m <= _OUTER_ASSIGNMENT_MAX_EXPANSION * divisor**2
             and _is_uniform(ps, qs)):
-        x = _assign(block, _expansion(n, m))[2] / math.lcm(n, m)
+        x = _assign(block, _expansion(n, m)) / math.lcm(n, m)
         duals, value = None, float(block.ravel() @ x)
     else:
         solved = _certified_grown_lp(block, ps, qs, duals)
@@ -391,8 +392,11 @@ _HIGHS_OPTIONS = _dual_simplex_options("on")
 # The rounds of a grown support, whose answer is never returned, run without
 # presolve. With it, grown solves from cost-ranked cells took 1.4x as long
 # on GREAT's 300 x 100 and 600 x 200 shifted-style costs (2-vCPU VM); those
-# started from a `start`'s basis took the same time either way.
+# started from a `start`'s basis took the same time either way. They price
+# by Devex rather than HiGHS's default dual steepest edge: a certified answer
+# is read from the tree model, so only its speed can change.
 _GROWN_OPTIONS = _dual_simplex_options("off")
+_GROWN_OPTIONS.simplex_dual_edge_weight_strategy = 1  # Devex
 
 
 def _transport_model(b: np.ndarray, options: HighsOptions = _HIGHS_OPTIONS) -> _Highs:
@@ -602,70 +606,119 @@ def _north_west_corner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return rows * len(q) + cols
 
 
-# Largest lcm(n, m) the assignment path takes, at the measured crossover:
-# its two L x L assignments grow as L^3, the direct HiGHS LP barely with L.
-# On a 2-vCPU VM (40 Gaussian costs per lcm, the best of five timings of
-# each) it won at every lcm up to 126 (1.0 against 1.1 ms there), broke even
-# from 130 to 140 (time ratios 0.93-1.10) and lost from 143 on (3.2 against
-# 1.4 ms at 210).
+# Largest lcm(n, m) the assignment path takes. Its L x L assignment grows as
+# L^3, the direct HiGHS LP barely with L. The cap was the crossover when each
+# step ran two assignments. With one assignment and the stacked certificate
+# (a 2-vCPU VM, 40 Gaussian costs per lcm, the best of five timings of each,
+# one cost per call) the median time ratio to the LP was 0.72 at 126,
+# 0.65-0.91 from 130 to 156, 1.04 at 168 and 1.65 at 210. The cap stays:
+# raising it would send steps from the LP to the assignment, which moves
+# D's bits.
 _ASSIGNMENT_MAX_LCM = 126
 
 
-def _linear_step(p: np.ndarray, q: np.ndarray):
-    """The FGW linear step for weights p, q: maps a signed float64 cost to an optimal vertex.
+class _LinearStep:
+    """The FGW linear step for weights p, q: maps a stack of signed costs to optimal vertices.
 
-    With uniform p (n atoms) and q (m atoms), repeating each row L/n times
-    and each column L/m times (L = lcm(n, m)) turns the transportation LP
-    into an L x L assignment whose block counts / L are an optimal vertex.
-    That vertex is returned only when it is certified to be the unique LP
-    optimum, so that it agrees with the full LP's vertex to rounding:
-
-    - its support is a forest, so no other plan lives on the same support;
-    - raising every support cell by delta = `_CERTIFICATE_MARGIN` *
-      max(1, max|cost|) leaves it optimal, so every other plan costs at
-      least delta more per unit of mass moved off the support. delta sits
-      above HiGHS's 1e-7 dual tolerance, so near-ties are left to the LP as
-      well.
+    Called on a (B, n, m) stack it returns the B vertices; a 2-D cost is a
+    stack of one. With uniform p (n atoms) and q (m atoms), repeating each
+    row L/n times and each column L/m times (L = lcm(n, m)) turns the
+    transportation LP into an L x L assignment whose block counts / L are an
+    optimal vertex. That vertex is returned only when it is certified to be
+    the unique LP optimum, so that it agrees with the full LP's vertex to
+    rounding: its support is a forest, so no other plan lives on the same
+    support, and `_unique_optimum`, run on the whole stack at once, finds
+    every other plan dearer by a margin.
 
     Every other cost goes to `_full_lp_vertex`: non-uniform weights or an
     lcm above `_ASSIGNMENT_MAX_LCM` (decided here, once), a support with a
     cycle, or a (near-)tie, such as two equal rows or columns. What depends
-    only on p and q is computed here, once per FGW solve: the expansion as
-    one flat gather index into the cost, the flat index of each expanded
-    row's first cell, and which equal-row checks can find a tie.
+    only on p and q is computed here, once per group of FGW solves: the
+    expansion as one flat gather index into the cost, the flat index of each
+    expanded row's first cell, and which equal-row checks can find a tie.
     """
-    n, m = len(p), len(q)
-    L = math.lcm(n, m)
-    if L > _ASSIGNMENT_MAX_LCM or not _is_uniform(p, q):
-        return lambda cost: _full_lp_vertex(cost, p, q)
-    expansion = _expansion(n, m)
-    index, row_start = expansion
-    # Two equal rows of a uniform problem can trade their mass, so a unique
-    # optimum must send both to one column alone, which needs 1/m >= 2/n:
-    # a tie in every other case, found without an assignment. Same for
-    # columns. Each check is (transposed, bytes per float64 row, rows).
-    tie_checks = [(False, 8 * m, n)] * (2 * m > n) + [(True, 8 * n, m)] * (2 * n > m)
 
-    def step(cost: np.ndarray) -> np.ndarray:
-        for transposed, size, rows in tie_checks:
+    def __init__(self, p: np.ndarray, q: np.ndarray):
+        self.p, self.q = p, q
+        n, m = len(p), len(q)
+        self.L = math.lcm(n, m)
+        self.expansion = (_expansion(n, m) if self.L <= _ASSIGNMENT_MAX_LCM and _is_uniform(p, q)
+                          else None)
+        # Two equal rows of a uniform problem can trade their mass, so a unique
+        # optimum must send both to one column alone, which needs 1/m >= 2/n:
+        # a tie in every other case, found without an assignment. Same for
+        # columns. Each check is (transposed, bytes per float64 row, rows).
+        self.tie_checks = [(False, 8 * m, n)] * (2 * m > n) + [(True, 8 * n, m)] * (2 * n > m)
+
+    def __call__(self, costs: np.ndarray) -> np.ndarray:
+        if costs.ndim == 2:
+            return self(costs[None])[0]
+        vertices = np.empty(costs.shape)
+        held = []  # the stack positions of assigned plans that await the certificate
+        for b, cost in enumerate(costs):
+            if self.expansion is not None and not self._has_equal_rows(cost):
+                counts = _assign(cost, self.expansion)
+                if _is_forest(np.flatnonzero(counts), *cost.shape):
+                    vertices[b] = counts.reshape(cost.shape) / self.L
+                    held.append(b)
+                    continue
+            vertices[b] = _full_lp_vertex(cost, self.p, self.q)
+        if held:
+            for b in compress(held, ~_unique_optimum(costs[held], vertices[held] > 0)):
+                vertices[b] = _full_lp_vertex(costs[b], self.p, self.q)
+        return vertices
+
+    def _has_equal_rows(self, cost: np.ndarray) -> bool:
+        """Whether the tie checks find two equal rows or, transposed, two equal columns."""
+        for transposed, size, rows in self.tie_checks:
             b = (cost.T if transposed else cost).tobytes()
             if len({b[k:k + size] for k in range(0, len(b), size)}) < rows:
-                return _full_lp_vertex(cost, p, q)
-        expanded, assigned, counts = _assign(cost, expansion)
-        support = counts > 0
-        if not _is_forest(support.nonzero()[0], n, m):
-            return _full_lp_vertex(cost, p, q)
-        delta = _CERTIFICATE_MARGIN * max(1.0, float(np.abs(cost).max()))
-        raised = expanded + delta * support.take(index)
-        _, rival = linear_sum_assignment(raised)
-        # Any other plan leaves >= 1 of the L unit masses off the support
-        # and so drops by >= delta when it ties; half of delta is far above
-        # the rounding of an L-term sum.
-        if raised.take(row_start + rival).sum() < raised.take(assigned).sum() - 0.5 * delta:
-            return _full_lp_vertex(cost, p, q)
-        return counts.reshape(n, m) / L
+                return True
+        return False
 
-    return step
+
+def _unique_optimum(costs: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Which of a stack of optimal transport plans are certified to be the unique optimum.
+
+    `costs` is (B, n, m) and `support` the plans' supports, each a forest.
+    The residual graph of a plan has an arc from row i to column j of
+    length cost[i, j] for every cell and one back, of length -cost[i, j],
+    for each support cell. A plan is kept when that graph has no negative
+    cycle once every support cell is raised by delta / 2, delta =
+    `_CERTIFICATE_MARGIN` * max(1, max|cost|). A cycle of a forest's graph
+    takes at least one arc off the support, so its raised length is at
+    least delta / 2 below its true one, and every other plan costs at least
+    delta / 4 more per unit of mass moved along a cycle (the tolerance below
+    takes the other quarter). That is above HiGHS's 1e-7 dual tolerance, so
+    near-ties are left to the LP as well.
+
+    The test is a Bellman-Ford from a virtual source at 0 to every atom, run
+    on the whole stack at once: each round relaxes every column from the
+    rows, then every row from the columns along the back arcs. A relaxation
+    counts only if it lowers a label by more than delta / (4 (n + m));
+    without that, the zero-length cycle of a support cell, forward and back,
+    can round below 0. A plan whose labels stop moving has no negative
+    cycle; one still relaxing after n + m rounds is refused. Each round
+    costs O(B n m), with no L x L assignment.
+    """
+    _, n, m = costs.shape
+    delta = _CERTIFICATE_MARGIN * np.maximum(1.0, np.abs(costs).max(axis=(1, 2)))
+    forward = costs + (0.5 * delta)[:, None, None] * support
+    back = np.where(support, -forward, np.inf)
+    tol = (delta / (4 * (n + m)))[:, None]
+    rows, cols = np.zeros(costs.shape[:2]), np.zeros((len(costs), m))
+    for _ in range(n + m):
+        lower = (rows[:, :, None] + forward).min(axis=1)
+        moved = lower < cols - tol
+        cols = np.where(moved, lower, cols)
+        relaxing = moved.any(axis=1)
+        lower = (cols[:, None, :] + back).min(axis=2)
+        moved = lower < rows - tol
+        rows = np.where(moved, lower, rows)
+        relaxing |= moved.any(axis=1)
+        if not relaxing.any():
+            break
+    return ~relaxing
 
 
 def _is_uniform(p: np.ndarray, q: np.ndarray) -> bool:
@@ -686,18 +739,14 @@ def _expansion(n: int, m: int):
     return row_base[:, None] + col_of, np.arange(0, L * L, L)
 
 
-def _assign(cost: np.ndarray, expansion):
-    """One assignment on the `_expansion` of `cost`.
+def _assign(cost: np.ndarray, expansion) -> np.ndarray:
+    """How many cells of one assignment on the `_expansion` of `cost` fall on each flat cell.
 
-    Returns the expanded cost, the flat expanded cells assigned, and how
-    many of them fall on each flat cell of `cost`: counts / L is an optimal
-    plan of the uniform transportation LP.
+    counts / L is an optimal plan of the uniform transportation LP.
     """
     index, row_start = expansion
-    expanded = cost.take(index)
-    _, cols = linear_sum_assignment(expanded)
-    assigned = row_start + cols
-    return expanded, assigned, np.bincount(index.take(assigned), minlength=cost.size)
+    _, cols = linear_sum_assignment(cost.take(index))
+    return np.bincount(index.take(row_start + cols), minlength=cost.size)
 
 
 def _is_forest(cells: np.ndarray, n: int, m: int) -> bool:

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive: enumeration, finite differences, a
 Sinkhorn loop that tests the coupling it builds, the extension of a solve to
-zero-mass atoms, the FGW linear step's assignment certificate, the canonical
-outer duals by shortest paths and the GREAT selection loop written straight
-through. They share no code with the
+zero-mass atoms, the FGW linear step's assignment certificate, one FGW
+solve of one pair, the canonical outer duals by shortest paths and the GREAT
+selection loop written straight through. They share no code with the
 solvers under test; the certificate reads only the two constants of `ot`
 that define it, and the GREAT loop calls only the outer OT solve and its
 dual calibration.
@@ -17,7 +17,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from gradate.ot import _ASSIGNMENT_MAX_LCM, _CERTIFICATE_MARGIN, calibrate_duals, solve_exact_ot
@@ -221,6 +223,68 @@ def _is_forest(support):
             return False
         parent[a] = b
     return True
+
+
+def lp_vertex(cost, p, q):
+    """`linprog(method="highs-ds")`'s vertex of OT(p, q, cost) on the positive atoms, full length.
+
+    A cost with a negative entry is first shifted by its minimum, as the FGW
+    step's full LP does; zero-mass rows and columns get no mass.
+    """
+    cost = cost - min(cost.min(), 0.0)
+    keep_i, keep_j = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
+    n, m = len(keep_i), len(keep_j)
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m))]).tocsc()
+    res = linprog(cost[np.ix_(keep_i, keep_j)].ravel(), A_eq=a_eq,
+                  b_eq=np.concatenate([p[keep_i], q[keep_j]]), bounds=(0, None),
+                  method="highs-ds")
+    assert res.status == 0
+    vertex = np.zeros(cost.shape)
+    vertex[np.ix_(keep_i, keep_j)] = res.x.reshape(n, m)
+    return vertex
+
+
+def straight_line_fgw(g1, g2, alpha, coupling_init=None, max_iter=200, tol=1e-9):
+    """One FGW conditional-gradient solve of the pair (g1, g2), written straight through.
+
+    The one-pair loop `fgw_distance` ran before the solves of a stage ran in
+    lockstep: the squared-loss objective <F, T> + alpha <L x T, T> (alpha 1
+    on featureless graphs), the factored contraction constC - A1 T (2 A2),
+    the closed-form line search on [0, 1], and a linear step that is
+    `unique_uniform_vertex` where it certifies a vertex and `lp_vertex`
+    otherwise. The coupling starts at p q^T unless `coupling_init` is given;
+    a solve stops when its step is 0 or its objective falls by at most
+    `tol` relative, or after `max_iter` steps. Returns (coupling, objective
+    curve, converged).
+    """
+    p, q = g1.node_weights, g2.node_weights
+    A1, A2 = g1.adjacency, g2.adjacency
+    if g1.feature_dim == 0:
+        alpha = 1.0
+    F = ((1.0 - alpha) * cdist(g1.features, g2.features) ** 2 if g1.feature_dim
+         else np.zeros((len(p), len(q))))
+    constC = np.add.outer((A1 ** 2) @ p, (A2 ** 2) @ q)
+    T = np.outer(p, q) if coupling_init is None else np.asarray(coupling_init, dtype=np.float64)
+    LT = constC - A1 @ T @ (2.0 * A2)
+    curve = [float((F * T).sum() + alpha * (LT * T).sum())]
+    for _ in range(max_iter):
+        grad = F + 2.0 * alpha * LT
+        vertex = unique_uniform_vertex(grad, p, q)
+        delta = (lp_vertex(grad, p, q) if vertex is None else vertex) - T
+        b = float((grad * delta).sum())
+        a = -alpha * float(((A1 @ delta @ (2.0 * A2)) * delta).sum())
+        if a > 0:
+            step = min(max(-b / (2.0 * a), 0.0), 1.0)
+        else:
+            step = 1.0 if a + b < 0 else 0.0
+        if step > 0.0:
+            T = T + step * delta
+            LT = constC - A1 @ T @ (2.0 * A2)
+        curve.append(float((F * T).sum() + alpha * (LT * T).sum()))
+        if step == 0.0 or curve[-2] - curve[-1] <= tol * max(abs(curve[-2]), 1e-16):
+            return T, np.array(curve), True
+    return T, np.array(curve), False
 
 
 def canonical_duals(cost, plan):

@@ -10,7 +10,7 @@ from gradate.fgw import FGWConfig, default_reference_size
 from gradate.graphs import _graphs_from_arrays
 
 from conftest import count_full_lps, random_graph
-from oracles import unique_uniform_vertex
+from oracles import straight_line_fgw
 
 
 def naive_objective(g1, g2, T, alpha):
@@ -161,16 +161,9 @@ class TestLinearStepPaths:
         assert np.array_equal(fast.coupling, slow.coupling)
         assert np.array_equal(fast.objective_curve, slow.objective_curve)
 
-    def test_the_straight_line_reference_gives_the_same_bits(self, rng, monkeypatch,
-                                                             lp_fallbacks):
-        # The step as it ran before it was planned once per pair: the
-        # reference certificate on every iterate, else the full LP.
-        def reference_step(p, q):
-            def step(cost):
-                vertex = unique_uniform_vertex(cost, p, q)
-                return ot._full_lp_vertex(cost, p, q) if vertex is None else vertex
-            return step
-
+    def test_the_straight_line_reference_gives_the_same_bits(self, rng, lp_fallbacks):
+        # `oracles.straight_line_fgw`: the one-pair loop with the reference
+        # certificate on every iterate, else linprog's vertex.
         path = AttributedGraph.from_edges(5, [(i, i + 1) for i in range(4)])
         cycle = AttributedGraph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
         pairs = [(path, cycle)] + [
@@ -182,11 +175,10 @@ class TestLinearStepPaths:
             lp_fallbacks.clear()
             planned = fgw_distance(g1, g2, FGWConfig(alpha=0.5))
             steps += planned.iterations - len(lp_fallbacks)
-            with monkeypatch.context() as patch:
-                patch.setattr(fgw, "_linear_step", reference_step)
-                reference = fgw_distance(g1, g2, FGWConfig(alpha=0.5))
-            assert np.array_equal(planned.objective_curve, reference.objective_curve)
-            assert np.array_equal(planned.coupling, reference.coupling)
+            coupling, curve, converged = straight_line_fgw(g1, g2, 0.5)
+            assert np.array_equal(planned.objective_curve, curve)
+            assert np.array_equal(planned.coupling, coupling)
+            assert planned.converged is converged
         assert steps > 0  # some steps were certified by the assignment
 
     def test_zero_weight_nodes_leave_the_lp_and_change_no_result(self, rng, monkeypatch):
@@ -238,7 +230,7 @@ class TestFeatureDistances:
         own = random_graph(rng, n_nodes=6, feature_dim=d)
         for g1, g2 in [(graphs[0], graphs[1]), (graphs[2], own), (own, graphs[1])]:
             for alpha in (0.0, 0.5, 0.3):
-                F = fgw._QuadObjective(g1, g2, FGWConfig(alpha=alpha)).F
+                F = fgw._QuadObjective([g1], g2, FGWConfig(alpha=alpha)).F[0]
                 expected = (1 - alpha) * cdist(g1.features, g2.features) ** 2
                 assert F.tobytes() == expected.tobytes()
 

@@ -351,6 +351,38 @@ class TestCertifiedOuterSolves:
         assert np.abs(trace.final_weights - ref.final_weights).max() <= 1e-12
         assert trace.final_gdd == pytest.approx(ref.final_gdd, rel=1e-12, abs=0)
 
+    def test_devex_and_steepest_edge_rounds_select_the_same_bits(self, monkeypatch):
+        # The grown rounds price by Devex; a certified answer is read from
+        # the tree model, so dual steepest-edge rounds give the same bits.
+        dtilde = shifted_style_dtilde(0)
+
+        def run():
+            solutions, certified = [], []
+            grown = ot._certified_grown_lp
+
+            def spy(*args):
+                result = grown(*args)
+                certified.append(result is not None)
+                return result
+
+            def solver(cost, p, q, start=None):
+                solutions.append(ot.solve_exact_ot(cost, p, q, start=start))
+                return solutions[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ot, "_certified_grown_lp", spy)
+                selected, trace = great_select(dtilde, tau=0.2, T=10, eta=1e-4, solver=solver)
+            assert sum(certified) >= 8
+            return (selected.tobytes(), trace.final_weights.tobytes(),
+                    [(s.dual_source.tobytes(), s.dual_target.tobytes()) for s in solutions])
+
+        assert ot._GROWN_OPTIONS.simplex_dual_edge_weight_strategy == 1  # Devex
+        devex = run()
+        steepest_edge = ot._dual_simplex_options("off")
+        steepest_edge.simplex_dual_edge_weight_strategy = 2
+        monkeypatch.setattr(ot, "_GROWN_OPTIONS", steepest_edge)
+        assert run() == devex
+
 
 def _two_domain_style_dtilde(seed):
     """A 120 x 20 cost shaped like two_domain's: 60 train points near the val points, 60 away."""

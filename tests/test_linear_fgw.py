@@ -12,12 +12,15 @@ from gradate import (
     linear_fgw_distance,
     pairwise_linear_fgw,
 )
+import gradate.fgw as fgw
+import gradate.linear_fgw as linear_fgw
 from gradate.errors import ConfigInvalid, EmptyDataset, ReferenceMismatch
-from gradate.fgw import FGWConfig
+from gradate.fgw import FGWConfig, FGWResult
 from gradate.graphs import concat_datasets, degree_one_hot_features
 from gradate.linear_fgw import BarycentricEmbedding, embed_all
 
 from conftest import heterogeneous_graphs, random_dataset, random_graph
+from oracles import straight_line_fgw
 
 
 class TestBarycentricEmbed:
@@ -183,6 +186,101 @@ class TestBlockKernel:
         cfg = FGWConfig(alpha=alpha, seed=6)
         expected = self.reference_block(range(5), range(5), ds.graphs, cfg)
         assert np.array_equal(pairwise_linear_fgw(ds, cfg), expected)
+
+
+def _straight_line_solves(graphs, target, cfg, couplings_init=None):
+    """`fgw._fgw_solves` as one `oracles.straight_line_fgw` per graph, in list order."""
+    results = []
+    for g, init in zip(graphs, couplings_init or [None] * len(graphs)):
+        T, curve, converged = straight_line_fgw(g, target, cfg.alpha, init,
+                                                fgw.FW_MAX_ITER, fgw.FW_TOL)
+        results.append(FGWResult(max(curve[-1], 0.0) ** 0.5, T, converged, len(curve) - 1, curve))
+    return results
+
+
+def _weighted_dataset(rng, n_graphs):
+    """Attributed graphs of 4-6 nodes, each with one of two node-weight vectors of its size.
+
+    One vector of each size is uniform and the other is not; one of those
+    puts no mass on a node.
+    """
+    weights = {n: [np.full(n, 1.0 / n), rng.random(n) + 0.2] for n in (4, 5, 6)}
+    weights[5][1][2] = 0.0
+    graphs = []
+    for _ in range(n_graphs):
+        n = int(rng.integers(4, 7))
+        g = random_graph(rng, n_nodes=n)
+        w = weights[n][int(rng.integers(0, 2))]
+        graphs.append(AttributedGraph(g.adjacency, g.features, w / w.sum()))
+    return LabeledGraphDataset(graphs, [int(rng.integers(0, 2)) for _ in graphs], label_set=[0, 1])
+
+
+class TestLockstepSolves:
+    """A stage's FGW solves, run in lockstep per weight group, against the one-pair loop."""
+
+    @staticmethod
+    def recorded(monkeypatch, compute, solves):
+        """`compute()` with `solves` as every stage's `_fgw_solves`, and each stage's results."""
+        stages = []
+
+        def recording(*args):
+            stages.append(solves(*args))
+            return stages[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fgw, "_fgw_solves", recording)
+            patch.setattr(linear_fgw, "_fgw_solves", recording)
+            return compute(), stages
+
+    def assert_same_bits(self, monkeypatch, compute):
+        D, stages = self.recorded(monkeypatch, compute, fgw._fgw_solves)
+        D_ref, ref_stages = self.recorded(monkeypatch, compute, _straight_line_solves)
+        assert D.tobytes() == D_ref.tobytes()
+        assert len(stages) == len(ref_stages) >= 2  # the barycenter rounds and the embedding
+        for results, ref_results in zip(stages, ref_stages):
+            assert len(results) == len(ref_results)
+            for res, ref in zip(results, ref_results):
+                assert res.coupling.tobytes() == ref.coupling.tobytes()
+                assert res.objective_curve.tobytes() == ref.objective_curve.tobytes()
+                assert res.converged is ref.converged
+
+    @pytest.mark.parametrize("corpus", ["attributed", "featureless", "weighted", "one-step"])
+    def test_cross_and_pairwise_blocks_equal_the_straight_line(self, monkeypatch, corpus):
+        rng = np.random.default_rng(71)
+        if corpus == "one-step":
+            monkeypatch.setattr(fgw, "FW_MAX_ITER", 1)
+        if corpus == "weighted":
+            train, val = _weighted_dataset(rng, 12), _weighted_dataset(rng, 5)
+        else:
+            feature_dim = 0 if corpus == "featureless" else 3
+            train = random_dataset(rng, 12, feature_dim=feature_dim, size_range=(4, 8))
+            val = random_dataset(rng, 5, feature_dim=feature_dim, size_range=(4, 8))
+        cfg = FGWConfig(alpha=0.5, seed=4)
+        self.assert_same_bits(monkeypatch, lambda: cross_linear_fgw(train, val, cfg))
+        self.assert_same_bits(monkeypatch, lambda: pairwise_linear_fgw(train, cfg))
+
+    def test_each_stage_builds_one_step_per_weight_group(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        graphs = _weighted_dataset(rng, 16).graphs
+        stages, solves, step = [], fgw._fgw_solves, fgw._LinearStep
+
+        def recording(*args):
+            stages.append([])
+            return solves(*args)
+
+        class Spy(step):
+            def __init__(self, p, q):
+                stages[-1].append(p.tobytes())
+                super().__init__(p, q)
+
+        monkeypatch.setattr(fgw, "_fgw_solves", recording)
+        monkeypatch.setattr(linear_fgw, "_fgw_solves", recording)
+        monkeypatch.setattr(fgw, "_LinearStep", Spy)
+        linear_fgw._reference_embeddings(graphs, FGWConfig(alpha=0.5), None)
+        groups = list(dict.fromkeys(g.node_weights.tobytes() for g in graphs))
+        assert len(graphs) > len(groups) >= 4
+        assert len(stages) >= 2  # the barycenter rounds and the embedding
+        assert all(steps == groups for steps in stages)
 
 
 class TestTypedErrors:

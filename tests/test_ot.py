@@ -15,7 +15,7 @@ from gradate import (AttributedGraph, LabeledGraphDataset, calibrate_duals,
 from gradate.errors import DimensionMismatch, InfeasibleMarginals, NonConvergence, NumericalFailure
 from gradate.fgw import FGWConfig, _QuadObjective
 from gradate.pipeline import SelectionConfig
-from gradate.ot import TransportSolution, _linear_step, _logsumexp, as_cost_matrix
+from gradate.ot import TransportSolution, _LinearStep, _logsumexp, as_cost_matrix
 
 import oracles
 from conftest import count_full_lps, count_lps, shifted_style_dtilde
@@ -24,6 +24,7 @@ from oracles import (
     brute_force_ot,
     canonical_duals,
     is_optimal_dual,
+    lp_vertex,
     random_rational_marginal,
     sinkhorn_coupling_per_sweep,
     unique_uniform_vertex,
@@ -561,28 +562,20 @@ class TestAnswerDependsOnTheProblemAlone:
                 == _solution_bits(sol.value, sol.coupling, sol.dual_source, sol.dual_target))
 
 
-def _lp_coupling(cost, p, q):
-    """`linprog`'s vertex of a signed cost, shifted as the FGW step does, at full length."""
-    res, keep_i, keep_j = _linprog(cost - min(cost.min(), 0.0), p, q)
-    coupling = np.zeros(cost.shape)
-    coupling[np.ix_(keep_i, keep_j)] = res.x.reshape(len(keep_i), len(keep_j))
-    return coupling
-
-
 def _degree_feature_gradient():
     # FGW gradient at the product coupling between a 5-path and a 4-cycle
     # with degree one-hot features: every entry is 0.5 or 1.5.
     path = AttributedGraph.from_edges(5, [(i, i + 1) for i in range(4)])
     cycle = AttributedGraph.from_edges(4, [(i, (i + 1) % 4) for i in range(4)])
     g1, g2 = degree_one_hot_features(LabeledGraphDataset([path, cycle], [0, 0])).graphs
-    obj = _QuadObjective(g1, g2, FGWConfig())
-    return obj.gradient(obj.contract(np.outer(obj.p, obj.q)))
+    obj = _QuadObjective([g1], g2, FGWConfig())
+    return obj.gradient(obj.contract(np.outer(obj.p, obj.q)[None]))[0]
 
 
 def _certified_vertex(lp_fallbacks, cost, p, q):
     """The planned linear step's vertex of `cost` if its assignment certified it, else None."""
     lp_fallbacks.clear()
-    vertex = _linear_step(p, q)(cost)
+    vertex = _LinearStep(p, q)(cost)
     return None if lp_fallbacks else vertex
 
 
@@ -600,7 +593,7 @@ class TestUniformAssignmentVertex:
             if T is None:
                 continue
             certified += 1
-            assert np.abs(T - _lp_coupling(cost, p, q)).max() <= 1e-14
+            assert np.abs(T - lp_vertex(cost, p, q)).max() <= 1e-14
             L = np.lcm(n, m)
             if L <= 12 and n * m <= 12:
                 expected = brute_force_ot(cost, [L // n] * n, [L // m] * m)
@@ -618,18 +611,20 @@ class TestUniformAssignmentVertex:
         }[name]
         p, q = _uniform(cost.shape[0]), _uniform(cost.shape[1])
         assert _certified_vertex(lp_fallbacks, cost, p, q) is None
-        assert np.array_equal(_linear_step(p, q)(cost), _lp_coupling(cost, p, q))
+        assert np.array_equal(_LinearStep(p, q)(cost), lp_vertex(cost, p, q))
 
     def test_integer_costs_take_either_path_with_the_lp_coupling(self, monkeypatch,
                                                                  lp_fallbacks):
         # Small integer costs tie often and in every way: equal rows, a
-        # support with a cycle, and tied vertices only the second assignment
-        # finds. Which check refused a cost shows in how many assignments
-        # the step ran before it fell back.
-        assignments = []
-        lsap = ot.linear_sum_assignment
+        # support with a cycle, and tied vertices only the certificate
+        # finds. Which check refused a cost shows in whether the step ran
+        # its one assignment and whether it reached the certificate.
+        assignments, certificates = [], []
+        lsap, certificate = ot.linear_sum_assignment, ot._unique_optimum
         monkeypatch.setattr(ot, "linear_sum_assignment",
                             lambda cost: assignments.append(cost.shape) or lsap(cost))
+        monkeypatch.setattr(ot, "_unique_optimum", lambda costs, support: certificates.append(
+            len(costs)) or certificate(costs, support))
         rng = np.random.default_rng(5)
         outcomes = set()
         for _ in range(300):
@@ -637,23 +632,24 @@ class TestUniformAssignmentVertex:
             cost = rng.integers(-2, 3, size=(n, m)).astype(float)
             p, q = _uniform(n), _uniform(m)
             assignments.clear()
+            certificates.clear()
             T = _certified_vertex(lp_fallbacks, cost, p, q)
-            outcomes.add((T is not None, len(assignments)))
-            ref = _lp_coupling(cost, p, q)
+            outcomes.add((T is not None, len(assignments), len(certificates)))
+            ref = lp_vertex(cost, p, q)
             if T is None:
-                assert np.array_equal(_linear_step(p, q)(cost), ref)
+                assert np.array_equal(_LinearStep(p, q)(cost), ref)
             else:
                 assert np.abs(T - ref).max() <= 1e-14
         # Accepted; equal rows or columns; a cycle; a tie.
-        assert outcomes == {(True, 2), (False, 0), (False, 1), (False, 2)}
+        assert outcomes == {(True, 1, 1), (False, 0, 0), (False, 1, 0), (False, 1, 1)}
 
     def test_non_uniform_weights_and_large_lcm_fall_back(self, lp_fallbacks):
         rng = np.random.default_rng(4)
         cost = rng.standard_normal((4, 5))
         p = np.array([0.1, 0.2, 0.3, 0.4])
         assert _certified_vertex(lp_fallbacks, cost, p, _uniform(5)) is None
-        assert np.array_equal(_linear_step(p, _uniform(5))(cost),
-                              _lp_coupling(cost, p, _uniform(5)))
+        assert np.array_equal(_LinearStep(p, _uniform(5))(cost),
+                              lp_vertex(cost, p, _uniform(5)))
         n, m = 16, 9  # lcm 144
         assert np.lcm(n, m) > ot._ASSIGNMENT_MAX_LCM
         cost = rng.standard_normal((n, m))
@@ -663,11 +659,13 @@ class TestUniformAssignmentVertex:
 
 
 class TestPlannedStepMatchesTheReference:
-    """The linear step planned once per pair against the straight-line `unique_uniform_vertex`.
+    """The planned linear step against the straight-line `unique_uniform_vertex`.
 
     Each planned step must return the reference's vertex, bit for bit, and
     fall back to the full LP exactly where the reference returns None, after
-    as many assignments, so the same check refused the cost.
+    the same check: the step runs one assignment where the reference runs
+    one or two, and hands the plan to its certificate, `_unique_optimum`,
+    exactly where the reference runs its second, raised assignment.
     """
 
     @pytest.fixture(autouse=True)
@@ -679,18 +677,24 @@ class TestPlannedStepMatchesTheReference:
                 self.assignments[module] += 1
                 return lsap(cost)
             monkeypatch.setattr(module, "linear_sum_assignment", counted)
+        self.certified = []
+        certificate = ot._unique_optimum
+        monkeypatch.setattr(ot, "_unique_optimum", lambda costs, support: self.certified.append(
+            len(costs)) or certificate(costs, support))
 
     def assert_same_decisions(self, costs, p, q) -> int:
         """Check each cost; return how many of them the assignment certified."""
-        step = _linear_step(p, q)
+        step = _LinearStep(p, q)
         certified = 0
         for cost in costs:
             self.fallbacks.clear()
+            self.certified.clear()
             self.assignments.update({ot: 0, oracles: 0})
             vertex = step(cost)
             expected = unique_uniform_vertex(cost, p, q)
             assert (expected is None) == bool(self.fallbacks)
-            assert self.assignments[ot] == self.assignments[oracles]
+            assert self.assignments[ot] == min(self.assignments[oracles], 1)
+            assert self.certified == [1] * (self.assignments[oracles] == 2)
             if expected is not None:
                 assert np.array_equal(vertex, expected)
                 certified += 1
@@ -739,6 +743,90 @@ class TestPlannedStepMatchesTheReference:
         p, q = _random_marginal(rng, 5), _uniform(4)
         costs = [rng.standard_normal((5, 4)) for _ in range(3)]
         assert self.assert_same_decisions(costs, p, q) == 0
+
+
+def _planted_cycle(rng, n, m, gap):
+    """A uniform (n, m) cost, gcd(n, m) = 1, with a known optimal tree and one near rival.
+
+    The cost is u[i] + v[j] + r[i, j] for random potentials u, v: r is 0 on
+    the support of the optimal vertex of a random cost, a spanning tree, and
+    1 to 2 elsewhere, except at the cell whose cycle through the tree is
+    longest, where it is `gap` times delta = `_CERTIFICATE_MARGIN` *
+    max(1, max|cost|). Moving mass around that cycle costs `gap` * delta per
+    unit; every other cycle costs at least 1. Returns the cost, the tree's
+    support and the cycle's length in cells.
+    """
+    support = lp_vertex(rng.standard_normal((n, m)), _uniform(n), _uniform(m)) > 0
+    assert support.sum() == n + m - 1
+    # Tree distances from each row to each column, in cells.
+    neighbours = [[] for _ in range(n + m)]
+    for i, j in zip(*np.nonzero(support)):
+        neighbours[i].append(n + j)
+        neighbours[n + j].append(i)
+    hops = np.empty((n, m), dtype=int)
+    for i in range(n):
+        depth, frontier = {i: 0}, [i]
+        while frontier:
+            reached = []
+            for a in frontier:
+                for b in neighbours[a]:
+                    if b not in depth:
+                        depth[b] = depth[a] + 1
+                        reached.append(b)
+            frontier = reached
+        hops[i] = [depth[n + j] for j in range(m)]
+    cycle = np.where(support, -1, hops)
+    cell = np.unravel_index(np.argmax(cycle), cycle.shape)
+    r = np.where(support, 0.0, 1.0 + rng.random((n, m)))
+    r[cell] = 0.0
+    cost = rng.uniform(-3, 3, n)[:, None] + rng.uniform(-3, 3, m)[None, :] + r
+    delta = ot._CERTIFICATE_MARGIN * max(1.0, float(np.abs(cost).max()))
+    cost[cell] += gap * delta  # delta moves by a relative 1e-6 at most
+    return cost, support, int(cycle[cell]) + 1
+
+
+class TestCertificate:
+    """`_unique_optimum` on planted near-ties: accepted plans are the LP's vertex."""
+
+    # Coprime shapes, so each optimum is a spanning tree, up to lcm 126.
+    SHAPES = [(2, 3), (3, 5), (5, 8), (7, 9), (10, 11), (9, 13), (14, 9), (9, 14), (2, 63),
+              (63, 2)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: "%dx%d" % shape)
+    def test_planted_cycle_gaps(self, shape, lp_fallbacks):
+        # A cycle dearer by delta / 8 is refused, one dearer by delta / 2 or
+        # 2 delta is not; where the gap is clear of delta / 2 the raised
+        # assignment of `unique_uniform_vertex` decides alike.
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        n, m = shape
+        p, q = _uniform(n), _uniform(m)
+        for gap, accepted in [(1 / 8, False), (1 / 2, True), (2, True)]:
+            for _ in range(3):
+                cost, support, _ = _planted_cycle(rng, n, m, gap)
+                T = _certified_vertex(lp_fallbacks, cost, p, q)
+                assert (T is not None) is accepted
+                if gap != 1 / 2:
+                    assert (unique_uniform_vertex(cost, p, q) is not None) is accepted
+                # A stack of the plan twice decides as the stack of one.
+                twice = ot._unique_optimum(np.stack([cost, cost]), np.stack([support] * 2))
+                assert twice.tolist() == [accepted] * 2
+                if accepted:
+                    assert np.array_equal(T > 0, support)
+                    assert np.abs(T - lp_vertex(cost, p, q)).max() <= 1e-14
+
+    def test_long_cycles_in_one_stack(self):
+        # Problems of every gap in one call: each one's decision is its own.
+        rng = np.random.default_rng(73)
+        costs, supports, alone = [], [], []
+        for gap in (1 / 8, 2, 1 / 8, 2, 1 / 2):
+            cost, support, length = _planted_cycle(rng, 9, 14, gap)
+            assert length >= 10
+            costs.append(cost)
+            supports.append(support)
+            alone.append(bool(ot._unique_optimum(cost[None], support[None])[0]))
+        together = ot._unique_optimum(np.stack(costs), np.stack(supports))
+        assert together.tolist() == alone
+        assert alone == [False, True, False, True, True]
 
 
 class TestSinkhorn:
