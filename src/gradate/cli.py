@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -276,12 +277,14 @@ def cmd_select(args) -> int:
 
 
 def _write_trace(result, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "gdd", "support"])
-        if result.trace is not None:
-            for t, value, support in result.trace.rows():
-                writer.writerow([t, repr(value), support])
+    """Write the per-iteration CSV, in csv's CRLF rows, atomically as every other output."""
+    rows = StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(["t", "gdd", "support"])
+    if result.trace is not None:
+        for t, value, support in result.trace.rows():
+            writer.writerow([t, repr(value), support])
+    io._atomic_write_bytes(Path(path), rows.getvalue().encode())
 
 
 if __name__ == "__main__":

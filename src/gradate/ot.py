@@ -23,18 +23,20 @@ paths:
   (`_full_lp_vertex`) and never a grown support, so its couplings, and so
   D, keep `linprog`'s bits at every size.
 - The outer, `gdd` and label-table solves, `solve_exact_ot`, return the
-  coupling and duals. Uniform weights with gcd(n, m) > 1 make the LP
-  degenerate; up to an expansion factor nm / gcd(n, m)^2 of
-  `_OUTER_ASSIGNMENT_MAX_EXPANSION` such a solve is the assignment on the
-  lcm expansion, with no LP. Every other solve of `_GROWN_MIN_CELLS` cells
-  or more first tries a support grown by violated reduced costs,
-  `_certified_grown_lp`, whose result is kept only when it is certified to
-  be the unique optimum. Its rounds may start from the duals of an earlier
-  solve of the same cost (`start`, which GREAT passes from one step to the
-  next): they pick the first cells and a starting basis. The answer is read
-  from a model of the certified tree alone, so it equals the full LP's
-  vertex, calibrated duals and value to rounding. Otherwise the full LP
-  runs. On every path the duals are `_canonical_duals` of the plan found:
+  coupling and duals, and `solve_exact_ot` alone routes them. Uniform
+  weights with gcd(n, m) > 1 make the LP degenerate; up to an expansion
+  factor nm / gcd(n, m)^2 of `_OUTER_ASSIGNMENT_MAX_EXPANSION` such a
+  solve is the assignment on the lcm expansion, with no LP. Every other
+  solve of `_GROWN_MIN_CELLS` cells or more first tries a support grown by
+  violated reduced costs, `_certified_grown_lp`, whose tree is kept only
+  when it is certified to be the unique optimum. Its rounds may start from
+  the duals of an earlier solve of the same cost (`start`, which GREAT
+  passes from one step to the next): they pick the first cells and a
+  starting basis. The answer is read from a model of the certified tree's
+  cells alone, built and run by `_transport_lp` as the full LP is, so it
+  equals the full LP's vertex, calibrated duals and value to rounding.
+  Otherwise the full LP runs. On every path the duals are
+  `_canonical_duals` of the plan found:
   one point of the optimal dual set, chosen by a rule of the problem alone.
   Where that set is one point up to a constant (a connected support: every
   certified tree and every nondegenerate vertex) they are the solver's own.
@@ -43,12 +45,17 @@ paths:
   depend on the installed scipy.
 
 Every exact LP runs HiGHS's dual simplex, called directly through scipy's
-private bindings with the model as NumPy buffers, without `linprog`'s
-per-call Python overhead. Every LP whose answer is returned runs with the
-options of `linprog(method="highs-ds")`; the rounds of a grown support,
-whose answer is never returned, run with presolve off and Devex pricing.
-Both uniqueness certificates use one margin, `_CERTIFICATE_MARGIN`, 10x
+private bindings with the model as NumPy buffers. Every LP whose answer is
+returned is built and run by `_transport_lp`, with the options of
+`linprog(method="highs-ds")`; the rounds of a grown support, whose answer
+is never returned, run with presolve off and Devex pricing. Both
+uniqueness certificates use one margin, `_CERTIFICATE_MARGIN`, 10x
 HiGHS's feasibility tolerances.
+
+Every module constant that can change a returned bit (the route
+thresholds, the grown support's settings, the certificate margin and
+Sinkhorn's budget) is also a rule field of `pipeline._RESULT_RULES`, by
+value, so editing one renames the cache entries it decides.
 
 The package calls three compiled scipy functions, and `_scipy_extension`
 loads their extension modules straight from scipy's directory:
@@ -224,23 +231,29 @@ def solve_exact_ot(cost, p, q, start: TransportSolution | None = None) -> Transp
 
     Returns an optimal plan, its value and the canonical optimal duals of
     `_canonical_duals`, which depend on (cost, p, q) alone, up to rounding
-    and the additive constant that `calibrate_duals` removes. Uniform
-    weights with g = gcd(n, m) > 1 and nm / g^2 at most
-    `_OUTER_ASSIGNMENT_MAX_EXPANSION` take the assignment on the lcm
-    expansion: the plan is its counts / L, which is not a vertex when the
-    assignment is tied. Otherwise the plan is a vertex. On the full-LP path
-    it is HiGHS's dual-simplex vertex, the same bits as
-    `linprog(method="highs-ds")` gives, and so are the duals where its
-    support is connected. The certified path (`_certified_grown_lp`) answers
-    only where the optimum is unique, and reads it from a HiGHS model of the
-    certified tree alone: the coupling, value and calibrated duals agree
-    with the full LP's to rounding, the raw duals up to their additive
-    constant. Any HiGHS outcome other than optimal on the full LP raises
-    NumericalFailure. Zero-mass
-    atoms are dropped before the solve and re-inserted afterwards: their
-    coupling rows/columns are zero and their duals are set to the tightest
-    reduced-cost-feasible value, so a sparsified training measure still
-    yields a full-length, feasible dual vector.
+    and the additive constant that `calibrate_duals` removes. This is the
+    one place that routes a solve, on the atoms of positive mass:
+
+    - Uniform weights with g = gcd(n, m) > 1 balance n/g rows against m/g
+      columns at mass 1/g each, so every vertex is degenerate. Up to
+      nm / g^2 = `_OUTER_ASSIGNMENT_MAX_EXPANSION` the plan is the counts / L
+      of the assignment on the lcm expansion, which is not a vertex when
+      the assignment is tied; above it, the full LP.
+    - Every other solve of `_GROWN_MIN_CELLS` cells or more tries
+      `_certified_grown_lp`. A certified tree's answer is read from a HiGHS
+      model of its cells alone, so the coupling, value and calibrated duals
+      agree with the full LP's to rounding, the raw duals up to their
+      additive constant.
+    - Otherwise, and when the certificate fails, one full LP: HiGHS's
+      dual-simplex vertex, the same bits as `linprog(method="highs-ds")`
+      gives, and so are the duals where its support is connected.
+
+    Any HiGHS outcome other than optimal on the full LP or the tree model
+    raises NumericalFailure. Zero-mass atoms are dropped before the solve
+    and re-inserted afterwards: their coupling rows/columns are zero and
+    their duals are set to the tightest reduced-cost-feasible value, so a
+    sparsified training measure still yields a full-length, feasible dual
+    vector.
 
     `start` is an earlier solution of the same cost, such as the previous
     step of the selection loop; only its full-length duals are read, to
@@ -258,14 +271,15 @@ def solve_exact_ot(cost, p, q, start: TransportSolution | None = None) -> Transp
         duals = (f[problem.keep_i], g[problem.keep_j])
     block, ps, qs = problem.block, problem.ps, problem.qs
     n, m = block.shape
-    divisor = math.gcd(n, m)
-    if (divisor > 1 and n * m <= _OUTER_ASSIGNMENT_MAX_EXPANSION * divisor**2
-            and _is_uniform(ps, qs)):
+    divisor = math.gcd(n, m) if _is_uniform(ps, qs) else 1  # > 1: every vertex is degenerate
+    if divisor > 1 and n * m <= _OUTER_ASSIGNMENT_MAX_EXPANSION * divisor**2:
         x = _assign(block, _expansion(n, m)) / math.lcm(n, m)
         duals, value = None, float(block.ravel() @ x)
     else:
-        solved = _certified_grown_lp(block, ps, qs, duals)
-        x, duals, value = problem.full_lp() if solved is None else solved
+        tree = (_certified_grown_lp(block, ps, qs, duals)
+                if divisor == 1 and n * m >= _GROWN_MIN_CELLS else None)
+        x, duals, value = (problem.full_lp() if tree is None else
+                           _transport_lp(block.ravel(), np.concatenate([ps, qs]), n, m, tree))
     beta, psi = problem.extend_duals(*_canonical_duals(block, x, duals), np.min)
     return TransportSolution(value, problem.lift(x), beta, psi)
 
@@ -432,23 +446,30 @@ def _run_highs(highs: _Highs) -> bool:
     return highs.getModelStatus() == HighsModelStatus.kOptimal
 
 
-def _solve_transport_lp(c: np.ndarray, b: np.ndarray, n: int, m: int):
-    """x, row duals and objective of the (n, m) transportation LP min c @ x, A x = b, x >= 0.
+def _transport_lp(c: np.ndarray, b: np.ndarray, n: int, m: int, cells: np.ndarray):
+    """x, row duals and objective of the (n, m) transportation LP on the flat `cells` alone.
 
-    One dual-simplex HiGHS run on a fresh instance, with the model `linprog`
-    would pass: the n + m equality rows, then the n * m columns in flat
-    order. Unlike `linprog` it reads no basis. A fresh instance per call
-    carries no state from one LP to the next, and peaks lower in memory than
-    one reused instance.
+    min c @ x, A x = b, x >= 0, with x zero off `cells`: one dual-simplex
+    HiGHS run with `_HIGHS_OPTIONS` on a fresh instance, which holds the
+    n + m equality rows, then the columns of `cells` in the order given.
+    Unlike `linprog` it reads no basis. A fresh instance per call carries no
+    state from one LP to the next, and peaks lower in memory than one
+    reused instance. Any outcome but optimal is a NumericalFailure.
     """
     highs = _transport_model(b)
-    _add_cells(highs, c, np.arange(n * m, dtype=np.int32), n, m)
+    _add_cells(highs, c, cells, n, m)
     if not _run_highs(highs):
         raise NumericalFailure("transportation LP failed: "
                                + highs.modelStatusToString(highs.getModelStatus()))
     solution = highs.getSolution()
-    return (np.array(solution.col_value), np.array(solution.row_dual),
-            highs.getInfo().objective_function_value)
+    x = np.zeros(n * m)
+    x[cells] = solution.col_value
+    return x, np.array(solution.row_dual), highs.getInfo().objective_function_value
+
+
+def _solve_transport_lp(c: np.ndarray, b: np.ndarray, n: int, m: int):
+    """The full LP: `_transport_lp` on all n * m cells in flat order, as `linprog` passes them."""
+    return _transport_lp(c, b, n, m, np.arange(n * m, dtype=np.int32))
 
 
 # Smallest n * m the grown-support path is tried on. On a 2-vCPU VM (20
@@ -479,7 +500,7 @@ _CERTIFICATE_MARGIN = 1e-6
 
 
 def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, start=None):
-    """`_solve_transport_lp`'s result on a grown support, if provably the unique optimum.
+    """The flat cells of the LP's optimal tree on `cost`, found on a grown support, if certified.
 
     `p` and `q` are positive. The model starts on each row's and each
     column's `_GROWN_START_CELLS` best cells and the north-west-corner plan,
@@ -499,24 +520,12 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, start=No
     - every other cell's reduced cost is above
       `_CERTIFICATE_MARGIN`, so the vertex is the unique optimum.
 
-    The coupling, duals and value are then read from a fresh HiGHS model,
-    with `_HIGHS_OPTIONS`, that holds the tree's cells alone in flat order.
-    So they depend on (cost, p, q) alone, never on `start`, the rounds or
-    their options, and they equal the full LP's vertex, calibrated duals and
-    value to rounding. Returns None (the caller solves the full LP) below
-    `_GROWN_MIN_CELLS` cells, for uniform marginals with gcd(n, m) > 1, after
+    Returns that tree's cells, which depend on (cost, p, q) alone, never on
+    `start`, the rounds or their options. Returns None after
     `_GROWN_MAX_ROUNDS` runs, on a non-optimal status, or when the
-    certificate fails. Uniform marginals with g = gcd(n, m) > 1 balance n/g
-    rows against m/g columns at mass 1/g each, so every vertex is
-    degenerate and never a tree. `solve_exact_ot` takes most of them, such
-    as GREAT's first solve and LAVA's, to an assignment; the rest run the
-    full LP.
+    certificate fails.
     """
     n, m = cost.shape
-    if n * m < _GROWN_MIN_CELLS:
-        return None
-    if _is_uniform(p, q) and math.gcd(n, m) > 1:
-        return None
     kr, kc = min(_GROWN_START_CELLS, m), min(_GROWN_START_CELLS, n)
     ranked = cost if start is None else cost - start[0][:, None] - start[1][None, :]
     by_row = np.argpartition(ranked, kr - 1, axis=1)[:, :kr]
@@ -527,8 +536,7 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, start=No
         _north_west_corner(p, q)])).astype(np.int32)
     c = cost.ravel()
     in_model = np.zeros(n * m, dtype=bool)
-    b = np.concatenate([p, q])
-    highs = _transport_model(b, _GROWN_OPTIONS)
+    highs = _transport_model(np.concatenate([p, q]), _GROWN_OPTIONS)
     model_cells = []
     for _ in range(_GROWN_MAX_ROUNDS):
         _add_cells(highs, c, cells, n, m)
@@ -560,14 +568,7 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, start=No
             or reduced.ravel()[~support].min(initial=np.inf) <= _CERTIFICATE_MARGIN
             or not _is_forest(tree, n, m)):
         return None
-    highs = _transport_model(b)
-    _add_cells(highs, c, tree, n, m)
-    if not _run_highs(highs):
-        return None
-    solution = highs.getSolution()
-    x = np.zeros(n * m)
-    x[tree] = solution.col_value
-    return x, np.array(solution.row_dual), highs.getInfo().objective_function_value
+    return tree
 
 
 def _set_tree_basis(highs: _Highs, cells: np.ndarray, reduced: np.ndarray, n: int, m: int) -> None:
@@ -771,8 +772,14 @@ def _joins(cells: np.ndarray, n: int, m: int):
         parent[a] = b
 
 
-def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
-                   tol: float = 1e-9, start: TransportSolution | None = None) -> TransportSolution:
+# Sinkhorn's budget: the most sweeps, and the marginal violation below which
+# they stop and within which the returned plan's column sums must fall.
+SINKHORN_MAX_ITER = 10_000
+SINKHORN_TOL = 1e-9
+
+
+def solve_sinkhorn(cost, p, q, epsilon: float,
+                   start: TransportSolution | None = None) -> TransportSolution:
     """Entropic OT via log-domain Sinkhorn iterations.
 
     The reported value is <coupling, cost> without the regularization term;
@@ -782,9 +789,10 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
     `start` is taken for the solver interface `solve_exact_ot` defines and
     ignored: the sweeps always start from zero potentials.
     Raises ValueError unless epsilon is positive and finite, and
-    NonConvergence when the marginal violation still exceeds `tol` after
-    `max_iter` sweeps, or when the returned plan's column sums miss q by
-    more than `tol` (a small epsilon can saturate the sweeps' stopping test).
+    NonConvergence when the marginal violation still exceeds `SINKHORN_TOL`
+    after `SINKHORN_MAX_ITER` sweeps, or when the returned plan's column
+    sums miss q by more than `SINKHORN_TOL` (a small epsilon can saturate
+    the sweeps' stopping test).
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -800,8 +808,8 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
     # to rounding. So the stopping test needs no coupling, and f_next is
     # carried into the next sweep.
     f_next = f_update(np.zeros(len(qs)))
-    err = np.inf
-    for _ in range(max_iter):
+    err, tol = np.inf, SINKHORN_TOL
+    for _ in range(SINKHORN_MAX_ITER):
         f = f_next
         g = -epsilon * (_logsumexp((f[:, None] - sub) / epsilon + logp[:, None], axis=0))
         f_next = f_update(g)
@@ -809,9 +817,8 @@ def solve_sinkhorn(cost, p, q, epsilon: float, max_iter: int = 10_000,
         if err <= tol:
             break
     else:
-        raise NonConvergence(
-            f"sinkhorn marginal violation {err:.3e} > {tol:.3e} after {max_iter} iterations"
-        )
+        raise NonConvergence(f"sinkhorn marginal violation {err:.3e} > {tol:.3e} "
+                             f"after {SINKHORN_MAX_ITER} iterations")
 
     pi = np.exp((f[:, None] + g[None, :] - sub) / epsilon + logp[:, None] + logq[None, :])
     # The stopping test reads only the row sums. Once (g - C) / eps

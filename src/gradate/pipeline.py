@@ -23,25 +23,43 @@ from .graphs import LabeledGraphDataset, concat_datasets
 from .great import (GreatTrace, _checked_T, _checked_tau, _selection_budget, gdd_gradient,
                     great_select)
 from .io import dataset_hash
-from .ot import TransportSolution, _Restricted, solve_exact_ot, solve_sinkhorn
+from .ot import (SINKHORN_MAX_ITER, SINKHORN_TOL, TransportSolution, _ASSIGNMENT_MAX_LCM,
+                 _CERTIFICATE_MARGIN, _GROWN_ADDED_PER_ROW, _GROWN_MAX_ROUNDS, _GROWN_MIN_CELLS,
+                 _GROWN_START_CELLS, _OUTER_ASSIGNMENT_MAX_EXPANSION, _Restricted,
+                 solve_exact_ot, solve_sinkhorn)
 
 
 # Every rule that decides a cached value without being an input to it, with
 # its value today, grouped by the stage that applies it. D's key holds the
 # "D" group, and `SelectionConfig._solver`'s key fields hold the solver's
 # group; D-tilde's key extends D's with those fields, and an OT key holds
-# them. A change to what a rule computes edits its value here, so every
-# entry that depends on it is renamed, misses once and is rewritten.
+# them, so no field name is in two groups. A module constant that decides
+# a returned bit is read here by value; a change to what a rule computes
+# edits its value, so every entry that depends on it is renamed, misses
+# once and is rewritten.
 _RESULT_RULES = {
+    # inner_assignment_max_lcm, inner_certificate_margin: the FGW linear
+    # step's assignment cap and certificate margin.
     "D": {"barycenter_stop": "first-round", "graph_order": "input-order",
           "inner_tie": "highs-vertex", "reference": "all-graphs",
           "fw_max_iter": FW_MAX_ITER, "fw_tol": FW_TOL,
-          "barycenter_rounds": BARYCENTER_ROUNDS, "barycenter_tol": BARYCENTER_TOL},
+          "barycenter_rounds": BARYCENTER_ROUNDS, "barycenter_tol": BARYCENTER_TOL,
+          "inner_assignment_max_lcm": _ASSIGNMENT_MAX_LCM,
+          "inner_certificate_margin": _CERTIFICATE_MARGIN},
     # outer_duals: the canonical point of the optimal dual set
-    # (`ot._canonical_duals`), whichever optimal plan the solve finds.
-    "exact": {"outer_duals": "canonical-duals"},
+    # (`ot._canonical_duals`), whichever optimal plan the solve finds. The
+    # other fields route a solve: to the assignment, to a certified grown
+    # tree or, below the floor, past the round cap or on a failed
+    # certificate, to the full LP.
+    "exact": {"outer_duals": "canonical-duals",
+              "outer_assignment_max_expansion": _OUTER_ASSIGNMENT_MAX_EXPANSION,
+              "outer_certificate_margin": _CERTIFICATE_MARGIN,
+              "grown_min_cells": _GROWN_MIN_CELLS, "grown_start_cells": _GROWN_START_CELLS,
+              "grown_added_per_row": _GROWN_ADDED_PER_ROW,
+              "grown_max_rounds": _GROWN_MAX_ROUNDS},
     # plan_check: the returned plan's column sums are checked against q.
-    "sinkhorn": {"iteration": "plain", "plan_check": "column-sums"},
+    "sinkhorn": {"iteration": "plain", "plan_check": "column-sums",
+                 "max_iter": SINKHORN_MAX_ITER, "tol": SINKHORN_TOL},
 }
 
 

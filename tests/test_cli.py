@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +17,9 @@ from gradate.pipeline import SelectionConfig
 
 from conftest import CORRUPT_ENTRIES, count_lps, path_graph, random_graph
 from oracles import brute_force_ot
+
+# sha256 of the trace CSV of `TestSelect::test_the_trace_is_written_whole_or_not_at_all`.
+TRACE_SHA256 = "1bec23902e76ba9d2cf2ca3323e043cda85053e459748a48752525c7d9e16be7"
 
 
 @pytest.fixture
@@ -585,6 +589,31 @@ class TestSelect:
         sel = io.load_selection(workdir / "sel.json")
         assert len(sel.indices) == 3
         assert gdds[-1] <= gdds[0] + 1e-9
+
+    def test_the_trace_is_written_whole_or_not_at_all(self, workdir, capsys, monkeypatch):
+        write_two_domain_json(workdir / "ds.json", seed=2)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        select = ("select", "ds.json", "split.json", "--method", "gradate", "--tau", "0.25",
+                  "--out", "sel.json", "--trace", "trace.csv")
+        assert run(capsys, *select)[0] == 0
+        trace = (workdir / "trace.csv").read_bytes()
+        # The bytes of a plain csv.writer file: CRLF rows, gdd as repr.
+        assert trace.startswith(b"t,gdd,support\r\n") and trace.count(b"\r\n") == 10
+        assert hashlib.sha256(trace).hexdigest() == TRACE_SHA256
+        rename = os.replace
+
+        def fail_on_trace(src, dst):
+            if Path(dst).name == "trace.csv":
+                raise OSError("disk full")
+            rename(src, dst)
+
+        (workdir / "trace.csv").write_bytes(b"an earlier trace")
+        with monkeypatch.context() as patch:
+            patch.setattr(io.os, "replace", fail_on_trace)
+            code, out, err = run(capsys, *select)
+        assert code == 2 and out == "" and "disk full" in err
+        assert (workdir / "trace.csv").read_bytes() == b"an earlier trace"
+        assert not list(workdir.glob("*.tmp"))
 
     def test_gradate_is_byte_identical_and_cache_backed(self, workdir, capsys):
         write_two_domain_json(workdir / "ds.json", seed=4)

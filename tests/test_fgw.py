@@ -8,6 +8,7 @@ from gradate import AttributedGraph, fgw_barycenter, fgw_distance, solve_exact_o
 from gradate.errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from gradate.fgw import FGWConfig, default_reference_size
 from gradate.graphs import _graphs_from_arrays
+from gradate.linear_fgw import embed_all
 
 from conftest import count_full_lps, random_graph
 from oracles import straight_line_fgw
@@ -275,6 +276,25 @@ class TestBarycenter:
                        for g in (g_edge, g_empty))
 
         assert objective(ref) <= min(objective(g_edge), objective(g_empty)) + 1e-9
+
+    def test_a_featureless_reference_without_a_graph_of_its_size_starts_from_points(self, rng):
+        # No graph has nbar = 7 nodes, so the structure starts from a random
+        # point cloud and, with no features to pool, the features are empty.
+        graphs = [random_graph(rng, n_nodes=n, feature_dim=0) for n in (4, 5, 9, 6)]
+        cfg = FGWConfig(alpha=0.5, seed=4)
+        ref = fgw_barycenter(graphs, nbar=7, cfg=cfg)
+        assert ref.features.shape == (7, 0)
+        assert np.array_equal(ref.adjacency, ref.adjacency.T)
+        assert (ref.adjacency >= 0).all() and ref.adjacency.max() > 0
+        again = fgw_barycenter(graphs, nbar=7, cfg=cfg)
+        assert again.adjacency.tobytes() == ref.adjacency.tobytes()
+        other_seed = fgw_barycenter(graphs, nbar=7, cfg=FGWConfig(alpha=0.5, seed=5))
+        assert other_seed.adjacency.tobytes() != ref.adjacency.tobytes()
+        embeddings = embed_all(graphs, ref, cfg)
+        assert len(embeddings) == len(graphs)
+        for emb in embeddings:
+            assert emb.t_node.shape == (7, 0) and emb.t_edge.shape == (7, 7)
+            assert np.isfinite(emb.t_edge).all()
 
     def test_reference_has_uniform_weights_and_requested_size(self, rng):
         graphs = [random_graph(rng) for _ in range(4)]

@@ -491,6 +491,27 @@ class TestCertifiedGrownLp:
         # The full LP runs after at least one grown run, unless none was attempted.
         assert (len(runs) == 1) == (case == "uniform-gcd")
 
+    def test_a_tree_model_that_is_not_optimal_is_a_numerical_failure(self, monkeypatch):
+        # The certified tree's answer is built and run as the full LP is, so
+        # a failed run raises as the full LP's does, with no fall-back.
+        rng = np.random.default_rng(47)
+        cost, p, q = shifted_style_dtilde(0, 60, 30), _random_marginal(rng, 60), _uniform(30)
+        full = count_full_lps(monkeypatch)
+        solve_exact_ot(cost, p, q)
+        assert full == []  # certified
+        original, tree_models = ot._run_highs, []
+
+        def run_highs(highs):
+            if highs.getNumCol() == 60 + 30 - 1:  # the tree model fails
+                tree_models.append(highs)
+                return False
+            return original(highs)
+
+        monkeypatch.setattr(ot, "_run_highs", run_highs)
+        with pytest.raises(NumericalFailure, match="transportation LP failed"):
+            solve_exact_ot(cost, p, q)
+        assert len(tree_models) == 1 and full == []
+
 
 def _next_great_solve(seed, n, m):
     """A cost, the weights of two consecutive GREAT steps on it, and the solution at the first.
@@ -856,11 +877,13 @@ class TestSinkhorn:
         assert values[-1] == pytest.approx(exact, abs=0.1 * cost.max())
         assert all(v >= exact - 1e-9 for v in values)
 
-    def test_random_8x8_within_a_tenth_of_the_cost_scale(self, rng):
+    def test_random_8x8_within_a_tenth_of_the_cost_scale(self, rng, monkeypatch):
         # At epsilon = 0.01 * mean(cost) the entropic value stays within
         # 0.1 * max(cost) of the exact one. Convergence is slow at this
         # epsilon, so the marginal tolerance is relaxed; the value bound is
         # what matters.
+        monkeypatch.setattr(ot, "SINKHORN_MAX_ITER", 50_000)
+        monkeypatch.setattr(ot, "SINKHORN_TOL", 1e-6)
         for _ in range(5):
             cost = rng.random((8, 8))
             p = rng.random(8)
@@ -868,29 +891,31 @@ class TestSinkhorn:
             q = rng.random(8)
             q /= q.sum()
             exact = solve_exact_ot(cost, p, q).value
-            approx = solve_sinkhorn(cost, p, q, epsilon=0.01 * cost.mean(),
-                                    max_iter=50_000, tol=1e-6).value
+            approx = solve_sinkhorn(cost, p, q, epsilon=0.01 * cost.mean()).value
             assert abs(approx - exact) <= 0.1 * cost.max()
 
-    def test_marginals_within_tolerance(self, rng):
+    def test_marginals_within_tolerance(self, rng, monkeypatch):
         cost = rng.random((6, 4))
         p = rng.random(6)
         p /= p.sum()
         q = rng.random(4)
         q /= q.sum()
-        sol = solve_sinkhorn(cost, p, q, epsilon=0.05, tol=1e-10)
+        monkeypatch.setattr(ot, "SINKHORN_TOL", 1e-10)
+        sol = solve_sinkhorn(cost, p, q, epsilon=0.05)
         assert np.abs(sol.coupling.sum(axis=1) - p).max() <= 1e-9
         assert np.abs(sol.coupling.sum(axis=0) - q).max() <= 1e-9
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         rng = np.random.default_rng(3)
         cost = rng.random((8, 8))
         p = rng.random(8)
         p /= p.sum()
         q = rng.random(8)
         q /= q.sum()
+        monkeypatch.setattr(ot, "SINKHORN_MAX_ITER", 2)
+        monkeypatch.setattr(ot, "SINKHORN_TOL", 1e-12)
         with pytest.raises(NonConvergence):
-            solve_sinkhorn(cost, p, q, epsilon=0.001, max_iter=2, tol=1e-12)
+            solve_sinkhorn(cost, p, q, epsilon=0.001)
 
     @pytest.mark.parametrize("seed, shape, scale, epsilon, uniform", [
         (0, (180, 60), 20.0, 0.5, True),
@@ -899,7 +924,7 @@ class TestSinkhorn:
         (6, (12, 9), 1.0, 0.005, False),
     ])
     def test_same_bits_and_sweeps_as_testing_the_coupling(self, seed, shape, scale,
-                                                          epsilon, uniform):
+                                                          epsilon, uniform, monkeypatch):
         rng = np.random.default_rng(seed)
         cost = scale * rng.random(shape)
         n, m = shape
@@ -908,13 +933,15 @@ class TestSinkhorn:
         else:
             p, q = _random_marginal(rng, n), _random_marginal(rng, m)
         f, g, pi, sweeps = sinkhorn_coupling_per_sweep(cost, p, q, epsilon)
-        sol = solve_sinkhorn(cost, p, q, epsilon, max_iter=sweeps)
+        monkeypatch.setattr(ot, "SINKHORN_MAX_ITER", sweeps)
+        sol = solve_sinkhorn(cost, p, q, epsilon)
         assert np.array_equal(sol.coupling, pi)
         assert np.array_equal(sol.dual_source, f)
         assert np.array_equal(sol.dual_target, g)
         assert sol.value == float(np.sum(pi * cost))
+        monkeypatch.setattr(ot, "SINKHORN_MAX_ITER", sweeps - 1)
         with pytest.raises(NonConvergence):
-            solve_sinkhorn(cost, p, q, epsilon, max_iter=sweeps - 1)
+            solve_sinkhorn(cost, p, q, epsilon)
 
     @pytest.mark.parametrize("epsilon", [0.0, np.nan, np.inf])
     def test_epsilon_must_be_positive_and_finite(self, epsilon):

@@ -209,11 +209,12 @@ class TestBuildCost:
 
         d_key = ("alpha", "dataset_hash", "nbar", "seed", "shape", "barycenter_stop",
                  "graph_order", "inner_tie", "reference", "fw_max_iter", "fw_tol",
-                 "barycenter_rounds", "barycenter_tol")
+                 "barycenter_rounds", "barycenter_tol", "inner_assignment_max_lcm",
+                 "inner_certificate_margin")
         assert key_fields("D") == {tuple(sorted(d_key))}
-        assert key_fields("Dtilde") == {tuple(sorted(d_key + ("c", "solver", "outer_duals"))),
-                                        tuple(sorted(d_key + ("c", "solver", "epsilon",
-                                                              "iteration", "plan_check")))}
+        assert key_fields("Dtilde") == {tuple(sorted(d_key + ("c", "solver") + EXACT_RULES)),
+                                        tuple(sorted(d_key + ("c", "solver", "epsilon")
+                                                     + SINKHORN_RULES))}
 
     def test_exact_dtilde_is_shared_across_epsilons(self, tmp_path, monkeypatch):
         # The exact solver never reads epsilon, so it is not in the key.
@@ -234,6 +235,12 @@ class TestBuildCost:
             build_cost(train, val, replace(cfg, solver="sinkhorn", epsilon=epsilon),
                        cache_dir=tmp_path)
         assert len(list(tmp_path.glob("Dtilde-*.gdd"))) == 3
+
+
+# The rule fields of the exact and the Sinkhorn solver's keys.
+EXACT_RULES = ("outer_duals", "outer_assignment_max_expansion", "outer_certificate_margin",
+               "grown_min_cells", "grown_start_cells", "grown_added_per_row", "grown_max_rounds")
+SINKHORN_RULES = ("iteration", "plan_check", "max_iter", "tol")
 
 
 def bits(sol):
@@ -301,8 +308,8 @@ class TestOtCache:
         with pytest.raises(pytest.fail.Exception):
             cached(cost, np.full(6, 1 / 6), q)
 
-    @pytest.mark.parametrize("solver, name", [("exact", "OT-cdfe04dd675b0ddc6930.gdd"),
-                                              ("sinkhorn", "OT-6389caebe567d2ed6c21.gdd")],
+    @pytest.mark.parametrize("solver, name", [("exact", "OT-bf071f0b801c86e14898.gdd"),
+                                              ("sinkhorn", "OT-9b33d41d2ffd40c7c2e3.gdd")],
                              ids=["exact", "sinkhorn"])
     def test_the_entry_name_of_a_fixed_problem_is_pinned(self, tmp_path, solver, name):
         # A refactor of the key, or of the checks that feed it, must not move
@@ -436,8 +443,8 @@ class TestOtCache:
                         cache_dir=tmp_path)
         keys = {tuple(sorted(entry(path)[0])) for path in tmp_path.glob("OT-*.gdd")}
         base = ("cost", "entry", "p", "q", "shape", "solver")
-        assert keys == {tuple(sorted(base + ("outer_duals",))),
-                        tuple(sorted(base + ("epsilon", "iteration", "plan_check")))}
+        assert keys == {tuple(sorted(base + EXACT_RULES)),
+                        tuple(sorted(base + ("epsilon",) + SINKHORN_RULES))}
 
     def test_two_values_of_c_share_the_label_table_solves(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(19)
