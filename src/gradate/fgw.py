@@ -217,9 +217,11 @@ def _frank_wolfe(obj: _QuadObjective, T: np.ndarray, linear_step: _LinearStep):
     """Conditional gradient on every pair of `obj` in lockstep, from the stack of couplings T.
 
     A pair stops once its step is 0 or its objective's relative decrease
-    is at most FW_TOL, and leaves the stack. Returns the final couplings,
-    each pair's objective curve as a list of floats (index 0 is the initial
-    coupling) and whether it converged.
+    is at most FW_TOL, and leaves the stack. Each step hands the linear
+    step the vertices of the step before, which it re-certifies before it
+    solves anew. Returns the final couplings, each pair's objective curve
+    as a list of floats (index 0 is the initial coupling) and whether it
+    converged.
     """
     final = np.empty_like(T)
     converged = np.zeros(len(T), dtype=bool)
@@ -227,9 +229,11 @@ def _frank_wolfe(obj: _QuadObjective, T: np.ndarray, linear_step: _LinearStep):
     LT = obj.contract(T)
     value = obj.value(T, LT)
     curves = [[v] for v in value.tolist()]
+    vertices = certified = None  # each live pair's last vertex; whether it was certified
     for _ in range(FW_MAX_ITER):
         grad = obj.gradient(LT)
-        delta = linear_step(grad) - T
+        vertices, certified = linear_step.solve(grad, vertices, certified)
+        delta = vertices - T
         step = obj.line_search(delta, grad)
         # A pair whose step is 0 keeps its T and stops here.
         T = T + step[:, None, None] * delta
@@ -242,6 +246,7 @@ def _frank_wolfe(obj: _QuadObjective, T: np.ndarray, linear_step: _LinearStep):
             final[live[stop]], converged[live[stop]] = T[stop], True
             keep = ~stop
             live, T, LT, value, obj = live[keep], T[keep], LT[keep], value[keep], obj.take(keep)
+            vertices, certified = vertices[keep], certified[keep]
             if not live.size:
                 break
     final[live] = T

@@ -21,8 +21,9 @@ from .graphs import LabeledGraphDataset, concat_datasets, degree_one_hot_feature
 from .linear_fgw import _linear_fgw_block, _reference_embeddings
 from .ot import TransportSolution, solve_exact_ot
 
-# Called as solver(cost, p, q, start=None), `start` an earlier solution of the
-# same cost that may speed the solve up but must not change its answer.
+# Called as solver(cost, p, q, start=None), `start` an earlier solution on the
+# same rows, or feasible duals built from one, that may speed the solve up but
+# must not change its answer.
 OTSolver = Callable[..., TransportSolution]
 
 
@@ -85,13 +86,28 @@ def graph_label_distance(train: LabeledGraphDataset, val: LabeledGraphDataset,
     Both measures are uniform over their class members; the cost is the
     matching sub-block of the cross LinearFGW matrix D.
     """
+    return _label_pair_solve(train, val, D, y, y_prime, solver)[0]
+
+
+def _label_pair_solve(train, val, D, y, y_prime, solver, previous=None):
+    """`graph_label_distance`'s value and solution.
+
+    `previous` is a solution on the same train rows, for another val class.
+    Its row duals, with the column minima of the reduced cost on this
+    block, make feasible duals of this block, passed as the solver's start.
+    """
     rows = train.indices_with_label(y)
     cols = val.indices_with_label(y_prime)
     if not rows:
         raise EmptyClass(y, "train")
     if not cols:
         raise EmptyClass(y_prime, "val")
-    return gdd_from_cost(D[np.ix_(rows, cols)], None, solver)[0]
+    cost = D[np.ix_(rows, cols)]
+    start = None
+    if previous is not None:
+        f = previous.dual_source
+        start = TransportSolution(float("nan"), None, f, (cost - f[:, None]).min(axis=0))
+    return gdd_from_cost(cost, None, solver, start)
 
 
 def label_distance_table(train: LabeledGraphDataset, val: LabeledGraphDataset,
@@ -100,15 +116,19 @@ def label_distance_table(train: LabeledGraphDataset, val: LabeledGraphDataset,
     """All label-pair distances, computed once and reused across cost builds.
 
     A pair with an empty class on either side, which `graph_label_distance`
-    refuses with EmptyClass, stays NaN.
+    refuses with EmptyClass, stays NaN. The blocks of one train class share
+    their rows, so each solve starts from the duals of the class's block
+    before it; a start never changes the answer.
     """
     labels = tuple(sorted(set(train.label_set) | set(val.label_set)))
     k = len(labels)
     values = np.full((k, k), np.nan)
     for a, y in enumerate(labels):
+        previous = None
         for b, y_prime in enumerate(labels):
             with suppress(EmptyClass):
-                values[a, b] = graph_label_distance(train, val, D, y, y_prime, solver)
+                values[a, b], previous = _label_pair_solve(train, val, D, y, y_prime, solver,
+                                                           previous)
     return LabelDistanceTable(values=values, labels=labels)
 
 
@@ -157,7 +177,8 @@ def gdd_from_cost(dtilde, w: np.ndarray | None = None, solver: OTSolver | None =
     training rows; a cost that is not 2-D is a DimensionMismatch, one
     without rows or columns an EmptyDataset. This is the only piece
     re-solved inside the selection loop; the cost itself is built once.
-    `start`, an earlier solution on this cost, is passed to the solver.
+    `start`, an earlier solution on the same rows, is passed to the
+    solver; it never changes the answer.
     """
     solver = solver or solve_exact_ot
     values = _outer_cost(dtilde)

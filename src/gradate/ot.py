@@ -19,7 +19,9 @@ paths:
   weights with lcm(n, m) <= `_ASSIGNMENT_MAX_LCM` each cost is one
   assignment problem, whose coupling is used only when `_unique_optimum`,
   run on the whole stack at once, certifies it to be the unique optimum,
-  and so the LP's vertex. Otherwise, ties included, it is one full HiGHS LP
+  and so the LP's vertex. A pair's certified vertex of the step before is
+  first re-certified on the new cost and, when that passes, kept with no
+  assignment. Otherwise, ties included, it is one full HiGHS LP
   (`_full_lp_vertex`) and never a grown support, so its couplings, and so
   D, keep `linprog`'s bits at every size.
 - The outer, `gdd` and label-table solves, `solve_exact_ot`, return the
@@ -29,17 +31,20 @@ paths:
   solve is the assignment on the lcm expansion, with no LP. Every other
   solve of `_GROWN_MIN_CELLS` cells or more first tries a support grown by
   violated reduced costs, `_certified_grown_lp`, whose tree is kept only
-  when it is certified to be the unique optimum. Its rounds may start from
-  the duals of an earlier solve of the same cost (`start`, which GREAT
-  passes from one step to the next): they pick the first cells and a
-  starting basis. The answer is read from a model of the certified tree's
+  when it is certified to be the unique optimum. Its rounds start from a
+  pair of feasible duals, which pick the first cells and a starting
+  basis: those of `start`, an earlier solution on the same rows (GREAT
+  passes each step's to the next, the label table each block's to the
+  next block of its train class), or else the row and column minima of
+  the cost. The answer is read from a model of the certified tree's
   cells alone, built and run by `_transport_lp` as the full LP is, so it
   equals the full LP's vertex, calibrated duals and value to rounding.
-  Otherwise the full LP runs. On every path the duals are
-  `_canonical_duals` of the plan found:
-  one point of the optimal dual set, chosen by a rule of the problem alone.
-  Where that set is one point up to a constant (a connected support: every
-  certified tree and every nondegenerate vertex) they are the solver's own.
+  Otherwise the full LP runs. On every path the duals are the canonical
+  ones of `_canonical_duals`: one point of the optimal dual set, chosen
+  by a rule of the problem alone. Where that set is one point up to a
+  constant (a connected support: every certified tree and every
+  nondegenerate vertex) they are the solver's own, and a certified
+  tree's are returned with no walk over its support.
 - `solve_sinkhorn` runs log-domain Sinkhorn sweeps. Its log-sum-exp is
   `_logsumexp`, scipy 1.17's arithmetic in plain NumPy, so its bits do not
   depend on the installed scipy.
@@ -255,11 +260,12 @@ def solve_exact_ot(cost, p, q, start: TransportSolution | None = None) -> Transp
     sparsified training measure still yields a full-length, feasible dual
     vector.
 
-    `start` is an earlier solution of the same cost, such as the previous
-    step of the selection loop; only its full-length duals are read, to
-    pick the grown support's first cells and starting basis. The answer
-    depends on (cost, p, q) alone, with or without it. Duals of another
-    shape than the cost's are a DimensionMismatch.
+    `start` is an earlier solution on the same rows, such as the previous
+    step of the selection loop, or feasible duals built from one, as the
+    label table builds them for its next block; only its full-length
+    duals are read, to pick the grown support's first cells and starting
+    basis. The answer depends on (cost, p, q) alone, with or without it.
+    Duals of another shape than the cost's are a DimensionMismatch.
     """
     problem = _Restricted(cost, p, q)
     duals = None
@@ -272,6 +278,7 @@ def solve_exact_ot(cost, p, q, start: TransportSolution | None = None) -> Transp
     block, ps, qs = problem.block, problem.ps, problem.qs
     n, m = block.shape
     divisor = math.gcd(n, m) if _is_uniform(ps, qs) else 1  # > 1: every vertex is degenerate
+    tree = None
     if divisor > 1 and n * m <= _OUTER_ASSIGNMENT_MAX_EXPANSION * divisor**2:
         x = _assign(block, _expansion(n, m)) / math.lcm(n, m)
         duals, value = None, float(block.ravel() @ x)
@@ -280,7 +287,9 @@ def solve_exact_ot(cost, p, q, start: TransportSolution | None = None) -> Transp
                 if divisor == 1 and n * m >= _GROWN_MIN_CELLS else None)
         x, duals, value = (problem.full_lp() if tree is None else
                            _transport_lp(block.ravel(), np.concatenate([ps, qs]), n, m, tree))
-    beta, psi = problem.extend_duals(*_canonical_duals(block, x, duals), np.min)
+    # A certified tree spans every atom, so its duals are already the canonical ones.
+    f, g = _canonical_duals(block, x, duals) if tree is None else (duals[:n], duals[n:])
+    beta, psi = problem.extend_duals(f, g, np.min)
     return TransportSolution(value, problem.lift(x), beta, psi)
 
 
@@ -404,11 +413,12 @@ def _dual_simplex_options(presolve: str) -> HighsOptions:
 # and so the selections.
 _HIGHS_OPTIONS = _dual_simplex_options("on")
 # The rounds of a grown support, whose answer is never returned, run without
-# presolve. With it, grown solves from cost-ranked cells took 1.4x as long
-# on GREAT's 300 x 100 and 600 x 200 shifted-style costs (2-vCPU VM); those
-# started from a `start`'s basis took the same time either way. They price
-# by Devex rather than HiGHS's default dual steepest edge: a certified answer
-# is read from the tree model, so only its speed can change.
+# presolve. With it, grown solves from cost-ranked cells and HiGHS's slack
+# basis took 1.4x as long on GREAT's 300 x 100 and 600 x 200 shifted-style
+# costs (2-vCPU VM); those started from a tree basis took the same time
+# either way. They price by Devex rather than HiGHS's default dual steepest
+# edge: a certified answer is read from the tree model, so only its speed
+# can change.
 _GROWN_OPTIONS = _dual_simplex_options("off")
 _GROWN_OPTIONS.simplex_dual_edge_weight_strategy = 1  # Devex
 
@@ -503,11 +513,12 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, start=No
     """The flat cells of the LP's optimal tree on `cost`, found on a grown support, if certified.
 
     `p` and `q` are positive. The model starts on each row's and each
-    column's `_GROWN_START_CELLS` best cells and the north-west-corner plan,
-    so it is feasible. The best cells are the cheapest, or, with `start` (a
-    pair of row and column duals of an earlier solve of this cost), those of
-    least reduced cost `cost - f - g`, and the first run then starts from
-    the basis `_set_tree_basis` picks. After each HiGHS run, every row with
+    column's `_GROWN_START_CELLS` cells of least reduced cost `cost - f - g`
+    and the north-west-corner plan, so it is feasible, and the first run
+    starts from the basis `_set_tree_basis` picks. The duals f, g are
+    `start`, a pair of row and column duals from an earlier solve, or
+    without one each row's minimum f of the cost and each column's minimum
+    g of `cost - f`. After each HiGHS run, every row with
     a cell of negative reduced cost outside the model adds its
     `_GROWN_ADDED_PER_ROW` most negative ones, and HiGHS runs again on the
     same instance from its last basis. The rounds run with `_GROWN_OPTIONS`.
@@ -527,7 +538,11 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, start=No
     """
     n, m = cost.shape
     kr, kc = min(_GROWN_START_CELLS, m), min(_GROWN_START_CELLS, n)
-    ranked = cost if start is None else cost - start[0][:, None] - start[1][None, :]
+    if start is None:
+        ranked = cost - cost.min(axis=1)[:, None]
+        ranked -= ranked.min(axis=0)
+    else:
+        ranked = cost - start[0][:, None] - start[1][None, :]
     by_row = np.argpartition(ranked, kr - 1, axis=1)[:, :kr]
     by_col = np.argpartition(ranked, kc - 1, axis=0)[:kc]
     cells = np.unique(np.concatenate([
@@ -540,7 +555,7 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, start=No
     model_cells = []
     for _ in range(_GROWN_MAX_ROUNDS):
         _add_cells(highs, c, cells, n, m)
-        if start is not None and not model_cells:
+        if not model_cells:
             _set_tree_basis(highs, cells, ranked.ravel()[cells], n, m)
         in_model[cells] = True
         model_cells.append(cells)
@@ -633,7 +648,10 @@ class _LinearStep:
 
     Every other cost goes to `_full_lp_vertex`: non-uniform weights or an
     lcm above `_ASSIGNMENT_MAX_LCM` (decided here, once), a support with a
-    cycle, or a (near-)tie, such as two equal rows or columns. What depends
+    cycle, or a (near-)tie, such as two equal rows or columns. `solve`
+    takes the vertices of the step before: those that were certified are
+    re-certified on the new stack in one call, and each that passes is
+    returned as it is, with no assignment. What depends
     only on p and q is computed here, once per group of FGW solves: the
     expansion as one flat gather index into the cost, the flat index of each
     expanded row's first cell, and which equal-row checks can find a tie.
@@ -654,9 +672,29 @@ class _LinearStep:
     def __call__(self, costs: np.ndarray) -> np.ndarray:
         if costs.ndim == 2:
             return self(costs[None])[0]
-        vertices = np.empty(costs.shape)
+        return self.solve(costs)[0]
+
+    def solve(self, costs: np.ndarray, previous: np.ndarray | None = None,
+              was_certified: np.ndarray | None = None):
+        """The vertices of a (B, n, m) stack, and which of them are certified assignments.
+
+        `previous` and `was_certified` are what this returned for the step
+        before, one entry per cost. Each vertex that was certified is first
+        re-certified on its new cost, in one stacked `_unique_optimum`
+        call, and returned as it is when that passes: a certified unique
+        optimum is the plan the assignment would find, counts / L, and the
+        certificate refuses every tie that the equal-row check finds, so
+        the bits are those of a fresh step. A vertex of the full LP is
+        never reused.
+        """
+        vertices, certified = np.empty(costs.shape), np.zeros(len(costs), dtype=bool)
+        if was_certified is not None and was_certified.any():
+            again = np.flatnonzero(was_certified)
+            again = again[_unique_optimum(costs[again], previous[again] > 0)]
+            vertices[again], certified[again] = previous[again], True
         held = []  # the stack positions of assigned plans that await the certificate
-        for b, cost in enumerate(costs):
+        for b in np.flatnonzero(~certified).tolist():
+            cost = costs[b]
             if self.expansion is not None and not self._has_equal_rows(cost):
                 counts = _assign(cost, self.expansion)
                 if _is_forest(np.flatnonzero(counts), *cost.shape):
@@ -665,9 +703,10 @@ class _LinearStep:
                     continue
             vertices[b] = _full_lp_vertex(cost, self.p, self.q)
         if held:
-            for b in compress(held, ~_unique_optimum(costs[held], vertices[held] > 0)):
+            certified[held] = _unique_optimum(costs[held], vertices[held] > 0)
+            for b in compress(held, ~certified[held]):
                 vertices[b] = _full_lp_vertex(costs[b], self.p, self.q)
-        return vertices
+        return vertices, certified
 
     def _has_equal_rows(self, cost: np.ndarray) -> bool:
         """Whether the tie checks find two equal rows or, transposed, two equal columns."""

@@ -7,6 +7,7 @@ from scipy.spatial.distance import cdist
 import gradate.ot as ot
 from gradate import AttributedGraph, LabeledGraphDataset
 from gradate.errors import HashMismatch, SchemaError
+from gradate.io import covariate_split
 
 
 def random_graph(rng, n_nodes=None, edge_prob=0.4, feature_dim=3):
@@ -49,6 +50,52 @@ def heterogeneous_graphs(seed, n_graphs, size_range=(5, 10), feature_dim=3):
         X = mu + 0.3 * rng.standard_normal((n, feature_dim))
         graphs.append(AttributedGraph(A, X))
     return graphs
+
+
+def two_domain_corpus(seed=97):
+    """60 dense + 60 sparse featureless train graphs and 20 dense val graphs.
+
+    At seed 97 this is the criterion-6 corpus, and the two_domain corpus of
+    the benchmark.
+    """
+    rng = np.random.default_rng(seed)
+
+    def block(count, prob):
+        return [random_graph(rng, n_nodes=int(rng.integers(7, 12)),
+                             edge_prob=prob, feature_dim=0) for _ in range(count)]
+
+    train = LabeledGraphDataset(block(60, 0.7) + block(60, 0.15),
+                                [0] * 60 + [1] * 60, label_set=[0, 1])
+    val = LabeledGraphDataset(block(20, 0.7), [0] * 20, label_set=[0, 1])
+    return train, val
+
+
+def shifted_split(seed, n_graphs=500):
+    """The train and val sets of the benchmark's shifted corpus, nodes relabeled by `seed`.
+
+    Three classes of 4-8 nodes with 3-d features correlated with edge
+    density, drawn from seed 0, each graph's nodes permuted by a generator
+    seeded with `seed`, then split 60/20/20 by density. With the default
+    500 graphs that is 300 train by 100 val graphs.
+    """
+    rng = np.random.default_rng(0)
+    graphs, labels = [], []
+    for _ in range(n_graphs):
+        y = int(rng.integers(0, 3))
+        n = int(rng.integers(4, 9))
+        prob = rng.uniform(0.1, 0.9)
+        A = np.triu((rng.random((n, n)) < prob).astype(float), 1)
+        center = np.array([2.0 * prob, y - 1.0, 0.5 * prob * y])
+        graphs.append((A + A.T, center + 0.3 * rng.standard_normal((n, 3))))
+        labels.append(y)
+    rng = np.random.default_rng(seed)
+    relabeled = []
+    for A, X in graphs:
+        perm = rng.permutation(len(X))
+        relabeled.append(AttributedGraph(A[np.ix_(perm, perm)], X[perm]))
+    dataset = LabeledGraphDataset(relabeled, labels, label_set=[0, 1, 2])
+    split = covariate_split(dataset, "density")
+    return dataset.subset(split.train_idx), dataset.subset(split.val_idx)
 
 
 def path_graph(n, feature_dim=0):

@@ -32,7 +32,7 @@ from gradate.fgw import FGWConfig
 from gradate.great import floor_budget, great_select, validate_weights
 from gradate.pipeline import SelectionConfig
 
-from conftest import heterogeneous_graphs, random_graph
+from conftest import heterogeneous_graphs, random_graph, two_domain_corpus
 from oracles import (
     brute_force_ot,
     random_rational_marginal,
@@ -169,23 +169,10 @@ def test_criterion_5_great_behavior():
         assert len(selected) == floor_budget(25, tau)
 
 
-def _two_domain_corpus(seed=97):
-    rng = np.random.default_rng(seed)
-
-    def block(count, prob):
-        return [random_graph(rng, n_nodes=int(rng.integers(7, 12)),
-                             edge_prob=prob, feature_dim=0) for _ in range(count)]
-
-    train = LabeledGraphDataset(block(60, 0.7) + block(60, 0.15),
-                                [0] * 60 + [1] * 60, label_set=[0, 1])
-    val = LabeledGraphDataset(block(20, 0.7), [0] * 20, label_set=[0, 1])
-    return train, val
-
-
 def test_criterion_6_selection_quality_at_desk_scale():
     with criterion(6, "two-domain selection quality against uniform and random"):
         start = time.perf_counter()
-        train, val = _two_domain_corpus()
+        train, val = two_domain_corpus()
         cfg = SelectionConfig(tau=0.2, T=10, eta=1e-4, alpha=0.5, seed=0)
         dtilde = build_cost(train, val, cfg)
         result = gradate(train, val, cfg, dtilde=dtilde)

@@ -8,9 +8,10 @@ from gradate import AttributedGraph, fgw_barycenter, fgw_distance, solve_exact_o
 from gradate.errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from gradate.fgw import FGWConfig, default_reference_size
 from gradate.graphs import _graphs_from_arrays
+from gradate.gdd import cross_linear_fgw
 from gradate.linear_fgw import embed_all
 
-from conftest import count_full_lps, random_graph
+from conftest import count_full_lps, random_graph, shifted_split
 from oracles import straight_line_fgw
 
 
@@ -215,6 +216,33 @@ class TestLinearStepPaths:
         fgw_distance(g3, random_graph(rng, n_nodes=5), FGWConfig(alpha=0.5))
         assert len(full) > 0
         assert grown == []
+
+
+class TestPreviousVertex:
+    """Each FW step hands the linear step its previous vertex, which saves repeated assignments."""
+
+    def test_each_repeated_vertex_saves_one_assignment(self, monkeypatch):
+        # A cold `cross_linear_fgw` on the benchmark's shifted corpus, whose
+        # every step is a certified assignment: 1,817 assignments when each
+        # step ran its own, and 800 of those steps returned the vertex of
+        # the step before.
+        train, val = shifted_split(1)
+        assignments, repeats = [], []
+        lsap, solve = ot.linear_sum_assignment, ot._LinearStep.solve
+        monkeypatch.setattr(ot, "linear_sum_assignment",
+                            lambda cost: assignments.append(cost.shape) or lsap(cost))
+
+        def counted(step, costs, previous=None, was_certified=None):
+            vertices, certified = solve(step, costs, previous, was_certified)
+            if previous is not None:
+                same = (vertices == previous).all(axis=(1, 2))
+                repeats.append(int((same & was_certified & certified).sum()))
+            return vertices, certified
+
+        monkeypatch.setattr(ot._LinearStep, "solve", counted)
+        cross_linear_fgw(train, val, FGWConfig(alpha=0.5, seed=0))
+        assert sum(repeats) == 800
+        assert len(assignments) == 1817 - 800
 
 
 class TestFeatureDistances:

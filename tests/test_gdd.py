@@ -1,21 +1,26 @@
 import numpy as np
 import pytest
 
+import gradate.ot as ot
 from gradate import (
     LabeledGraphDataset,
+    cross_linear_fgw,
     gdd,
     gdd_from_cost,
     graph_label_distance,
+    great_select,
     label_distance_table,
     label_informed_cost,
     linear_fgw_distance,
+    solve_exact_ot,
 )
 from gradate.errors import (AllZeroWeights, ConfigInvalid, DimensionMismatch, EmptyClass,
                             EmptyDataset)
 from gradate.fgw import FGWConfig
 from gradate.linear_fgw import BarycentricEmbedding
+from gradate.pipeline import SelectionConfig
 
-from conftest import random_graph
+from conftest import random_graph, shifted_split, two_domain_corpus
 from oracles import brute_force_ot
 
 
@@ -158,6 +163,89 @@ class TestLabelInformedCost:
         D = np.abs(rng.random((2, 2)))
         table = label_distance_table(train, val, D)
         assert np.isnan(table.values[1, 1])
+
+
+# The route of each outer exact solve, in order, at c = 1 for the label table
+# (train class by val class) and then for GREAT's 9 steps and final solve.
+_TREES = ["tree"] * 9
+OUTER_ROUTES = {
+    "shifted": (lambda: shifted_split(1), 1.0,
+                ["full LP", "tree", "assignment"] + ["tree"] * 5 + ["full LP"],
+                ["assignment"] + _TREES),
+    "two_domain": (two_domain_corpus, 0.0, [],
+                   ["assignment"] + ["tree"] * 6 + ["no tree", "full LP"] * 2 + ["full LP"]),
+    "shifted300": (lambda: shifted_split(1, 300), 1.0,
+                   ["tree", "full LP", "tree", "tree", "full LP", "tree", "tree", "full LP",
+                    "full LP"],
+                   ["assignment"] + _TREES),
+}
+
+
+class TestOuterStarts:
+    """Each label-table block starts from its train class's block before; no answer changes."""
+
+    def test_label_table_bits_with_and_without_starts(self, tmp_path):
+        train, val = shifted_split(1)
+        D = cross_linear_fgw(train, val, FGWConfig(alpha=0.5, seed=0))
+        starts = []
+
+        def no_start(cost, p, q, start=None):
+            starts.append(start is not None)
+            return solve_exact_ot(cost, p, q)
+
+        chained = label_distance_table(train, val, D).values
+        assert np.array_equal(label_distance_table(train, val, D, no_start).values, chained)
+        assert starts == [False, True, True] * 3
+        cached = SelectionConfig(tau=0.2).ot_solver(tmp_path)
+        for _ in ("cold", "warm"):
+            assert np.array_equal(label_distance_table(train, val, D, cached).values, chained)
+        assert len(list(tmp_path.glob("OT-*.gdd"))) == 9
+
+    def test_a_start_from_other_columns_is_feasible(self, rng):
+        # The chained start: the previous block's row duals, and this block's
+        # column minima of the reduced cost.
+        train, val = labeled(rng, [0] * 5), labeled(rng, [0, 1, 1, 0, 1, 0])
+        D = rng.random((5, 6))
+        seen = []
+
+        def spy(cost, p, q, start=None):
+            seen.append((cost, start))
+            return solve_exact_ot(cost, p, q, start=start)
+
+        label_distance_table(train, val, D, spy)
+        (first, none), (second, start) = seen
+        assert none is None and first.shape == (5, 3) and second.shape == (5, 3)
+        assert np.all(start.dual_source[:, None] + start.dual_target <= second)
+        assert np.all((second - start.dual_source[:, None] - start.dual_target).min(axis=0) == 0)
+
+    @pytest.mark.parametrize("name", list(OUTER_ROUTES))
+    def test_every_outer_solve_keeps_its_route(self, name, monkeypatch):
+        make, c, table_routes, great_routes = OUTER_ROUTES[name]
+        train, val = make()
+        D = cross_linear_fgw(train, val, FGWConfig(alpha=0.5, seed=0))
+        routes = []
+
+        def solver(cost, p, q, start=None):
+            routes.append([])
+            return solve_exact_ot(cost, p, q, start=start)
+
+        def spy(name, original, event):
+            def spied(*args):
+                result = original(*args)
+                routes[-1].append(event(result))
+                return result
+            monkeypatch.setattr(ot, name, spied)
+
+        spy("_assign", ot._assign, lambda _: "assignment")
+        spy("_certified_grown_lp", ot._certified_grown_lp,
+            lambda tree: "no tree" if tree is None else "tree")
+        spy("_solve_transport_lp", ot._solve_transport_lp, lambda _: "full LP")
+        dtilde = label_informed_cost(train, val, D, c, solver)
+        assert sum(routes, []) == table_routes
+        assert all(len(route) == 1 or route == ["no tree", "full LP"] for route in routes)
+        routes.clear()
+        great_select(dtilde, tau=0.2, T=10, eta=1e-4, solver=solver)
+        assert sum(routes, []) == great_routes
 
 
 class TestGdd:

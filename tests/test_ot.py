@@ -766,6 +766,107 @@ class TestPlannedStepMatchesTheReference:
         assert self.assert_same_decisions(costs, p, q) == 0
 
 
+class TestPreviousVertex:
+    """`_LinearStep.solve` re-certifies the step before's certified vertices on the new costs.
+
+    A re-certified vertex is returned as it is, with no assignment; the
+    others take the fresh step's path. Either way each vertex and flag has
+    the bits of a step that is given no previous stack.
+    """
+
+    @staticmethod
+    def _mixed_stack(rng, n, m):
+        """Costs that certify, with two equal rows, of small integers (ties, cycles), then signed."""
+        equal = rng.standard_normal((n, m))
+        equal[1] = equal[0]
+        return np.stack([rng.standard_normal((n, m)), rng.standard_normal((n, m)), equal,
+                         rng.integers(-2, 3, size=(n, m)).astype(float),
+                         rng.integers(0, 2, size=(n, m)).astype(float)])
+
+    @staticmethod
+    def _next(rng, costs, scale):
+        """The next stack: each cost nudged by `scale`, cost 1 given two equal rows."""
+        nxt = costs + scale * rng.standard_normal(costs.shape)
+        nxt[1, 1] = nxt[1, 0]
+        return nxt
+
+    @staticmethod
+    def assert_same_bits(step, costs, previous, before_again=lambda: None):
+        """`step.solve` of `costs` with `previous`, checked against the solve without it."""
+        fresh = step.solve(costs)
+        before_again()
+        again = step.solve(costs, *previous)
+        assert np.array_equal(again[0], fresh[0]) and np.array_equal(again[1], fresh[1])
+        return again
+
+    @pytest.mark.parametrize("shape", [(6, 7), (4, 6), (9, 14), (5, 5), (2, 63)],
+                             ids=lambda shape: "%dx%d" % shape)
+    def test_a_previous_stack_changes_no_bit(self, shape, monkeypatch):
+        assignments = []
+        lsap = ot.linear_sum_assignment
+        monkeypatch.setattr(ot, "linear_sum_assignment",
+                            lambda cost: assignments.append(cost.shape) or lsap(cost))
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        n, m = shape
+        step = _LinearStep(_uniform(n), _uniform(m))
+        reused = refused = 0
+        for scale in (0.0, 1e-9, 1e-3, 0.3, 3.0):
+            costs = self._mixed_stack(rng, n, m)
+            previous = step.solve(costs)
+            assert previous[1][0]  # a Gaussian cost certifies
+            nxt = self._next(rng, costs, scale)
+            vertices, certified = self.assert_same_bits(step, nxt, previous, assignments.clear)
+            kept = previous[1] & certified & (vertices == previous[0]).all(axis=(1, 2))
+            # Every cost that is not a re-certified vertex runs its assignment, or,
+            # with equal rows, goes to the LP without one.
+            assert len(assignments) <= len(nxt) - kept.sum()
+            reused += kept.sum()
+            refused += (previous[1] & ~kept).sum()
+            assert not certified[1]  # two equal rows: never the old vertex
+        # Small nudges keep a vertex, large ones move it, beyond the equal rows.
+        assert reused >= 3 and refused > 5
+
+    def test_weights_of_the_lp_path_reuse_nothing(self, monkeypatch, lp_fallbacks):
+        certificates = []
+        certificate = ot._unique_optimum
+        monkeypatch.setattr(ot, "_unique_optimum", lambda costs, support: certificates.append(
+            len(costs)) or certificate(costs, support))
+        rng = np.random.default_rng(81)
+        for p, q in [(_random_marginal(rng, 6), _uniform(7)), (_uniform(16), _uniform(9))]:
+            step = _LinearStep(p, q)
+            costs = rng.standard_normal((3, len(p), len(q)))
+            previous = step.solve(costs)
+            assert not previous[1].any()
+            lp_fallbacks.clear()
+            self.assert_same_bits(step, costs, previous)
+            assert len(lp_fallbacks) == 2 * len(costs)
+        assert certificates == []
+
+    def test_a_vertex_of_the_lp_is_never_reused(self, monkeypatch, lp_fallbacks):
+        # A stack flagged as not certified is never read: NaN vertices
+        # change nothing, on the same costs or on costs that would certify.
+        rng = np.random.default_rng(82)
+        step = _LinearStep(_uniform(5), _uniform(7))
+        tied = np.stack([np.full((5, 7), 0.5), _planted_cycle(rng, 5, 7, 1 / 8)[0]])
+        _, certified = step.solve(tied)
+        assert not certified.any() and len(lp_fallbacks) == 2
+        for costs in (tied, rng.standard_normal((2, 5, 7))):
+            lp_fallbacks.clear()
+            fresh = step.solve(costs)
+            again = step.solve(costs, np.full(costs.shape, np.nan), certified)
+            assert np.array_equal(again[0], fresh[0]) and np.array_equal(again[1], fresh[1])
+            assert len(lp_fallbacks) == 2 * int((~fresh[1]).sum())
+        # A certified vertex on an unchanged cost runs no assignment and no LP.
+        costs = rng.standard_normal((2, 5, 7))
+        previous = step.solve(costs)
+        assert previous[1].all()
+        lp_fallbacks.clear()
+        monkeypatch.setattr(ot, "linear_sum_assignment", None)
+        again = step.solve(costs, *previous)
+        assert again[0] is not previous[0] and np.array_equal(again[0], previous[0])
+        assert again[1].all() and lp_fallbacks == []
+
+
 def _planted_cycle(rng, n, m, gap):
     """A uniform (n, m) cost, gcd(n, m) = 1, with a known optimal tree and one near rival.
 
