@@ -314,9 +314,13 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
     the current reference, then refresh the reference features as the
     coupling-weighted barycentric average and the reference structure as the
     coupling-weighted average of transported adjacencies. The per-graph
-    solves of a round run serially, each warm-started from that graph's
-    coupling of the previous round, for at most BARYCENTER_ROUNDS rounds,
-    fewer once a round stops lowering the summed objective.
+    solves of a round run by `_fgw_solves`, in lockstep per group of graphs
+    with equal node weights, each warm-started from that graph's coupling
+    of the previous round. The loop is meant to run at most
+    BARYCENTER_ROUNDS rounds, fewer once a round stops lowering the summed
+    objective by BARYCENTER_TOL. In fact it always stops after round 1:
+    the decrease after round 1 is measured from an infinite objective, so
+    it is infinite, and the test `inf <= BARYCENTER_TOL * inf` holds.
 
     nbar is checked by `_checked_nbar` before anything of its size is allocated.
     """

@@ -22,8 +22,8 @@ from .linear_fgw import _linear_fgw_block, _reference_embeddings
 from .ot import TransportSolution, solve_exact_ot
 
 # Called as solver(cost, p, q, start=None), `start` an earlier solution on the
-# same rows, or feasible duals built from one, that may speed the solve up but
-# must not change its answer.
+# same rows, whose columns may differ, that may speed the solve up but must
+# not change its answer; the exact solver reads only its row duals.
 OTSolver = Callable[..., TransportSolution]
 
 
@@ -92,9 +92,8 @@ def graph_label_distance(train: LabeledGraphDataset, val: LabeledGraphDataset,
 def _label_pair_solve(train, val, D, y, y_prime, solver, previous=None):
     """`graph_label_distance`'s value and solution.
 
-    `previous` is a solution on the same train rows, for another val class.
-    Its row duals, with the column minima of the reduced cost on this
-    block, make feasible duals of this block, passed as the solver's start.
+    `previous`, a solution on the same train rows for another val class,
+    is passed as the solver's start.
     """
     rows = train.indices_with_label(y)
     cols = val.indices_with_label(y_prime)
@@ -102,12 +101,7 @@ def _label_pair_solve(train, val, D, y, y_prime, solver, previous=None):
         raise EmptyClass(y, "train")
     if not cols:
         raise EmptyClass(y_prime, "val")
-    cost = D[np.ix_(rows, cols)]
-    start = None
-    if previous is not None:
-        f = previous.dual_source
-        start = TransportSolution(float("nan"), None, f, (cost - f[:, None]).min(axis=0))
-    return gdd_from_cost(cost, None, solver, start)
+    return gdd_from_cost(D[np.ix_(rows, cols)], None, solver, previous)
 
 
 def label_distance_table(train: LabeledGraphDataset, val: LabeledGraphDataset,
@@ -117,7 +111,7 @@ def label_distance_table(train: LabeledGraphDataset, val: LabeledGraphDataset,
 
     A pair with an empty class on either side, which `graph_label_distance`
     refuses with EmptyClass, stays NaN. The blocks of one train class share
-    their rows, so each solve starts from the duals of the class's block
+    their rows, so each solve starts from the solution of the class's block
     before it; a start never changes the answer.
     """
     labels = tuple(sorted(set(train.label_set) | set(val.label_set)))

@@ -31,14 +31,18 @@ paths:
   solve is the assignment on the lcm expansion, with no LP. Every other
   solve of `_GROWN_MIN_CELLS` cells or more first tries a support grown by
   violated reduced costs, `_certified_grown_lp`, whose tree is kept only
-  when it is certified to be the unique optimum. Its rounds start from a
-  pair of feasible duals, which pick the first cells and a starting
-  basis: those of `start`, an earlier solution on the same rows (GREAT
-  passes each step's to the next, the label table each block's to the
-  next block of its train class), or else the row and column minima of
-  the cost. The answer is read from a model of the certified tree's
-  cells alone, built and run by `_transport_lp` as the full LP is, so it
-  equals the full LP's vertex, calibrated duals and value to rounding.
+  when it is certified to be the unique optimum. A start is one thing:
+  the row duals f of `start`, an earlier solution on the same rows (GREAT
+  passes each step's solution to the next, the label table each block's
+  to the next block of its train class), or each row's minimum of the
+  cost when there is none. The rounds' first cells and starting basis
+  are ranked by `cost - f` minus that matrix's column minima. An optimum
+  has a tight cell in every column of positive mass, so those minima
+  are its column duals, and the start's own column duals, whose length
+  may differ, are never read. The answer is read from a model of the
+  certified tree's cells alone, built and run by `_transport_lp` as the
+  full LP is, so it equals the full LP's vertex, calibrated duals and
+  value to rounding.
   Otherwise the full LP runs. On every path the duals are the canonical
   ones of `_canonical_duals`: one point of the optimal dual set, chosen
   by a rule of the problem alone. Where that set is one point up to a
@@ -261,20 +265,21 @@ def solve_exact_ot(cost, p, q, start: TransportSolution | None = None) -> Transp
     vector.
 
     `start` is an earlier solution on the same rows, such as the previous
-    step of the selection loop, or feasible duals built from one, as the
-    label table builds them for its next block; only its full-length
-    duals are read, to pick the grown support's first cells and starting
-    basis. The answer depends on (cost, p, q) alone, with or without it.
-    Duals of another shape than the cost's are a DimensionMismatch.
+    step of the selection loop or, in the label table, the previous block
+    of the same train class. Only its full-length row duals are read, to
+    rank the grown support's first cells and starting basis; its column
+    duals, of any length, are ignored. The answer depends on (cost, p, q)
+    alone, with or without it. Row duals of another length than the
+    cost's rows are a DimensionMismatch.
     """
     problem = _Restricted(cost, p, q)
-    duals = None
+    f = None
     if start is not None:
-        f, g = np.asarray(start.dual_source), np.asarray(start.dual_target)
-        if (f.shape, g.shape) != (problem.p.shape, problem.q.shape):
-            raise DimensionMismatch(f"start duals have shapes {f.shape} and {g.shape}, "
-                                    f"expected {problem.p.shape} and {problem.q.shape}")
-        duals = (f[problem.keep_i], g[problem.keep_j])
+        f = np.asarray(start.dual_source)
+        if f.shape != problem.p.shape:
+            raise DimensionMismatch(f"start row duals have shape {f.shape}, "
+                                    f"expected {problem.p.shape}")
+        f = f[problem.keep_i]
     block, ps, qs = problem.block, problem.ps, problem.qs
     n, m = block.shape
     divisor = math.gcd(n, m) if _is_uniform(ps, qs) else 1  # > 1: every vertex is degenerate
@@ -283,7 +288,7 @@ def solve_exact_ot(cost, p, q, start: TransportSolution | None = None) -> Transp
         x = _assign(block, _expansion(n, m)) / math.lcm(n, m)
         duals, value = None, float(block.ravel() @ x)
     else:
-        tree = (_certified_grown_lp(block, ps, qs, duals)
+        tree = (_certified_grown_lp(block, ps, qs, f)
                 if divisor == 1 and n * m >= _GROWN_MIN_CELLS else None)
         x, duals, value = (problem.full_lp() if tree is None else
                            _transport_lp(block.ravel(), np.concatenate([ps, qs]), n, m, tree))
@@ -509,19 +514,21 @@ _GROWN_MAX_ROUNDS = 30
 _CERTIFICATE_MARGIN = 1e-6
 
 
-def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, start=None):
+def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, f=None):
     """The flat cells of the LP's optimal tree on `cost`, found on a grown support, if certified.
 
     `p` and `q` are positive. The model starts on each row's and each
     column's `_GROWN_START_CELLS` cells of least reduced cost `cost - f - g`
     and the north-west-corner plan, so it is feasible, and the first run
-    starts from the basis `_set_tree_basis` picks. The duals f, g are
-    `start`, a pair of row and column duals from an earlier solve, or
-    without one each row's minimum f of the cost and each column's minimum
-    g of `cost - f`. After each HiGHS run, every row with
-    a cell of negative reduced cost outside the model adds its
-    `_GROWN_ADDED_PER_ROW` most negative ones, and HiGHS runs again on the
-    same instance from its last basis. The rounds run with `_GROWN_OPTIONS`.
+    starts from the basis `_set_tree_basis` picks. This is the one start
+    rule: `f` is the row duals of an earlier solve on the same rows, or
+    without one each row's minimum of the cost, and g is each column's
+    minimum of `cost - f`. So f, g are feasible, and for an earlier
+    optimum's f, g is its column duals up to rounding. After each HiGHS
+    run, every row with a cell of negative reduced cost outside the model
+    adds its `_GROWN_ADDED_PER_ROW` most negative ones, and HiGHS runs
+    again on the same instance from its last basis. The rounds run with
+    `_GROWN_OPTIONS`.
     When no cell is violated, the optimum is accepted only under a
     certificate:
 
@@ -532,17 +539,14 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, start=No
       `_CERTIFICATE_MARGIN`, so the vertex is the unique optimum.
 
     Returns that tree's cells, which depend on (cost, p, q) alone, never on
-    `start`, the rounds or their options. Returns None after
+    `f`, the rounds or their options. Returns None after
     `_GROWN_MAX_ROUNDS` runs, on a non-optimal status, or when the
     certificate fails.
     """
     n, m = cost.shape
     kr, kc = min(_GROWN_START_CELLS, m), min(_GROWN_START_CELLS, n)
-    if start is None:
-        ranked = cost - cost.min(axis=1)[:, None]
-        ranked -= ranked.min(axis=0)
-    else:
-        ranked = cost - start[0][:, None] - start[1][None, :]
+    ranked = cost - (cost.min(axis=1) if f is None else f)[:, None]
+    ranked -= ranked.min(axis=0)
     by_row = np.argpartition(ranked, kr - 1, axis=1)[:, :kr]
     by_col = np.argpartition(ranked, kc - 1, axis=0)[:kc]
     cells = np.unique(np.concatenate([

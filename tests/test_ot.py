@@ -568,11 +568,38 @@ class TestAnswerDependsOnTheProblemAlone:
             first.append(iterations[0])
         assert first[1] * 3 < first[0]
 
-    def test_start_duals_of_another_shape_are_a_dimension_mismatch(self):
-        cost = shifted_style_dtilde(0, 30, 20)
-        start = TransportSolution(0.0, None, np.zeros(30), np.zeros(19))
-        with pytest.raises(DimensionMismatch, match=r"start duals have shapes \(30,\) and \(19,\)"):
-            solve_exact_ot(cost, _uniform(30), _uniform(20), start)
+    def test_the_start_column_duals_are_never_read(self, monkeypatch):
+        # The first cells are ranked by the start's row duals alone, so
+        # column duals that are all NaN give the same rounds and bytes.
+        cost, p, q, previous = _next_great_solve(0, 60, 30)
+        blind = TransportSolution(previous.value, previous.coupling, previous.dual_source,
+                                  np.full_like(previous.dual_target, np.nan))
+        runs = count_lps(monkeypatch)
+        answers, models = [], []
+        for start in (previous, blind):
+            sol = solve_exact_ot(cost, p, q, start)
+            answers.append(_solution_bits(sol.value, sol.coupling, sol.dual_source,
+                                          sol.dual_target))
+            models.append(runs[:])
+            runs.clear()
+        assert len(models[0]) > 1  # grown rounds and the tree model
+        assert answers[0] == answers[1] and models[0] == models[1]
+
+    def test_start_row_duals_of_another_length_are_a_dimension_mismatch(self, monkeypatch):
+        # 31 x 20 has gcd 1, so the solve takes the grown path that reads a start.
+        cost, p, q = shifted_style_dtilde(0, 31, 20), _uniform(31), _uniform(20)
+        start = TransportSolution(0.0, None, np.zeros(30), np.zeros(20))
+        with pytest.raises(DimensionMismatch, match=r"start row duals have shape \(30,\)"):
+            solve_exact_ot(cost, p, q, start)
+        runs = count_lps(monkeypatch)
+        answers, models = [], []
+        for g in (np.zeros(20), np.zeros(19), np.zeros(0), np.zeros(21)):
+            sol = solve_exact_ot(cost, p, q, TransportSolution(0.0, None, np.zeros(31), g))
+            answers.append(_solution_bits(sol.value, sol.coupling, sol.dual_source,
+                                          sol.dual_target))
+            models.append(runs[:])
+            runs.clear()
+        assert answers == [answers[0]] * 4 and models == [models[0]] * 4
 
     def test_sinkhorn_ignores_start(self):
         cost, p, q = shifted_style_dtilde(0, 30, 20), _uniform(30), _uniform(20)
