@@ -34,9 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-# numpy loads numpy.random on first use: load it with the package, not
-# inside the first barycenter.
-import numpy.random  # noqa: F401
 
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from . import graphs as _graphs
@@ -322,6 +319,12 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
     the decrease after round 1 is measured from an infinite objective, so
     it is infinite, and the test `inf <= BARYCENTER_TOL * inf` holds.
 
+    The reference starts from the first dataset graph of nbar nodes when
+    there is one. Otherwise it starts from draws of
+    `np.random.default_rng(cfg.seed)`, created in that branch alone, so
+    only a random start loads numpy.random (on numpy 2, where
+    `import numpy` leaves it out).
+
     nbar is checked by `_checked_nbar` before anything of its size is allocated.
     """
     graphs = list(graphs)
@@ -336,7 +339,6 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
         if g.feature_dim != d:
             raise DimensionMismatch("barycenter inputs disagree on feature dimension")
 
-    rng = np.random.default_rng(cfg.seed)
     pbar = np.full(nbar, 1.0 / nbar)
 
     # Initialize from the size-nearest dataset graph when it fits exactly,
@@ -348,6 +350,7 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
         A = np.array(graphs[nearest].adjacency)
         X = np.array(graphs[nearest].features)
     else:
+        rng = np.random.default_rng(cfg.seed)
         pts = rng.standard_normal((nbar, 2))
         A = _cdist(pts, pts)
         if A.max() > 0:

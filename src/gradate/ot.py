@@ -75,9 +75,14 @@ loads their extension modules straight from scipy's directory:
 `scipy.optimize` and `scipy.spatial` would run those packages' `__init__`s,
 which load scipy.linalg, scipy.sparse, scipy.special and more: 0.65 s of
 the 0.82 s an `import gradate` took, and 36 MB of a warm CLI command's
-80 MB peak RSS. These private paths are those of scipy 1.17.1, and the
-package is built against scipy >=1.17,<1.18 (pyproject.toml); a release
-that moves one makes the import fail with an ImportError naming it.
+80 MB peak RSS. scipy's directory is found with `find_spec`, so not even
+the `scipy` package's own `__init__` runs. These private paths are those
+of scipy 1.17.1, and the package is built against scipy >=1.17,<1.18
+(pyproject.toml); a release that moves one makes the import fail with an
+ImportError naming it. All three load with the package, so no solve pays
+for a module load. Nor do the solves call what numpy loads lazily:
+`_sorted_distinct` stands in for np.unique, whose first call imports
+numpy.ma.
 """
 
 from __future__ import annotations
@@ -88,35 +93,37 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib.machinery import ExtensionFileLoader, PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from itertools import compress, islice
 
 import numpy as np
-# np.unique imports numpy.ma on its first call: load it with the package,
-# not inside the first solve.
-import numpy.ma  # noqa: F401
-import scipy
 
 from .errors import DimensionMismatch, InfeasibleMarginals, NonConvergence, NumericalFailure
 
 
 def _scipy_extension(name: str):
-    """The compiled scipy module `name`, loaded without running its packages' `__init__`.
+    """The compiled scipy module `name`, loaded without running any scipy package's `__init__`.
 
     A module already in `sys.modules` is returned as it is. A fresh one is
     found in its directory under scipy's and registered under `name`, so a
     later `import scipy.optimize` reuses it rather than loading a pybind11
-    module twice. Raises ImportError when `name` is not a compiled module
-    there; it never falls back to the package import.
+    module twice. scipy's directory comes from `find_spec("scipy")`, which
+    runs no scipy code; without scipy this raises the ModuleNotFoundError
+    that `import scipy` would. Raises ImportError when `name` is not a
+    compiled module there; it never falls back to the package import.
     """
     module = sys.modules.get(name)
     if module is not None:
         return module
-    path = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:-1])
+    scipy_spec = find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    path = os.path.join(scipy_spec.submodule_search_locations[0], *name.split(".")[1:-1])
     spec = PathFinder.find_spec(name, [path])
     if spec is None or not isinstance(spec.loader, ExtensionFileLoader):
+        from importlib.metadata import version  # read for this message alone
         raise ImportError(
-            f"no compiled module {name} in scipy {scipy.__version__} at {path}", name=name
+            f"no compiled module {name} in scipy {version('scipy')} at {path}", name=name
         )
     module = module_from_spec(spec)
     sys.modules[name] = module
@@ -549,7 +556,7 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, f=None):
     ranked -= ranked.min(axis=0)
     by_row = np.argpartition(ranked, kr - 1, axis=1)[:, :kr]
     by_col = np.argpartition(ranked, kc - 1, axis=0)[:kc]
-    cells = np.unique(np.concatenate([
+    cells = _sorted_distinct(np.concatenate([
         (np.arange(n)[:, None] * m + by_row).ravel(),
         (by_col * m + np.arange(m)).ravel(),
         _north_west_corner(p, q)])).astype(np.int32)
@@ -619,11 +626,24 @@ def _north_west_corner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     along every overlap, a staircase through every row and column.
     """
     P, Q = np.cumsum(p), np.cumsum(q)
-    edges = np.union1d([0.0], np.concatenate([P, Q]))
+    edges = _sorted_distinct(np.concatenate([[0.0], P, Q]))
     mid = 0.5 * (edges[:-1] + edges[1:])
     rows = np.minimum(np.searchsorted(P, mid, side="right"), len(p) - 1)
     cols = np.minimum(np.searchsorted(Q, mid, side="right"), len(q) - 1)
     return rows * len(q) + cols
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of 1-D `values` in its dtype, as np.unique returns them.
+
+    np.unique and np.union1d import numpy.ma on their first call; a sort
+    and a mask of the entries that differ from their predecessor do not.
+    """
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 # Largest lcm(n, m) the assignment path takes. Its L x L assignment grows as

@@ -1,10 +1,12 @@
-"""What `import gradate` loads of scipy, and how it shares those modules with scipy.
+"""What `import gradate` loads of scipy and numpy, and how it shares scipy's modules.
 
 gradate calls three compiled scipy functions, and `gradate.ot` loads their
-extension modules without scipy's package `__init__`s, whose imports cost
-most of a process's start-up. Each check runs in a fresh interpreter, since
-this one has scipy's packages loaded already. The declared version floors
-are checked against what the installed scipy requires.
+extension modules without any scipy package `__init__`, whose imports cost
+most of a process's start-up. It loads none of the modules numpy 2 loads
+on first use (numpy.ma, numpy.random) unless a run needs them. Each check
+runs in a fresh interpreter, since this one has scipy's packages loaded
+already. The declared version floors are checked against what the
+installed scipy requires.
 """
 
 import importlib.metadata
@@ -54,6 +56,22 @@ def run_fresh(code: str) -> str:
     return proc.stdout
 
 
+def modules_added_by(code: str) -> list[str]:
+    """The modules `code` loads, run fresh after numpy, gradate and two path graphs."""
+    setup = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import gradate
+        from gradate.fgw import FGWConfig
+
+        graphs = [gradate.AttributedGraph.from_edges(
+            n, [(k, k + 1) for k in range(n - 1)], features=np.eye(n, 3)) for n in (4, 6)]
+        before = set(sys.modules)
+    """)
+    added = '\nprint(" ".join(sorted(set(sys.modules) - before)))\n'
+    return run_fresh(setup + textwrap.dedent(code) + added).split()
+
+
 class TestImportCost:
     @pytest.mark.parametrize("module", ["gradate", "gradate.cli"])
     def test_import_loads_no_heavy_scipy_package(self, module):
@@ -64,31 +82,46 @@ class TestImportCost:
         """)
         loaded = set(out.split())
         assert set(EXTENSIONS) <= loaded
+        # Not even scipy's own `__init__`: its directory is found without it.
+        assert "scipy" not in loaded
         # The pybind11 HiGHS module registers submodules of its own (`_core.cb`).
         heavy = sorted(m for m in loaded if within(m, HEAVY_PACKAGES) and not within(m, EXTENSIONS))
         assert heavy == []
 
-    def test_first_solves_import_nothing(self):
-        # What numpy loads lazily (numpy.ma for np.unique, numpy.random) is
-        # loaded with the package, so a cold solve does not pay for it.
-        out = run_fresh("""
+    @pytest.mark.parametrize("module", ["gradate", "gradate.cli"])
+    def test_import_adds_nothing_numpy_loads_lazily(self, module):
+        # Measured against what `import numpy` loaded: numpy 1.x loads
+        # numpy.ma and numpy.random itself, numpy 2 only on first use.
+        out = run_fresh(f"""
             import sys
-            import numpy as np
-            import gradate
-            from gradate.fgw import FGWConfig
-
+            import numpy
             before = set(sys.modules)
+            import {module}
+            print(" ".join(sorted(set(sys.modules) - before)))
+        """)
+        lazy = sorted(m for m in out.split()
+                      if m == "scipy" or within(m, ("numpy.ma", "numpy.random")))
+        assert lazy == []
+
+    def test_first_solves_import_nothing(self):
+        # The compiled scipy modules load with the package, and no solve
+        # calls what numpy loads lazily, so a cold solve pays for no import.
+        # The barycenter starts from the graph of 4 nodes.
+        assert modules_added_by("""
             i, j = np.arange(30.0)[:, None], np.arange(20.0)[None, :]
             cost = (7 * i + 13 * j) % 17 + 0.01 * i * j
             p, q = np.arange(1.0, 31.0), np.arange(1.0, 21.0)
             gradate.solve_exact_ot(cost, p / p.sum(), q / q.sum())
-            graphs = [gradate.AttributedGraph.from_edges(
-                n, [(k, k + 1) for k in range(n - 1)], features=np.eye(n, 3)) for n in (4, 6)]
-            ref = gradate.fgw_barycenter(graphs, nbar=5, cfg=FGWConfig(alpha=0.5))
+            ref = gradate.fgw_barycenter(graphs, nbar=4, cfg=FGWConfig(alpha=0.5))
             gradate.fgw_distance(ref, graphs[0], FGWConfig(alpha=0.5))
-            print(" ".join(sorted(set(sys.modules) - before)) or "none")
+        """) == []
+
+    def test_a_random_barycenter_start_imports_numpy_random_alone(self):
+        # No graph has 5 nodes, so the start is drawn from a generator.
+        random_start = modules_added_by("""
+            gradate.fgw_barycenter(graphs, nbar=5, cfg=FGWConfig(alpha=0.5))
         """)
-        assert out.split() == ["none"]
+        assert random_start == modules_added_by("import numpy.random")
 
 
 class TestScipyInterop:
@@ -152,6 +185,31 @@ class TestLoaderFailure:
         with pytest.raises(RuntimeError, match="module init failed"):
             ot._scipy_extension(name)
         assert name not in sys.modules
+
+    @pytest.mark.parametrize("refusal", ["meta_path", "sys.modules"])
+    def test_without_scipy_the_import_fails_naming_scipy(self, refusal):
+        # A meta-path finder refuses scipy as a missing package is refused;
+        # a None entry in sys.modules makes `find_spec("scipy")` return None.
+        out = run_fresh(f"""
+            import sys
+
+            class RefuseScipy:
+                @staticmethod
+                def find_spec(name, path=None, target=None):
+                    if name == "scipy" or name.startswith("scipy."):
+                        raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+                    return None
+
+            if {refusal!r} == "meta_path":
+                sys.meta_path.insert(0, RefuseScipy)
+            else:
+                sys.modules["scipy"] = None
+            try:
+                import gradate
+            except ImportError as e:
+                print(type(e).__name__, e.name, "scipy" in str(e))
+        """)
+        assert out.split() == ["ModuleNotFoundError", "scipy", "True"]
 
     def test_a_python_module_is_not_loaded_in_its_place(self):
         # scipy/optimize/_linprog.py exists, but it is not a compiled module;

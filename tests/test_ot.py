@@ -513,6 +513,45 @@ class TestCertifiedGrownLp:
         assert len(tree_models) == 1 and full == []
 
 
+class TestSortedDistinct:
+    """`_sorted_distinct` is np.unique without numpy.ma, and the grown support's cells keep."""
+
+    @staticmethod
+    def _numpy_north_west_corner(p, q):
+        # The plan's cells as computed with np.union1d.
+        P, Q = np.cumsum(p), np.cumsum(q)
+        edges = np.union1d([0.0], np.concatenate([P, Q]))
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        rows = np.minimum(np.searchsorted(P, mid, side="right"), len(p) - 1)
+        cols = np.minimum(np.searchsorted(Q, mid, side="right"), len(q) - 1)
+        return rows * len(q) + cols
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_integer_cells_with_repeats(self):
+        rng = np.random.default_rng(53)
+        for values in (rng.integers(0, 50, size=200), rng.integers(0, 10**6, size=30),
+                       np.array([7, 7, 7]), np.array([3]), np.array([], dtype=np.int64)):
+            self.assert_same(ot._sorted_distinct(values), np.unique(values))
+
+    def test_cumulative_sums_with_shared_breakpoints(self):
+        rng = np.random.default_rng(59)
+        cases = [([.25, .25, .5], [.5, .5]), ([.5, .5], [.25, .25, .5]), ([1.0], [.5, .5]),
+                 ([.125] * 8, [.25] * 4), (_uniform(6), _uniform(4)),
+                 (_random_marginal(rng, 9), _random_marginal(rng, 7))]
+        for p, q in cases:
+            p, q = np.asarray(p), np.asarray(q)
+            P, Q = np.cumsum(p), np.cumsum(q)
+            self.assert_same(ot._sorted_distinct(np.concatenate([[0.0], P, Q])),
+                             np.union1d([0.0], np.concatenate([P, Q])))
+            self.assert_same(ot._north_west_corner(p, q), self._numpy_north_west_corner(p, q))
+        # Rows [0, .25), [.25, .5), [.5, 1) against columns [0, .5), [.5, 1).
+        assert ot._north_west_corner(np.array([.25, .25, .5]), np.array([.5, .5])).tolist() \
+            == [0, 2, 5]
+
+
 def _next_great_solve(seed, n, m):
     """A cost, the weights of two consecutive GREAT steps on it, and the solution at the first.
 
