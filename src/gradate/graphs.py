@@ -151,14 +151,15 @@ class AttributedGraph:
 
 
 def _graphs_from_arrays(sizes, edge_graph, ends, features,
-                        first: int = 0) -> list[AttributedGraph]:
+                        first: int | None = None) -> list[AttributedGraph]:
     """The 0/1 graphs of a whole dataset, built in one pass from flat arrays.
 
     sizes : (G,) node count of each graph.
     edge_graph, ends : (E,) graph of each edge and (E, 2) integer endpoints,
         local to that graph (0..n-1).
     features : (sum(sizes), d) feature rows, stacked in graph order.
-    first : the number of the first graph, for error messages.
+    first : the number of the first graph, for error messages; without it
+        no graph is numbered.
 
     A graph whose adjacency needs more than `MAX_ADJACENCY_CELLS` cells is
     a DimensionMismatch that names it and its n, raised before anything of
@@ -166,11 +167,12 @@ def _graphs_from_arrays(sizes, edge_graph, ends, features,
 
     The whole dataset is checked at once for what `from_edges` and the
     constructor check per graph. If a check fails, the first failing graph
-    goes through `from_edges` alone, which raises its error; so does a lone
-    graph (G = 1) given in any other form `from_edges` takes. Otherwise each
-    graph holds read-only views into three shared buffers (adjacencies,
-    features, uniform node weights), and no constructor runs; the arrays
-    equal those of `from_edges(n, edges, features)` byte for byte.
+    goes through `from_edges` alone, which raises its error, prefixed with
+    the graph's number when `first` is given; so does a lone graph (G = 1)
+    given in any other form `from_edges` takes. Otherwise each graph holds
+    read-only views into three shared buffers (adjacencies, features,
+    uniform node weights), and no constructor runs; the arrays equal those
+    of `from_edges(n, edges, features)` byte for byte.
     """
     # A copy owned here: views of a frozen owner cannot be made writeable again.
     features = np.array(features, dtype=np.float64, order="C")
@@ -181,7 +183,7 @@ def _graphs_from_arrays(sizes, edge_graph, ends, features,
         stacked = ends.dtype == np.int64 and ends.shape[1:] == (2,)
     if not stacked:
         if len(sizes) == 1:
-            AttributedGraph.from_edges(sizes[0], given, features=features)
+            _recheck(sizes[0], given, features, first)
         raise DimensionMismatch(f"edges or features do not stack for {sum(sizes)} nodes")
     sizes = np.asarray(sizes, dtype=np.int64)
     _check_adjacency_cells(sizes, first)
@@ -196,8 +198,8 @@ def _graphs_from_arrays(sizes, edge_graph, ends, features,
         bad[row_graph[~np.isfinite(features).all(axis=1)]] = True
     if bad.any():
         k = int(np.argmax(bad))
-        AttributedGraph.from_edges(int(sizes[k]), ends[edge_graph == k],
-                                   features=features[node_start[k]:node_start[k + 1]])
+        _recheck(int(sizes[k]), ends[edge_graph == k],
+                 features[node_start[k]:node_start[k + 1]], None if first is None else first + k)
         raise AssertionError(f"graph {k} failed a bulk check but passed from_edges")
 
     adj_start = np.concatenate(([0], np.cumsum(sizes * sizes)))
@@ -218,6 +220,20 @@ def _graphs_from_arrays(sizes, edge_graph, ends, features,
         object.__setattr__(g, "node_weights", weights[s:s + n])
         graphs.append(g)
     return graphs
+
+
+def _recheck(n: int, edges, features, number: int | None) -> None:
+    """Run `from_edges(n, edges, features)` for its checks alone.
+
+    With a `number`, an error keeps its type and its message starts with
+    "graph {number}: ".
+    """
+    try:
+        AttributedGraph.from_edges(n, edges, features=features)
+    except (DanglingEdge, DimensionMismatch, IndexError, ValueError) as exc:
+        if number is None:
+            raise
+        raise type(exc)(f"graph {number}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ Every exact LP runs HiGHS's dual simplex, called directly through scipy's
 private bindings with the model as NumPy buffers. Every LP whose answer is
 returned is built and run by `_transport_lp`, with the options of
 `linprog(method="highs-ds")`; the rounds of a grown support, whose answer
-is never returned, run with presolve off and Devex pricing. Both
+is never returned, run with those options and Devex pricing. Both
 uniqueness certificates use one margin, `_CERTIFICATE_MARGIN`, 10x
 HiGHS's feasibility tolerances.
 
@@ -80,9 +80,10 @@ the `scipy` package's own `__init__` runs. These private paths are those
 of scipy 1.17.1, and the package is built against scipy >=1.17,<1.18
 (pyproject.toml); a release that moves one makes the import fail with an
 ImportError naming it. All three load with the package, so no solve pays
-for a module load. Nor do the solves call what numpy loads lazily:
-`_sorted_distinct` stands in for np.unique, whose first call imports
-numpy.ma.
+for a module load. Nor do the solves call what numpy loads lazily: no
+np.unique or np.union1d, whose first call imports numpy.ma; the grown
+support keeps its cells in a boolean mask, and the north-west corner
+sorts its breakpoints with np.sort.
 """
 
 from __future__ import annotations
@@ -407,10 +408,13 @@ def _full_lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarra
     return problem.lift(problem.full_lp()[0])
 
 
-def _dual_simplex_options(presolve: str) -> HighsOptions:
-    """HiGHS options for a quiet dual-simplex run with `presolve` "on" or "off"."""
+def _dual_simplex_options() -> HighsOptions:
+    """The HiGHS options `linprog(method="highs-ds")` passes.
+
+    Presolve on, dual simplex, no debug checks, no output.
+    """
     options = HighsOptions()
-    options.presolve = presolve
+    options.presolve = "on"
     options.solver = "simplex"
     options.simplex_strategy = 1  # dual
     options.highs_debug_level = 0
@@ -419,19 +423,14 @@ def _dual_simplex_options(presolve: str) -> HighsOptions:
     return options
 
 
-# The HiGHS options `linprog(method="highs-ds")` passes: presolve on, dual
-# simplex, no debug checks, no output. Every LP whose answer is returned runs
-# with them: changing any of them can change the vertex HiGHS picks on a tie,
-# and so the selections.
-_HIGHS_OPTIONS = _dual_simplex_options("on")
-# The rounds of a grown support, whose answer is never returned, run without
-# presolve. With it, grown solves from cost-ranked cells and HiGHS's slack
-# basis took 1.4x as long on GREAT's 300 x 100 and 600 x 200 shifted-style
-# costs (2-vCPU VM); those started from a tree basis took the same time
-# either way. They price by Devex rather than HiGHS's default dual steepest
-# edge: a certified answer is read from the tree model, so only its speed
-# can change.
-_GROWN_OPTIONS = _dual_simplex_options("off")
+# Every LP whose answer is returned runs with linprog's options: changing any
+# of them can change the vertex HiGHS picks on a tie, and so the selections.
+_HIGHS_OPTIONS = _dual_simplex_options()
+# The rounds of a grown support, whose answer is never returned, price by
+# Devex rather than HiGHS's default dual steepest edge: a certified answer is
+# read from the tree model, so only its speed can change. Every round starts
+# from a set basis, so HiGHS skips presolve there.
+_GROWN_OPTIONS = _dual_simplex_options()
 _GROWN_OPTIONS.simplex_dual_edge_weight_strategy = 1  # Devex
 
 
@@ -504,12 +503,11 @@ def _solve_transport_lp(c: np.ndarray, b: np.ndarray, n: int, m: int):
 # lower floor would move the bits of the small LPs it reroutes from the
 # full LP to the tree model.
 _GROWN_MIN_CELLS = 576
-_GROWN_START_CELLS = 8   # each row's and each column's best cells start the model
-_GROWN_ADDED_PER_ROW = 2  # the most violated cells a violated row adds per round
+_GROWN_START_CELLS = 8  # each row's and each column's best cells start the model
 # Cap on HiGHS runs per grown solve. From cost-ranked starts GREAT's outer
-# LPs took 3-5 on the shifted_labeled benchmark corpus and 3-9 on
+# LPs took 2-3 on the shifted_labeled benchmark corpus and 2-4 on
 # shifted-style costs up to 1200 x 400; started from the previous step's
-# duals, they took 1-4 at 300 x 100 and 600 x 200. Random costs took 1-2.
+# duals, 1-3 and 1-4. Random 300 x 100 costs took 1.
 _GROWN_MAX_ROUNDS = 30
 # Margin of both uniqueness certificates, 10x HiGHS's absolute 1e-7 primal
 # and dual feasibility tolerances. A basis adjacent to a certified grown one
@@ -531,11 +529,11 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, f=None):
     rule: `f` is the row duals of an earlier solve on the same rows, or
     without one each row's minimum of the cost, and g is each column's
     minimum of `cost - f`. So f, g are feasible, and for an earlier
-    optimum's f, g is its column duals up to rounding. After each HiGHS
-    run, every row with a cell of negative reduced cost outside the model
-    adds its `_GROWN_ADDED_PER_ROW` most negative ones, and HiGHS runs
-    again on the same instance from its last basis. The rounds run with
-    `_GROWN_OPTIONS`.
+    optimum's f, g is its column duals up to rounding. The model is one
+    boolean (n, m) mask of its cells. After each HiGHS run, every cell
+    outside the model whose reduced cost is negative is added, in flat
+    order, and HiGHS runs again on the same instance from its last basis.
+    The rounds run with `_GROWN_OPTIONS`.
     When no cell is violated, the optimum is accepted only under a
     certificate:
 
@@ -554,35 +552,27 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, f=None):
     kr, kc = min(_GROWN_START_CELLS, m), min(_GROWN_START_CELLS, n)
     ranked = cost - (cost.min(axis=1) if f is None else f)[:, None]
     ranked -= ranked.min(axis=0)
-    by_row = np.argpartition(ranked, kr - 1, axis=1)[:, :kr]
-    by_col = np.argpartition(ranked, kc - 1, axis=0)[:kc]
-    cells = _sorted_distinct(np.concatenate([
-        (np.arange(n)[:, None] * m + by_row).ravel(),
-        (by_col * m + np.arange(m)).ravel(),
-        _north_west_corner(p, q)])).astype(np.int32)
+    in_model = np.zeros((n, m), dtype=bool)
+    np.put_along_axis(in_model, np.argpartition(ranked, kr - 1, axis=1)[:, :kr], True, axis=1)
+    np.put_along_axis(in_model, np.argpartition(ranked, kc - 1, axis=0)[:kc], True, axis=0)
+    in_model.flat[_north_west_corner(p, q)] = True
+    cells = np.flatnonzero(in_model).astype(np.int32)
     c = cost.ravel()
-    in_model = np.zeros(n * m, dtype=bool)
     highs = _transport_model(np.concatenate([p, q]), _GROWN_OPTIONS)
-    model_cells = []
+    _add_cells(highs, c, cells, n, m)
+    _set_tree_basis(highs, cells, ranked.ravel()[cells], n, m)
+    model_cells = [cells]
     for _ in range(_GROWN_MAX_ROUNDS):
-        _add_cells(highs, c, cells, n, m)
-        if not model_cells:
-            _set_tree_basis(highs, cells, ranked.ravel()[cells], n, m)
-        in_model[cells] = True
-        model_cells.append(cells)
         if not _run_highs(highs):
             return None
         duals = np.array(highs.getSolution().row_dual)
         reduced = cost - duals[:n, None] - duals[None, n:]
-        outside = np.where(in_model.reshape(n, m), np.inf, reduced)
-        violated = np.flatnonzero(outside.min(axis=1) < 0)
-        if violated.size == 0:
+        cells = np.flatnonzero((reduced < 0) & ~in_model).astype(np.int32)
+        if cells.size == 0:
             break
-        # m >= 2 here: with one column, the starting model holds every cell.
-        worst = np.argpartition(outside[violated], _GROWN_ADDED_PER_ROW - 1,
-                                axis=1)[:, :_GROWN_ADDED_PER_ROW]
-        cells = (violated[:, None] * m + worst).ravel()
-        cells = cells[outside.ravel()[cells] < 0].astype(np.int32)
+        _add_cells(highs, c, cells, n, m)
+        in_model.flat[cells] = True
+        model_cells.append(cells)
     else:
         return None
     x = np.zeros(n * m)
@@ -623,27 +613,15 @@ def _north_west_corner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Row i covers [P[i-1], P[i]) of the unit interval and column j covers
     [Q[j-1], Q[j]), with P and Q the cumulative sums; the plan moves mass
-    along every overlap, a staircase through every row and column.
+    along every overlap, a staircase through every row and column. A
+    breakpoint that P and Q share gives a cell of the plan twice.
     """
     P, Q = np.cumsum(p), np.cumsum(q)
-    edges = _sorted_distinct(np.concatenate([[0.0], P, Q]))
+    edges = np.sort(np.concatenate([[0.0], P, Q]))
     mid = 0.5 * (edges[:-1] + edges[1:])
     rows = np.minimum(np.searchsorted(P, mid, side="right"), len(p) - 1)
     cols = np.minimum(np.searchsorted(Q, mid, side="right"), len(q) - 1)
     return rows * len(q) + cols
-
-
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct entries of 1-D `values` in its dtype, as np.unique returns them.
-
-    np.unique and np.union1d import numpy.ma on their first call; a sort
-    and a mask of the entries that differ from their predecessor do not.
-    """
-    values = np.sort(values)
-    keep = np.empty(values.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
 
 
 # Largest lcm(n, m) the assignment path takes. Its L x L assignment grows as
@@ -660,15 +638,15 @@ _ASSIGNMENT_MAX_LCM = 126
 class _LinearStep:
     """The FGW linear step for weights p, q: maps a stack of signed costs to optimal vertices.
 
-    Called on a (B, n, m) stack it returns the B vertices; a 2-D cost is a
-    stack of one. With uniform p (n atoms) and q (m atoms), repeating each
-    row L/n times and each column L/m times (L = lcm(n, m)) turns the
-    transportation LP into an L x L assignment whose block counts / L are an
-    optimal vertex. That vertex is returned only when it is certified to be
-    the unique LP optimum, so that it agrees with the full LP's vertex to
-    rounding: its support is a forest, so no other plan lives on the same
-    support, and `_unique_optimum`, run on the whole stack at once, finds
-    every other plan dearer by a margin.
+    `solve` takes a (B, n, m) stack and returns the B vertices. With
+    uniform p (n atoms) and q (m atoms), repeating each row L/n times and
+    each column L/m times (L = lcm(n, m)) turns the transportation LP into
+    an L x L assignment whose block counts / L are an optimal vertex. That
+    vertex is returned only when it is certified to be the unique LP
+    optimum, so that it agrees with the full LP's vertex to rounding: its
+    support is a forest, so no other plan lives on the same support, and
+    `_unique_optimum`, run on the whole stack at once, finds every other
+    plan dearer by a margin.
 
     Every other cost goes to `_full_lp_vertex`: non-uniform weights or an
     lcm above `_ASSIGNMENT_MAX_LCM` (decided here, once), a support with a
@@ -692,11 +670,6 @@ class _LinearStep:
         # a tie in every other case, found without an assignment. Same for
         # columns. Each check is (transposed, bytes per float64 row, rows).
         self.tie_checks = [(False, 8 * m, n)] * (2 * m > n) + [(True, 8 * n, m)] * (2 * n > m)
-
-    def __call__(self, costs: np.ndarray) -> np.ndarray:
-        if costs.ndim == 2:
-            return self(costs[None])[0]
-        return self.solve(costs)[0]
 
     def solve(self, costs: np.ndarray, previous: np.ndarray | None = None,
               was_certified: np.ndarray | None = None):

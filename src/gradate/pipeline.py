@@ -24,9 +24,8 @@ from .great import (GreatTrace, _checked_T, _checked_tau, _selection_budget, gdd
                     great_select)
 from .io import dataset_hash
 from .ot import (SINKHORN_MAX_ITER, SINKHORN_TOL, TransportSolution, _ASSIGNMENT_MAX_LCM,
-                 _CERTIFICATE_MARGIN, _GROWN_ADDED_PER_ROW, _GROWN_MAX_ROUNDS, _GROWN_MIN_CELLS,
-                 _GROWN_START_CELLS, _OUTER_ASSIGNMENT_MAX_EXPANSION, _Restricted,
-                 solve_exact_ot, solve_sinkhorn)
+                 _CERTIFICATE_MARGIN, _GROWN_MAX_ROUNDS, _GROWN_MIN_CELLS, _GROWN_START_CELLS,
+                 _OUTER_ASSIGNMENT_MAX_EXPANSION, _Restricted, solve_exact_ot, solve_sinkhorn)
 
 
 # Every rule that decides a cached value without being an input to it, with
@@ -47,15 +46,16 @@ _RESULT_RULES = {
           "inner_assignment_max_lcm": _ASSIGNMENT_MAX_LCM,
           "inner_certificate_margin": _CERTIFICATE_MARGIN},
     # outer_duals: the canonical point of the optimal dual set
-    # (`ot._canonical_duals`), whichever optimal plan the solve finds. The
-    # other fields route a solve: to the assignment, to a certified grown
-    # tree or, below the floor, past the round cap or on a failed
-    # certificate, to the full LP.
+    # (`ot._canonical_duals`), whichever optimal plan the solve finds.
+    # grown_growth: each grown round adds every cell of negative reduced
+    # cost outside the model. The other fields route a solve: to the
+    # assignment, to a certified grown tree or, below the floor, past the
+    # round cap or on a failed certificate, to the full LP.
     "exact": {"outer_duals": "canonical-duals",
               "outer_assignment_max_expansion": _OUTER_ASSIGNMENT_MAX_EXPANSION,
               "outer_certificate_margin": _CERTIFICATE_MARGIN,
               "grown_min_cells": _GROWN_MIN_CELLS, "grown_start_cells": _GROWN_START_CELLS,
-              "grown_added_per_row": _GROWN_ADDED_PER_ROW,
+              "grown_growth": "every-violated-cell",
               "grown_max_rounds": _GROWN_MAX_ROUNDS},
     # plan_check: the returned plan's column sums are checked against q.
     "sinkhorn": {"iteration": "plain", "plan_check": "column-sums",

@@ -92,6 +92,16 @@ class TestSplit:
         assert (f"error: copies.json: malformed dataset JSON ({named} must fit in int64, "
                 f"got {2 ** 64})") in err
 
+    def test_a_graph_that_fails_its_checks_is_named_with_the_file(self, workdir, capsys):
+        write_copies_json(workdir / "copies.json")
+        payload = json.loads((workdir / "copies.json").read_text())
+        payload["graphs"][1].update(n=2, edges=[[0, 5]], features=[])
+        (workdir / "copies.json").write_text(json.dumps(payload))
+        code, out, err = run(capsys, "split", "copies.json", "--out", "split.json")
+        assert code == 2
+        assert out == ""
+        assert "error: copies.json: graph 1: edge (0, 5) leaves the nodes 0..1" in err
+
     @pytest.mark.parametrize("graph, message", [
         ({"n": 2 ** 40, "edges": [], "features": []},
          f"graph 3 of {2 ** 40} nodes needs {2 ** 80} adjacency cells"),

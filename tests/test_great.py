@@ -378,10 +378,38 @@ class TestCertifiedOuterSolves:
 
         assert ot._GROWN_OPTIONS.simplex_dual_edge_weight_strategy == 1  # Devex
         devex = run()
-        steepest_edge = ot._dual_simplex_options("off")
+        steepest_edge = ot._dual_simplex_options()
         steepest_edge.simplex_dual_edge_weight_strategy = 2
         monkeypatch.setattr(ot, "_GROWN_OPTIONS", steepest_edge)
         assert run() == devex
+
+    def test_rounds_with_presolve_off_make_the_same_runs(self, monkeypatch):
+        # Every grown round starts from a set basis, so HiGHS skips presolve
+        # there: the rounds' options need no presolve switch of their own.
+        dtilde = shifted_style_dtilde(0, 300, 100)
+
+        def run():
+            iterations = []
+            run_highs = ot._run_highs
+
+            def counted(highs):
+                optimal = run_highs(highs)
+                iterations.append(highs.getInfo().simplex_iteration_count)
+                return optimal
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ot, "_run_highs", counted)
+                selected, trace = great_select(dtilde, tau=0.2, T=10, eta=1e-4)
+            return selected.tobytes(), trace.final_weights.tobytes(), len(iterations), \
+                sum(iterations)
+
+        assert ot._GROWN_OPTIONS.presolve == "on"
+        with_presolve = run()
+        presolve_off = ot._dual_simplex_options()
+        presolve_off.presolve = "off"
+        presolve_off.simplex_dual_edge_weight_strategy = 1  # Devex
+        monkeypatch.setattr(ot, "_GROWN_OPTIONS", presolve_off)
+        assert run() == with_presolve
 
 
 def _two_domain_style_dtilde(seed):

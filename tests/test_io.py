@@ -85,6 +85,13 @@ class TestTuLoader:
         with pytest.raises(SchemaError, match="finite"):
             io.load_tudataset(d)
 
+    def test_a_graph_that_fails_its_checks_is_named_with_the_directory(self, tmp_path):
+        # Graph 2 holds the third node, whose attribute is not finite.
+        d = write_tu(tmp_path, attributes=["0.5, 1.0", "2.0, 3.0", "nan, 5.0"])
+        message = f"{d}: graph 2: feature entries must be finite"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            io.load_tudataset(d)
+
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
         d = write_tu(tmp_path)
         (d / "DS_graph_labels.txt").write_bytes(b"1\n\xff2\n")
@@ -169,6 +176,15 @@ class TestJsonLoader:
             AttributedGraph.from_edges(3, [edge])
         with pytest.raises(DanglingEdge, match=message):
             io.load_dataset_json(write_json_dataset(tmp_path / "ds.json", edges=[edge]))
+
+    def test_a_graph_that_fails_its_checks_is_named_with_the_file(self, tmp_path):
+        graph = entry(3, [(0, 1)], [])
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"graphs": [graph, entry(2, [(0, 5)], []), graph],
+                                    "label_set": [0]}))
+        message = f"{path}: graph 1: edge (0, 5) leaves the nodes 0..1"
+        with pytest.raises(DanglingEdge, match=re.escape(message)):
+            io.load_dataset_json(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_feature_is_a_schema_error(self, tmp_path, bad):

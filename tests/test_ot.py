@@ -513,8 +513,8 @@ class TestCertifiedGrownLp:
         assert len(tree_models) == 1 and full == []
 
 
-class TestSortedDistinct:
-    """`_sorted_distinct` is np.unique without numpy.ma, and the grown support's cells keep."""
+class TestNorthWestCorner:
+    """The north-west-corner cells: the np.union1d formula's, without numpy.ma."""
 
     @staticmethod
     def _numpy_north_west_corner(p, q):
@@ -526,30 +526,19 @@ class TestSortedDistinct:
         cols = np.minimum(np.searchsorted(Q, mid, side="right"), len(q) - 1)
         return rows * len(q) + cols
 
-    @staticmethod
-    def assert_same(got, want):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-    def test_integer_cells_with_repeats(self):
-        rng = np.random.default_rng(53)
-        for values in (rng.integers(0, 50, size=200), rng.integers(0, 10**6, size=30),
-                       np.array([7, 7, 7]), np.array([3]), np.array([], dtype=np.int64)):
-            self.assert_same(ot._sorted_distinct(values), np.unique(values))
-
     def test_cumulative_sums_with_shared_breakpoints(self):
+        # A shared breakpoint repeats a cell; the set of cells is the formula's.
         rng = np.random.default_rng(59)
         cases = [([.25, .25, .5], [.5, .5]), ([.5, .5], [.25, .25, .5]), ([1.0], [.5, .5]),
                  ([.125] * 8, [.25] * 4), (_uniform(6), _uniform(4)),
                  (_random_marginal(rng, 9), _random_marginal(rng, 7))]
         for p, q in cases:
             p, q = np.asarray(p), np.asarray(q)
-            P, Q = np.cumsum(p), np.cumsum(q)
-            self.assert_same(ot._sorted_distinct(np.concatenate([[0.0], P, Q])),
-                             np.union1d([0.0], np.concatenate([P, Q])))
-            self.assert_same(ot._north_west_corner(p, q), self._numpy_north_west_corner(p, q))
+            assert (set(ot._north_west_corner(p, q).tolist())
+                    == set(self._numpy_north_west_corner(p, q).tolist()))
         # Rows [0, .25), [.25, .5), [.5, 1) against columns [0, .5), [.5, 1).
-        assert ot._north_west_corner(np.array([.25, .25, .5]), np.array([.5, .5])).tolist() \
-            == [0, 2, 5]
+        assert set(ot._north_west_corner(np.array([.25, .25, .5]), np.array([.5, .5])).tolist()) \
+            == {0, 2, 5}
 
 
 def _next_great_solve(seed, n, m):
@@ -560,6 +549,42 @@ def _next_great_solve(seed, n, m):
     cost, q = shifted_style_dtilde(seed, n, m), _uniform(m)
     before, p = (it.weights for it in great_select(cost, 0.5, 4, 1e-3)[1].iterations[:2])
     return cost, p, q, solve_exact_ot(cost, before, q)
+
+
+class TestGrowthRule:
+    """Each grown round adds every cell of negative reduced cost outside the model."""
+
+    def test_each_round_adds_every_violated_cell_in_flat_order(self, monkeypatch):
+        # GREAT's steps after the first start from the step before's duals.
+        models = {}  # id of each HiGHS instance: (instance, its cost, its events)
+        add_cells, run_highs = ot._add_cells, ot._run_highs
+
+        def added(highs, c, cells, n, m):
+            models.setdefault(id(highs), (highs, c.reshape(n, m), []))[2].append(cells.copy())
+            add_cells(highs, c, cells, n, m)
+
+        def ran(highs):
+            optimal = run_highs(highs)
+            _, cost, events = models[id(highs)]
+            duals = np.array(highs.getSolution().row_dual)
+            n = len(cost)
+            events.append(cost - duals[:n, None] - duals[None, n:])
+            return optimal
+
+        monkeypatch.setattr(ot, "_add_cells", added)
+        monkeypatch.setattr(ot, "_run_highs", ran)
+        great_select(shifted_style_dtilde(0), 0.2, 10, 1e-4)
+        grown = 0
+        for _, cost, events in models.values():
+            adds, runs = events[0::2], events[1::2]
+            assert len(adds) == len(runs)  # add, run, add, run, ...
+            in_model = np.zeros(cost.size, dtype=bool)
+            for cells, reduced, grown_cells in zip(adds, runs, adds[1:]):
+                in_model[cells] = True
+                outside = np.where(in_model, np.inf, reduced.ravel())
+                assert np.array_equal(grown_cells, np.flatnonzero(outside < 0))
+                grown += 1
+        assert grown > 0
 
 
 class TestAnswerDependsOnTheProblemAlone:
@@ -662,7 +687,7 @@ def _degree_feature_gradient():
 def _certified_vertex(lp_fallbacks, cost, p, q):
     """The planned linear step's vertex of `cost` if its assignment certified it, else None."""
     lp_fallbacks.clear()
-    vertex = _LinearStep(p, q)(cost)
+    vertex = _LinearStep(p, q).solve(cost[None])[0][0]
     return None if lp_fallbacks else vertex
 
 
@@ -698,7 +723,7 @@ class TestUniformAssignmentVertex:
         }[name]
         p, q = _uniform(cost.shape[0]), _uniform(cost.shape[1])
         assert _certified_vertex(lp_fallbacks, cost, p, q) is None
-        assert np.array_equal(_LinearStep(p, q)(cost), lp_vertex(cost, p, q))
+        assert np.array_equal(_LinearStep(p, q).solve(cost[None])[0][0], lp_vertex(cost, p, q))
 
     def test_integer_costs_take_either_path_with_the_lp_coupling(self, monkeypatch,
                                                                  lp_fallbacks):
@@ -724,7 +749,7 @@ class TestUniformAssignmentVertex:
             outcomes.add((T is not None, len(assignments), len(certificates)))
             ref = lp_vertex(cost, p, q)
             if T is None:
-                assert np.array_equal(_LinearStep(p, q)(cost), ref)
+                assert np.array_equal(_LinearStep(p, q).solve(cost[None])[0][0], ref)
             else:
                 assert np.abs(T - ref).max() <= 1e-14
         # Accepted; equal rows or columns; a cycle; a tie.
@@ -735,7 +760,7 @@ class TestUniformAssignmentVertex:
         cost = rng.standard_normal((4, 5))
         p = np.array([0.1, 0.2, 0.3, 0.4])
         assert _certified_vertex(lp_fallbacks, cost, p, _uniform(5)) is None
-        assert np.array_equal(_LinearStep(p, _uniform(5))(cost),
+        assert np.array_equal(_LinearStep(p, _uniform(5)).solve(cost[None])[0][0],
                               lp_vertex(cost, p, _uniform(5)))
         n, m = 16, 9  # lcm 144
         assert np.lcm(n, m) > ot._ASSIGNMENT_MAX_LCM
@@ -777,7 +802,7 @@ class TestPlannedStepMatchesTheReference:
             self.fallbacks.clear()
             self.certified.clear()
             self.assignments.update({ot: 0, oracles: 0})
-            vertex = step(cost)
+            vertex = step.solve(cost[None])[0][0]
             expected = unique_uniform_vertex(cost, p, q)
             assert (expected is None) == bool(self.fallbacks)
             assert self.assignments[ot] == min(self.assignments[oracles], 1)

@@ -23,7 +23,7 @@ from gradate.fgw import FGWConfig
 from gradate.graphs import concat_datasets
 from gradate.pipeline import SelectionConfig
 
-from conftest import count_lps, random_graph, shifted_style_dtilde
+from conftest import count_lps, random_graph, shifted_split, shifted_style_dtilde
 
 
 def two_domain(rng, n_dense=8, n_sparse=8, n_val=4, feature_dim=0):
@@ -239,7 +239,7 @@ class TestBuildCost:
 
 # The rule fields of the exact and the Sinkhorn solver's keys.
 EXACT_RULES = ("outer_duals", "outer_assignment_max_expansion", "outer_certificate_margin",
-               "grown_min_cells", "grown_start_cells", "grown_added_per_row", "grown_max_rounds")
+               "grown_min_cells", "grown_start_cells", "grown_growth", "grown_max_rounds")
 SINKHORN_RULES = ("iteration", "plan_check", "max_iter", "tol")
 
 
@@ -308,7 +308,7 @@ class TestOtCache:
         with pytest.raises(pytest.fail.Exception):
             cached(cost, np.full(6, 1 / 6), q)
 
-    @pytest.mark.parametrize("solver, name", [("exact", "OT-bf071f0b801c86e14898.gdd"),
+    @pytest.mark.parametrize("solver, name", [("exact", "OT-9a29184a651f4f6be68c.gdd"),
                                               ("sinkhorn", "OT-9b33d41d2ffd40c7c2e3.gdd")],
                              ids=["exact", "sinkhorn"])
     def test_the_entry_name_of_a_fixed_problem_is_pinned(self, tmp_path, solver, name):
@@ -677,6 +677,24 @@ class TestGradate:
         assert len(res.indices) == 4
         dense_frac = np.mean([i < 8 for i in res.indices])
         assert dense_frac >= 0.75
+
+    def test_a_cold_shifted_run_makes_48_highs_runs(self, monkeypatch):
+        # Each grown round adds every violated cell: 48 runs in all, 19 of
+        # them in the label table. The FGW stage runs no LP here.
+        train, val = shifted_split(1)
+        calls = count_lps(monkeypatch)
+        table_runs = []
+        table = pipeline.label_informed_cost
+
+        def counted(*args, **kwargs):
+            before = len(calls)
+            result = table(*args, **kwargs)
+            table_runs.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(pipeline, "label_informed_cost", counted)
+        gradate(train, val, SelectionConfig(tau=0.2, c=1.0))
+        assert (len(calls), table_runs) == (48, [19])
 
 
 class TestLava:
