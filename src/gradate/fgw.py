@@ -38,11 +38,13 @@ import numpy as np
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset
 from . import graphs as _graphs
 from .graphs import AttributedGraph
-from .ot import _LinearStep, _scipy_extension
+from .ot import _Extension, _LinearStep
 
-# `scipy.spatial.distance.cdist(X, Y)` dispatches to this compiled function
-# for its default "euclidean" metric, so results keep cdist's bits.
-_cdist = _scipy_extension("scipy.spatial._distance_pybind").cdist_euclidean
+# `scipy.spatial.distance.cdist(X, Y)` dispatches to this module's compiled
+# `cdist_euclidean` for its default "euclidean" metric, so results keep
+# cdist's bits. Located with the package, loaded on the first feature term
+# or random barycenter start.
+_distance = _Extension("scipy.spatial._distance_pybind")
 
 FW_MAX_ITER = 200  # conditional-gradient iteration budget per coupling solve
 FW_TOL = 1e-9  # relative objective decrease that ends a coupling solve
@@ -161,10 +163,13 @@ class _QuadObjective:
         A1, A2 = np.stack([g.adjacency for g in graphs]), target.adjacency
         # Featureless graphs carry no Wasserstein term; alpha degenerates to 1.
         self.alpha = alpha = 1.0 if target.feature_dim == 0 else cfg.alpha
-        # One cdist over the stacked rows: it computes each pair of rows on its own.
-        self.F = (((1.0 - alpha) * _cdist(np.vstack([g.features for g in graphs]),
-                                          target.features) ** 2).reshape(shape)
-                  if target.feature_dim else np.zeros(shape))
+        if target.feature_dim:
+            # One cdist over the stacked rows: it computes each pair of rows on its own.
+            rows = np.vstack([g.features for g in graphs])
+            self.F = ((1.0 - alpha) * _distance.cdist_euclidean(rows, target.features) ** 2
+                      ).reshape(shape)
+        else:
+            self.F = np.zeros(shape)
         self.constC = ((A1 ** 2) @ self.p)[:, :, None] + (A2 ** 2) @ self.q
         self.hC1, self.hC2 = A1, 2.0 * A2
 
@@ -352,7 +357,7 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
     else:
         rng = np.random.default_rng(cfg.seed)
         pts = rng.standard_normal((nbar, 2))
-        A = _cdist(pts, pts)
+        A = _distance.cdist_euclidean(pts, pts)
         if A.max() > 0:
             A /= A.max()
         scale = max(g.adjacency.max() for g in graphs)

@@ -272,7 +272,8 @@ def load_dataset_json(path) -> LabeledGraphDataset:
     entry is read alone in turn, so the first faulty graph raises its own
     error, and graphs whose feature layouts do not stack (a flat column
     beside rows, say) still load. An edge that leaves its graph's nodes is
-    a DanglingEdge that names the file and the graph.
+    a DanglingEdge, and a graph whose features or size do not fit its n a
+    DimensionMismatch, each naming the file and the graph.
     """
     return _dataset_from_json(path, Path(path).read_bytes())
 
@@ -294,8 +295,8 @@ def _dataset_from_json(path, data: bytes) -> LabeledGraphDataset:
         return LabeledGraphDataset(graphs, labels, label_set=payload["label_set"])
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed dataset JSON ({exc})") from None
-    except DanglingEdge as exc:
-        raise DanglingEdge(f"{path}: {exc}") from None
+    except (DanglingEdge, DimensionMismatch) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _require_json_ints(values, what: str) -> None:

@@ -78,12 +78,14 @@ the 0.82 s an `import gradate` took, and 36 MB of a warm CLI command's
 80 MB peak RSS. scipy's directory is found with `find_spec`, so not even
 the `scipy` package's own `__init__` runs. These private paths are those
 of scipy 1.17.1, and the package is built against scipy >=1.17,<1.18
-(pyproject.toml); a release that moves one makes the import fail with an
-ImportError naming it. All three load with the package, so no solve pays
-for a module load. Nor do the solves call what numpy loads lazily: no
-np.unique or np.union1d, whose first call imports numpy.ma; the grown
-support keeps its cells in a boolean mask, and the north-west corner
-sorts its breakpoints with np.sort.
+(pyproject.toml). All three are located with the package, so a release
+that moves one makes the import fail with an ImportError naming it, and
+each is loaded on the first call that needs it (`_Extension`), so a
+process that solves nothing, such as a warm CLI command, never loads
+HiGHS; the first LP pays its load, about 8 ms. Nor do the solves call
+what numpy loads lazily: no np.unique or np.union1d, whose first call
+imports numpy.ma; the grown support keeps its cells in a boolean mask,
+and the north-west corner sorts its breakpoints with np.sort.
 """
 
 from __future__ import annotations
@@ -91,9 +93,10 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
-from importlib.machinery import ExtensionFileLoader, PathFinder
+from functools import cache, cached_property
+from importlib.machinery import ExtensionFileLoader, ModuleSpec, PathFinder
 from importlib.util import find_spec, module_from_spec
 from itertools import compress, islice
 
@@ -102,20 +105,14 @@ import numpy as np
 from .errors import DimensionMismatch, InfeasibleMarginals, NonConvergence, NumericalFailure
 
 
-def _scipy_extension(name: str):
-    """The compiled scipy module `name`, loaded without running any scipy package's `__init__`.
+def _locate(name: str) -> ModuleSpec:
+    """The spec of the compiled scipy module `name`, found in its directory under scipy's.
 
-    A module already in `sys.modules` is returned as it is. A fresh one is
-    found in its directory under scipy's and registered under `name`, so a
-    later `import scipy.optimize` reuses it rather than loading a pybind11
-    module twice. scipy's directory comes from `find_spec("scipy")`, which
-    runs no scipy code; without scipy this raises the ModuleNotFoundError
-    that `import scipy` would. Raises ImportError when `name` is not a
-    compiled module there; it never falls back to the package import.
+    scipy's directory comes from `find_spec("scipy")`, which runs no scipy
+    code; without scipy this raises the ModuleNotFoundError that `import
+    scipy` would. Raises ImportError when `name` is not a compiled module
+    there; it never falls back to the package import.
     """
-    module = sys.modules.get(name)
-    if module is not None:
-        return module
     scipy_spec = find_spec("scipy")
     if scipy_spec is None:
         raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
@@ -126,22 +123,58 @@ def _scipy_extension(name: str):
         raise ImportError(
             f"no compiled module {name} in scipy {version('scipy')} at {path}", name=name
         )
-    module = module_from_spec(spec)
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[name]
-        raise
+    return spec
+
+
+_LOAD_LOCK = threading.Lock()
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module `name`, loaded without running any scipy package's `__init__`.
+
+    A module already in `sys.modules` is returned as it is. A fresh one is
+    found by `_locate` and registered under `name`, so a later `import
+    scipy.optimize` reuses it rather than loading a pybind11 module twice.
+    The lookup and the load run under one lock, so two threads' first calls
+    load the module once.
+    """
+    with _LOAD_LOCK:
+        module = sys.modules.get(name)
+        if module is None:
+            spec = _locate(name)
+            module = module_from_spec(spec)
+            sys.modules[name] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[name]
+                raise
     return module
 
 
-linear_sum_assignment = _scipy_extension("scipy.optimize._lsap").linear_sum_assignment
-_highspy = _scipy_extension("scipy.optimize._highspy._core")
-HighsModelStatus, HighsOptions, _Highs, kHighsInf = (
-    _highspy.HighsModelStatus, _highspy.HighsOptions, _highspy._Highs, _highspy.kHighsInf
-)
-HighsBasis, _BASIS = _highspy.HighsBasis, _highspy.HighsBasisStatus
+class _Extension:
+    """A compiled scipy module, located when this is made and loaded on first use.
+
+    Making one runs `_locate` unless the module is in `sys.modules`
+    already, so a scipy that lacks or moved it fails `import gradate`, not
+    a first solve. The first read of each attribute loads the module with
+    `_scipy_extension` and keeps the attribute here, so later reads are
+    plain lookups, and a process that reads none never loads the module.
+    """
+
+    def __init__(self, name: str):
+        if name not in sys.modules:
+            _locate(name)
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        value = getattr(_scipy_extension(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+_lsap = _Extension("scipy.optimize._lsap")
+_highspy = _Extension("scipy.optimize._highspy._core")
 
 SIMPLEX_TOL = 1e-9
 
@@ -408,12 +441,12 @@ def _full_lp_vertex(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarra
     return problem.lift(problem.full_lp()[0])
 
 
-def _dual_simplex_options() -> HighsOptions:
+def _dual_simplex_options() -> _highspy.HighsOptions:
     """The HiGHS options `linprog(method="highs-ds")` passes.
 
     Presolve on, dual simplex, no debug checks, no output.
     """
-    options = HighsOptions()
+    options = _highspy.HighsOptions()
     options.presolve = "on"
     options.solver = "simplex"
     options.simplex_strategy = 1  # dual
@@ -423,27 +456,36 @@ def _dual_simplex_options() -> HighsOptions:
     return options
 
 
-# Every LP whose answer is returned runs with linprog's options: changing any
-# of them can change the vertex HiGHS picks on a tie, and so the selections.
-_HIGHS_OPTIONS = _dual_simplex_options()
-# The rounds of a grown support, whose answer is never returned, price by
-# Devex rather than HiGHS's default dual steepest edge: a certified answer is
-# read from the tree model, so only its speed can change. Every round starts
-# from a set basis, so HiGHS skips presolve there.
-_GROWN_OPTIONS = _dual_simplex_options()
-_GROWN_OPTIONS.simplex_dual_edge_weight_strategy = 1  # Devex
+# Every LP whose answer is returned runs with linprog's options, built on the
+# first LP: changing any of them can change the vertex HiGHS picks on a tie,
+# and so the selections.
+_highs_options = cache(_dual_simplex_options)
 
 
-def _transport_model(b: np.ndarray, options: HighsOptions = _HIGHS_OPTIONS) -> _Highs:
-    """A fresh HiGHS instance holding the equality rows A x = b of a transportation LP."""
-    highs = _Highs()
+@cache
+def _grown_options() -> _highspy.HighsOptions:
+    """The options of a grown support's rounds, built on the first grown solve.
+
+    The rounds, whose answer is never returned, price by Devex rather than
+    HiGHS's default dual steepest edge: a certified answer is read from the
+    tree model, so only its speed can change. Every round starts from a set
+    basis, so HiGHS skips presolve there.
+    """
+    options = _dual_simplex_options()
+    options.simplex_dual_edge_weight_strategy = 1  # Devex
+    return options
+
+
+def _transport_model(b: np.ndarray, options: _highspy.HighsOptions) -> _highspy._Highs:
+    """A fresh HiGHS instance with `options`, holding the rows A x = b of a transportation LP."""
+    highs = _highspy._Highs()
     highs.passOptions(options)
     no_entries = np.empty(0, dtype=np.int32)
     highs.addRows(b.size, b, b, 0, no_entries, no_entries, np.empty(0))
     return highs
 
 
-def _add_cells(highs: _Highs, c: np.ndarray, cells: np.ndarray, n: int, m: int) -> None:
+def _add_cells(highs: _highspy._Highs, c: np.ndarray, cells: np.ndarray, n: int, m: int) -> None:
     """Append the columns of the flat cells k = i * m + j, cost c[k], to an (n, m) model.
 
     Column k has a 1 in rows i and n + j. The columns go in as NumPy
@@ -452,32 +494,32 @@ def _add_cells(highs: _Highs, c: np.ndarray, cells: np.ndarray, n: int, m: int) 
     index = np.empty(2 * cells.size, dtype=np.int32)
     index[0::2] = cells // m
     index[1::2] = n + cells % m
-    highs.addCols(cells.size, c[cells], np.zeros(cells.size), np.full(cells.size, kHighsInf),
-                  index.size, np.arange(0, index.size, 2, dtype=np.int32), index,
-                  np.ones(index.size))
+    highs.addCols(cells.size, c[cells], np.zeros(cells.size),
+                  np.full(cells.size, _highspy.kHighsInf), index.size,
+                  np.arange(0, index.size, 2, dtype=np.int32), index, np.ones(index.size))
 
 
-def _run_highs(highs: _Highs) -> bool:
+def _run_highs(highs: _highspy._Highs) -> bool:
     """Run HiGHS on the model it holds; whether it ended optimal.
 
     Every exact LP solve of this module, full or on a grown support, is one
     call here.
     """
     highs.run()
-    return highs.getModelStatus() == HighsModelStatus.kOptimal
+    return highs.getModelStatus() == _highspy.HighsModelStatus.kOptimal
 
 
 def _transport_lp(c: np.ndarray, b: np.ndarray, n: int, m: int, cells: np.ndarray):
     """x, row duals and objective of the (n, m) transportation LP on the flat `cells` alone.
 
     min c @ x, A x = b, x >= 0, with x zero off `cells`: one dual-simplex
-    HiGHS run with `_HIGHS_OPTIONS` on a fresh instance, which holds the
+    HiGHS run with `_highs_options()` on a fresh instance, which holds the
     n + m equality rows, then the columns of `cells` in the order given.
     Unlike `linprog` it reads no basis. A fresh instance per call carries no
     state from one LP to the next, and peaks lower in memory than one
     reused instance. Any outcome but optimal is a NumericalFailure.
     """
-    highs = _transport_model(b)
+    highs = _transport_model(b, _highs_options())
     _add_cells(highs, c, cells, n, m)
     if not _run_highs(highs):
         raise NumericalFailure("transportation LP failed: "
@@ -533,7 +575,7 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, f=None):
     boolean (n, m) mask of its cells. After each HiGHS run, every cell
     outside the model whose reduced cost is negative is added, in flat
     order, and HiGHS runs again on the same instance from its last basis.
-    The rounds run with `_GROWN_OPTIONS`.
+    The rounds run with `_grown_options()`.
     When no cell is violated, the optimum is accepted only under a
     certificate:
 
@@ -558,7 +600,7 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, f=None):
     in_model.flat[_north_west_corner(p, q)] = True
     cells = np.flatnonzero(in_model).astype(np.int32)
     c = cost.ravel()
-    highs = _transport_model(np.concatenate([p, q]), _GROWN_OPTIONS)
+    highs = _transport_model(np.concatenate([p, q]), _grown_options())
     _add_cells(highs, c, cells, n, m)
     _set_tree_basis(highs, cells, ranked.ravel()[cells], n, m)
     model_cells = [cells]
@@ -587,7 +629,8 @@ def _certified_grown_lp(cost: np.ndarray, p: np.ndarray, q: np.ndarray, f=None):
     return tree
 
 
-def _set_tree_basis(highs: _Highs, cells: np.ndarray, reduced: np.ndarray, n: int, m: int) -> None:
+def _set_tree_basis(highs: _highspy._Highs, cells: np.ndarray, reduced: np.ndarray,
+                    n: int, m: int) -> None:
     """Start HiGHS on the spanning tree of the model's `cells` of least `reduced` cost.
 
     The tree is grown in order of reduced cost (Kruskal's rule), so under
@@ -597,13 +640,14 @@ def _set_tree_basis(highs: _Highs, cells: np.ndarray, reduced: np.ndarray, n: in
     equation is the one the others imply. The north-west-corner cells in
     the model make it connected.
     """
+    status = _highspy.HighsBasisStatus
     order = np.argsort(reduced, kind="stable")
-    col = [_BASIS.kLower] * cells.size
+    col = [status.kLower] * cells.size
     for k in islice(compress(order.tolist(), _joins(cells[order], n, m)), n + m - 1):
-        col[k] = _BASIS.kBasic
-    basis = HighsBasis()
+        col[k] = status.kBasic
+    basis = _highspy.HighsBasis()
     basis.col_status = col
-    basis.row_status = [_BASIS.kBasic] + [_BASIS.kLower] * (n + m - 1)
+    basis.row_status = [status.kBasic] + [status.kLower] * (n + m - 1)
     basis.valid = True
     highs.setBasis(basis)
 
@@ -782,7 +826,7 @@ def _assign(cost: np.ndarray, expansion) -> np.ndarray:
     counts / L is an optimal plan of the uniform transportation LP.
     """
     index, row_start = expansion
-    _, cols = linear_sum_assignment(cost.take(index))
+    _, cols = _lsap.linear_sum_assignment(cost.take(index))
     return np.bincount(index.take(row_start + cols), minlength=cost.size)
 
 

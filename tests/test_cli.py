@@ -103,6 +103,24 @@ class TestSplit:
         assert "error: copies.json: graph 1: edge (0, 5) leaves the nodes 0..1" in err
 
     @pytest.mark.parametrize("graph, message", [
+        ({"features": [[0.5], [1.0]]}, "graph 2: features has 2 rows for 3 nodes"),
+        ({"features": [[[0.5]], [[1.0]], [[2.0]]]},
+         "graph 2: features must be an (n, d) matrix, got shape (3, 1, 1)"),
+        ({"n": 2 ** 40, "edges": [], "features": []},
+         f"graph 2 of {2 ** 40} nodes needs {2 ** 80} adjacency cells"),
+    ], ids=["two-rows-for-three-nodes", "3-d-features", "n-2^40"])
+    def test_a_graph_whose_size_does_not_fit_is_named_with_the_file(self, workdir, capsys,
+                                                                     graph, message):
+        write_copies_json(workdir / "copies.json")
+        payload = json.loads((workdir / "copies.json").read_text())
+        payload["graphs"][2].update(graph)
+        (workdir / "copies.json").write_text(json.dumps(payload))
+        code, out, err = run(capsys, "split", "copies.json", "--out", "split.json")
+        assert code == 2
+        assert out == ""
+        assert f"error: copies.json: {message}" in err
+
+    @pytest.mark.parametrize("graph, message", [
         ({"n": 2 ** 40, "edges": [], "features": []},
          f"graph 3 of {2 ** 40} nodes needs {2 ** 80} adjacency cells"),
         ({"n": 2 ** 20, "edges": [], "features": [[0.5], [1.0]]},

@@ -228,8 +228,8 @@ class TestPreviousVertex:
         # the step before.
         train, val = shifted_split(1)
         assignments, repeats = [], []
-        lsap, solve = ot.linear_sum_assignment, ot._LinearStep.solve
-        monkeypatch.setattr(ot, "linear_sum_assignment",
+        lsap, solve = ot._lsap.linear_sum_assignment, ot._LinearStep.solve
+        monkeypatch.setattr(ot._lsap, "linear_sum_assignment",
                             lambda cost: assignments.append(cost.shape) or lsap(cost))
 
         def counted(step, costs, previous=None, was_certified=None):
@@ -265,14 +265,14 @@ class TestFeatureDistances:
 
     def test_random_barycenter_start_equals_cdist(self, rng, monkeypatch):
         calls = []
-        real = fgw._cdist
+        real = fgw._distance.cdist_euclidean
 
         def spy(X, Y):
             result = real(X, Y)
             calls.append((X.copy(), Y.copy(), result.copy()))
             return result
 
-        monkeypatch.setattr(fgw, "_cdist", spy)
+        monkeypatch.setattr(fgw._distance, "cdist_euclidean", spy)
         graphs = [random_graph(rng, n_nodes=n) for n in (4, 5, 9)]
         fgw_barycenter(graphs, nbar=7, cfg=FGWConfig(alpha=0.5, seed=2))
         pts = np.random.default_rng(2).standard_normal((7, 2))

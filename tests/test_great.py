@@ -376,11 +376,11 @@ class TestCertifiedOuterSolves:
             return (selected.tobytes(), trace.final_weights.tobytes(),
                     [(s.dual_source.tobytes(), s.dual_target.tobytes()) for s in solutions])
 
-        assert ot._GROWN_OPTIONS.simplex_dual_edge_weight_strategy == 1  # Devex
+        assert ot._grown_options().simplex_dual_edge_weight_strategy == 1  # Devex
         devex = run()
         steepest_edge = ot._dual_simplex_options()
         steepest_edge.simplex_dual_edge_weight_strategy = 2
-        monkeypatch.setattr(ot, "_GROWN_OPTIONS", steepest_edge)
+        monkeypatch.setattr(ot, "_grown_options", lambda: steepest_edge)
         assert run() == devex
 
     def test_rounds_with_presolve_off_make_the_same_runs(self, monkeypatch):
@@ -403,12 +403,12 @@ class TestCertifiedOuterSolves:
             return selected.tobytes(), trace.final_weights.tobytes(), len(iterations), \
                 sum(iterations)
 
-        assert ot._GROWN_OPTIONS.presolve == "on"
+        assert ot._grown_options().presolve == "on"
         with_presolve = run()
         presolve_off = ot._dual_simplex_options()
         presolve_off.presolve = "off"
         presolve_off.simplex_dual_edge_weight_strategy = 1  # Devex
-        monkeypatch.setattr(ot, "_GROWN_OPTIONS", presolve_off)
+        monkeypatch.setattr(ot, "_grown_options", lambda: presolve_off)
         assert run() == with_presolve
 
 

@@ -554,8 +554,9 @@ class TestDatasetEntry:
             assert isinstance(outcomes[0], str)
             assert len(list(cache.glob("DS-*.gdd"))) == 1
         else:
-            assert outcomes[0] == (DimensionMismatch, "graph 2 of 9 nodes needs 81 adjacency "
-                                                      "cells, above MAX_ADJACENCY_CELLS = 64")
+            assert outcomes[0] == (DimensionMismatch, f"{path}: graph 2 of 9 nodes needs 81 "
+                                                      "adjacency cells, above "
+                                                      "MAX_ADJACENCY_CELLS = 64")
             assert list(cache.iterdir()) == []
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPT_ENTRIES))

@@ -238,11 +238,11 @@ class TestDirectHighs:
             self.assert_linprog_bits(cost, p, q)
 
     def test_status_other_than_optimal_is_a_numerical_failure(self, monkeypatch):
-        class Infeasible(ot._Highs):
+        class Infeasible(ot._highspy._Highs):
             def getModelStatus(self):
                 return HighsModelStatus.kInfeasible
 
-        monkeypatch.setattr(ot, "_Highs", Infeasible)
+        monkeypatch.setattr(ot._highspy, "_Highs", Infeasible)
         with pytest.raises(NumericalFailure, match="transportation LP failed: Infeasible"):
             solve_exact_ot(np.ones((2, 3)), _uniform(2), _uniform(3))
 
@@ -732,8 +732,8 @@ class TestUniformAssignmentVertex:
         # finds. Which check refused a cost shows in whether the step ran
         # its one assignment and whether it reached the certificate.
         assignments, certificates = [], []
-        lsap, certificate = ot.linear_sum_assignment, ot._unique_optimum
-        monkeypatch.setattr(ot, "linear_sum_assignment",
+        lsap, certificate = ot._lsap.linear_sum_assignment, ot._unique_optimum
+        monkeypatch.setattr(ot._lsap, "linear_sum_assignment",
                             lambda cost: assignments.append(cost.shape) or lsap(cost))
         monkeypatch.setattr(ot, "_unique_optimum", lambda costs, support: certificates.append(
             len(costs)) or certificate(costs, support))
@@ -783,7 +783,7 @@ class TestPlannedStepMatchesTheReference:
     @pytest.fixture(autouse=True)
     def _spies(self, monkeypatch, lp_fallbacks):
         self.fallbacks = lp_fallbacks
-        self.assignments = {ot: 0, oracles: 0}
+        self.assignments = {ot._lsap: 0, oracles: 0}
         for module in self.assignments:
             def counted(cost, module=module, lsap=module.linear_sum_assignment):
                 self.assignments[module] += 1
@@ -801,11 +801,11 @@ class TestPlannedStepMatchesTheReference:
         for cost in costs:
             self.fallbacks.clear()
             self.certified.clear()
-            self.assignments.update({ot: 0, oracles: 0})
+            self.assignments.update({ot._lsap: 0, oracles: 0})
             vertex = step.solve(cost[None])[0][0]
             expected = unique_uniform_vertex(cost, p, q)
             assert (expected is None) == bool(self.fallbacks)
-            assert self.assignments[ot] == min(self.assignments[oracles], 1)
+            assert self.assignments[ot._lsap] == min(self.assignments[oracles], 1)
             assert self.certified == [1] * (self.assignments[oracles] == 2)
             if expected is not None:
                 assert np.array_equal(vertex, expected)
@@ -894,8 +894,8 @@ class TestPreviousVertex:
                              ids=lambda shape: "%dx%d" % shape)
     def test_a_previous_stack_changes_no_bit(self, shape, monkeypatch):
         assignments = []
-        lsap = ot.linear_sum_assignment
-        monkeypatch.setattr(ot, "linear_sum_assignment",
+        lsap = ot._lsap.linear_sum_assignment
+        monkeypatch.setattr(ot._lsap, "linear_sum_assignment",
                             lambda cost: assignments.append(cost.shape) or lsap(cost))
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         n, m = shape
@@ -952,7 +952,7 @@ class TestPreviousVertex:
         previous = step.solve(costs)
         assert previous[1].all()
         lp_fallbacks.clear()
-        monkeypatch.setattr(ot, "linear_sum_assignment", None)
+        monkeypatch.setattr(ot._lsap, "linear_sum_assignment", None)
         again = step.solve(costs, *previous)
         assert again[0] is not previous[0] and np.array_equal(again[0], previous[0])
         assert again[1].all() and lp_fallbacks == []
