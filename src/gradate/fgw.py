@@ -4,10 +4,11 @@ The distance blends a feature (Wasserstein) term and a structure
 (Gromov-Wasserstein) term, weighted by alpha. It is computed by conditional
 gradient: linearize the quadratic structure term at the current coupling,
 solve the linear OT subproblem exactly, and take the closed-form line-search
-step of the quadratic objective. The barycenter solver alternates coupling
-solves with closed-form feature/structure updates.
+step of the quadratic objective. The barycenter is one round of block-
+coordinate descent: a coupling solve per graph against a starting
+reference, then the closed-form feature and structure updates.
 
-The solves of a stage (a barycenter round, the embeddings) run in
+The solves of a stage (the barycenter's, the embeddings) run in
 lockstep, one stack per group of graphs that share their node weights, so
 their size: the gradient, contraction, line search and objective value are
 each one NumPy call on the (B, n, m) stack, and a pair leaves the stack
@@ -48,8 +49,6 @@ _distance = _Extension("scipy.spatial._distance_pybind")
 
 FW_MAX_ITER = 200  # conditional-gradient iteration budget per coupling solve
 FW_TOL = 1e-9  # relative objective decrease that ends a coupling solve
-BARYCENTER_ROUNDS = 10  # cap on the barycenter's block-coordinate rounds
-BARYCENTER_TOL = 1e-9  # relative decrease of the summed objective that ends them
 
 
 @dataclass(frozen=True)
@@ -312,17 +311,13 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
                    cfg: FGWConfig | None = None) -> AttributedGraph:
     """FGW barycenter of a dataset: a reference graph under uniform weights.
 
-    Block-coordinate descent: solve one coupling per dataset graph against
-    the current reference, then refresh the reference features as the
-    coupling-weighted barycentric average and the reference structure as the
-    coupling-weighted average of transported adjacencies. The per-graph
-    solves of a round run by `_fgw_solves`, in lockstep per group of graphs
-    with equal node weights, each warm-started from that graph's coupling
-    of the previous round. The loop is meant to run at most
-    BARYCENTER_ROUNDS rounds, fewer once a round stops lowering the summed
-    objective by BARYCENTER_TOL. In fact it always stops after round 1:
-    the decrease after round 1 is measured from an infinite objective, so
-    it is infinite, and the test `inf <= BARYCENTER_TOL * inf` holds.
+    One round of block-coordinate descent (Vayer et al., 2019): solve one
+    coupling per dataset graph against the starting reference, from the
+    product coupling, then set the reference features to the
+    coupling-weighted barycentric average and the reference structure to
+    the coupling-weighted average of transported adjacencies. The per-graph
+    solves run by `_fgw_solves`, in lockstep per group of graphs with equal
+    node weights.
 
     The reference starts from the first dataset graph of nbar nodes when
     there is one. Otherwise it starts from draws of
@@ -339,21 +334,16 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
     if nbar is None:
         nbar = default_reference_size(graphs)
     nbar = _checked_nbar(nbar)
-    d = graphs[0].feature_dim
-    for g in graphs:
-        if g.feature_dim != d:
-            raise DimensionMismatch("barycenter inputs disagree on feature dimension")
+    if len({g.feature_dim for g in graphs}) > 1:
+        raise DimensionMismatch("barycenter inputs disagree on feature dimension")
 
     pbar = np.full(nbar, 1.0 / nbar)
 
-    # Initialize from the size-nearest dataset graph when it fits exactly,
-    # otherwise from a random point cloud (structure) and pooled rows
-    # (features).
-    sizes = np.array([g.n_nodes for g in graphs])
-    nearest = int(np.argmin(np.abs(sizes - nbar)))
-    if graphs[nearest].n_nodes == nbar:
-        A = np.array(graphs[nearest].adjacency)
-        X = np.array(graphs[nearest].features)
+    # Initialize from the first dataset graph of nbar nodes, otherwise from
+    # a random point cloud (structure) and pooled rows (features).
+    first = next((g for g in graphs if g.n_nodes == nbar), None)
+    if first is not None:
+        A, X = first.adjacency, first.features
     else:
         rng = np.random.default_rng(cfg.seed)
         pts = rng.standard_normal((nbar, 2))
@@ -362,33 +352,16 @@ def fgw_barycenter(graphs: Sequence[AttributedGraph], nbar: int | None = None,
             A /= A.max()
         scale = max(g.adjacency.max() for g in graphs)
         A *= scale if scale > 0 else 1.0
-        if d:
-            pooled = np.vstack([g.features for g in graphs])
-            X = pooled[rng.integers(0, len(pooled), size=nbar)]
-        else:
-            X = np.zeros((nbar, 0))
+        pooled = np.vstack([g.features for g in graphs])
+        X = pooled[rng.integers(0, len(pooled), size=nbar)]
 
     reference = AttributedGraph(_symmetrize(A), X, pbar)
+    couplings = [res.coupling for res in _fgw_solves(graphs, reference, cfg)]
     lam = 1.0 / len(graphs)
-    couplings: list[np.ndarray | None] = [None] * len(graphs)
-    prev_obj = np.inf
-
-    for _ in range(BARYCENTER_ROUNDS):
-        results = _fgw_solves(graphs, reference, cfg, couplings)
-        couplings = [res.coupling for res in results]
-        obj = sum(res.objective_curve[-1] for res in results)
-
-        if d:
-            X = sum(lam * (T.T @ g.features) for T, g in zip(couplings, graphs)) / pbar[:, None]
-        A = sum(lam * (T.T @ g.adjacency @ T) for T, g in zip(couplings, graphs))
-        A /= np.outer(pbar, pbar)
-        reference = AttributedGraph(_symmetrize(A), X, pbar)
-
-        if prev_obj - obj <= BARYCENTER_TOL * max(abs(prev_obj), 1e-16):
-            break
-        prev_obj = obj
-
-    return reference
+    X = sum(lam * (T.T @ g.features) for T, g in zip(couplings, graphs)) / pbar[:, None]
+    A = sum(lam * (T.T @ g.adjacency @ T) for T, g in zip(couplings, graphs))
+    A /= np.outer(pbar, pbar)
+    return AttributedGraph(_symmetrize(A), X, pbar)
 
 
 def _symmetrize(A: np.ndarray) -> np.ndarray:

@@ -626,10 +626,21 @@ def save_matrix_cache(path, matrix: np.ndarray, key: dict) -> None:
                 matrix.tobytes(order="C"))
 
 
-def load_matrix_cache(path, key: dict) -> np.ndarray:
-    """Read a cached matrix, verifying magic, exact key agreement and size."""
+def load_matrix_cache(path, key: dict, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Read a cached matrix, verifying magic, exact key agreement, size and finite values.
+
+    With `shape`, a matrix of another shape is a malformed entry. No matrix
+    entry holds a NaN or an infinity, so one is a damaged file. Both are a
+    SchemaError naming the file.
+    """
     (rows, cols), payload = _load_entry(path, key, ("rows", "cols"), lambda r, c: r * c)
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    if shape is not None and (rows, cols) != shape:
+        kind = Path(path).name.split("-")[0]  # the kind of `cache_file_name`
+        raise SchemaError(f"{path}: malformed {kind} cache entry")
+    matrix = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    if not np.isfinite(matrix).all():
+        raise SchemaError(f"{path}: cache payload has non-finite values")
+    return matrix
 
 
 # The layout of a "DS" entry, part of its key. Rename it whenever the JSON

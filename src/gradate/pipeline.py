@@ -16,8 +16,8 @@ import numpy as np
 
 from . import io
 from .errors import ConfigInvalid, DimensionMismatch, EmptyDataset, SchemaError
-from .fgw import (BARYCENTER_ROUNDS, BARYCENTER_TOL, FW_MAX_ITER, FW_TOL, FGWConfig, _as_number,
-                  _checked_nbar, _checked_nonnegative, _checked_seed, default_reference_size)
+from .fgw import (FW_MAX_ITER, FW_TOL, FGWConfig, _as_number, _checked_nbar,
+                  _checked_nonnegative, _checked_seed, default_reference_size)
 from .gdd import LabelInformedCost, cross_linear_fgw, label_informed_cost
 from .graphs import LabeledGraphDataset, concat_datasets
 from .great import (GreatTrace, _checked_T, _checked_tau, _selection_budget, gdd_gradient,
@@ -37,12 +37,13 @@ from .ot import (SINKHORN_MAX_ITER, SINKHORN_TOL, TransportSolution, _ASSIGNMENT
 # edits its value, so every entry that depends on it is renamed, misses
 # once and is rewritten.
 _RESULT_RULES = {
-    # inner_assignment_max_lcm, inner_certificate_margin: the FGW linear
-    # step's assignment cap and certificate margin.
+    # barycenter_stop: the barycenter is one block-coordinate round, from
+    # the product couplings. inner_assignment_max_lcm,
+    # inner_certificate_margin: the FGW linear step's assignment cap and
+    # certificate margin.
     "D": {"barycenter_stop": "first-round", "graph_order": "input-order",
           "inner_tie": "highs-vertex", "reference": "all-graphs",
           "fw_max_iter": FW_MAX_ITER, "fw_tol": FW_TOL,
-          "barycenter_rounds": BARYCENTER_ROUNDS, "barycenter_tol": BARYCENTER_TOL,
           "inner_assignment_max_lcm": _ASSIGNMENT_MAX_LCM,
           "inner_certificate_margin": _CERTIFICATE_MARGIN},
     # outer_duals: the canonical point of the optimal dual set
@@ -171,8 +172,10 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     resolved reference size, the FGW config and the "D" group of
     `_RESULT_RULES`; D-tilde on that key plus c and the solver fields of
     `SelectionConfig._solver`. At c = 0, D-tilde is D, so only D is cached.
-    The label-table solves of a D-tilde build go through the OT cache of
-    `SelectionConfig.ot_solver`, so two values of c share them.
+    A cached D or D-tilde that holds a NaN, an infinity or a negative value
+    is a SchemaError naming its file. The label-table solves of a D-tilde
+    build go through the OT cache of `SelectionConfig.ot_solver`, so two
+    values of c share them.
     """
     if len(train) == 0 or len(val) == 0:
         raise EmptyDataset("train and val must both be nonempty")
@@ -186,13 +189,25 @@ def build_cost(train: LabeledGraphDataset, val: LabeledGraphDataset,
     key = {"dataset_hash": dataset_hash(joint), "shape": [len(train), len(val)],
            "nbar": nbar, **asdict(fgw_cfg), **_RESULT_RULES["D"]}
     D = io._cached(cache_dir, "D", key, lambda: cross_linear_fgw(
-        train, val, cfg=fgw_cfg, nbar=nbar))
+        train, val, cfg=fgw_cfg, nbar=nbar), load=_load_cost)
     if cfg.c == 0:
         return label_informed_cost(train, val, D, cfg.c)
     key = {**key, "c": cfg.c, **cfg._solver()[1]}
     values = io._cached(cache_dir, "Dtilde", key, lambda: label_informed_cost(
-        train, val, D, cfg.c, cfg.ot_solver(cache_dir)).values)
+        train, val, D, cfg.c, cfg.ot_solver(cache_dir)).values, load=_load_cost)
     return LabelInformedCost(values=values, base=D, c=float(cfg.c))
+
+
+def _load_cost(path, key: dict) -> np.ndarray:
+    """A cached D or D-tilde, as `io.load_matrix_cache` reads it.
+
+    No cost entry is negative, so a negative one is a damaged file and a
+    SchemaError naming it.
+    """
+    values = io.load_matrix_cache(path, key)
+    if (values < 0).any():
+        raise SchemaError(f"{path}: cost cache entry has negative values")
+    return values
 
 
 def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q,
@@ -203,10 +218,12 @@ def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q,
     a solve rejects. Zero-mass atoms are dropped by both solvers, so only the
     positive entries of p and q enter the key (and 0.0 and -0.0 are one key).
     The entry is one column of 1 + n + m floats: the value, the n source
-    duals, then the m target duals, zero-mass atoms included. The key's
-    `"entry"` field names that layout, so entries that also stored the
-    coupling have other file names and miss once. `start` is passed on to
-    a miss's solve and is not in the key: it never changes the answer.
+    duals, then the m target duals, zero-mass atoms included; a cached
+    column of another length, or with a NaN or an infinity, is a SchemaError
+    naming its file. The key's `"entry"` field names that layout, so entries
+    that also stored the coupling have other file names and miss once.
+    `start` is passed on to a miss's solve and is not in the key: it never
+    changes the answer.
     """
     problem = _Restricted(cost, p, q)
     n, m = problem.cost.shape
@@ -219,9 +236,8 @@ def _cached_ot(cache_dir, solver_key: dict, solve, cost, p, q,
         sol = solve(problem.cost, p, q, start=start)
         return np.concatenate([[sol.value], sol.dual_source, sol.dual_target])[:, None]
 
-    column = io._cached(cache_dir, "OT", key, compute).ravel()
-    if column.size != 1 + n + m:
-        raise SchemaError(f"{io.cache_file_name('OT', key)}: malformed OT cache entry")
+    column = io._cached(cache_dir, "OT", key, compute,
+                        load=partial(io.load_matrix_cache, shape=(1 + n + m, 1))).ravel()
     return TransportSolution(float(column[0]), None, column[1:1 + n], column[1 + n:])
 
 

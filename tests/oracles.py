@@ -3,8 +3,8 @@
 Everything here is deliberately naive: enumeration, finite differences, a
 Sinkhorn loop that tests the coupling it builds, the extension of a solve to
 zero-mass atoms, the FGW linear step's assignment certificate, one FGW
-solve of one pair, the canonical outer duals by shortest paths and the GREAT
-selection loop written straight through. They share no code with the
+solve of one pair, one barycenter round, the canonical outer duals by
+shortest paths and the GREAT selection loop written straight through. They share no code with the
 solvers under test; the certificate reads only the two constants of `ot`
 that define it, and the GREAT loop calls only the outer OT solve and its
 dual calibration.
@@ -285,6 +285,28 @@ def straight_line_fgw(g1, g2, alpha, coupling_init=None, max_iter=200, tol=1e-9)
         if step == 0.0 or curve[-2] - curve[-1] <= tol * max(abs(curve[-2]), 1e-16):
             return T, np.array(curve), True
     return T, np.array(curve), False
+
+
+def barycenter_round(graphs, start, alpha):
+    """One block-coordinate round of the FGW barycenter from `start`, written out.
+
+    One `straight_line_fgw` coupling T_g per graph against `start`, from
+    p q^T; then, with pbar the start's node weights and lam = 1 / len(graphs),
+    the features sum_g lam T_g^T X_g / pbar and the structure
+    sum_g lam T_g^T A_g T_g / (pbar pbar^T), made exactly symmetric as
+    (A + A^T) / 2. The sums run in list order and multiply by lam before they
+    add, the float order that fixes the bits. Returns (adjacency, features).
+    """
+    pbar = start.node_weights
+    lam = 1.0 / len(graphs)
+    X = np.zeros(start.features.shape)
+    A = np.zeros(start.adjacency.shape)
+    for g in graphs:
+        T, _, _ = straight_line_fgw(g, start, alpha)
+        X = X + lam * (T.T @ g.features)
+        A = A + lam * ((T.T @ g.adjacency) @ T)
+    A = A / np.outer(pbar, pbar)
+    return 0.5 * (A + A.T), X / pbar[:, None]
 
 
 def canonical_duals(cost, plan):

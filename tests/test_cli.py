@@ -944,6 +944,40 @@ class TestOtCache:
         assert "payload has" in err
 
 
+class TestDamagedCachePayload:
+    """A cache entry holding a value that no run writes exits 2 and names the file."""
+
+    @pytest.mark.parametrize("kind, value, argv, message", [
+        ("D", np.nan, ("select", "--c", "0"), "non-finite"),
+        ("D", -1.0, ("select", "--c", "0"), "negative"),
+        ("Dtilde", np.nan, ("select", "--c", "1"), "non-finite"),
+        ("Dtilde", np.nan, ("gdd", "--c", "1"), "non-finite"),
+        ("Dtilde", -1.0, ("gdd", "--c", "1"), "negative"),
+        ("OT", np.nan, ("select", "--c", "0"), "non-finite"),
+    ], ids=["D-nan", "D-negative", "Dtilde-nan-select", "Dtilde-nan-gdd", "Dtilde-negative",
+            "OT-nan-dual"])
+    def test_a_damaged_value_exits_2(self, workdir, capsys, kind, value, argv, message):
+        write_two_domain_json(workdir / "ds.json", seed=24)
+        run(capsys, "split", "ds.json", "--out", "split.json")
+        command = (argv[0], "ds.json", "split.json", *argv[1:])
+        if argv[0] == "select":
+            command += ("--method", "gradate", "--tau", "0.25", "--out", "sel.json")
+        assert run(capsys, *command)[0] == 0
+        (workdir / "sel.json").unlink(missing_ok=True)
+        paths = sorted((workdir / ".gradate_cache").glob(f"{kind}-*.gdd"))
+        assert paths
+        for path in paths:
+            # The payload's second float: a cost entry, or an OT entry's first source dual.
+            blob = bytearray(path.read_bytes())
+            second = 8 + int.from_bytes(blob[4:8], "little") + 8
+            blob[second:second + 8] = np.array(value, dtype="<f8").tobytes()
+            path.write_bytes(bytes(blob))
+        code, out, err = run(capsys, *command)
+        assert code == 2
+        assert out == "" and not (workdir / "sel.json").exists()
+        assert message in err and any(path.name in err for path in paths)
+
+
 class TestDatasetEntry:
     @pytest.mark.parametrize("argv, written", [
         (("select", "--method", "gradate", "--tau", "0.25", "--out", "sel.json",

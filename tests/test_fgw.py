@@ -12,7 +12,7 @@ from gradate.gdd import cross_linear_fgw
 from gradate.linear_fgw import embed_all
 
 from conftest import count_full_lps, random_graph, shifted_split
-from oracles import straight_line_fgw
+from oracles import barycenter_round, straight_line_fgw
 
 
 def naive_objective(g1, g2, T, alpha):
@@ -323,6 +323,40 @@ class TestBarycenter:
         for emb in embeddings:
             assert emb.t_node.shape == (7, 0) and emb.t_edge.shape == (7, 7)
             assert np.isfinite(emb.t_edge).all()
+
+    @pytest.mark.parametrize("corpus", ["attributed", "featureless", "weighted", "random-start"])
+    def test_the_reference_is_one_oracle_round_from_its_start(self, monkeypatch, corpus):
+        rng = np.random.default_rng(73)
+        graphs = [random_graph(rng, n_nodes=int(rng.integers(4, 8)),
+                               feature_dim=0 if corpus == "featureless" else 3)
+                  for _ in range(10)]
+        if corpus == "weighted":
+            weights = [rng.random(g.n_nodes) + 0.2 for g in graphs]
+            weights[0][1] = 0.0  # a node without mass
+            graphs = [AttributedGraph(g.adjacency, g.features, w / w.sum())
+                      for g, w in zip(graphs, weights)]
+        cfg = FGWConfig(alpha=0.5, seed=4)
+        if corpus == "random-start":
+            # No graph has nbar = 9 nodes: the start is the seeded point cloud
+            # scaled to the largest edge weight, with pooled feature rows.
+            nbar, draws = 9, np.random.default_rng(cfg.seed)
+            pts = draws.standard_normal((nbar, 2))
+            A = cdist(pts, pts)
+            A = A / A.max() * max(g.adjacency.max() for g in graphs)
+            pooled = np.vstack([g.features for g in graphs])
+            start = AttributedGraph(A, pooled[draws.integers(0, len(pooled), size=nbar)])
+        else:
+            nbar = graphs[3].n_nodes
+            first = next(g for g in graphs if g.n_nodes == nbar)
+            start = AttributedGraph(first.adjacency, first.features)
+        calls, solves = [], fgw._fgw_solves
+        monkeypatch.setattr(fgw, "_fgw_solves", lambda *args: calls.append(args) or solves(*args))
+        ref = fgw_barycenter(graphs, nbar=nbar, cfg=cfg)
+        assert len(calls) == 1  # one round: one solve per graph, from the product couplings
+        adjacency, features = barycenter_round(graphs, start, cfg.alpha)
+        assert ref.adjacency.tobytes() == adjacency.tobytes()
+        assert ref.features.shape == features.shape
+        assert ref.features.tobytes() == features.tobytes()
 
     def test_reference_has_uniform_weights_and_requested_size(self, rng):
         graphs = [random_graph(rng) for _ in range(4)]

@@ -874,6 +874,16 @@ class TestMatrixCache:
         with pytest.raises(SchemaError, match="cache header sizes .* are not counts"):
             io.load_matrix_cache(path, key)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_payload_rejected(self, tmp_path, rng, value):
+        key = {"x": 1}
+        matrix = rng.random((3, 2))
+        matrix[1, 0] = value
+        path = tmp_path / "m.gdd"
+        io.save_matrix_cache(path, matrix, key)
+        with pytest.raises(SchemaError, match="m.gdd: cache payload has non-finite values"):
+            io.load_matrix_cache(path, key)
+
     def test_write_is_atomic(self, tmp_path, rng):
         key = {"x": 1}
         path = tmp_path / "m.gdd"

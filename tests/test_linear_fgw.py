@@ -236,7 +236,7 @@ class TestLockstepSolves:
         D, stages = self.recorded(monkeypatch, compute, fgw._fgw_solves)
         D_ref, ref_stages = self.recorded(monkeypatch, compute, _straight_line_solves)
         assert D.tobytes() == D_ref.tobytes()
-        assert len(stages) == len(ref_stages) >= 2  # the barycenter rounds and the embedding
+        assert len(stages) == len(ref_stages) >= 2  # the barycenter round and the embedding
         for results, ref_results in zip(stages, ref_stages):
             assert len(results) == len(ref_results)
             for res, ref in zip(results, ref_results):
@@ -279,7 +279,7 @@ class TestLockstepSolves:
         linear_fgw._reference_embeddings(graphs, FGWConfig(alpha=0.5), None)
         groups = list(dict.fromkeys(g.node_weights.tobytes() for g in graphs))
         assert len(graphs) > len(groups) >= 4
-        assert len(stages) >= 2  # the barycenter rounds and the embedding
+        assert len(stages) >= 2  # the barycenter round and the embedding
         assert all(steps == groups for steps in stages)
 
 

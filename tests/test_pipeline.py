@@ -209,8 +209,7 @@ class TestBuildCost:
 
         d_key = ("alpha", "dataset_hash", "nbar", "seed", "shape", "barycenter_stop",
                  "graph_order", "inner_tie", "reference", "fw_max_iter", "fw_tol",
-                 "barycenter_rounds", "barycenter_tol", "inner_assignment_max_lcm",
-                 "inner_certificate_margin")
+                 "inner_assignment_max_lcm", "inner_certificate_margin")
         assert key_fields("D") == {tuple(sorted(d_key))}
         assert key_fields("Dtilde") == {tuple(sorted(d_key + ("c", "solver") + EXACT_RULES)),
                                         tuple(sorted(d_key + ("c", "solver", "epsilon")
